@@ -23,7 +23,6 @@ from .covariance import (
     CovarianceModel,
     VarianceComponents,
     WholePlotLayout,
-    build_v,
     log_det_v,
     solve_v,
 )
@@ -31,7 +30,6 @@ from .design_eval import (
     DiagnosticsReport,
     PowerReport,
     PowerRow,
-    containment_df,
     diagnostics,
     power_report,
     prediction_variance,
@@ -50,11 +48,9 @@ from .design_gen import (
 )
 from .errors import NumericalError, SplitPlotError, ValidationError
 from .inference import (
-    FitSummary,
     GlsFit,
     ResponseTable,
     TermTest,
-    fit_summary,
     fixed_effect_tests,
     gls_fit,
     reml_fit,

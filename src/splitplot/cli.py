@@ -41,7 +41,6 @@ from .design_gen import Design, DesignSpec, generate_design
 from .errors import NumericalError, ValidationError
 from .inference import (
     ResponseTable,
-    fit_summary,
     fixed_effect_tests,
     reml_fit,
     residual_report,
@@ -434,18 +433,18 @@ def cmd_fit(args) -> int:
         raise ValidationError(f"{args.data} has no response columns to fit")
     table = ResponseTable(design=design, responses=responses)
     fit = reml_fit(table, model, response=args.response)
-    summary = fit_summary(fit)
     tests = fixed_effect_tests(fit)
 
-    print(f"response: {fit.response}   n={summary.n_runs}")
+    comps = fit.components
+    print(f"response: {fit.response}   n={fit.n_runs}")
     print(
-        f"sigma2_gamma={summary.sigma2_gamma:.6g}  sigma2_epsilon={summary.sigma2_epsilon:.6g}"
-        f"  ratio={summary.ratio:.6g}" + ("  (boundary)" if summary.boundary else "")
+        f"sigma2_gamma={comps.sigma2_gamma:.6g}  sigma2_epsilon={comps.sigma2_epsilon:.6g}"
+        f"  ratio={fit.ratio:.6g}" + ("  (boundary)" if fit.boundary else "")
     )
-    print(f"R2={summary.r2:.4f}  RMSE={summary.rmse:.4f}")
-    if summary.f_overall is not None:
-        q, den = summary.df_overall
-        print(f"overall F({q},{den})={summary.f_overall:.4f}  p={summary.p_overall:.4g}")
+    print(f"R2={fit.r2:.4f}  RMSE={fit.rmse:.4f}")
+    if fit.f_overall is not None:
+        q, den = fit.df_overall
+        print(f"overall F({q},{den})={fit.f_overall:.4f}  p={fit.p_overall:.4g}")
     print("term tests")
     for t in tests:
         print(

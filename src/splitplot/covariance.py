@@ -18,11 +18,24 @@ form, so solves cost O(n) instead of O(n^3):
                    c = sigma2_gamma / (sigma2_eps + m * sigma2_gamma)
     log det V    = sum_i [ (m_i - 1) * log sigma2_eps
                            + log(sigma2_eps + m_i * sigma2_gamma) ]
+
+The rest of the package works at unit error variance, V = I + eta Z Z'
+with eta = sigma2_gamma / sigma2_eps, where the block inverse becomes
+
+    V^{-1} B    = B - Z diag(w) S,                S = Z'B,
+    B' V^{-1} B = B'B - S' diag(w) S,             w_i = eta / (1 + m_i eta),
+
+and S holds the per-plot column sums of B.  `information` evaluates the
+second line; design search and design evaluation score designs with it.
+`solve_v_unit` evaluates the first; the REML/GLS fit uses it because it
+also needs X' V^{-1} y and the weighted residual sum of squares.  The two
+lines round differently, and seeded designs and fitted output are pinned
+byte for byte, so each consumer keeps the form it has always used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +44,16 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class WholePlotLayout:
-    """Run-to-whole-plot assignment; plot indices are 1..r, every plot nonempty."""
+    """Run-to-whole-plot assignment; plot indices are 1..r, every plot nonempty.
+
+    zero_based (plot index per run, from 0), sizes (runs per plot) and
+    n_plots are derived once at construction; the arrays are read-only.
+    """
 
     assignment: tuple[int, ...]
+    zero_based: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    n_plots: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.assignment) == 0:
@@ -41,26 +61,21 @@ class WholePlotLayout:
         arr = np.asarray(self.assignment)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValidationError("whole-plot indices must be integers")
-        r = int(arr.max())
-        if arr.min() < 1 or set(np.unique(arr)) != set(range(1, r + 1)):
+        if arr.min() < 1:
             raise ValidationError("whole-plot indices must cover 1..r with no gaps")
+        zero_based = arr.astype(int) - 1
+        sizes = np.bincount(zero_based)
+        if not sizes.all():
+            raise ValidationError("whole-plot indices must cover 1..r with no gaps")
+        zero_based.setflags(write=False)
+        sizes.setflags(write=False)
+        object.__setattr__(self, "zero_based", zero_based)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "n_plots", len(sizes))
 
     @property
     def n_runs(self) -> int:
         return len(self.assignment)
-
-    @property
-    def n_plots(self) -> int:
-        return int(max(self.assignment))
-
-    @property
-    def zero_based(self) -> np.ndarray:
-        return np.asarray(self.assignment, dtype=int) - 1
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Runs per plot, indexed by plot."""
-        return np.bincount(self.zero_based, minlength=self.n_plots)
 
     def indicator(self) -> np.ndarray:
         """Z, the n x r run-to-plot indicator matrix."""
@@ -101,6 +116,39 @@ def build_v(model: CovarianceModel) -> np.ndarray:
     return v
 
 
+def _plot_sums(layout: WholePlotLayout, b: np.ndarray) -> np.ndarray:
+    """Z' b for an (n, k) array: per-plot column sums, accumulated in run order."""
+    k = b.shape[1]
+    r = layout.n_plots
+    bins = layout.zero_based + r * np.arange(k)[:, None]
+    sums = np.bincount(bins.ravel(), weights=b.T.ravel(), minlength=r * k)
+    # C order keeps S' diag(w) S on the BLAS path, and so the rounding, that
+    # the design search has always had
+    return np.ascontiguousarray(sums.reshape(k, r).T)
+
+
+def _shrink(layout: WholePlotLayout, eta: float) -> np.ndarray:
+    """w_i = eta / (1 + m_i eta), the weight V^{-1} puts on plot sums."""
+    return eta / (1.0 + layout.sizes * eta)
+
+
+def information(layout: WholePlotLayout, b: np.ndarray, eta: float) -> np.ndarray:
+    """B' V^{-1} B at V = I + eta Z Z', for an (n, k) block B; see the module docstring."""
+    s = _plot_sums(layout, b)
+    return b.T @ b - s.T @ (s * _shrink(layout, eta)[:, None])
+
+
+def solve_v_unit(layout: WholePlotLayout, b: np.ndarray, eta: float) -> np.ndarray:
+    """V^{-1} b at V = I + eta Z Z', for an (n, k) array b."""
+    a = layout.zero_based
+    return b - _shrink(layout, eta)[a, None] * _plot_sums(layout, b)[a]
+
+
+def log_det_v_unit(layout: WholePlotLayout, eta: float) -> float:
+    """log det(I + eta Z Z') = sum_i log(1 + m_i eta)."""
+    return float(np.sum(np.log1p(layout.sizes * eta)))
+
+
 def solve_v(model: CovarianceModel, rhs: np.ndarray) -> np.ndarray:
     """V^{-1} rhs through the per-plot closed form; rhs is (n,) or (n, k)."""
     b = np.asarray(rhs, dtype=float)
@@ -111,14 +159,7 @@ def solve_v(model: CovarianceModel, rhs: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"rhs has {b.shape[0]} rows, layout has {model.layout.n_runs} runs"
         )
-    a = model.layout.zero_based
-    sizes = model.layout.sizes
-    s2e = model.components.sigma2_epsilon
-    s2g = model.components.sigma2_gamma
-    plot_sums = np.zeros((model.layout.n_plots, b.shape[1]))
-    np.add.at(plot_sums, a, b)
-    shrink = s2g / (s2e + sizes * s2g)
-    out = (b - shrink[a, None] * plot_sums[a]) / s2e
+    out = solve_v_unit(model.layout, b, model.components.ratio) / model.components.sigma2_epsilon
     return out[:, 0] if one_dim else out
 
 

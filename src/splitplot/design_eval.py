@@ -11,9 +11,7 @@ and the two-sided rejection probability at level alpha is
 
     power = 1 - F_nct(t_crit; df, delta) + F_nct(-t_crit; df, delta).
 
-Error degrees of freedom follow the containment rule: whole-plot terms are
-tested against whole-plot error with df = r - (whole-plot model df), the
-rest against subplot error with df = n - r - (subplot model df).
+Error degrees of freedom follow the containment rule, ModelSpec.error_df.
 """
 
 from __future__ import annotations
@@ -24,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import nct, t as t_dist
 
-from .covariance import CovarianceModel, VarianceComponents, solve_v
+from .covariance import information
 from .design_gen import Design, column_labels, expand_model_matrix, model_matrix
 from .errors import NumericalError, ValidationError
-from .model_spec import ModelSpec, SUBPLOT, WHOLE_PLOT
+from .model_spec import ModelSpec
 
 ALIAS_TOL = 1e-12
 
@@ -41,23 +39,11 @@ def _column_levels(model: ModelSpec) -> list[str]:
 
 
 def _information_inverse(design: Design, model: ModelSpec, ratio: float) -> np.ndarray:
-    x = expand_model_matrix(design, model)
-    cov = CovarianceModel(design.layout, VarianceComponents(ratio, 1.0))
-    m = x.T @ solve_v(cov, x)
+    m = information(design.layout, expand_model_matrix(design, model), ratio)
     sign, _ = np.linalg.slogdet(m)
     if sign <= 0:
         raise NumericalError("singular information matrix; the design cannot fit this model")
     return np.linalg.inv(m)
-
-
-def containment_df(design: Design, model: ModelSpec) -> dict[str, int]:
-    """Error df per testing level under the containment rule."""
-    n = design.n_runs
-    r = design.layout.n_plots
-    return {
-        WHOLE_PLOT: r - model.whole_plot_model_df,
-        SUBPLOT: n - r - model.subplot_model_df,
-    }
 
 
 @dataclass(frozen=True)
@@ -90,7 +76,7 @@ def power_report(
         raise ValidationError("alpha must be in (0, 1)")
     if snr < 0:
         raise ValidationError("snr must be >= 0")
-    dfs = containment_df(design, model)
+    dfs = model.error_df(design.n_runs, design.layout.n_plots)
     for level, df in dfs.items():
         if df <= 0 and any(t.level == level for t in model.terms):
             raise ValidationError(

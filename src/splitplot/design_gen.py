@@ -9,24 +9,27 @@ scored with the information determinant under the two-error covariance,
     log det( X' V^{-1} X ),   V = I + ratio * Z Z'
 
 where the error variance is fixed at 1 (the criterion ranking only depends
-on the variance ratio, not the scale).  Optimization is multi-start
-coordinate exchange: from a random feasible design, sweep every coordinate
-against its candidate values and keep any strict improvement, until a full
-sweep improves the criterion by at most 1e-9.
+on the variance ratio, not the scale).  X' V^{-1} X comes from
+covariance.information; the covariance module docstring gives its closed
+form.  Optimization is multi-start coordinate exchange: from a random
+feasible design, sweep every coordinate against its candidate values and
+keep any strict improvement, until a full sweep improves the criterion by
+at most 1e-9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CovarianceModel, VarianceComponents, WholePlotLayout, solve_v
+from .covariance import WholePlotLayout, information
 from .errors import NumericalError, ValidationError
 from .model_spec import Factor, ModelSpec
 
 EXCHANGE_TOL = 1e-9
 _MAX_SWEEPS = 100
+_EXCHANGE_GRID = 3  # coded values -1, 0, +1 per continuous factor
 
 
 def assign_whole_plot_sizes(n_runs: int, n_whole_plots: int) -> tuple[int, ...]:
@@ -83,12 +86,14 @@ class Design:
     settings: np.ndarray
     criterion: float | None = None
     spec: DesignSpec | None = None
+    layout: WholePlotLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.settings, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "settings", arr)
         layout = WholePlotLayout(tuple(int(w) for w in self.whole_plot))
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "whole_plot", layout.assignment)
         if arr.shape != (layout.n_runs, len(self.factors)):
             raise ValidationError(
@@ -114,10 +119,6 @@ class Design:
     @property
     def n_runs(self) -> int:
         return len(self.whole_plot)
-
-    @property
-    def layout(self) -> WholePlotLayout:
-        return WholePlotLayout(self.whole_plot)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -169,49 +170,37 @@ def expand_model_matrix(design: Design, model: ModelSpec) -> np.ndarray:
     return model_matrix(model, design.settings)
 
 
-def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
-    """log det(X' V^{-1} X) at unit error variance; -inf when singular."""
-    if not (np.isfinite(ratio) and ratio >= 0):
-        raise ValidationError("ratio must be finite and >= 0")
-    x = expand_model_matrix(design, model)
-    cov = CovarianceModel(design.layout, VarianceComponents(ratio, 1.0))
-    m = x.T @ solve_v(cov, x)
+def _log_det(m: np.ndarray) -> float:
     sign, ld = np.linalg.slogdet(m)
     if sign <= 0 or not np.isfinite(ld):
         return float("-inf")
     return float(ld)
 
 
-def _candidates(f: Factor) -> np.ndarray:
-    if f.is_categorical:
-        return np.arange(f.n_levels, dtype=float)
-    return np.array([-1.0, 0.0, 1.0])
+def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
+    """log det(X' V^{-1} X) at unit error variance; -inf when singular."""
+    if not (np.isfinite(ratio) and ratio >= 0):
+        raise ValidationError("ratio must be finite and >= 0")
+    return _log_det(information(design.layout, expand_model_matrix(design, model), ratio))
 
 
 class _Exchanger:
     """One coordinate-exchange run over a fixed layout."""
 
-    def __init__(self, model: ModelSpec, sizes, ratio: float):
+    def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
         self.model = model
-        self.sizes = np.asarray(sizes)
-        self.r = len(sizes)
-        self.n = int(self.sizes.sum())
-        self.a0 = np.repeat(np.arange(self.r), self.sizes)
-        self.shrink = ratio / (1.0 + self.sizes * ratio)
+        self.layout = layout
+        self.ratio = ratio
+        self.r = layout.n_plots
+        self.n = layout.n_runs
+        self.a0 = layout.zero_based
         self.plot_rows = [np.flatnonzero(self.a0 == i) for i in range(self.r)]
-        self.cands = [_candidates(f) for f in model.factors]
+        self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
         self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
         self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
 
     def criterion(self, settings: np.ndarray) -> float:
-        x = model_matrix(self.model, settings)
-        ps = np.zeros((self.r, x.shape[1]))
-        np.add.at(ps, self.a0, x)
-        m = x.T @ x - ps.T @ (ps * self.shrink[:, None])
-        sign, ld = np.linalg.slogdet(m)
-        if sign <= 0 or not np.isfinite(ld):
-            return float("-inf")
-        return float(ld)
+        return _log_det(information(self.layout, model_matrix(self.model, settings), self.ratio))
 
     def random_start(self, rng) -> np.ndarray:
         settings = np.empty((self.n, len(self.model.factors)))
@@ -265,7 +254,10 @@ def generate_design(spec: DesignSpec) -> Design:
     with (seed, 0, k), and ties between starts keep the earliest one.
     """
     sizes = assign_whole_plot_sizes(spec.n_runs, spec.n_whole_plots)
-    worker = _Exchanger(spec.model, sizes, spec.ratio)
+    layout = WholePlotLayout(
+        tuple(int(i) for i in np.repeat(np.arange(1, spec.n_whole_plots + 1), sizes))
+    )
+    worker = _Exchanger(spec.model, layout, spec.ratio)
     best_settings, best_val = None, float("-inf")
     for k in range(spec.n_starts):
         rng = np.random.default_rng((spec.seed, 0, k))
@@ -276,10 +268,9 @@ def generate_design(spec: DesignSpec) -> Design:
         raise NumericalError(
             "no nonsingular design found; check the run budget against the model"
         )
-    whole_plot = tuple(int(i) for i in np.repeat(np.arange(1, spec.n_whole_plots + 1), sizes))
     return Design(
         factors=spec.model.factors,
-        whole_plot=whole_plot,
+        whole_plot=layout.assignment,
         settings=best_settings,
         criterion=best_val,
         spec=spec,

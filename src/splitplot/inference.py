@@ -14,9 +14,8 @@ the fit is flagged as a boundary solution.  Then
 
     sigma2_eps = y' P y / (n - p),   sigma2_gamma = eta * sigma2_eps.
 
-Wald tests use the containment denominator degrees of freedom: whole-plot
-terms against r - (whole-plot model df), subplot terms against
-n - r - (subplot model df).
+Wald tests use the containment denominator degrees of freedom,
+ModelSpec.error_df.  Products with V^{-1} come from covariance.solve_v_unit.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import f as f_dist
 
-from .covariance import CovarianceModel, VarianceComponents, WholePlotLayout, solve_v
+from .covariance import VarianceComponents, WholePlotLayout, log_det_v_unit, solve_v_unit
 from .design_gen import Design, column_labels, expand_model_matrix
 from .errors import NumericalError, ValidationError
-from .model_spec import ModelSpec, SUBPLOT, WHOLE_PLOT, _check_name
+from .model_spec import ModelSpec, SUBPLOT, _check_name
 
 LOG_ETA_LOW = math.log(1e-8)
 LOG_ETA_HIGH = math.log(1e8)
@@ -71,15 +70,14 @@ class ResponseTable:
 
 def _weighted_ls(x, y, layout, eta):
     """GLS at V = I + eta Z Z'; returns beta, information, weighted RSS, log det M."""
-    cov = CovarianceModel(layout, VarianceComponents(eta, 1.0))
-    vix = solve_v(cov, x)
+    vix = solve_v_unit(layout, x, eta)
     m = x.T @ vix
     sign, ldm = np.linalg.slogdet(m)
     if sign <= 0 or not np.isfinite(ldm):
         raise NumericalError("model matrix is rank deficient on this design")
     beta = np.linalg.solve(m, vix.T @ y)
     resid = y - x @ beta
-    qform = float(resid @ solve_v(cov, resid))
+    qform = float(resid @ solve_v_unit(layout, resid[:, None], eta)[:, 0])
     return beta, m, qform, float(ldm)
 
 
@@ -100,8 +98,7 @@ def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLa
         raise ValidationError("no residual degrees of freedom (n <= p)")
     _, _, qform, ldm = _weighted_ls(x, y, layout, eta)
     _check_residual_variation(qform, y)
-    log_det_v = float(np.sum(np.log1p(layout.sizes * eta)))
-    return log_det_v + ldm + (n - p) * math.log(qform)
+    return log_det_v_unit(layout, eta) + ldm + (n - p) * math.log(qform)
 
 
 def _golden_section(fun, lo, hi, tol):
@@ -154,12 +151,7 @@ class GlsFit:
 
     @property
     def error_df(self) -> dict[str, int]:
-        n = self.layout.n_runs
-        r = self.layout.n_plots
-        return {
-            WHOLE_PLOT: r - self.model.whole_plot_model_df,
-            SUBPLOT: n - r - self.model.subplot_model_df,
-        }
+        return self.model.error_df(self.layout.n_runs, self.layout.n_plots)
 
 
 def _squared_correlation(y, fitted) -> float:
@@ -210,7 +202,7 @@ def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -
     rmse = math.sqrt(sigma2_eps)
 
     q = p - 1
-    sp_err = n - layout.n_plots - model.subplot_model_df
+    sp_err = model.error_df(n, layout.n_plots)[SUBPLOT]
     f_overall = p_overall = df_overall = None
     if q >= 1 and sp_err >= 1:
         bsub = beta[1:]
@@ -323,37 +315,6 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
             )
         )
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class FitSummary:
-    response: str
-    n_runs: int
-    r2: float
-    rmse: float
-    f_overall: float | None
-    p_overall: float | None
-    df_overall: tuple[int, int] | None
-    sigma2_gamma: float
-    sigma2_epsilon: float
-    ratio: float
-    boundary: bool
-
-
-def fit_summary(fit: GlsFit) -> FitSummary:
-    return FitSummary(
-        response=fit.response,
-        n_runs=fit.n_runs,
-        r2=fit.r2,
-        rmse=fit.rmse,
-        f_overall=fit.f_overall,
-        p_overall=fit.p_overall,
-        df_overall=fit.df_overall,
-        sigma2_gamma=fit.components.sigma2_gamma,
-        sigma2_epsilon=fit.components.sigma2_epsilon,
-        ratio=fit.ratio,
-        boundary=fit.boundary,
-    )
 
 
 def residual_report(fit: GlsFit) -> tuple[tuple[int, int, float, float, float], ...]:

@@ -103,6 +103,12 @@ class Factor:
         c[k - 1, :] = -1.0
         return c
 
+    def candidates(self, k: int) -> np.ndarray:
+        """Search grid: every level index, or k evenly spaced coded values in [-1, +1]."""
+        if self.is_categorical:
+            return np.arange(self.n_levels, dtype=float)
+        return np.linspace(-1.0, 1.0, k)
+
     def coded_columns(self, settings: np.ndarray) -> np.ndarray:
         """Expand per-run settings into the factor's model columns (n x n_columns)."""
         x = np.asarray(settings, dtype=float)
@@ -221,6 +227,17 @@ class ModelSpec:
     @property
     def n_parameters(self) -> int:
         return 1 + sum(t.df for t in self.terms)
+
+    def error_df(self, n_runs: int, n_plots: int) -> dict[str, int]:
+        """Containment error df per testing level for n_runs runs in n_plots whole plots.
+
+        Whole-plot terms are tested against r - (whole-plot model df), subplot
+        terms against n - r - (subplot model df).
+        """
+        return {
+            WHOLE_PLOT: n_plots - self.whole_plot_model_df,
+            SUBPLOT: n_runs - n_plots - self.subplot_model_df,
+        }
 
 
 def _term_df(factor_names, by_name) -> int:

@@ -128,12 +128,6 @@ class SettingRecommendation:
         raise ValidationError(f"no factor named {name!r}")
 
 
-def _axis_candidates(factor, fine: bool) -> np.ndarray:
-    if factor.is_categorical:
-        return np.arange(factor.n_levels, dtype=float)
-    return np.linspace(-1.0, 1.0, _REFINE_GRID if fine else _GRID)
-
-
 def _overall(points: np.ndarray, fits, goals, bounds_by_goal) -> np.ndarray:
     """Weighted geometric-mean desirability for a batch of settings rows."""
     responses = {}
@@ -174,13 +168,7 @@ def optimize(fits: dict[str, GlsFit], goals, n_grid: int = _GRID) -> SettingReco
             raise ValidationError("all fits must share the same factors")
     bounds_by_goal = [_resolve_bounds(g, fits[g.response]) for g in goals]
 
-    axes = []
-    for f in factors:
-        if f.is_categorical:
-            axes.append(np.arange(f.n_levels, dtype=float))
-        else:
-            axes.append(np.linspace(-1.0, 1.0, n_grid))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*(f.candidates(n_grid) for f in factors), indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
     scores = _overall(points, fits, goals, bounds_by_goal)
     best_idx = int(np.argmax(scores))  # first index wins ties
@@ -189,7 +177,7 @@ def optimize(fits: dict[str, GlsFit], goals, n_grid: int = _GRID) -> SettingReco
 
     # one polishing pass, coordinate by coordinate
     for i, f in enumerate(factors):
-        cands = _axis_candidates(f, fine=True)
+        cands = f.candidates(_REFINE_GRID)
         trial = np.tile(best, (len(cands), 1))
         trial[:, i] = cands
         vals = _overall(trial, fits, goals, bounds_by_goal)

@@ -25,7 +25,6 @@ from splitplot import (
     WHOLE_PLOT,
     WholePlotLayout,
     build_model,
-    build_v,
     count_subplot_df,
     count_whole_plot_df,
     define_factor,
@@ -41,6 +40,7 @@ from splitplot import (
     solve_v,
 )
 from splitplot.cli import main as cli_main
+from splitplot.covariance import build_v
 from splitplot.cli import parse_model_file, read_design_csv, write_design_csv
 
 

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splitplot import (
     CovarianceModel,
     ValidationError,
     VarianceComponents,
     WholePlotLayout,
-    build_v,
     log_det_v,
+    reml_objective,
     solve_v,
 )
+from splitplot.covariance import build_v, information, solve_v_unit
 
 
 def random_layout(rng, max_runs=12):
@@ -127,3 +130,63 @@ def test_covariance_is_positive_definite():
             VarianceComponents(float(rng.uniform(0, 10)), float(rng.uniform(0.1, 10))),
         )
         np.linalg.cholesky(build_v(cov))  # raises if not PD
+
+
+# ---------------------------------------------------------------- kernel properties
+
+# no plot effect, a barely-there one, equal components, plot effect dominant
+ETAS = (0.0, 1e-8, 1.0, 1e6)
+
+
+@st.composite
+def layouts(draw):
+    """Up to 7 plots of 1..4 runs, always one single-run plot, runs in shuffled order."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=6)) + [1]
+    sizes = draw(st.permutations(sizes))
+    plots = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    order = draw(st.permutations(range(len(plots))))
+    return WholePlotLayout(tuple(int(plots[i]) for i in order))
+
+
+def unit_v(layout, eta):
+    return build_v(CovarianceModel(layout, VarianceComponents(eta, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), st.sampled_from(ETAS), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_information_matches_dense_oracle(layout, eta, k, seed):
+    b = np.random.default_rng(seed).normal(size=(layout.n_runs, k))
+    dense = np.linalg.solve(unit_v(layout, eta), b)
+    # dense solves lose about cond(V) * eps, cond(V) <= 1 + 4 * 1e6
+    assert solve_v_unit(layout, b, eta) == pytest.approx(
+        dense, abs=1e-8 * (1.0 + float(np.max(np.abs(b))))
+    )
+    got = information(layout, b, eta)
+    assert got.shape == (k, k)
+    assert got == pytest.approx(b.T @ dense, abs=1e-8 * (1.0 + float(np.sum(b * b))))
+
+
+def dense_reml_objective(eta, x, y, layout):
+    """-2 restricted log likelihood at the profiled error variance, up to a constant."""
+    v = unit_v(layout, eta)
+    m = x.T @ np.linalg.solve(v, x)
+    beta = np.linalg.solve(m, x.T @ np.linalg.solve(v, y))
+    resid = y - x @ beta
+    n, p = x.shape
+    return (
+        np.linalg.slogdet(v)[1]
+        + np.linalg.slogdet(m)[1]
+        + (n - p) * np.log(resid @ np.linalg.solve(v, resid))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts(), st.sampled_from(ETAS), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_reml_objective_matches_dense_formula(layout, eta, p, seed):
+    n = layout.n_runs
+    assume(n > p)
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = rng.normal(size=n)
+    want = dense_reml_objective(eta, x, y, layout)
+    assert reml_objective(eta, x, y, layout) == pytest.approx(want, abs=1e-6)

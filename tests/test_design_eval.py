@@ -11,7 +11,6 @@ from splitplot import (
     ValidationError,
     WHOLE_PLOT,
     build_model,
-    containment_df,
     define_factor,
     diagnostics,
     power_report,
@@ -35,7 +34,7 @@ def easy_pair_design(u_col, v_col):
 
 
 def test_containment_df_on_tin_design(tin_design, tin_model):
-    dfs = containment_df(tin_design, tin_model)
+    dfs = tin_model.error_df(tin_design.n_runs, tin_design.layout.n_plots)
     assert dfs == {WHOLE_PLOT: 4, SUBPLOT: 9}
 
 

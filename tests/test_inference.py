@@ -1,7 +1,5 @@
 """Variance-component estimation, GLS fits and the per-term F tests."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from splitplot import (
     build_model,
     define_factor,
     expand_model_matrix,
-    fit_summary,
     fixed_effect_tests,
     gls_fit,
     reml_fit,
@@ -269,11 +266,6 @@ def test_error_df_and_overall_f_bookkeeping():
     assert q == m.n_parameters - 1
     assert den == fit.error_df[SUBPLOT]
     assert fit.p_overall is not None
-
-    summary = fit_summary(fit)
-    assert summary.r2 == fit.r2
-    assert summary.rmse == pytest.approx(math.sqrt(fit.components.sigma2_epsilon))
-    assert summary.boundary == fit.boundary
 
 
 def test_no_subplot_error_df_disables_overall_f_and_term_tests():
