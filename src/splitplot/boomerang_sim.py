@@ -134,9 +134,13 @@ def simulate(design: Design, truth: TruthConfig, seed=None) -> ResponseTable:
     whole-plot effects and then the n run errors, so a fixed seed pins the
     whole table bit for bit.  Pass seed as an int or a tuple of ints; a
     tuple like (base_seed, replicate) gives independent replicate streams.
-    None falls back to the seed stored in the truth config.
+    None falls back to the seed stored in the truth config.  Seeds are
+    non-negative integers.
     """
-    rng = np.random.default_rng(truth.seed if seed is None else seed)
+    seed = truth.seed if seed is None else seed
+    if np.any(np.asarray(seed) < 0):
+        raise ValidationError("seed must be a non-negative integer or a tuple of them")
+    rng = np.random.default_rng(seed)
     a0 = design.layout.zero_based
     r = design.layout.n_plots
     n = design.n_runs

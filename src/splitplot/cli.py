@@ -13,7 +13,7 @@ line the model gets mains and all two-factor interactions.
 
 Design CSV: UTF-8, comma separated, '.' decimal, header
 run_id,whole_plot,<factors...>[,<responses...>].  Factor values are in
-natural units (level labels, numbers inside the factor range).
+natural units (level labels, finite numbers inside the factor range).
 
 Truth file for simulate, key = value lines:
 
@@ -23,7 +23,10 @@ Truth file for simulate, key = value lines:
     <response>.sigma_gamma = 30
     <response>.sigma_epsilon = 60
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Seeds, here and in every --seed flag, are non-negative integers.
+
+Exit codes: 0 success, 2 invalid input, 3 numerical failure.  A negative
+seed and a non-finite factor cell (nan, inf) are invalid input.
 """
 
 from __future__ import annotations
@@ -269,18 +272,15 @@ def read_design_csv(path, model: ModelSpec):
 
 def randomize_run_order(design: Design, rng) -> Design:
     """Shuffle whole-plot order and run order within plots; groups stay intact."""
-    a0 = design.layout.zero_based
     order = []
     for plot in rng.permutation(design.layout.n_plots):
-        rows = np.flatnonzero(a0 == plot)
-        order.extend(rng.permutation(rows))
+        order.extend(rng.permutation(design.layout.plot_rows[plot]))
     order = np.asarray(order)
     return Design(
         factors=design.factors,
         whole_plot=tuple(int(design.whole_plot[i]) for i in order),
         settings=design.settings[order],
         criterion=design.criterion,
-        spec=design.spec,
     )
 
 

@@ -36,6 +36,7 @@ byte for byte, so each consumer keeps the form it has always used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,12 @@ class WholePlotLayout:
     def n_runs(self) -> int:
         return len(self.assignment)
 
+    @cached_property
+    def plot_rows(self) -> tuple[np.ndarray, ...]:
+        """Run indices of each plot, ascending, plot by plot."""
+        grouped = np.argsort(self.zero_based, kind="stable")
+        return tuple(np.split(grouped, np.cumsum(self.sizes)[:-1]))
+
     def indicator(self) -> np.ndarray:
         """Z, the n x r run-to-plot indicator matrix."""
         z = np.zeros((self.n_runs, self.n_plots))
@@ -99,6 +106,12 @@ class VarianceComponents:
     def ratio(self) -> float:
         """eta = sigma2_gamma / sigma2_epsilon."""
         return self.sigma2_gamma / self.sigma2_epsilon
+
+
+def _check_ratio(ratio: float) -> None:
+    """Reject a variance ratio eta = sigma2_gamma / sigma2_eps that is not finite and >= 0."""
+    if not (np.isfinite(ratio) and ratio >= 0):
+        raise ValidationError("ratio must be finite and >= 0")
 
 
 @dataclass(frozen=True)

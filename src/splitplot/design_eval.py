@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import nct, t as t_dist
 
-from .covariance import information
+from .covariance import _check_ratio, information
 from .design_gen import Design, column_labels, expand_model_matrix, model_matrix
 from .errors import NumericalError, ValidationError
 from .model_spec import ModelSpec
@@ -39,6 +39,7 @@ def _column_levels(model: ModelSpec) -> list[str]:
 
 
 def _information_inverse(design: Design, model: ModelSpec, ratio: float) -> np.ndarray:
+    _check_ratio(ratio)
     m = information(design.layout, expand_model_matrix(design, model), ratio)
     sign, _ = np.linalg.slogdet(m)
     if sign <= 0:
@@ -74,8 +75,8 @@ def power_report(
     """Two-sided power for every single-df model column (intercept excluded)."""
     if not (0 < alpha < 1):
         raise ValidationError("alpha must be in (0, 1)")
-    if snr < 0:
-        raise ValidationError("snr must be >= 0")
+    if not (np.isfinite(snr) and snr >= 0):
+        raise ValidationError("snr must be finite and >= 0")
     dfs = model.error_df(design.n_runs, design.layout.n_plots)
     for level, df in dfs.items():
         if df <= 0 and any(t.level == level for t in model.terms):

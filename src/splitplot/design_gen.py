@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import WholePlotLayout, information
+from .covariance import WholePlotLayout, _check_ratio, information
 from .errors import NumericalError, ValidationError
 from .model_spec import Factor, ModelSpec
 
@@ -66,10 +66,11 @@ class DesignSpec:
                 f"{self.n_whole_plots} whole plots cannot carry "
                 f"{self.model.whole_plot_model_df} whole-plot model df"
             )
-        if not (np.isfinite(self.ratio) and self.ratio >= 0):
-            raise ValidationError("ratio must be finite and >= 0")
+        _check_ratio(self.ratio)
         if self.n_starts < 1:
             raise ValidationError("n_starts must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,6 @@ class Design:
     whole_plot: tuple[int, ...]
     settings: np.ndarray
     criterion: float | None = None
-    spec: DesignSpec | None = None
     layout: WholePlotLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,28 +101,29 @@ class Design:
                 f"{layout.n_runs} runs x {len(self.factors)} factors"
             )
         a0 = layout.zero_based
+        per_plot = np.empty(layout.n_plots)
         for j, f in enumerate(self.factors):
             col = arr[:, j]
+            if not np.all(np.isfinite(col)):
+                raise ValidationError(f"non-finite setting for factor {f.name!r}")
             if f.is_categorical:
                 if np.any(col != col.astype(int)) or col.min() < 0 or col.max() > f.n_levels - 1:
                     raise ValidationError(f"invalid level codes for factor {f.name!r}")
             elif col.min() < -1.0 or col.max() > 1.0:
                 raise ValidationError(f"coded values for factor {f.name!r} leave [-1, +1]")
             if f.hard_to_change:
-                for plot in range(layout.n_plots):
-                    vals = col[a0 == plot]
-                    if np.any(vals != vals[0]):
-                        raise ValidationError(
-                            f"hard-to-change factor {f.name!r} varies inside whole plot {plot + 1}"
-                        )
+                # each plot keeps one of its own values; a run that differs marks its plot
+                per_plot[a0] = col
+                varies = a0[col != per_plot[a0]]
+                if varies.size:
+                    raise ValidationError(
+                        f"hard-to-change factor {f.name!r} varies inside whole plot "
+                        f"{varies.min() + 1}"
+                    )
 
     @property
     def n_runs(self) -> int:
         return len(self.whole_plot)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.layout.sizes
 
 
 def model_matrix(model: ModelSpec, settings) -> np.ndarray:
@@ -179,8 +180,7 @@ def _log_det(m: np.ndarray) -> float:
 
 def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
     """log det(X' V^{-1} X) at unit error variance; -inf when singular."""
-    if not (np.isfinite(ratio) and ratio >= 0):
-        raise ValidationError("ratio must be finite and >= 0")
+    _check_ratio(ratio)
     return _log_det(information(design.layout, expand_model_matrix(design, model), ratio))
 
 
@@ -191,10 +191,6 @@ class _Exchanger:
         self.model = model
         self.layout = layout
         self.ratio = ratio
-        self.r = layout.n_plots
-        self.n = layout.n_runs
-        self.a0 = layout.zero_based
-        self.plot_rows = [np.flatnonzero(self.a0 == i) for i in range(self.r)]
         self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
         self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
         self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
@@ -203,12 +199,13 @@ class _Exchanger:
         return _log_det(information(self.layout, model_matrix(self.model, settings), self.ratio))
 
     def random_start(self, rng) -> np.ndarray:
-        settings = np.empty((self.n, len(self.model.factors)))
+        n = self.layout.n_runs
+        settings = np.empty((n, len(self.model.factors)))
         for fi in self.hard:
-            per_plot = rng.choice(self.cands[fi], size=self.r)
-            settings[:, fi] = per_plot[self.a0]
+            per_plot = rng.choice(self.cands[fi], size=self.layout.n_plots)
+            settings[:, fi] = per_plot[self.layout.zero_based]
         for fi in self.easy:
-            settings[:, fi] = rng.choice(self.cands[fi], size=self.n)
+            settings[:, fi] = rng.choice(self.cands[fi], size=n)
         return settings
 
     def _scan(self, settings, rows, fi, best, rng):
@@ -234,10 +231,10 @@ class _Exchanger:
         best = self.criterion(settings)
         for _ in range(_MAX_SWEEPS):
             sweep_start = best
-            for plot in range(self.r):
+            for rows in self.layout.plot_rows:
                 for fi in self.hard:
-                    best = self._scan(settings, self.plot_rows[plot], fi, best, rng)
-            for run in range(self.n):
+                    best = self._scan(settings, rows, fi, best, rng)
+            for run in range(self.layout.n_runs):
                 for fi in self.easy:
                     best = self._scan(settings, np.array([run]), fi, best, rng)
             if best == float("-inf"):
@@ -273,5 +270,4 @@ def generate_design(spec: DesignSpec) -> Design:
         whole_plot=layout.assignment,
         settings=best_settings,
         criterion=best_val,
-        spec=spec,
     )

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import f as f_dist
 
-from .covariance import VarianceComponents, WholePlotLayout, log_det_v_unit, solve_v_unit
+from .covariance import (
+    VarianceComponents,
+    WholePlotLayout,
+    _check_ratio,
+    log_det_v_unit,
+    solve_v_unit,
+)
 from .design_gen import Design, column_labels, expand_model_matrix
 from .errors import NumericalError, ValidationError
 from .model_spec import ModelSpec, SUBPLOT, _check_name
@@ -187,6 +193,12 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
     return response, layout, x, y
 
 
+def _wald_f(b, c, df_num, df_den) -> tuple[float, float]:
+    """Wald F = b' C^{-1} b / df_num for estimates b with covariance C, and its p-value."""
+    stat = float(b @ np.linalg.solve(c, b)) / df_num
+    return stat, float(f_dist.sf(stat, df_num, df_den))
+
+
 def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -> GlsFit:
     n, p = x.shape
     beta, m, qform, _ = _weighted_ls(x, y, layout, eta)
@@ -205,11 +217,7 @@ def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -
     sp_err = model.error_df(n, layout.n_plots)[SUBPLOT]
     f_overall = p_overall = df_overall = None
     if q >= 1 and sp_err >= 1:
-        bsub = beta[1:]
-        csub = cov_beta[1:, 1:]
-        stat = float(bsub @ np.linalg.solve(csub, bsub)) / q
-        f_overall = stat
-        p_overall = float(f_dist.sf(stat, q, sp_err))
+        f_overall, p_overall = _wald_f(beta[1:], cov_beta[1:, 1:], q, sp_err)
         df_overall = (q, sp_err)
 
     for arr in (beta, cov_beta, fitted, residuals):
@@ -271,8 +279,7 @@ def gls_fit(
     The error variance is still estimated from the weighted residuals, so
     coefficient covariance and RMSE stay data driven.
     """
-    if not (np.isfinite(ratio) and ratio >= 0):
-        raise ValidationError("ratio must be finite and >= 0")
+    _check_ratio(ratio)
     response, layout, x, y = _prepare(responses, model, response)
     objective = reml_objective(ratio, x, y, layout)
     return _finalize(response, model, layout, x, y, ratio, ratio == 0.0, objective, "gls")
@@ -301,9 +308,7 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
             raise ValidationError(
                 f"no {term.level} error df to test {term.label!r} against"
             )
-        b = fit.beta[cols]
-        c = fit.cov_beta[cols, :][:, cols]
-        stat = float(b @ np.linalg.solve(c, b)) / term.df
+        stat, p_value = _wald_f(fit.beta[cols], fit.cov_beta[cols, :][:, cols], term.df, df_den)
         out.append(
             TermTest(
                 label=term.label,
@@ -311,7 +316,7 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
                 df_num=term.df,
                 df_den=int(df_den),
                 f_stat=stat,
-                p_value=float(f_dist.sf(stat, term.df, df_den)),
+                p_value=p_value,
             )
         )
     return tuple(out)

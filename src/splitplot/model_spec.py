@@ -129,6 +129,8 @@ class Factor:
                     f"{natural!r} is not a level of factor {self.name!r} (levels: {self.levels})"
                 ) from None
         value = float(natural)
+        if not np.isfinite(value):
+            raise ValidationError(f"value {value} for factor {self.name!r} is not finite")
         half = (self.high - self.low) / 2.0
         coded = (value - self.low) / half - 1.0
         # tolerate float fuzz from text round trips, reject real violations

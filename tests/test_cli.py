@@ -229,6 +229,8 @@ def test_design_csv_with_responses(tmp_path):
         "run_id,whole_plot,a,b\none,1,0,0\n",  # non-integer run id
         "run_id,whole_plot,a,b\n1,first,0,0\n",  # non-integer whole plot
         "run_id,whole_plot,a,b\n1,1,fast,0\n",  # non-numeric factor cell
+        "run_id,whole_plot,a,b\n1,1,0,nan\n",  # non-finite factor cell
+        "run_id,whole_plot,a,b\n1,1,0,inf\n",  # non-finite factor cell
         "run_id,whole_plot,a,b\n1,1,0,0\n2,3,1,1\n",  # plot ids skip 2
         "run_id,whole_plot,a,b,y\n1,1,0,0,big\n",  # non-numeric response
     ],
@@ -474,7 +476,33 @@ def test_validation_failures_exit_2(model_file, tmp_path, capsys):
     write_design_csv(fresh, d)
     rc = main(["fit", str(model_file), str(fresh)])
     assert rc == 2
-    capsys.readouterr()
+    for flags in (["--ratio", "nan"], ["--ratio", "-1"], ["--snr", "nan"]):
+        rc = main(["eval", str(model_file), str(fresh), *flags])
+        assert rc == 2, flags
+    nan_cell = tmp_path / "nan_cell.csv"
+    nan_cell.write_text(fresh.read_text().replace(",-0.5\n", ",nan\n", 1))
+    rc = main(["eval", str(model_file), str(nan_cell)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "power=" not in captured.out
+
+
+def test_negative_seeds_exit_2(model_file, truth_file, tmp_path, capsys):
+    rc = main(["design", str(model_file), "--runs", "8", "--whole-plots", "4", "--seed", "-1"])
+    assert rc == 2
+    d, _ = small_design()
+    design_path = tmp_path / "design.csv"
+    write_design_csv(design_path, d)
+    rc = main(["simulate", str(model_file), str(design_path), "--truth", str(truth_file),
+               "--seed", "-3"])
+    assert rc == 2
+    negative = tmp_path / "negative_truth.txt"
+    negative.write_text(TRUTH_TEXT.replace("seed = 4", "seed = -2"))
+    rc = main(["simulate", str(model_file), str(design_path), "--truth", str(negative)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: seed must be a non-negative integer") == 3
 
 
 def test_numerical_failures_exit_3(model_file, tmp_path, capsys):

@@ -107,8 +107,12 @@ def test_power_report_validation(tin_design, tin_model):
         power_report(tin_design, tin_model, alpha=0.0)
     with pytest.raises(ValidationError):
         power_report(tin_design, tin_model, alpha=1.0)
-    with pytest.raises(ValidationError):
-        power_report(tin_design, tin_model, snr=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            power_report(tin_design, tin_model, snr=bad)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            power_report(tin_design, tin_model, ratio=bad)
 
 
 def test_power_report_rejects_design_without_error_df():
@@ -240,3 +244,5 @@ def test_prediction_variance_validates_points(tin_design, tin_model):
         )
     with pytest.raises(ValidationError):
         prediction_variance(tin_design, tin_model, [0.0, 0.0])
+    with pytest.raises(ValidationError):
+        prediction_variance(tin_design, tin_model, [0.0, 0.0, 0.0, 0.0], ratio=float("nan"))

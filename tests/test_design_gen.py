@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitplot import (
     Design,
     DesignSpec,
     ValidationError,
+    WholePlotLayout,
     assign_whole_plot_sizes,
     build_model,
     column_labels,
@@ -16,6 +19,7 @@ from splitplot import (
     generate_design,
     model_matrix,
 )
+from splitplot.cli import randomize_run_order
 
 
 def two_factor_model():
@@ -75,6 +79,10 @@ def test_design_spec_validation():
         DesignSpec(model=m, n_runs=8, n_whole_plots=4, ratio=-0.5)
     with pytest.raises(ValidationError):
         DesignSpec(model=m, n_runs=8, n_whole_plots=4, n_starts=0)
+    with pytest.raises(ValidationError):
+        DesignSpec(model=m, n_runs=8, n_whole_plots=4, ratio=float("nan"))
+    with pytest.raises(ValidationError):
+        DesignSpec(model=m, n_runs=8, n_whole_plots=4, seed=-1)
 
 
 def test_design_rejects_hard_factor_varying_inside_a_plot():
@@ -99,6 +107,13 @@ def test_design_rejects_out_of_range_and_bad_codes():
         Design(factors=cat.factors, whole_plot=(1, 1), settings=np.array([[0.0], [2.0]]))
     with pytest.raises(ValidationError):
         Design(factors=m.factors, whole_plot=(1, 1), settings=np.zeros((3, 2)))
+    # NaN fails both range comparisons, so it needs its own check
+    nan = float("nan")
+    for bad in ([[1.0, nan], [1.0, 0.0]], [[nan, 0.0], [nan, 0.0]]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Design(factors=m.factors, whole_plot=(1, 1), settings=np.array(bad))
+    with pytest.raises(ValidationError, match="non-finite"):
+        Design(factors=cat.factors, whole_plot=(1, 1), settings=np.array([[0.0], [nan]]))
 
 
 def test_design_settings_are_read_only():
@@ -106,6 +121,68 @@ def test_design_settings_are_read_only():
     d = factorial_design(m)
     with pytest.raises(ValueError):
         d.settings[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------- plot membership
+
+
+TWO_HARD_MODEL = build_model(
+    [
+        define_factor("a", "continuous", hard_to_change=True),
+        define_factor("g", "categorical", levels=("p", "q", "r"), hard_to_change=True),
+        define_factor("b", "continuous"),
+    ],
+    "mains_only",
+)
+
+
+@st.composite
+def membership_cases(draw):
+    """A shuffled layout (always one single-run plot) with per-plot hard settings,
+    a few of whose runs may be knocked off their plot's value."""
+    sizes = draw(st.permutations(draw(st.lists(st.integers(1, 5), max_size=7)) + [1]))
+    plots = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    order = draw(st.permutations(range(len(plots))))
+    whole_plot = tuple(int(plots[i]) for i in order)
+    n, r = len(whole_plot), len(sizes)
+    codes = draw(st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                          min_size=r, max_size=r))
+    values = np.array([codes[w - 1] + [draw(st.integers(0, 2))] for w in whole_plot],
+                      dtype=float)
+    for run in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        j = draw(st.integers(0, 1))
+        values[run, j] = (values[run, j] + 1.0) % 3.0
+    values[:, [0, 2]] -= 1.0  # a and b are coded -1, 0, +1; g keeps level indices
+    return whole_plot, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_cases(), st.integers(0, 2**32 - 1))
+def test_plot_membership_matches_per_plot_oracle(case, seed):
+    whole_plot, values = case
+    n_plots = max(whole_plot)
+    rows = [[i for i, w in enumerate(whole_plot) if w == p] for p in range(1, n_plots + 1)]
+    verdict = None  # the first hard factor, and its lowest plot, that varies
+    for j, f in enumerate(TWO_HARD_MODEL.factors[:2]):
+        varying = [p + 1 for p, idx in enumerate(rows) if len(set(values[idx, j])) > 1]
+        if varying:
+            verdict = f"hard-to-change factor {f.name!r} varies inside whole plot {varying[0]}"
+            break
+
+    assert [idx.tolist() for idx in WholePlotLayout(whole_plot).plot_rows] == rows
+    if verdict is not None:
+        with pytest.raises(ValidationError) as err:
+            Design(factors=TWO_HARD_MODEL.factors, whole_plot=whole_plot, settings=values)
+        assert str(err.value) == verdict
+        return
+    d = Design(factors=TWO_HARD_MODEL.factors, whole_plot=whole_plot, settings=values)
+
+    shuffled = randomize_run_order(d, np.random.default_rng(seed))
+    blocks = [w for k, w in enumerate(shuffled.whole_plot)
+              if k == 0 or shuffled.whole_plot[k - 1] != w]
+    assert sorted(blocks) == list(range(1, n_plots + 1))  # each plot is one run of rows
+    key = lambda des: sorted((w, *s) for w, s in zip(des.whole_plot, des.settings.tolist()))
+    assert key(shuffled) == key(d)
 
 
 # ---------------------------------------------------------------- model matrix
@@ -193,8 +270,9 @@ def test_criterion_is_minus_inf_when_singular():
 def test_criterion_rejects_bad_ratio():
     m = two_factor_model()
     d = factorial_design(m)
-    with pytest.raises(ValidationError):
-        d_criterion(d, m, ratio=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            d_criterion(d, m, ratio=bad)
 
 
 def test_criterion_invariant_to_run_permutation_and_plot_relabeling():
@@ -272,7 +350,7 @@ def test_generated_design_uses_candidate_settings_only():
     d = generate_design(DesignSpec(model=m, n_runs=9, n_whole_plots=3, n_starts=4, seed=2))
     assert set(np.unique(d.settings[:, 0])) <= {0.0, 1.0, 2.0}
     assert set(np.unique(d.settings[:, 1])) <= {-1.0, 0.0, 1.0}
-    assert d.sizes.tolist() == [3, 3, 3]
+    assert d.layout.sizes.tolist() == [3, 3, 3]
     assert np.isfinite(d.criterion)
 
 

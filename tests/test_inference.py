@@ -184,8 +184,9 @@ def test_gls_on_orthogonal_design_ignores_the_ratio():
 def test_gls_fit_validates_ratio():
     d, m = orthogonal_design()
     tab = ResponseTable(design=d, responses={"y": np.arange(8.0)})
-    with pytest.raises(ValidationError):
-        gls_fit(tab, m, ratio=-1.0, response="y")
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            gls_fit(tab, m, ratio=bad, response="y")
 
 
 # ---------------------------------------------------------------- fit contract
