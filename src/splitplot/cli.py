@@ -252,11 +252,13 @@ def read_design_csv(path, model: ModelSpec):
         coded_row = []
         for j, f in enumerate(model.factors):
             cell = row[2 + j]
-            if f.is_categorical:
-                coded_row.append(f.to_coded(cell))
-            else:
-                # snap text round-trip fuzz so rewrites are stable
-                coded_row.append(round(f.to_coded(_parse_float(cell, where)), 12))
+            value = cell if f.is_categorical else _parse_float(cell, where)
+            try:
+                coded = f.to_coded(value)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+            # snap text round-trip fuzz so rewrites are stable
+            coded_row.append(coded if f.is_categorical else round(coded, 12))
         settings.append(coded_row)
         for k, name in enumerate(response_names):
             responses[name].append(_parse_float(row[len(expected) + k], where))

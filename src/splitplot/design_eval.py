@@ -11,6 +11,11 @@ and the two-sided rejection probability at level alpha is
 
     power = 1 - F_nct(t_crit; df, delta) + F_nct(-t_crit; df, delta).
 
+F_nct (scipy.special.nctdtr) is nan far out in either tail.  A nan tail
+falls back to the reflection F_nct(x; df, delta) = 1 - F_nct(-x; df, -delta),
+and a tail that is nan both ways falls back to a bound on it (see
+_two_sided_power).
+
 Error degrees of freedom follow the containment rule, ModelSpec.error_df.
 """
 
@@ -20,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import nct, t as t_dist
 
 from .covariance import _check_ratio, information
 from .design_gen import Design, column_labels, expand_model_matrix, model_matrix
@@ -28,6 +32,7 @@ from .errors import NumericalError, ValidationError
 from .model_spec import ModelSpec
 
 ALIAS_TOL = 1e-12
+TAIL_TOL = 1e-13  # most a tail set from its bound may add to a power's error
 
 
 def _column_levels(model: ModelSpec) -> list[str]:
@@ -65,6 +70,35 @@ class PowerReport:
     rows: tuple[PowerRow, ...]
 
 
+def _two_sided_power(df, delta, alpha):
+    """P(|T| > t_crit) for T ~ noncentral t(df, delta), delta >= 0; nan if unknown.
+
+    A tail that is nan both directly and by reflection is replaced by 0 or
+    1 where a bound puts it within TAIL_TOL.  With Z standard normal and
+    S = sqrt(chi2_df / df), T = (Z + delta) / S, and for t >= 0:
+      P(T <= -t) = E[ndtr(-delta - t S)] <= ndtr(-delta) E[exp(-t^2 S^2 / 2)]
+                 = ndtr(-delta) (1 + t^2 / df)^(-df / 2),
+      P(T <= t) <= P(Z <= -delta / 2) + P(t S >= delta / 2).
+    """
+    from scipy.special import chdtrc, ndtr, nctdtr, stdtrit  # loaded on first use
+
+    t_crit = stdtrit(df, 1 - alpha / 2)
+    upper = 1 - nctdtr(df, delta, t_crit)
+    if np.isnan(upper):
+        upper = nctdtr(df, -delta, -t_crit)
+    lower = nctdtr(df, delta, -t_crit)
+    if np.isnan(lower):
+        lower = 1 - nctdtr(df, -delta, t_crit)
+    with np.errstate(over="ignore"):  # a square that overflows makes its bound 0
+        if np.isnan(upper) and (
+            ndtr(-delta / 2) + chdtrc(df, df * (delta / (2 * t_crit)) ** 2) <= TAIL_TOL
+        ):
+            upper = 1.0
+        if np.isnan(lower) and ndtr(-delta) * (1 + t_crit**2 / df) ** (-df / 2) <= TAIL_TOL:
+            lower = 0.0
+    return float(upper + lower)
+
+
 def power_report(
     design: Design,
     model: ModelSpec,
@@ -93,8 +127,12 @@ def power_report(
             raise NumericalError(f"nonpositive variance factor for column {labels[j]!r}")
         delta = snr / np.sqrt(v)
         df = dfs[level]
-        t_crit = t_dist.ppf(1 - alpha / 2, df)
-        power = 1 - nct.cdf(t_crit, df, delta) + nct.cdf(-t_crit, df, delta)
+        power = _two_sided_power(df, delta, alpha)
+        if not 0 <= power <= 1:
+            raise NumericalError(
+                f"power for column {labels[j]!r} is not computable "
+                f"(df={df}, noncentrality={delta:.6g}, alpha={alpha:g})"
+            )
         rows.append(
             PowerRow(
                 label=labels[j],
@@ -196,6 +234,8 @@ def prediction_variance(design: Design, model: ModelSpec, point, ratio: float = 
             raise ValidationError(
                 f"point needs {len(design.factors)} settings, got shape {row.shape}"
             )
+    if not np.all(np.isfinite(row)):
+        raise ValidationError("prediction point settings must be finite")
     for f, val in zip(design.factors, row):
         if not f.is_categorical and not -1.0 <= val <= 1.0:
             warnings.warn(

@@ -223,7 +223,8 @@ class _Exchanger:
             # every choice singular: re-randomize to escape the flat region
             best_cand = rng.choice(self.cands[fi])
         settings[rows, fi] = best_cand
-        assert best_val >= best  # exchange never walks downhill
+        if not best_val >= best:  # exchange never walks downhill
+            raise NumericalError(f"exchange criterion must not decrease: {best} -> {best_val}")
         return best_val
 
     def run(self, rng):

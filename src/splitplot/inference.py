@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import f as f_dist
 
 from .covariance import (
     VarianceComponents,
@@ -148,12 +147,16 @@ class GlsFit:
     r2: float
     rmse: float
     f_overall: float | None
-    p_overall: float | None
     df_overall: tuple[int, int] | None
 
     @property
     def n_runs(self) -> int:
         return self.layout.n_runs
+
+    @property
+    def p_overall(self) -> float | None:
+        """P-value of the overall F, computed on read so that fitting loads no scipy."""
+        return None if self.f_overall is None else _f_sf(self.f_overall, *self.df_overall)
 
     @property
     def error_df(self) -> dict[str, int]:
@@ -193,10 +196,17 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
     return response, layout, x, y
 
 
-def _wald_f(b, c, df_num, df_den) -> tuple[float, float]:
-    """Wald F = b' C^{-1} b / df_num for estimates b with covariance C, and its p-value."""
-    stat = float(b @ np.linalg.solve(c, b)) / df_num
-    return stat, float(f_dist.sf(stat, df_num, df_den))
+def _wald_f(b, c, df_num) -> float:
+    """Wald F = b' C^{-1} b / df_num for estimates b with covariance C."""
+    return float(b @ np.linalg.solve(c, b)) / df_num
+
+
+def _f_sf(stat, df_num, df_den) -> float:
+    """P(F > stat) for F ~ F(df_num, df_den): 1 at stat <= 0, 0 at inf, nan at nan."""
+    from scipy.special import fdtrc  # loaded on first use, not at import
+
+    # fdtrc is nan just below 0; the survival function is 1 there
+    return 1.0 if stat <= 0 else float(fdtrc(df_num, df_den, stat))
 
 
 def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -> GlsFit:
@@ -215,9 +225,9 @@ def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -
 
     q = p - 1
     sp_err = model.error_df(n, layout.n_plots)[SUBPLOT]
-    f_overall = p_overall = df_overall = None
+    f_overall = df_overall = None
     if q >= 1 and sp_err >= 1:
-        f_overall, p_overall = _wald_f(beta[1:], cov_beta[1:, 1:], q, sp_err)
+        f_overall = _wald_f(beta[1:], cov_beta[1:, 1:], q)
         df_overall = (q, sp_err)
 
     for arr in (beta, cov_beta, fitted, residuals):
@@ -240,7 +250,6 @@ def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -
         r2=r2,
         rmse=rmse,
         f_overall=f_overall,
-        p_overall=p_overall,
         df_overall=df_overall,
     )
 
@@ -308,7 +317,7 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
             raise ValidationError(
                 f"no {term.level} error df to test {term.label!r} against"
             )
-        stat, p_value = _wald_f(fit.beta[cols], fit.cov_beta[cols, :][:, cols], term.df, df_den)
+        stat = _wald_f(fit.beta[cols], fit.cov_beta[cols, :][:, cols], term.df)
         out.append(
             TermTest(
                 label=term.label,
@@ -316,7 +325,7 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
                 df_num=term.df,
                 df_den=int(df_den),
                 f_stat=stat,
-                p_value=p_value,
+                p_value=_f_sf(stat, term.df, df_den),
             )
         )
     return tuple(out)

@@ -1,8 +1,13 @@
 """Command-line surface: file grammars, CSV round trips and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import splitplot
 from splitplot import Design, ValidationError, build_model, define_factor
 from splitplot.cli import (
     _fmt,
@@ -216,26 +221,33 @@ def test_design_csv_with_responses(tmp_path):
     assert back.settings == pytest.approx(d.settings)
 
 
+def bad_csv(text, line=None):
+    """A rejected design CSV, and the line its message names (None: no row)."""
+    return pytest.param(text, line, id=text)
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text,line",
     [
-        "",  # empty file
-        "run_id,whole_plot,a,b\n",  # header only
-        "run,plot,a,b\n1,1,0,0\n",  # wrong header
-        "run_id,whole_plot,b,a\n1,1,0,0\n",  # factor order must match the model
-        "run_id,whole_plot,a,b,y,y\n1,1,0,0,1,2\n",  # duplicate response column
-        "run_id,whole_plot,a,b\n1,1,0\n",  # short row
-        "run_id,whole_plot,a,b\n1,1,0,0\n1,2,1,1\n",  # duplicate run_id
-        "run_id,whole_plot,a,b\none,1,0,0\n",  # non-integer run id
-        "run_id,whole_plot,a,b\n1,first,0,0\n",  # non-integer whole plot
-        "run_id,whole_plot,a,b\n1,1,fast,0\n",  # non-numeric factor cell
-        "run_id,whole_plot,a,b\n1,1,0,nan\n",  # non-finite factor cell
-        "run_id,whole_plot,a,b\n1,1,0,inf\n",  # non-finite factor cell
-        "run_id,whole_plot,a,b\n1,1,0,0\n2,3,1,1\n",  # plot ids skip 2
-        "run_id,whole_plot,a,b,y\n1,1,0,0,big\n",  # non-numeric response
+        bad_csv(""),  # empty file
+        bad_csv("run_id,whole_plot,a,b\n"),  # header only
+        bad_csv("run,plot,a,b\n1,1,0,0\n"),  # wrong header
+        bad_csv("run_id,whole_plot,b,a\n1,1,0,0\n"),  # factor order must match the model
+        bad_csv("run_id,whole_plot,a,b,y,y\n1,1,0,0,1,2\n"),  # duplicate response column
+        bad_csv("run_id,whole_plot,a,b\n1,1,0\n", 2),  # short row
+        bad_csv("run_id,whole_plot,a,b\n1,1,0,0\n1,2,1,1\n"),  # duplicate run_id
+        bad_csv("run_id,whole_plot,a,b\none,1,0,0\n", 2),  # non-integer run id
+        bad_csv("run_id,whole_plot,a,b\n1,first,0,0\n", 2),  # non-integer whole plot
+        bad_csv("run_id,whole_plot,a,b\n1,1,fast,0\n", 2),  # non-numeric factor cell
+        bad_csv("run_id,whole_plot,a,b\n1,1,0,nan\n", 2),  # non-finite factor cell
+        bad_csv("run_id,whole_plot,a,b\n1,1,0,inf\n", 2),  # non-finite factor cell
+        bad_csv("run_id,whole_plot,a,b\n1,1,0,0\n2,1,0,nan\n", 3),  # non-finite, second row
+        bad_csv("run_id,whole_plot,a,b\n1,1,0,0\n2,1,0,5\n", 3),  # out of range, second row
+        bad_csv("run_id,whole_plot,a,b\n1,1,0,0\n2,3,1,1\n"),  # plot ids skip 2
+        bad_csv("run_id,whole_plot,a,b,y\n1,1,0,0,big\n", 2),  # non-numeric response
     ],
 )
-def test_read_design_csv_rejects(tmp_path, text):
+def test_read_design_csv_rejects(tmp_path, text, line):
     m = build_model(
         [
             define_factor("a", "continuous", hard_to_change=True),
@@ -245,15 +257,17 @@ def test_read_design_csv_rejects(tmp_path, text):
     )
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         read_design_csv(path, m)
+    if line is not None:
+        assert str(exc.value).startswith(f"{path} line {line}: ")
 
 
 def test_read_design_csv_rejects_unknown_level(tmp_path):
     m = build_model([define_factor("g", "categorical", levels=("p", "q"))], "mains_only")
     path = tmp_path / "bad.csv"
-    path.write_text("run_id,whole_plot,g\n1,1,r\n")
-    with pytest.raises(ValidationError):
+    path.write_text("run_id,whole_plot,g\n1,1,p\n2,1,r\n")
+    with pytest.raises(ValidationError, match="line 3: 'r' is not a level"):
         read_design_csv(path, m)
 
 
@@ -517,3 +531,33 @@ def test_numerical_failures_exit_3(model_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert "numerical error:" in captured.err
+
+
+def test_only_p_values_load_scipy(tmp_path):
+    """Import, plan, design, simulate and profile load no scipy; fit loads
+    scipy.special for its p-values, and nothing loads scipy.stats."""
+    model = tmp_path / "tin.model"
+    model.write_text(TIN_MODEL)
+    design, data = tmp_path / "design.csv", tmp_path / "data.csv"
+    code = (
+        "import sys\n"
+        "from splitplot.cli import main\n"
+        "loaded = lambda: print('loaded:', *sorted(m for m in sys.modules if 'scipy' in m))\n"
+        "loaded()\n"
+        f"assert main(['plan', {str(model)!r}, '--out-prefix', {str(tmp_path / 'plan_')!r}]) == 0\n"
+        f"assert main(['design', {str(model)!r}, '--runs', '24', '--whole-plots', '6',\n"
+        f"             '--starts', '2', '--out', {str(design)!r}]) == 0\n"
+        f"assert main(['simulate', {str(model)!r}, {str(design)!r}, '--out', {str(data)!r}]) == 0\n"
+        f"assert main(['profile', {str(model)!r}, {str(data)!r}, '--goal', 'y1:maximize']) == 0\n"
+        "loaded()\n"
+        f"assert main(['fit', {str(model)!r}, {str(data)!r}, '--response', 'y1']) == 0\n"
+        "print('loaded:', 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(splitplot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    checks = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
+    assert checks == ["loaded:", "loaded:", "loaded: True False"]

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.stats import t as t_dist
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import nct, t as t_dist
 
 from splitplot import (
     Design,
@@ -18,6 +20,7 @@ from splitplot import (
     term_correlation,
     vif,
 )
+from splitplot import design_eval
 
 
 def easy_pair_design(u_col, v_col):
@@ -113,6 +116,61 @@ def test_power_report_validation(tin_design, tin_model):
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             power_report(tin_design, tin_model, ratio=bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1000), st.floats(0.0, 100.0), st.floats(0.01, 0.5))
+@example(1, 8.0, 0.05)  # nctdtr: lower tail nan directly and reflected
+@example(4, 40.0, 0.05)  # nctdtr: lower tail nan directly
+@example(9, 40.0, 0.05)  # nctdtr: upper tail nan directly
+def test_power_row_matches_scipy_stats_oracle(df, delta, alpha):
+    power = design_eval._two_sided_power(df, delta, alpha)
+    t_crit = t_dist.ppf(1 - alpha / 2, df)
+    assert 0.0 <= power <= 1.0
+    oracle = nct.sf(t_crit, df, delta) + nct.sf(t_crit, df, -delta)
+    assert abs(power - oracle) <= 1e-12
+    before = 1 - nct.cdf(t_crit, df, delta) + nct.cdf(-t_crit, df, delta)
+    if np.isfinite(before):
+        assert power == before  # every power that was finite keeps its bytes
+
+
+@pytest.mark.parametrize("snr", [5.0, 8.0, 40.0, 1e12, 1e300])
+def test_power_is_finite_for_strong_effects(tin_design, tin_model, snr):
+    rep = power_report(tin_design, tin_model, snr=snr)
+    for row in rep.rows:
+        assert 0.0 <= row.power <= 1.0
+    if snr >= 40.0:
+        assert all(row.power == 1.0 for row in rep.rows)
+
+
+def test_power_fallbacks_where_nctdtr_is_nan(monkeypatch):
+    """A nan tail comes from its reflection, else from a bound within TAIL_TOL, else stays nan."""
+    import scipy.special
+
+    real = scipy.special.nctdtr
+    t_crit = t_dist.ppf(0.975, 9)
+    oracle = {d: nct.sf(t_crit, 9, d) + nct.sf(t_crit, 9, -d) for d in (3.0, 10.0)}
+
+    def nan_where(cond):
+        monkeypatch.setattr(
+            scipy.special, "nctdtr", lambda df, nc, x: np.nan if cond(nc, x) else real(df, nc, x)
+        )
+
+    power = design_eval._two_sided_power
+    nan_where(lambda nc, x: nc > 0)  # both tails from their reflections
+    assert power(9, 3.0, 0.05) == pytest.approx(oracle[3.0], abs=1e-12)
+    nan_where(lambda nc, x: nc * x < 0)  # the lower tail is nan both ways
+    assert power(9, 10.0, 0.05) == pytest.approx(oracle[10.0], abs=1e-12)  # bound 1e-24
+    assert np.isnan(power(9, 5.0, 0.05))  # bound 4e-8
+    nan_where(lambda nc, x: True)  # both tails nan both ways
+    assert power(9, 40.0, 0.05) == 1.0
+    assert np.isnan(power(9, 3.0, 0.05))
+
+
+def test_power_report_flags_an_uncomputable_power(tin_design, tin_model, monkeypatch):
+    monkeypatch.setattr(design_eval, "_two_sided_power", lambda df, delta, alpha: np.nan)
+    with pytest.raises(NumericalError, match="power for column 'nut_weight' is not computable"):
+        power_report(tin_design, tin_model)
 
 
 def test_power_report_rejects_design_without_error_df():
@@ -246,3 +304,12 @@ def test_prediction_variance_validates_points(tin_design, tin_model):
         prediction_variance(tin_design, tin_model, [0.0, 0.0])
     with pytest.raises(ValidationError):
         prediction_variance(tin_design, tin_model, [0.0, 0.0, 0.0, 0.0], ratio=float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="must be finite"):
+            prediction_variance(tin_design, tin_model, [0.0, bad, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="must be finite"):
+            prediction_variance(
+                tin_design,
+                tin_model,
+                {"nut_weight": "heavy", "tension": bad, "twist": "no", "ramp_height": 0.0},
+            )

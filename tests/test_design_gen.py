@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from splitplot import (
     Design,
     DesignSpec,
+    NumericalError,
     ValidationError,
     WholePlotLayout,
     assign_whole_plot_sizes,
@@ -19,6 +20,7 @@ from splitplot import (
     generate_design,
     model_matrix,
 )
+from splitplot import design_gen
 from splitplot.cli import randomize_run_order
 
 
@@ -273,6 +275,14 @@ def test_criterion_rejects_bad_ratio():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             d_criterion(d, m, ratio=bad)
+
+
+def test_exchange_refuses_a_criterion_that_cannot_be_compared(monkeypatch):
+    """A nan criterion breaks the uphill invariant; it is raised, not asserted."""
+    monkeypatch.setattr(design_gen._Exchanger, "criterion", lambda self, settings: np.nan)
+    spec = DesignSpec(model=two_factor_model(), n_runs=8, n_whole_plots=4, n_starts=1)
+    with pytest.raises(NumericalError, match="exchange criterion must not decrease"):
+        generate_design(spec)
 
 
 def test_criterion_invariant_to_run_permutation_and_plot_relabeling():

@@ -1,7 +1,12 @@
 """Variance-component estimation, GLS fits and the per-term F tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import f as f_dist
 
 from splitplot import (
     Design,
@@ -22,6 +27,7 @@ from splitplot import (
     residual_report,
     simulate,
 )
+from splitplot.inference import _f_sf
 
 
 def intercept_only_design(whole_plot):
@@ -266,7 +272,22 @@ def test_error_df_and_overall_f_bookkeeping():
     q, den = fit.df_overall
     assert q == m.n_parameters - 1
     assert den == fit.error_df[SUBPLOT]
-    assert fit.p_overall is not None
+    assert fit.p_overall == f_dist.sf(fit.f_overall, q, den)
+    for test in fixed_effect_tests(fit):
+        assert test.p_value == f_dist.sf(test.f_stat, test.df_num, test.df_den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, -0.0, -1e-300, math.nan, math.inf])),
+    st.integers(1, 50),
+    st.integers(1, 10_000),
+)
+def test_f_p_value_matches_scipy_stats_bit_for_bit(stat, df_num, df_den):
+    p = _f_sf(stat, df_num, df_den)
+    expected = float(f_dist.sf(stat, df_num, df_den))
+    assert type(p) is float
+    assert p == expected or (math.isnan(p) and math.isnan(expected))
 
 
 def test_no_subplot_error_df_disables_overall_f_and_term_tests():
