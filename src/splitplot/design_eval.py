@@ -13,8 +13,8 @@ and the two-sided rejection probability at level alpha is
 
 F_nct (scipy.special.nctdtr) is nan far out in either tail.  A nan tail
 falls back to the reflection F_nct(x; df, delta) = 1 - F_nct(-x; df, -delta),
-and a tail that is nan both ways falls back to a bound on it (see
-_two_sided_power).
+and a tail that is nan both ways falls back to a bound on it or, for the
+lower tail, to quadrature (see _two_sided_power).
 
 Error degrees of freedom follow the containment rule, ModelSpec.error_df.
 """
@@ -74,7 +74,8 @@ def _two_sided_power(df, delta, alpha):
     """P(|T| > t_crit) for T ~ noncentral t(df, delta), delta >= 0; nan if unknown.
 
     A tail that is nan both directly and by reflection is replaced by 0 or
-    1 where a bound puts it within TAIL_TOL.  With Z standard normal and
+    1 where a bound puts it within TAIL_TOL; a lower tail the bound cannot
+    settle is integrated (_lower_tail_by_quadrature).  With Z standard normal and
     S = sqrt(chi2_df / df), T = (Z + delta) / S, and for t >= 0:
       P(T <= -t) = E[ndtr(-delta - t S)] <= ndtr(-delta) E[exp(-t^2 S^2 / 2)]
                  = ndtr(-delta) (1 + t^2 / df)^(-df / 2),
@@ -96,7 +97,57 @@ def _two_sided_power(df, delta, alpha):
             upper = 1.0
         if np.isnan(lower) and ndtr(-delta) * (1 + t_crit**2 / df) ** (-df / 2) <= TAIL_TOL:
             lower = 0.0
+    if np.isnan(lower):
+        lower = _lower_tail_by_quadrature(df, delta, t_crit)
     return float(upper + lower)
+
+
+def _lower_tail_by_quadrature(df, delta, t):
+    """P(T <= -t) = E[ndtr(-delta - t S)] for t > 0, by quadrature over y = log S.
+
+    With s = e^y the integrand is h(y) = ndtr(-delta - t s) f_S(s) s, where
+    log f_S(s) s = log 2 + (df/2) log(df/2) - log Gamma(df/2) + df y - (df/2) s^2.
+    log h is concave in y, so h has one mode; it is integrated around the mode
+    on pieces that double with the curvature width there, which keeps a narrow
+    peak (large df or t) from slipping between quadrature nodes.
+    """
+    from scipy.integrate import quad  # only where nctdtr and the bound both fail
+    from scipy.optimize import brentq
+    from scipy.special import erfcx, gammaln, log_ndtr
+
+    half = df / 2
+    log_norm = np.log(2.0) + half * np.log(half) - gammaln(half)
+
+    def log_h(y):
+        s = np.exp(y)
+        return log_ndtr(-delta - t * s) + log_norm + df * y - half * s * s
+
+    def mills(x):  # ndtr'(x) / ndtr(x), stable for any x <= 0
+        return np.sqrt(2 / np.pi) / erfcx(-x / np.sqrt(2))
+
+    def slope(y):  # d log h / dy: +df far left, -t * mills < 0 at y = 0
+        s = np.exp(y)
+        return df - df * s * s - t * s * mills(-delta - t * s)
+
+    y_mode = brentq(slope, np.log(1e-300), 0.0, xtol=1e-12)
+    s = np.exp(y_mode)
+    x = -delta - t * s
+    m = mills(x)
+    # -d2 log h / dy2 at the mode, with mills'(x) = -mills(x) (x + mills(x))
+    width = 1 / np.sqrt(2 * df * s * s + t * s * m + t * t * s * s * m * (x + m))
+    peak = log_h(y_mode)
+    steps = width * 2.0 ** np.arange(6)
+    # the tail is far below quad's default absolute tolerance, so ask for relative accuracy
+    value, _ = quad(
+        lambda y: np.exp(log_h(y) - peak),
+        y_mode - 64 * width,
+        y_mode + 64 * width,
+        points=np.concatenate([y_mode - steps, [y_mode], y_mode + steps]),
+        epsabs=0,
+        epsrel=1e-10,
+        limit=200,
+    )
+    return value * np.exp(peak)
 
 
 def power_report(

@@ -80,12 +80,17 @@ class Design:
     settings holds one row per run and one column per factor: continuous
     factors as coded values in [-1, +1], categorical factors as level
     indices.  Hard-to-change factors are constant within each whole plot.
+    search, set by generate_design, holds one (criterion, sweeps,
+    evaluations) tuple per start, in start order; it is None otherwise.
     """
 
     factors: tuple[Factor, ...]
     whole_plot: tuple[int, ...]
     settings: np.ndarray
     criterion: float | None = None
+    search: tuple[tuple[float, int, int], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
     layout: WholePlotLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -185,7 +190,15 @@ def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
 
 
 class _Exchanger:
-    """One coordinate-exchange run over a fixed layout."""
+    """One coordinate-exchange search over a fixed layout.
+
+    Each run keeps the model matrix X of its current settings and, when a
+    coordinate changes, overwrites only the changed rows.  Rows come from a
+    cache of model rows keyed by the settings row's bytes, shared by every
+    start of the search.  model_matrix builds X row by row, so a cached row
+    equals a rebuilt one byte for byte and every criterion value, tie and
+    seeded design is what a full rebuild per candidate would give.
+    """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
         self.model = model
@@ -194,9 +207,12 @@ class _Exchanger:
         self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
         self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
         self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
+        self.run_rows = tuple(np.arange(layout.n_runs)[:, None])
+        self.model_rows: dict[bytes, np.ndarray] = {}
+        self.evaluations = 0
 
-    def criterion(self, settings: np.ndarray) -> float:
-        return _log_det(information(self.layout, model_matrix(self.model, settings), self.ratio))
+    def criterion(self, x: np.ndarray) -> float:
+        return _log_det(information(self.layout, x, self.ratio))
 
     def random_start(self, rng) -> np.ndarray:
         n = self.layout.n_runs
@@ -208,41 +224,56 @@ class _Exchanger:
             settings[:, fi] = rng.choice(self.cands[fi], size=n)
         return settings
 
-    def _scan(self, settings, rows, fi, best, rng):
+    def _set(self, settings, x, rows, fi, value):
+        """Set one coordinate on rows and copy their model rows into x."""
+        settings[rows, fi] = value
+        for r in rows:
+            # bytes, not values, key the cache: 0.0 and -0.0 never share a row
+            key = settings[r].tobytes()
+            row = self.model_rows.get(key)
+            if row is None:
+                row = self.model_rows[key] = model_matrix(self.model, settings[r])[0]
+            x[r] = row
+
+    def _scan(self, settings, x, rows, fi, best, rng):
         """Try every candidate for one coordinate; ties keep the incumbent."""
         current = settings[rows[0], fi]
         best_cand, best_val = current, best
         for cand in self.cands[fi]:
             if cand == current:
                 continue
-            settings[rows, fi] = cand
-            val = self.criterion(settings)
+            self._set(settings, x, rows, fi, cand)
+            val = self.criterion(x)
+            self.evaluations += 1
             if val > best_val:
                 best_cand, best_val = cand, val
         if best_val == float("-inf"):
             # every choice singular: re-randomize to escape the flat region
             best_cand = rng.choice(self.cands[fi])
-        settings[rows, fi] = best_cand
+        self._set(settings, x, rows, fi, best_cand)
         if not best_val >= best:  # exchange never walks downhill
             raise NumericalError(f"exchange criterion must not decrease: {best} -> {best_val}")
         return best_val
 
     def run(self, rng):
+        """One start: final settings, their criterion, sweeps made, criterion evaluations."""
         settings = self.random_start(rng)
-        best = self.criterion(settings)
-        for _ in range(_MAX_SWEEPS):
+        x = model_matrix(self.model, settings)
+        best = self.criterion(x)
+        self.evaluations = 1
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             sweep_start = best
             for rows in self.layout.plot_rows:
                 for fi in self.hard:
-                    best = self._scan(settings, rows, fi, best, rng)
-            for run in range(self.layout.n_runs):
+                    best = self._scan(settings, x, rows, fi, best, rng)
+            for rows in self.run_rows:
                 for fi in self.easy:
-                    best = self._scan(settings, np.array([run]), fi, best, rng)
+                    best = self._scan(settings, x, rows, fi, best, rng)
             if best == float("-inf"):
                 continue  # still escaping a singular start
             if best - sweep_start <= EXCHANGE_TOL:
                 break
-        return settings, best
+        return settings, best, sweeps, self.evaluations
 
 
 def generate_design(spec: DesignSpec) -> Design:
@@ -257,9 +288,11 @@ def generate_design(spec: DesignSpec) -> Design:
     )
     worker = _Exchanger(spec.model, layout, spec.ratio)
     best_settings, best_val = None, float("-inf")
+    search = []
     for k in range(spec.n_starts):
         rng = np.random.default_rng((spec.seed, 0, k))
-        settings, val = worker.run(rng)
+        settings, val, sweeps, evaluations = worker.run(rng)
+        search.append((val, sweeps, evaluations))
         if val > best_val:
             best_settings, best_val = settings.copy(), val
     if best_settings is None or best_val == float("-inf"):
@@ -271,4 +304,5 @@ def generate_design(spec: DesignSpec) -> Design:
         whole_plot=layout.assignment,
         settings=best_settings,
         criterion=best_val,
+        search=tuple(search),
     )

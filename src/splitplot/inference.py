@@ -9,8 +9,9 @@ likelihood at the profiled error variance is
 
 with V_eta = I + eta * Z Z' and y' P_eta y the weighted residual sum of
 squares of the GLS fit at eta.  A golden-section search on log eta
-minimizes obj; if eta = 0 does at least as well as the interior optimum
-the fit is flagged as a boundary solution.  Then
+minimizes obj; if eta = 0 does at least as well as the interior optimum,
+or the optimum sits at the upper cap eta = 1e8, the fit is flagged as a
+boundary solution.  Then
 
     sigma2_eps = y' P y / (n - p),   sigma2_gamma = eta * sigma2_eps.
 
@@ -39,6 +40,10 @@ from .model_spec import ModelSpec, SUBPLOT, _check_name
 LOG_ETA_LOW = math.log(1e-8)
 LOG_ETA_HIGH = math.log(1e8)
 GOLDEN_TOL = 1e-8
+# Near eta = 1e8 the objective carries rounding noise of about 1e-6, so on a
+# fit pinned to the cap golden section stops up to ~1e-6 below LOG_ETA_HIGH,
+# not within GOLDEN_TOL; an optimum within 0.01 % of the cap is the cap.
+_CAP_TOL = 1e-4
 _GRID_POINTS = 49
 
 
@@ -259,7 +264,10 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
 
     The search evaluates the profiled objective on a log-spaced grid over
     [1e-8, 1e8], refines the best bracket by golden section, and compares
-    the interior optimum against eta = 0; ties go to the boundary.
+    the interior optimum against eta = 0; ties go to the boundary.  An
+    optimum at the upper cap (the grid minimum is its last point and golden
+    section ends within _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary
+    fit too, with the ratio left where golden section put it.
     """
     response, layout, x, y = _prepare(responses, model, response)
 
@@ -276,7 +284,8 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     if f_zero <= f_star:
         eta_hat, f_hat, boundary = 0.0, f_zero, True
     else:
-        eta_hat, f_hat, boundary = math.exp(t_star), f_star, False
+        at_cap = bool(k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL)
+        eta_hat, f_hat, boundary = math.exp(t_star), f_star, at_cap
     return _finalize(response, model, layout, x, y, eta_hat, boundary, f_hat, "reml")
 
 

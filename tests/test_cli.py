@@ -1,5 +1,6 @@
 """Command-line surface: file grammars, CSV round trips and exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -423,6 +424,18 @@ def test_simulate_fit_profile_pipeline(model_file, truth_file, tmp_path, capsys)
     rec = rec_path.read_text().splitlines()
     assert rec[0] == "factor,natural,coded"
     assert len(rec) == 3
+
+
+def test_fit_flags_a_ratio_at_the_upper_cap(tin_design, tmp_path, capsys):
+    y1 = dataclasses.replace(splitplot.default_truth().responses["y1"], sigma_epsilon=1e-5)
+    tab = splitplot.simulate(tin_design, splitplot.TruthConfig(responses={"y1": y1}, seed=0))
+    model_path = tmp_path / "tin.txt"
+    data_path = tmp_path / "data.csv"
+    model_path.write_text(TIN_MODEL)
+    write_design_csv(data_path, tin_design, tab.responses)
+    assert main(["fit", str(model_path), str(data_path)]) == 0
+    ratio_line = capsys.readouterr().out.splitlines()[1]
+    assert ratio_line.startswith("sigma2_gamma=") and ratio_line.endswith("  (boundary)")
 
 
 def test_simulate_default_truth_on_the_tin(tmp_path, capsys):

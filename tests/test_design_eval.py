@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtrit
 from scipy.stats import nct, t as t_dist
 
 from splitplot import (
@@ -144,12 +145,13 @@ def test_power_is_finite_for_strong_effects(tin_design, tin_model, snr):
 
 
 def test_power_fallbacks_where_nctdtr_is_nan(monkeypatch):
-    """A nan tail comes from its reflection, else from a bound within TAIL_TOL, else stays nan."""
+    """A nan tail comes from its reflection, else from a bound within TAIL_TOL, else
+    (the lower tail) from quadrature; an upper tail none of these settle stays nan."""
     import scipy.special
 
     real = scipy.special.nctdtr
     t_crit = t_dist.ppf(0.975, 9)
-    oracle = {d: nct.sf(t_crit, 9, d) + nct.sf(t_crit, 9, -d) for d in (3.0, 10.0)}
+    oracle = {d: nct.sf(t_crit, 9, d) + nct.sf(t_crit, 9, -d) for d in (3.0, 5.0, 10.0)}
 
     def nan_where(cond):
         monkeypatch.setattr(
@@ -161,10 +163,48 @@ def test_power_fallbacks_where_nctdtr_is_nan(monkeypatch):
     assert power(9, 3.0, 0.05) == pytest.approx(oracle[3.0], abs=1e-12)
     nan_where(lambda nc, x: nc * x < 0)  # the lower tail is nan both ways
     assert power(9, 10.0, 0.05) == pytest.approx(oracle[10.0], abs=1e-12)  # bound 1e-24
-    assert np.isnan(power(9, 5.0, 0.05))  # bound 4e-8
+    assert power(9, 5.0, 0.05) == pytest.approx(oracle[5.0], abs=1e-12)  # bound 4e-8: quadrature
     nan_where(lambda nc, x: True)  # both tails nan both ways
     assert power(9, 40.0, 0.05) == 1.0
     assert np.isnan(power(9, 3.0, 0.05))
+
+
+def _mp_tail(df, delta, t):
+    """E[ndtr(delta - t S)], S = sqrt(chi2_df / df), to 30 digits: P(T > t) at noncentrality
+    delta, or P(T <= -t) at -delta."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        df, delta, t = mp.mpf(df), mp.mpf(delta), mp.mpf(t)
+        half = df / 2
+        log_norm = mp.log(2) + half * mp.log(half) - mp.loggamma(half)
+
+        def integrand(s):
+            return mp.ncdf(delta - t * s) * mp.exp(log_norm + (df - 1) * mp.log(s) - half * s * s)
+
+        pieces = [0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.5, 2, 4, mp.inf]
+        return float(mp.quad(integrand, pieces))
+
+
+@pytest.mark.parametrize(
+    "df, delta", [(4, 6.37), (4, 6.39), (4, 6.41), (9, 6.18), (9, 6.22), (9, 6.26)]
+)
+def test_power_in_the_small_alpha_windows_matches_mpmath(df, delta):
+    """Here nctdtr is nan both ways and the closed-form bound (about 2e-13) misses TAIL_TOL."""
+    t_crit = float(stdtrit(df, 1 - 0.001 / 2))
+    oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
+    assert abs(design_eval._two_sided_power(df, delta, 0.001) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "df, delta, alpha",
+    [(1, 3.0, 0.05), (1, 3.0, 1e-6), (4, 0.5, 0.05), (4, 6.39, 1e-10), (9, 6.18, 0.001),
+     (30, 2.0, 0.999), (30, 20.0, 1e-6)],
+)
+def test_lower_tail_quadrature_matches_mpmath(df, delta, alpha):
+    t_crit = float(stdtrit(df, 1 - alpha / 2))
+    oracle = _mp_tail(df, -delta, t_crit)
+    tail = design_eval._lower_tail_by_quadrature(df, delta, t_crit)
+    assert tail == pytest.approx(oracle, rel=1e-9)
 
 
 def test_power_report_flags_an_uncomputable_power(tin_design, tin_model, monkeypatch):

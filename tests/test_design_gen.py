@@ -1,5 +1,9 @@
 """Design construction, model matrices and the coordinate-exchange search."""
 
+import dataclasses
+import hashlib
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,3 +372,110 @@ def test_generated_criterion_matches_a_fresh_evaluation():
     m = two_factor_model()
     d = generate_design(DesignSpec(model=m, n_runs=8, n_whole_plots=4, n_starts=5, seed=1))
     assert d_criterion(d, m, ratio=1.0) == pytest.approx(d.criterion, abs=1e-9)
+
+
+# ---------------------------------------------------------------- model-row cache
+
+
+@st.composite
+def exchange_cases(draw):
+    """A random model (continuous and 2- or 3-level factors, hard and easy) on a
+    shuffled layout of unequal plots that always includes a one-run plot."""
+    kinds = draw(st.lists(st.sampled_from(["continuous", 2, 3]), min_size=1, max_size=4))
+    hard = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    factors = [
+        define_factor(f"f{i}", "continuous", hard_to_change=h) if k == "continuous"
+        else define_factor(f"f{i}", "categorical", levels=("p", "q", "r")[:k], hard_to_change=h)
+        for i, (k, h) in enumerate(zip(kinds, hard))
+    ]
+    model = build_model(factors, draw(st.sampled_from(["mains_only", "mains_and_all_2fi"])))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)) + [1]
+    plots = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    order = draw(st.permutations(range(len(plots))))
+    return model, WholePlotLayout(tuple(int(plots[i]) for i in order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 7.5]))
+def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
+    """After every scan, the maintained X is exactly model_matrix(settings)."""
+    model, layout = case
+    worker = design_gen._Exchanger(model, layout, ratio)
+    scan = worker._scan
+    scans = []
+
+    def checked(settings, x, *rest):
+        best = scan(settings, x, *rest)
+        assert np.array_equal(x, model_matrix(model, settings))
+        assert best == worker.criterion(model_matrix(model, settings))
+        scans.append(best)
+        return best
+
+    worker._scan = checked
+    with patch.object(design_gen, "_MAX_SWEEPS", 3):  # small models may stay singular
+        settings, best, sweeps, evaluations = worker.run(np.random.default_rng(seed))
+    assert scans and scans[-1] == best
+    assert 1 <= sweeps <= 3 and evaluations >= 1
+    for key, row in worker.model_rows.items():  # each cached row is its key's model row
+        assert np.array_equal(row, model_matrix(model, np.frombuffer(key))[0])
+
+
+# generate_design digests (sha256 over settings bytes and repr(criterion), seed by
+# seed), recorded with the exchange that rebuilt the full model matrix for every
+# candidate; the row cache must reproduce them exactly
+PINNED_DESIGNS = {
+    (24, 6, 20, range(50)): "66f4223ce239080256312565c461eba6a85cd712c6a92ff671da09987e4c8e9a",
+    (25, 6, 20, range(50)): "3a61ec1bdfcb9ec55f94b31ed726c0e59db5ca243c394d5e554a071d9f7b784a",
+    (128, 32, 2, range(4)): "8c0cd8b41669e1aae3c1331d77d9d3a4a78527eeee2f3dfb612d3872258bddce",
+}
+
+
+@pytest.mark.parametrize("shape", list(PINNED_DESIGNS), ids=lambda s: f"{s[0]}x{s[1]}")
+def test_seeded_designs_match_their_recorded_digests(tin_model, shape):
+    n_runs, n_plots, n_starts, seeds = shape
+    digest = hashlib.sha256()
+    for seed in seeds:
+        d = generate_design(DesignSpec(model=tin_model, n_runs=n_runs, n_whole_plots=n_plots,
+                                       n_starts=n_starts, seed=seed))
+        digest.update(d.settings.tobytes())
+        digest.update(repr(d.criterion).encode())
+    assert digest.hexdigest() == PINNED_DESIGNS[shape]
+
+
+# ---------------------------------------------------------------- search trace
+
+
+def test_search_trace_reports_every_start(monkeypatch):
+    calls = []
+    per_start = []
+    criterion, run = design_gen._Exchanger.criterion, design_gen._Exchanger.run
+
+    def counting_criterion(self, x):
+        calls.append(1)
+        return criterion(self, x)
+
+    def counting_run(self, rng):
+        before = len(calls)
+        out = run(self, rng)
+        per_start.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(design_gen._Exchanger, "criterion", counting_criterion)
+    monkeypatch.setattr(design_gen._Exchanger, "run", counting_run)
+    m = two_factor_model()
+    spec = DesignSpec(model=m, n_runs=8, n_whole_plots=4, n_starts=6, seed=3)
+    d = generate_design(spec)
+
+    assert len(d.search) == spec.n_starts
+    assert max(val for val, _, _ in d.search) == d.criterion
+    assert [evals for _, _, evals in d.search] == per_start
+    assert sum(per_start) == len(calls)
+    assert all(1 <= sweeps <= design_gen._MAX_SWEEPS for _, sweeps, _ in d.search)
+
+    # the trace is diagnostics: it leaves repr (and equality) alone
+    bare = Design(factors=d.factors, whole_plot=d.whole_plot, settings=d.settings,
+                  criterion=d.criterion)
+    assert bare.search is None
+    assert repr(bare) == repr(d)
+    search = next(f for f in dataclasses.fields(Design) if f.name == "search")
+    assert not search.compare and not search.repr

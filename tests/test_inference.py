@@ -1,5 +1,6 @@
 """Variance-component estimation, GLS fits and the per-term F tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from splitplot import (
     ValidationError,
     WHOLE_PLOT,
     build_model,
+    default_truth,
     define_factor,
     expand_model_matrix,
     fixed_effect_tests,
@@ -165,6 +167,27 @@ def test_boundary_fit_equals_ols():
     assert not fit2.boundary
     ols2 = np.linalg.lstsq(x, tab2.responses["y"], rcond=None)[0]
     assert np.max(np.abs(fit2.beta - ols2)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "sigma_epsilon, seed, at_cap",
+    [
+        (1e-5, 0, True),  # true ratio about 1e10: REML stops at its cap, 1e8
+        (1e-2, 0, False),  # ratio about 4e6, inside the grid
+        (3e-3, 4, False),  # the grid minimum is its last point, the optimum 25 % below the cap
+    ],
+)
+def test_fit_pinned_to_the_upper_ratio_cap_is_a_boundary_fit(
+    tin_design, tin_model, sigma_epsilon, seed, at_cap
+):
+    y1 = dataclasses.replace(default_truth().responses["y1"], sigma_epsilon=sigma_epsilon)
+    tab = simulate(tin_design, TruthConfig(responses={"y1": y1}, seed=seed))
+    fit = reml_fit(tab, tin_model, response="y1")
+    assert fit.boundary is at_cap
+    if at_cap:
+        assert fit.ratio == pytest.approx(1e8, rel=1e-4)
+    else:
+        assert fit.ratio < 0.8e8
 
 
 def test_gls_on_orthogonal_design_ignores_the_ratio():
