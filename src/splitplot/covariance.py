@@ -27,10 +27,12 @@ with eta = sigma2_gamma / sigma2_eps, where the block inverse becomes
 
 and S holds the per-plot column sums of B.  `information` evaluates the
 second line; design search and design evaluation score designs with it.
-`solve_v_unit` evaluates the first; the REML/GLS fit uses it because it
-also needs X' V^{-1} y and the weighted residual sum of squares.  The two
-lines round differently, and seeded designs and fitted output are pinned
-byte for byte, so each consumer keeps the form it has always used.
+`solve_v_unit` evaluates the first.  The REML/GLS fit uses the first line
+too, because it also needs X' V^{-1} y and the weighted residual sum of
+squares: it gathers S = Z'X to runs once per fit and repeats solve_v_unit's
+elementwise arithmetic at each ratio, so fitted output is unchanged.  The
+two lines round differently, and seeded designs and fitted output are
+pinned byte for byte, so each consumer keeps the form it has always used.
 """
 
 from __future__ import annotations

@@ -75,8 +75,14 @@ def _two_sided_power(df, delta, alpha):
 
     A tail that is nan both directly and by reflection is replaced by 0 or
     1 where a bound puts it within TAIL_TOL; a lower tail the bound cannot
-    settle is integrated (_lower_tail_by_quadrature).  With Z standard normal and
-    S = sqrt(chi2_df / df), T = (Z + delta) / S, and for t >= 0:
+    settle is integrated (_lower_tail_by_quadrature).  Once the upper tail is
+    settled as 1 the power is 1: P(T <= -t) <= P(T <= t) <= TAIL_TOL, and
+    nctdtr's finite lower tail there can be wrong by more than a rounding
+    (1.4e-14 at df 1e6, delta 37.3, alpha 0.999, against a bound of 1e-304).
+    A finite lower tail beside a finite upper one is kept even above its
+    bound: there nctdtr's errors in the two tails cancel in their sum.
+    With Z standard normal and S = sqrt(chi2_df / df), T = (Z + delta) / S,
+    and for t >= 0:
       P(T <= -t) = E[ndtr(-delta - t S)] <= ndtr(-delta) E[exp(-t^2 S^2 / 2)]
                  = ndtr(-delta) (1 + t^2 / df)^(-df / 2),
       P(T <= t) <= P(Z <= -delta / 2) + P(t S >= delta / 2).
@@ -94,7 +100,7 @@ def _two_sided_power(df, delta, alpha):
         if np.isnan(upper) and (
             ndtr(-delta / 2) + chdtrc(df, df * (delta / (2 * t_crit)) ** 2) <= TAIL_TOL
         ):
-            upper = 1.0
+            return 1.0
         if np.isnan(lower) and ndtr(-delta) * (1 + t_crit**2 / df) ** (-df / 2) <= TAIL_TOL:
             lower = 0.0
     if np.isnan(lower):

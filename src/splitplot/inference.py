@@ -16,13 +16,16 @@ boundary solution.  Then
     sigma2_eps = y' P y / (n - p),   sigma2_gamma = eta * sigma2_eps.
 
 Wald tests use the containment denominator degrees of freedom,
-ModelSpec.error_df.  Products with V^{-1} come from covariance.solve_v_unit.
+ModelSpec.error_df.  Each fit gathers Z'X to runs once (_evaluator) and forms
+V^{-1} X at every ratio with the same elementwise arithmetic as
+covariance.solve_v_unit, so fitted output is unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,8 @@ from .covariance import (
     VarianceComponents,
     WholePlotLayout,
     _check_ratio,
+    _plot_sums,
+    _shrink,
     log_det_v_unit,
     solve_v_unit,
 )
@@ -78,23 +83,47 @@ class ResponseTable:
         return tuple(self.responses)
 
 
-def _weighted_ls(x, y, layout, eta):
-    """GLS at V = I + eta Z Z'; returns beta, information, weighted RSS, log det M."""
-    vix = solve_v_unit(layout, x, eta)
-    m = x.T @ vix
-    sign, ldm = np.linalg.slogdet(m)
-    if sign <= 0 or not np.isfinite(ldm):
-        raise NumericalError("model matrix is rank deficient on this design")
-    beta = np.linalg.solve(m, vix.T @ y)
-    resid = y - x @ beta
-    qform = float(resid @ solve_v_unit(layout, resid[:, None], eta)[:, 0])
-    return beta, m, qform, float(ldm)
+class _Evaluation(NamedTuple):
+    """The GLS fit at one eta and the profiled objective there."""
+
+    objective: float
+    beta: np.ndarray
+    information: np.ndarray  # X' V^{-1} X
+    qform: float  # y' P y, the weighted residual sum of squares
 
 
-def _check_residual_variation(qform: float, y: np.ndarray) -> None:
+def _evaluator(x, y, layout):
+    """Per-fit evaluator eta -> _Evaluation of the profiled objective.
+
+    Z'X, gathered back to runs, and one n x p work buffer are formed once per
+    fit; each evaluation forms V^{-1} X = X - w[a] * (Z'X)[a] in the buffer
+    with the elementwise operations of solve_v_unit, so every result rounds
+    exactly as a fresh solve would.  Both arrays live only as long as the
+    returned function.
+    """
+    n, p = x.shape
+    a = layout.zero_based
+    sx = _plot_sums(layout, x)[a]
+    vix = np.empty_like(sx)
     # residual variation at rounding scale means the data carry no noise
-    if qform <= 1e-24 * float(y @ y):
-        raise NumericalError("zero residual variation; nothing to estimate")
+    noise_floor = 1e-24 * float(y @ y)
+
+    def evaluate(eta):
+        np.multiply(_shrink(layout, eta)[a, None], sx, out=vix)
+        np.subtract(x, vix, out=vix)
+        m = x.T @ vix
+        sign, ldm = np.linalg.slogdet(m)
+        if sign <= 0 or not np.isfinite(ldm):
+            raise NumericalError("model matrix is rank deficient on this design")
+        beta = np.linalg.solve(m, vix.T @ y)
+        resid = y - x @ beta
+        qform = float(resid @ solve_v_unit(layout, resid[:, None], eta)[:, 0])
+        if qform <= noise_floor:
+            raise NumericalError("zero residual variation; nothing to estimate")
+        objective = log_det_v_unit(layout, eta) + float(ldm) + (n - p) * math.log(qform)
+        return _Evaluation(objective, beta, m, qform)
+
+    return evaluate
 
 
 def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLayout) -> float:
@@ -106,13 +135,11 @@ def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLa
     n, p = x.shape
     if n - p < 1:
         raise ValidationError("no residual degrees of freedom (n <= p)")
-    _, _, qform, ldm = _weighted_ls(x, y, layout, eta)
-    _check_residual_variation(qform, y)
-    return log_det_v_unit(layout, eta) + ldm + (n - p) * math.log(qform)
+    return _evaluator(x, y, layout)(eta).objective
 
 
 def _golden_section(fun, lo, hi, tol):
-    """Minimize a unimodal scalar function on [lo, hi]."""
+    """Minimize a unimodal scalar function on [lo, hi]; returns the final bracket's midpoint."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -127,8 +154,7 @@ def _golden_section(fun, lo, hi, tol):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(d)
-    mid = (a + b) / 2.0
-    return mid, fun(mid)
+    return (a + b) / 2.0
 
 
 @dataclass(frozen=True)
@@ -214,15 +240,14 @@ def _f_sf(stat, df_num, df_den) -> float:
     return 1.0 if stat <= 0 else float(fdtrc(df_num, df_den, stat))
 
 
-def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -> GlsFit:
+def _finalize(response, model, layout, x, y, eta, boundary, at_eta, method) -> GlsFit:
     n, p = x.shape
-    beta, m, qform, _ = _weighted_ls(x, y, layout, eta)
-    _check_residual_variation(qform, y)
-    sigma2_eps = qform / (n - p)
+    beta = at_eta.beta
+    sigma2_eps = at_eta.qform / (n - p)
     components = VarianceComponents(
         sigma2_gamma=eta * sigma2_eps, sigma2_epsilon=sigma2_eps
     )
-    cov_beta = sigma2_eps * np.linalg.inv(m)
+    cov_beta = sigma2_eps * np.linalg.inv(at_eta.information)
     fitted = x @ beta
     residuals = y - fitted
     r2 = _squared_correlation(y, fitted)
@@ -247,7 +272,7 @@ def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -
         components=components,
         ratio=eta,
         boundary=boundary,
-        objective=objective,
+        objective=at_eta.objective,
         method=method,
         y=y,
         fitted=fitted,
@@ -260,33 +285,36 @@ def _finalize(response, model, layout, x, y, eta, boundary, objective, method) -
 
 
 def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = None) -> GlsFit:
-    """Estimate the variance ratio by REML, then refit the fixed effects by GLS.
+    """Estimate the variance ratio by REML; report the GLS fit at that ratio.
 
     The search evaluates the profiled objective on a log-spaced grid over
     [1e-8, 1e8], refines the best bracket by golden section, and compares
     the interior optimum against eta = 0; ties go to the boundary.  An
     optimum at the upper cap (the grid minimum is its last point and golden
     section ends within _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary
-    fit too, with the ratio left where golden section put it.
+    fit too, with the ratio left where golden section put it.  Each
+    evaluation is a GLS fit, so the one at the chosen ratio is reported as is.
     """
     response, layout, x, y = _prepare(responses, model, response)
+    evaluate = _evaluator(x, y, layout)
 
-    def obj(eta):
-        return reml_objective(eta, x, y, layout)
+    def obj(t):
+        return evaluate(math.exp(t)).objective
 
     ts = np.linspace(LOG_ETA_LOW, LOG_ETA_HIGH, _GRID_POINTS)
-    vals = [obj(math.exp(t)) for t in ts]
+    vals = [obj(t) for t in ts]
     k = int(np.argmin(vals))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
-    t_star, f_star = _golden_section(lambda t: obj(math.exp(t)), lo, hi, GOLDEN_TOL)
-    f_zero = obj(0.0)
-    if f_zero <= f_star:
-        eta_hat, f_hat, boundary = 0.0, f_zero, True
+    t_star = _golden_section(obj, lo, hi, GOLDEN_TOL)
+    star = evaluate(math.exp(t_star))
+    zero = evaluate(0.0)
+    if zero.objective <= star.objective:
+        eta_hat, at_eta, boundary = 0.0, zero, True
     else:
         at_cap = bool(k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL)
-        eta_hat, f_hat, boundary = math.exp(t_star), f_star, at_cap
-    return _finalize(response, model, layout, x, y, eta_hat, boundary, f_hat, "reml")
+        eta_hat, at_eta, boundary = math.exp(t_star), star, at_cap
+    return _finalize(response, model, layout, x, y, eta_hat, boundary, at_eta, "reml")
 
 
 def gls_fit(
@@ -299,8 +327,8 @@ def gls_fit(
     """
     _check_ratio(ratio)
     response, layout, x, y = _prepare(responses, model, response)
-    objective = reml_objective(ratio, x, y, layout)
-    return _finalize(response, model, layout, x, y, ratio, ratio == 0.0, objective, "gls")
+    at_ratio = _evaluator(x, y, layout)(ratio)
+    return _finalize(response, model, layout, x, y, ratio, ratio == 0.0, at_ratio, "gls")
 
 
 @dataclass(frozen=True)

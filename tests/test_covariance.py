@@ -15,6 +15,7 @@ from splitplot import (
     solve_v,
 )
 from splitplot.covariance import build_v, information, solve_v_unit
+from splitplot.inference import _evaluator
 
 
 def random_layout(rng, max_runs=12):
@@ -190,3 +191,55 @@ def test_reml_objective_matches_dense_formula(layout, eta, p, seed):
     y = rng.normal(size=n)
     want = dense_reml_objective(eta, x, y, layout)
     assert reml_objective(eta, x, y, layout) == pytest.approx(want, abs=1e-6)
+
+
+def extended_reml_objective(eta, x, y, layout):
+    """dense_reml_objective in 40-digit arithmetic, for ratios where V is ill conditioned."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        v = mp.matrix(unit_v(layout, eta).tolist())
+        xm, ym = mp.matrix(x.tolist()), mp.matrix(y.tolist())
+        vix = mp.matrix(x.shape[0], x.shape[1])
+        for j in range(x.shape[1]):
+            vix[:, j] = mp.lu_solve(v, xm[:, j])
+        m = xm.T * vix
+        beta = mp.lu_solve(m, xm.T * mp.lu_solve(v, ym))
+        resid = ym - xm * beta
+        n, p = x.shape
+        qform = (resid.T * mp.lu_solve(v, resid))[0]
+        return float(mp.log(mp.det(v)) + mp.log(mp.det(m)) + (n - p) * mp.log(qform))
+
+
+def _evaluation_bytes(evaluation):
+    return b"".join(np.asarray(part, dtype=float).tobytes() for part in evaluation)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layouts(),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(ETAS + (7.5, 1e8)) | st.floats(0.0, 1e8), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_reml_evaluator_carries_nothing_between_ratios(layout, p, etas, seed):
+    """The per-fit evaluator reuses one work buffer: at any ratio, in any order and on
+    revisits, it must give a fresh evaluator's result bit for bit, and the profiled
+    objective must agree with the dense one to 1e-9 (relative to 1 + |obj|) plus the
+    closed form's rounding where V = I + eta Z Z' is ill conditioned: each plot's
+    1 - m w = 1 / (1 + m eta) is formed by cancellation to about cond(V) * eps, and
+    log det M and (n - p) log y'Py carry n such factors in all."""
+    n = layout.n_runs
+    assume(n > p)
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = rng.normal(size=n)
+    evaluate = _evaluator(x, y, layout)
+    dense = {}
+    for eta in [0.0, *etas, 1e8, *reversed(etas), 0.0]:
+        got = evaluate(eta)
+        assert _evaluation_bytes(got) == _evaluation_bytes(_evaluator(x, y, layout)(eta))
+        if eta not in dense:
+            dense[eta] = extended_reml_objective(eta, x, y, layout)
+        cond = 1.0 + float(layout.sizes.max()) * eta
+        slack = 1e-9 * (1.0 + abs(dense[eta])) + n * np.finfo(float).eps * cond
+        assert got.objective == pytest.approx(dense[eta], rel=0, abs=slack)

@@ -197,6 +197,22 @@ def test_power_in_the_small_alpha_windows_matches_mpmath(df, delta):
 
 @pytest.mark.parametrize(
     "df, delta, alpha",
+    [(1e6, 37.25, 0.999), (1e6, 37.3, 0.999), (1e6, 37.45, 0.999), (1e4, 37.5, 0.99),
+     (1e6, 37.5, 0.99)],
+)
+def test_power_is_one_where_the_upper_tail_is_settled_as_one(df, delta, alpha):
+    """Here the upper tail is nan both ways and its bound settles it as 1, while nctdtr
+    gives a finite lower tail (1.4e-14 at df 1e6, alpha 0.999) far above the true one;
+    adding the two made the power 1.0000000000000135."""
+    t_crit = float(stdtrit(df, 1 - alpha / 2))
+    oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
+    power = design_eval._two_sided_power(df, delta, alpha)
+    assert 0.0 <= power <= 1.0
+    assert abs(power - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "df, delta, alpha",
     [(1, 3.0, 0.05), (1, 3.0, 1e-6), (4, 0.5, 0.05), (4, 6.39, 1e-10), (9, 6.18, 0.001),
      (30, 2.0, 0.999), (30, 20.0, 1e-6)],
 )

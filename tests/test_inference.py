@@ -1,6 +1,7 @@
 """Variance-component estimation, GLS fits and the per-term F tests."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from splitplot import (
     TruthConfig,
     ValidationError,
     WHOLE_PLOT,
+    boomerang_model,
     build_model,
     default_truth,
     define_factor,
@@ -208,6 +210,69 @@ def test_gls_on_orthogonal_design_ignores_the_ratio():
     assert fits[0].boundary  # ratio 0 is a boundary by definition
     assert not fits[1].boundary
     assert all(f.method == "gls" for f in fits)
+
+
+def one_run_plot_design():
+    """25 runs in 6 plots on the tin model: four plots of 5, one of 4, one of 1."""
+    m = boomerang_model()
+    whole_plot = np.repeat(np.arange(1, 7), [5, 5, 5, 5, 4, 1])
+    rng = np.random.default_rng(25)
+    settings = np.column_stack([
+        (whole_plot + 1) % 2,  # nut_weight, hard to change: one level per plot
+        rng.choice([-1.0, 1.0], size=25),  # tension
+        rng.integers(0, 2, size=25),  # twist
+        rng.choice([-1.0, 1.0], size=25),  # ramp_height
+    ])
+    d = Design(factors=m.factors, whole_plot=tuple(int(i) for i in whole_plot), settings=settings)
+    return d, m
+
+
+def _pinned_fits(case, tin_design, tin_model):
+    y1 = default_truth().responses["y1"]
+    if case == "tin":
+        truth = TruthConfig(responses={"y1": y1})
+        for k in range(100):
+            yield reml_fit(simulate(tin_design, truth, seed=(7, k)), tin_model)
+    elif case == "one-run plot":
+        d, m = one_run_plot_design()
+        truth = TruthConfig(responses={"y1": y1})
+        for k in range(20):
+            yield reml_fit(simulate(d, truth, seed=(7, k)), m)
+    elif case == "cap":
+        capped = dataclasses.replace(y1, sigma_epsilon=1e-5)
+        yield reml_fit(simulate(tin_design, TruthConfig(responses={"y1": capped})), tin_model)
+    elif case == "zero boundary":
+        d, m = lopsided_design()
+        truth = TruthConfig(responses={"y": ResponseTruth(
+            intercept=10.0, coefficients={"a": 2.0, "b": 1.0}, sigma_gamma=0.0, sigma_epsilon=1.0,
+        )})
+        yield reml_fit(simulate(d, truth, seed=(50, 0)), m)
+    else:
+        tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
+        for ratio in (0.0, 1.0, 7.5):
+            yield gls_fit(tab, tin_model, ratio=ratio)
+
+
+# sha256 over repr(ratio), repr(objective), boundary and the beta and cov_beta bytes
+# of each fit, recorded with the golden-section fit that solved V^{-1} X afresh at
+# every evaluation and refitted at the chosen ratio; fits must reproduce them exactly
+PINNED_FITS = {
+    "tin": "eadd0e33f7f6e79216c00993253514661cebd6cfc53a47397270be645b43d209",
+    "one-run plot": "0e744b98cec5d971dab815bebe698213f5c2f92260c1a21be3751a2d26c0d84d",
+    "cap": "bd047fa590faffcdef796e36dc1edd4f07c59daa6e8c38ab0b28d350962dfb59",
+    "zero boundary": "a939619d1b11125381d20504e1a6fa5bb077fec60eedd0ec4cd44aa7d0b40395",
+    "gls": "d4864e2317836f3fe2471baef1aa2a594f466ebb280569ded13f94ee3b93e230",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_FITS))
+def test_reml_fits_match_their_recorded_digests(tin_design, tin_model, case):
+    digest = hashlib.sha256()
+    for fit in _pinned_fits(case, tin_design, tin_model):
+        digest.update(f"{fit.ratio!r} {fit.objective!r} {fit.boundary}".encode())
+        digest.update(fit.beta.tobytes())
+        digest.update(fit.cov_beta.tobytes())
+    assert digest.hexdigest() == PINNED_FITS[case]
 
 
 def test_gls_fit_validates_ratio():
