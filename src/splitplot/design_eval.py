@@ -13,8 +13,8 @@ and the two-sided rejection probability at level alpha is
 
 F_nct (scipy.special.nctdtr) is nan far out in either tail.  A nan tail
 falls back to the reflection F_nct(x; df, delta) = 1 - F_nct(-x; df, -delta),
-and a tail that is nan both ways falls back to a bound on it or, for the
-lower tail, to quadrature (see _two_sided_power).
+and a tail that is nan both ways falls back to a bound on it or, where the
+bound cannot settle it, to quadrature (see _two_sided_power).
 
 Error degrees of freedom follow the containment rule, ModelSpec.error_df.
 """
@@ -74,8 +74,8 @@ def _two_sided_power(df, delta, alpha):
     """P(|T| > t_crit) for T ~ noncentral t(df, delta), delta >= 0; nan if unknown.
 
     A tail that is nan both directly and by reflection is replaced by 0 or
-    1 where a bound puts it within TAIL_TOL; a lower tail the bound cannot
-    settle is integrated (_lower_tail_by_quadrature).  Once the upper tail is
+    1 where a bound puts it within TAIL_TOL; a tail the bound cannot settle
+    is integrated (_tail_by_quadrature).  Once the upper tail is
     settled as 1 the power is 1: P(T <= -t) <= P(T <= t) <= TAIL_TOL, and
     nctdtr's finite lower tail there can be wrong by more than a rounding
     (1.4e-14 at df 1e6, delta 37.3, alpha 0.999, against a bound of 1e-304).
@@ -103,19 +103,28 @@ def _two_sided_power(df, delta, alpha):
             return 1.0
         if np.isnan(lower) and ndtr(-delta) * (1 + t_crit**2 / df) ** (-df / 2) <= TAIL_TOL:
             lower = 0.0
+    if np.isnan(upper):
+        upper = _tail_by_quadrature(df, delta, t_crit)
+        if upper >= 1:  # settled as 1, and so is the power, as by the bound
+            return 1.0
     if np.isnan(lower):
-        lower = _lower_tail_by_quadrature(df, delta, t_crit)
+        lower = _tail_by_quadrature(df, -delta, t_crit)
     return float(upper + lower)
 
 
-def _lower_tail_by_quadrature(df, delta, t):
-    """P(T <= -t) = E[ndtr(-delta - t S)] for t > 0, by quadrature over y = log S.
+def _tail_by_quadrature(df, nc, t):
+    """P(T > t) = E[ndtr(nc - t S)] for T ~ noncentral t(df, nc) and t > 0, by
+    quadrature over y = log S; P(T <= -t) at noncentrality delta is this at -delta.
 
-    With s = e^y the integrand is h(y) = ndtr(-delta - t s) f_S(s) s, where
+    With s = e^y the integrand is h(y) = ndtr(nc - t s) f_S(s) s, where
     log f_S(s) s = log 2 + (df/2) log(df/2) - log Gamma(df/2) + df y - (df/2) s^2.
     log h is concave in y, so h has one mode; it is integrated around the mode
     on pieces that double with the curvature width there, which keeps a narrow
-    peak (large df or t) from slipping between quadrature nodes.
+    peak (large df or t) from slipping between quadrature nodes.  For nc > 0,
+    ndtr(nc - t s) steps down at s = nc / t; the mode can sit on the step, with
+    h rising only like s^df to its left, so the range grows (and the pieces
+    with it) until h at each end is below e^-50 of its peak, and the step is
+    broken at nc - t s = 0, +-1, +-2, ..., +-16.
     """
     from scipy.integrate import quad  # only where nctdtr and the bound both fail
     from scipy.optimize import brentq
@@ -126,29 +135,37 @@ def _lower_tail_by_quadrature(df, delta, t):
 
     def log_h(y):
         s = np.exp(y)
-        return log_ndtr(-delta - t * s) + log_norm + df * y - half * s * s
+        return log_ndtr(nc - t * s) + log_norm + df * y - half * s * s
 
-    def mills(x):  # ndtr'(x) / ndtr(x), stable for any x <= 0
+    def mills(x):  # ndtr'(x) / ndtr(x), stable for any x
         return np.sqrt(2 / np.pi) / erfcx(-x / np.sqrt(2))
 
     def slope(y):  # d log h / dy: +df far left, -t * mills < 0 at y = 0
         s = np.exp(y)
-        return df - df * s * s - t * s * mills(-delta - t * s)
+        return df - df * s * s - t * s * mills(nc - t * s)
 
     y_mode = brentq(slope, np.log(1e-300), 0.0, xtol=1e-12)
     s = np.exp(y_mode)
-    x = -delta - t * s
+    x = nc - t * s
     m = mills(x)
     # -d2 log h / dy2 at the mode, with mills'(x) = -mills(x) (x + mills(x))
     width = 1 / np.sqrt(2 * df * s * s + t * s * m + t * t * s * s * m * (x + m))
     peak = log_h(y_mode)
-    steps = width * 2.0 ** np.arange(6)
-    # the tail is far below quad's default absolute tolerance, so ask for relative accuracy
+    reach = [64 * width, 64 * width]  # below and above the mode
+    for side, sign in enumerate((-1, 1)):
+        while log_h(y_mode + sign * reach[side]) > peak - 50:
+            reach[side] *= 2
+    steps = width * 2.0 ** np.arange(round(np.log2(max(reach) / width)))
+    points = [y_mode - steps, [y_mode], y_mode + steps]  # quad drops those outside
+    if nc > 0:  # the step, about one unit of nc - t s wide
+        k = nc + np.array([-16.0, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16])
+        points.append(np.log(k[k > 0] / t))
+    # a tail can be far below quad's default absolute tolerance, so ask for relative accuracy
     value, _ = quad(
         lambda y: np.exp(log_h(y) - peak),
-        y_mode - 64 * width,
-        y_mode + 64 * width,
-        points=np.concatenate([y_mode - steps, [y_mode], y_mode + steps]),
+        y_mode - reach[0],
+        y_mode + reach[1],
+        points=np.concatenate(points),
         epsabs=0,
         epsrel=1e-10,
         limit=200,

@@ -15,19 +15,42 @@ form.  Optimization is multi-start coordinate exchange: from a random
 feasible design, sweep every coordinate against its candidate values and
 keep any strict improvement, until a full sweep improves the criterion by
 at most 1e-9.
+
+Candidates that change one run are screened before they are scored.  With
+M = X' V^{-1} X of the incumbent, run r in plot i, u_r = x_r - w_i s_i (row
+r of V^{-1} X) and d = x_new - x_r, the new information matrix is
+
+    M' = M + d u_r' + u_r d' + (1 - w_i) d d',
+
+so by the matrix determinant lemma (Arnouts & Goos 2010, CSDA 54:3381)
+
+    det M' / det M = (1 + b + (1 - w_i) a)(1 + b) - a ((1 - w_i) b + e)
+                   = (1 + b)^2 + a (1 - w_i - e),
+    a = d' M^{-1} d,   b = d' M^{-1} u_r,   e = u_r' M^{-1} u_r.
+
+A candidate whose screened log det plus 1e-6 is at most the scan's best
+value so far cannot be accepted and is skipped; every other candidate is
+scored exactly, and the exact log det decides every accept.  So the screen
+changes no design, tie or criterion value, only how many candidates are
+scored exactly.  It is off, and every candidate is scored exactly, for
+scans that move a plot of more than one run, while the incumbent's log det
+is at most 0, and while cond_1(M) exceeds 1e8.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import WholePlotLayout, _check_ratio, information
+from .covariance import WholePlotLayout, _check_ratio, _plot_sums, information
 from .errors import NumericalError, ValidationError
 from .model_spec import Factor, ModelSpec
 
 EXCHANGE_TOL = 1e-9
+_SCREEN_MARGIN = 1e-6  # screened log det + margin <= best so far: skip the exact score
+_SCREEN_MAX_COND = 1e8  # above this cond_1(M) the incumbent is scored exactly
 _MAX_SWEEPS = 100
 _EXCHANGE_GRID = 3  # coded values -1, 0, +1 per continuous factor
 
@@ -81,14 +104,17 @@ class Design:
     factors as coded values in [-1, +1], categorical factors as level
     indices.  Hard-to-change factors are constant within each whole plot.
     search, set by generate_design, holds one (criterion, sweeps,
-    evaluations) tuple per start, in start order; it is None otherwise.
+    exact_evaluations, screened) tuple per start, in start order: the
+    start's final log det, its sweeps, the candidates scored exactly
+    (the random start included) and the candidates screened by the
+    determinant lemma.  It is None otherwise.
     """
 
     factors: tuple[Factor, ...]
     whole_plot: tuple[int, ...]
     settings: np.ndarray
     criterion: float | None = None
-    search: tuple[tuple[float, int, int], ...] | None = field(
+    search: tuple[tuple[float, int, int, int], ...] | None = field(
         default=None, repr=False, compare=False
     )
     layout: WholePlotLayout = field(init=False, repr=False, compare=False)
@@ -198,6 +224,17 @@ class _Exchanger:
     start of the search.  model_matrix builds X row by row, so a cached row
     equals a rebuilt one byte for byte and every criterion value, tie and
     seeded design is what a full rebuild per candidate would give.
+
+    A scan of one run first screens its candidates with the determinant
+    lemma of the module docstring, from M^{-1}, W = V^{-1} X M^{-1} and
+    e_r = u_r' M^{-1} u_r of the incumbent.  These are rebuilt, from one
+    _plot_sums, one inv and one refinement step, at the first one-run scan
+    after the incumbent changes.  A candidate is skipped only when its
+    screened log det + _SCREEN_MARGIN is at most the scan's best exact value
+    so far; the rest are scored exactly, and only an exact value is ever
+    accepted.  The screen is off while the incumbent's log det is <= 0 or
+    cond_1(M) > _SCREEN_MAX_COND, and for scans that move a plot of more
+    than one run.
     """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
@@ -208,8 +245,14 @@ class _Exchanger:
         self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
         self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
         self.run_rows = tuple(np.arange(layout.n_runs)[:, None])
+        sizes = layout.sizes[layout.zero_based]  # m_i of each run's plot
+        self.run_plot_keep = 1.0 / (1.0 + sizes * ratio)  # 1 - m_i w_i
+        self.run_keep = (1.0 + (sizes - 1) * ratio) * self.run_plot_keep  # 1 - w_i
         self.model_rows: dict[bytes, np.ndarray] = {}
+        self.candidate_rows: dict[tuple[bytes, int], np.ndarray] = {}
+        self.lemma = None  # (M^-1, W, e) of the incumbent, False if off, None if stale
         self.evaluations = 0
+        self.screened = 0
 
     def criterion(self, x: np.ndarray) -> float:
         return _log_det(information(self.layout, x, self.ratio))
@@ -224,25 +267,86 @@ class _Exchanger:
             settings[:, fi] = rng.choice(self.cands[fi], size=n)
         return settings
 
+    def _model_row(self, settings_row):
+        # bytes, not values, key the cache: 0.0 and -0.0 never share a row
+        key = settings_row.tobytes()
+        row = self.model_rows.get(key)
+        if row is None:
+            row = self.model_rows[key] = model_matrix(self.model, settings_row)[0]
+        return row
+
     def _set(self, settings, x, rows, fi, value):
         """Set one coordinate on rows and copy their model rows into x."""
         settings[rows, fi] = value
         for r in rows:
-            # bytes, not values, key the cache: 0.0 and -0.0 never share a row
-            key = settings[r].tobytes()
-            row = self.model_rows.get(key)
-            if row is None:
-                row = self.model_rows[key] = model_matrix(self.model, settings[r])[0]
-            x[r] = row
+            x[r] = self._model_row(settings[r])
+
+    def _lemma_terms(self, x):
+        """(M^-1, W, e) of the incumbent X, or False where the screen is off."""
+        a = self.layout.zero_based
+        mean = _plot_sums(self.layout, x)[a] / self.layout.sizes[a, None]
+        # V^{-1} X, with x - w_i s_i written as (x - mean_i) + mean_i / (1 + m_i eta),
+        # which keeps plot-constant columns from cancelling at large eta
+        u = (x - mean) + mean * self.run_plot_keep[:, None]
+        m = x.T @ u
+        try:
+            minv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            return False
+        cond = np.abs(m).sum(axis=0).max() * np.abs(minv).sum(axis=0).max()
+        if not cond <= _SCREEN_MAX_COND:
+            return False
+        w = u @ minv
+        # one refinement step: e is differenced against 1 - w_i, and inv alone can
+        # leave it wrong by 1e-12 relative on an ill-scaled M
+        w += (u - w @ m) @ minv
+        return minv, w, np.einsum("ij,ij->i", w, u).tolist()
+
+    def _screen(self, settings, x, r, fi, best):
+        """Screened log det for each candidate of run r's factor fi, or None if off.
+
+        A determinant ratio that is not positive screens as nan, which is
+        never skipped.
+        """
+        if not best > 0:
+            return None
+        if self.lemma is None:
+            self.lemma = self._lemma_terms(x)
+        if self.lemma is False:
+            return None
+        minv, w, e = self.lemma
+        key = (settings[r].tobytes(), fi)
+        cand_rows = self.candidate_rows.get(key)
+        if cand_rows is None:
+            row = settings[r].copy()
+            cand_rows = np.empty((len(self.cands[fi]), x.shape[1]))
+            for k, cand in enumerate(self.cands[fi]):
+                row[fi] = cand
+                cand_rows[k] = self._model_row(row)
+            self.candidate_rows[key] = cand_rows
+        d = cand_rows - x[r]
+        keep, e_r = self.run_keep[r], e[r]
+        out = []
+        for a, b in zip(np.einsum("ij,ij->i", d @ minv, d).tolist(), (d @ w[r]).tolist()):
+            det_ratio = (1.0 + b) ** 2 + a * (keep - e_r)
+            out.append(best + math.log(det_ratio) if det_ratio > 0 else math.nan)
+        return out
 
     def _scan(self, settings, x, rows, fi, best, rng):
         """Try every candidate for one coordinate; ties keep the incumbent."""
         current = settings[rows[0], fi]
         best_cand, best_val = current, best
-        for cand in self.cands[fi]:
+        screened = self._screen(settings, x, rows[0], fi, best) if len(rows) == 1 else None
+        moved = False
+        for k, cand in enumerate(self.cands[fi]):
             if cand == current:
                 continue
+            if screened is not None:
+                self.screened += 1
+                if screened[k] + _SCREEN_MARGIN <= best_val:
+                    continue  # its exact value could not beat best_val
             self._set(settings, x, rows, fi, cand)
+            moved = True
             val = self.criterion(x)
             self.evaluations += 1
             if val > best_val:
@@ -250,17 +354,24 @@ class _Exchanger:
         if best_val == float("-inf"):
             # every choice singular: re-randomize to escape the flat region
             best_cand = rng.choice(self.cands[fi])
-        self._set(settings, x, rows, fi, best_cand)
+        if best_cand != current:
+            self.lemma = None
+            moved = True
+        if moved:
+            self._set(settings, x, rows, fi, best_cand)
         if not best_val >= best:  # exchange never walks downhill
             raise NumericalError(f"exchange criterion must not decrease: {best} -> {best_val}")
         return best_val
 
     def run(self, rng):
-        """One start: final settings, their criterion, sweeps made, criterion evaluations."""
+        """One start: final settings, their criterion, sweeps made, exact evaluations.
+
+        The candidates it screened are left in self.screened.
+        """
         settings = self.random_start(rng)
         x = model_matrix(self.model, settings)
         best = self.criterion(x)
-        self.evaluations = 1
+        self.evaluations, self.screened, self.lemma = 1, 0, None
         for sweeps in range(1, _MAX_SWEEPS + 1):
             sweep_start = best
             for rows in self.layout.plot_rows:
@@ -292,7 +403,7 @@ def generate_design(spec: DesignSpec) -> Design:
     for k in range(spec.n_starts):
         rng = np.random.default_rng((spec.seed, 0, k))
         settings, val, sweeps, evaluations = worker.run(rng)
-        search.append((val, sweeps, evaluations))
+        search.append((val, sweeps, evaluations, worker.screened))
         if val > best_val:
             best_settings, best_val = settings.copy(), val
     if best_settings is None or best_val == float("-inf"):

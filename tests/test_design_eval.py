@@ -146,7 +146,7 @@ def test_power_is_finite_for_strong_effects(tin_design, tin_model, snr):
 
 def test_power_fallbacks_where_nctdtr_is_nan(monkeypatch):
     """A nan tail comes from its reflection, else from a bound within TAIL_TOL, else
-    (the lower tail) from quadrature; an upper tail none of these settle stays nan."""
+    from quadrature."""
     import scipy.special
 
     real = scipy.special.nctdtr
@@ -165,13 +165,14 @@ def test_power_fallbacks_where_nctdtr_is_nan(monkeypatch):
     assert power(9, 10.0, 0.05) == pytest.approx(oracle[10.0], abs=1e-12)  # bound 1e-24
     assert power(9, 5.0, 0.05) == pytest.approx(oracle[5.0], abs=1e-12)  # bound 4e-8: quadrature
     nan_where(lambda nc, x: True)  # both tails nan both ways
-    assert power(9, 40.0, 0.05) == 1.0
-    assert np.isnan(power(9, 3.0, 0.05))
+    assert power(9, 40.0, 0.05) == 1.0  # upper bound 2e-19: settled as 1
+    assert power(9, 3.0, 0.05) == pytest.approx(oracle[3.0], abs=1e-12)  # both integrated
 
 
 def _mp_tail(df, delta, t):
     """E[ndtr(delta - t S)], S = sqrt(chi2_df / df), to 30 digits: P(T > t) at noncentrality
-    delta, or P(T <= -t) at -delta."""
+    delta, or P(T <= -t) at -delta.  For delta > 0, ndtr(delta - t s) steps down over a
+    width 1/t around s = delta/t, so the pieces break there too."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         df, delta, t = mp.mpf(df), mp.mpf(delta), mp.mpf(t)
@@ -181,8 +182,11 @@ def _mp_tail(df, delta, t):
         def integrand(s):
             return mp.ncdf(delta - t * s) * mp.exp(log_norm + (df - 1) * mp.log(s) - half * s * s)
 
-        pieces = [0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.5, 2, 4, mp.inf]
-        return float(mp.quad(integrand, pieces))
+        pieces = [0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.5, 2, 4]
+        if delta > 0:
+            pieces += [(delta + k) / t for k in (-40, -10, -4, -2, -1, 0, 1, 2, 4, 10, 40)
+                       if delta + k > 0]
+        return float(mp.quad(integrand, sorted(set(pieces)) + [mp.inf]))
 
 
 @pytest.mark.parametrize(
@@ -213,14 +217,48 @@ def test_power_is_one_where_the_upper_tail_is_settled_as_one(df, delta, alpha):
 
 @pytest.mark.parametrize(
     "df, delta, alpha",
+    [(1, 1e6, 1e-10), (1, 3e5, 1e-6), (1, 1e9, 1e-10), (2, 1e6, 1e-10)],
+)
+def test_power_where_the_upper_tail_is_nan_both_ways_matches_mpmath(df, delta, alpha):
+    """Here nctdtr's upper tail is nan directly and reflected and its bound cannot settle
+    it, so the power was nan; the upper tail is now integrated.  At df 2 the integral
+    rounds to 1 + 2e-16, which settles the power as 1."""
+    t_crit = float(stdtrit(df, 1 - alpha / 2))
+    oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
+    power = design_eval._two_sided_power(df, delta, alpha)
+    assert 0.0 <= power <= 1.0
+    assert abs(power - oracle) <= 1e-12
+    upper = design_eval._tail_by_quadrature(df, delta, t_crit)
+    assert upper == pytest.approx(_mp_tail(df, delta, t_crit), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "df, delta, alpha",
     [(1, 3.0, 0.05), (1, 3.0, 1e-6), (4, 0.5, 0.05), (4, 6.39, 1e-10), (9, 6.18, 0.001),
      (30, 2.0, 0.999), (30, 20.0, 1e-6)],
 )
 def test_lower_tail_quadrature_matches_mpmath(df, delta, alpha):
     t_crit = float(stdtrit(df, 1 - alpha / 2))
     oracle = _mp_tail(df, -delta, t_crit)
-    tail = design_eval._lower_tail_by_quadrature(df, delta, t_crit)
+    tail = design_eval._tail_by_quadrature(df, -delta, t_crit)
     assert tail == pytest.approx(oracle, rel=1e-9)
+
+
+def test_mpmath_oracle_resolves_the_step_at_large_t():
+    """At df 1, alpha 1e-6 and delta 5462, ndtr(delta - t s) drops from 1 to 0 within
+    about 3e-6 of s = delta / t; fixed pieces missed it and gave 0.0068587.  The same
+    tail as E over Z of P(S < (Z + delta) / t) has a smooth integrand."""
+    mp = pytest.importorskip("mpmath")
+    df, delta = 1, 5462.0
+    t_crit = float(stdtrit(df, 1 - 1e-6 / 2))
+    with mp.workdps(30):
+        def cdf_s(z):  # P(S < (z + delta) / t), S = sqrt(chi2_df / df)
+            c = (z + delta) / mp.mpf(t_crit)
+            return mp.gammainc(mp.mpf(df) / 2, 0, df * c * c / 2, regularized=True)
+
+        smooth = float(mp.quad(lambda z: mp.npdf(z) * cdf_s(z), [-12, -4, 0, 4, 12]))
+    assert _mp_tail(df, delta, t_crit) == pytest.approx(smooth, rel=1e-15)
+    assert smooth == pytest.approx(0.006845517833029953, rel=1e-15)
 
 
 def test_power_report_flags_an_uncomputable_power(tin_design, tin_model, monkeypatch):

@@ -378,7 +378,7 @@ def test_generated_criterion_matches_a_fresh_evaluation():
 
 
 @st.composite
-def exchange_cases(draw):
+def exchange_cases(draw, max_plots=5):
     """A random model (continuous and 2- or 3-level factors, hard and easy) on a
     shuffled layout of unequal plots that always includes a one-run plot."""
     kinds = draw(st.lists(st.sampled_from(["continuous", 2, 3]), min_size=1, max_size=4))
@@ -389,7 +389,7 @@ def exchange_cases(draw):
         for i, (k, h) in enumerate(zip(kinds, hard))
     ]
     model = build_model(factors, draw(st.sampled_from(["mains_only", "mains_and_all_2fi"])))
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)) + [1]
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_plots)) + [1]
     plots = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     order = draw(st.permutations(range(len(plots))))
     return model, WholePlotLayout(tuple(int(plots[i]) for i in order))
@@ -420,23 +420,88 @@ def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
         assert np.array_equal(row, model_matrix(model, np.frombuffer(key))[0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(exchange_cases(max_plots=8), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1.0, 7.5, 1e4]))
+def test_screened_log_det_matches_the_exact_criterion(case, seed, ratio):
+    """A screened log det within 10 of the incumbent is its exact criterion to 1e-9,
+    one further down stays that far down, and the screened search makes the same
+    moves as one that scores every candidate."""
+    model, layout = case
+    worker = design_gen._Exchanger(model, layout, ratio)
+    screen = worker._screen
+
+    def checked(settings, x, r, fi, best):
+        out = screen(settings, x, r, fi, best)
+        if out is None:
+            return out
+        assert best > 0
+        for cand, val in zip(worker.cands[fi], out):
+            trial = settings.copy()
+            trial[r, fi] = cand
+            exact = worker.criterion(model_matrix(model, trial))
+            if cand == settings[r, fi]:
+                assert val == best
+            elif np.isfinite(exact) and exact > best - 10:
+                assert abs(val - exact) <= 1e-9
+            else:  # singular or nearly so: the screen must not rank it near the incumbent
+                assert not val > best - 10 + 1e-9
+        return out
+
+    worker._screen = checked
+    with patch.object(design_gen, "_MAX_SWEEPS", 3):
+        settings, best, sweeps, evaluations = worker.run(np.random.default_rng(seed))
+        exact = design_gen._Exchanger(model, layout, ratio)
+        exact._screen = lambda *args: None
+        ref_settings, ref_best, ref_sweeps, ref_evaluations = exact.run(
+            np.random.default_rng(seed))
+    assert settings.tobytes() == ref_settings.tobytes()
+    assert repr(best) == repr(ref_best) and sweeps == ref_sweeps
+    assert evaluations <= ref_evaluations and exact.screened == 0
+
+
+def test_the_screen_replaces_most_exact_scores(tin_model):
+    """On the tin model at 48 runs the screen scores most candidates and leaves a
+    small share to the exact path, with the design of a search that screens none."""
+    spec = DesignSpec(model=tin_model, n_runs=48, n_whole_plots=12, n_starts=2, seed=1)
+    d = generate_design(spec)
+    with patch.object(design_gen, "_SCREEN_MAX_COND", -1.0):  # every incumbent exact
+        ref = generate_design(spec)
+    assert d.settings.tobytes() == ref.settings.tobytes()
+    assert repr(d.criterion) == repr(ref.criterion)
+    for (val, sweeps, evals, screened), (ref_val, ref_sweeps, ref_evals, none) in zip(
+            d.search, ref.search):
+        assert (val, sweeps, none) == (ref_val, ref_sweeps, 0)
+        assert screened > ref_evals / 2 and evals < ref_evals / 4
+
+
 # generate_design digests (sha256 over settings bytes and repr(criterion), seed by
 # seed), recorded with the exchange that rebuilt the full model matrix for every
-# candidate; the row cache must reproduce them exactly
+# candidate (the ratio-1 shapes) or scored every candidate exactly (ratios 0 and
+# 7.5); the row cache and the screen must reproduce them exactly
 PINNED_DESIGNS = {
-    (24, 6, 20, range(50)): "66f4223ce239080256312565c461eba6a85cd712c6a92ff671da09987e4c8e9a",
-    (25, 6, 20, range(50)): "3a61ec1bdfcb9ec55f94b31ed726c0e59db5ca243c394d5e554a071d9f7b784a",
-    (128, 32, 2, range(4)): "8c0cd8b41669e1aae3c1331d77d9d3a4a78527eeee2f3dfb612d3872258bddce",
+    (24, 6, 20, range(50), 1.0): "66f4223ce239080256312565c461eba6a85cd712c6a92ff671da09987e4c8e9a",
+    (25, 6, 20, range(50), 1.0): "3a61ec1bdfcb9ec55f94b31ed726c0e59db5ca243c394d5e554a071d9f7b784a",
+    (128, 32, 2, range(4), 1.0): "8c0cd8b41669e1aae3c1331d77d9d3a4a78527eeee2f3dfb612d3872258bddce",
+    (48, 12, 5, range(8), 0.0): "b6c745b83a3ffa8768a0a4b1d6b5b2ab0ea4ba59eaa547bbf968477eee879fb4",
+    (48, 12, 5, range(8), 7.5): "f6ad2f142c3d88f49ad3576f1273b59a3ff9186871c48c52232f41be9f400c4c",
+    # eight one-run plots
+    (16, 12, 5, range(8), 7.5): "cd4b5f787299077c8990bdcbc093db863cc86b40023c9a7c3e68ab2aa20745a0",
 }
 
 
-@pytest.mark.parametrize("shape", list(PINNED_DESIGNS), ids=lambda s: f"{s[0]}x{s[1]}")
+def _shape_id(shape):
+    n_runs, n_plots, _, _, ratio = shape
+    return f"{n_runs}x{n_plots}" + ("" if ratio == 1.0 else f"-ratio{ratio:g}")
+
+
+@pytest.mark.parametrize("shape", list(PINNED_DESIGNS), ids=_shape_id)
 def test_seeded_designs_match_their_recorded_digests(tin_model, shape):
-    n_runs, n_plots, n_starts, seeds = shape
+    n_runs, n_plots, n_starts, seeds, ratio = shape
     digest = hashlib.sha256()
     for seed in seeds:
         d = generate_design(DesignSpec(model=tin_model, n_runs=n_runs, n_whole_plots=n_plots,
-                                       n_starts=n_starts, seed=seed))
+                                       ratio=ratio, n_starts=n_starts, seed=seed))
         digest.update(d.settings.tobytes())
         digest.update(repr(d.criterion).encode())
     assert digest.hexdigest() == PINNED_DESIGNS[shape]
@@ -467,10 +532,10 @@ def test_search_trace_reports_every_start(monkeypatch):
     d = generate_design(spec)
 
     assert len(d.search) == spec.n_starts
-    assert max(val for val, _, _ in d.search) == d.criterion
-    assert [evals for _, _, evals in d.search] == per_start
+    assert max(val for val, _, _, _ in d.search) == d.criterion
+    assert [evals for _, _, evals, _ in d.search] == per_start
     assert sum(per_start) == len(calls)
-    assert all(1 <= sweeps <= design_gen._MAX_SWEEPS for _, sweeps, _ in d.search)
+    assert all(1 <= sweeps <= design_gen._MAX_SWEEPS for _, sweeps, _, _ in d.search)
 
     # the trace is diagnostics: it leaves repr (and equality) alone
     bare = Design(factors=d.factors, whole_plot=d.whole_plot, settings=d.settings,
