@@ -10,6 +10,8 @@ boomerang_sim ships a simulated version of a classic classroom experiment
 so the whole pipeline can be exercised without a lab.
 """
 
+from types import ModuleType as _ModuleType
+
 from .boomerang_sim import (
     ResponseTruth,
     TruthConfig,
@@ -74,4 +76,6 @@ from .profiler import Goal, SettingRecommendation, optimize, predict
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above are not part of the public names
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

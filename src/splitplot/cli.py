@@ -25,6 +25,9 @@ Truth file for simulate, key = value lines:
 
 Seeds, here and in every --seed flag, are non-negative integers.
 
+CSV outputs (design --out, simulate --out, profile --out) go to stdout when
+the path is omitted or '-'; profile prints its report there first.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.  A negative
 seed and a non-finite factor cell (nan, inf) are invalid input.
 """
@@ -32,9 +35,10 @@ seed and a non-finite factor cell (nan, inf) are invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -42,12 +46,7 @@ from .boomerang_sim import ResponseTruth, TruthConfig, default_truth, simulate
 from .design_eval import diagnostics, power_report
 from .design_gen import Design, DesignSpec, generate_design
 from .errors import NumericalError, ValidationError
-from .inference import (
-    ResponseTable,
-    fixed_effect_tests,
-    reml_fit,
-    residual_report,
-)
+from .inference import ResponseTable, fixed_effect_tests, reml_fit, residual_report
 from .model_spec import ModelSpec, build_model, define_factor
 from .profiler import Goal, optimize
 
@@ -64,6 +63,35 @@ def _fmt(value) -> str:
             v = 0.0  # fold -0.0
         return repr(v)
     return str(value)
+
+
+def _read_text(path, what: str) -> str:
+    """The whole of a UTF-8 text file, line endings untranslated."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _output(target):
+    """Stdout for None and '-', a stream as is, else a UTF-8 file with newline=''."""
+    if target is None or target == "-":
+        yield sys.stdout
+    elif hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
+def _write_table(target, header, rows) -> None:
+    cells = [[_fmt(c) for c in row] for row in rows]
+    with _output(target) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
 
 
 def _parse_float(token: str, where: str) -> float:
@@ -126,11 +154,7 @@ def parse_model_text(text: str) -> ModelSpec:
 
 
 def parse_model_file(path) -> ModelSpec:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read model file {path}: {exc}") from None
-    return parse_model_text(text)
+    return parse_model_text(_read_text(path, "model"))
 
 
 # ---------------------------------------------------------------- truth file
@@ -182,46 +206,27 @@ def parse_truth_text(text: str) -> TruthConfig:
 
 
 def parse_truth_file(path) -> TruthConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read truth file {path}: {exc}") from None
-    return parse_truth_text(text)
+    return parse_truth_text(_read_text(path, "truth"))
 
 
 # ---------------------------------------------------------------- design CSV
 
 
 def write_design_csv(target, design: Design, responses: dict | None = None) -> None:
-    """Emit the canonical CSV; deterministic bytes for identical content."""
+    """Canonical CSV, same bytes for same content, to a path, a stream or stdout (None, '-')."""
     responses = responses or {}
     header = ["run_id", "whole_plot"] + [f.name for f in design.factors] + list(responses)
-
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(design.n_runs):
-            row = [str(i + 1), str(int(design.whole_plot[i]))]
-            for j, f in enumerate(design.factors):
-                row.append(_fmt(f.to_natural(design.settings[i, j])))
-            for values in responses.values():
-                row.append(_fmt(float(values[i])))
-            writer.writerow(row)
-
-    if hasattr(target, "write"):
-        emit(target)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+    _write_table(target, header, (
+        [i + 1, int(wp)]
+        + [f.to_natural(v) for f, v in zip(design.factors, design.settings[i])]
+        + [float(values[i]) for values in responses.values()]
+        for i, wp in enumerate(design.whole_plot)
+    ))
 
 
 def read_design_csv(path, model: ModelSpec):
     """Parse a design CSV against a model; returns (design, response columns)."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ValidationError(f"cannot read design file {path}: {exc}") from None
+    rows = list(csv.reader(io.StringIO(_read_text(path, "design"), newline="")))
     if not rows:
         raise ValidationError(f"{path}: empty file")
     header, body = rows[0], rows[1:]
@@ -289,17 +294,13 @@ def randomize_run_order(design: Design, rng) -> Design:
 # ---------------------------------------------------------------- subcommands
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _write_table(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([[_fmt(c) for c in row] for row in rows])
+def _read_responses(args):
+    """The model and the ResponseTable of args.data; a file without responses is refused."""
+    model = parse_model_file(args.model)
+    design, responses = read_design_csv(args.data, model)
+    if not responses:
+        raise ValidationError(f"{args.data} has no response columns")
+    return model, ResponseTable(design=design, responses=responses)
 
 
 def cmd_plan(args) -> int:
@@ -352,12 +353,7 @@ def cmd_design(args) -> int:
     design = generate_design(spec)
     if not args.no_randomize:
         design = randomize_run_order(design, np.random.default_rng((args.seed, 1)))
-    fh, close = _open_out(args.out)
-    try:
-        write_design_csv(fh, design)
-    finally:
-        if close:
-            fh.close()
+    write_design_csv(args.out, design)
     print(f"log D criterion: {_fmt(design.criterion)}", file=sys.stderr)
     return 0
 
@@ -419,21 +415,12 @@ def cmd_simulate(args) -> int:
     table = simulate(design, truth, seed=args.seed)
     merged = dict(existing)
     merged.update(table.responses)
-    fh, close = _open_out(args.out)
-    try:
-        write_design_csv(fh, design, merged)
-    finally:
-        if close:
-            fh.close()
+    write_design_csv(args.out, design, merged)
     return 0
 
 
 def cmd_fit(args) -> int:
-    model = parse_model_file(args.model)
-    design, responses = read_design_csv(args.data, model)
-    if not responses:
-        raise ValidationError(f"{args.data} has no response columns to fit")
-    table = ResponseTable(design=design, responses=responses)
+    model, table = _read_responses(args)
     fit = reml_fit(table, model, response=args.response)
     tests = fixed_effect_tests(fit)
 
@@ -507,18 +494,12 @@ def _parse_goal(text: str) -> Goal:
 
 
 def cmd_profile(args) -> int:
-    model = parse_model_file(args.model)
-    design, responses = read_design_csv(args.data, model)
-    if not responses:
-        raise ValidationError(f"{args.data} has no response columns")
-    table = ResponseTable(design=design, responses=responses)
+    model, table = _read_responses(args)
     goals = [_parse_goal(g) for g in args.goal]
     fits = {}
     for g in goals:
-        if g.response not in responses:
-            raise ValidationError(
-                f"goal references {g.response!r}; file has {tuple(responses)}"
-            )
+        if g.response not in table.responses:
+            raise ValidationError(f"goal references {g.response!r}; file has {table.names}")
         if g.response not in fits:
             fits[g.response] = reml_fit(table, model, response=g.response)
     rec = optimize(fits, goals)

@@ -364,9 +364,9 @@ class _Exchanger:
         return best_val
 
     def run(self, rng):
-        """One start: final settings, their criterion, sweeps made, exact evaluations.
+        """One start: its final settings and its Design.search record.
 
-        The candidates it screened are left in self.screened.
+        The record is (criterion, sweeps, exact_evaluations, screened).
         """
         settings = self.random_start(rng)
         x = model_matrix(self.model, settings)
@@ -384,7 +384,7 @@ class _Exchanger:
                 continue  # still escaping a singular start
             if best - sweep_start <= EXCHANGE_TOL:
                 break
-        return settings, best, sweeps, self.evaluations
+        return settings, (best, sweeps, self.evaluations, self.screened)
 
 
 def generate_design(spec: DesignSpec) -> Design:
@@ -402,10 +402,10 @@ def generate_design(spec: DesignSpec) -> Design:
     search = []
     for k in range(spec.n_starts):
         rng = np.random.default_rng((spec.seed, 0, k))
-        settings, val, sweeps, evaluations = worker.run(rng)
-        search.append((val, sweeps, evaluations, worker.screened))
-        if val > best_val:
-            best_settings, best_val = settings.copy(), val
+        settings, record = worker.run(rng)
+        search.append(record)
+        if record[0] > best_val:
+            best_settings, best_val = settings.copy(), record[0]
     if best_settings is None or best_val == float("-inf"):
         raise NumericalError(
             "no nonsingular design found; check the run budget against the model"

@@ -142,17 +142,15 @@ def _overall(points: np.ndarray, fits, goals, bounds_by_goal) -> np.ndarray:
     return np.exp(log_d)
 
 
-def optimize(fits: dict[str, GlsFit], goals, n_grid: int = _GRID) -> SettingRecommendation:
+def optimize(fits: dict[str, GlsFit], goals) -> SettingRecommendation:
     """Best settings under the combined goals.
 
     fits maps response names to fitted models sharing one factor list.
     The scan enumerates the full grid (categorical levels crossed with
-    n_grid coded points per continuous factor), then runs one refinement
+    _GRID (21) coded points per continuous factor), then runs one refinement
     pass along each axis in factor order.
     """
     goals = tuple(goals)
-    if n_grid < 2:
-        raise ValidationError("n_grid must be at least 2")
     if not goals:
         raise ValidationError("at least one goal is required")
     if not fits:
@@ -168,7 +166,7 @@ def optimize(fits: dict[str, GlsFit], goals, n_grid: int = _GRID) -> SettingReco
             raise ValidationError("all fits must share the same factors")
     bounds_by_goal = [_resolve_bounds(g, fits[g.response]) for g in goals]
 
-    mesh = np.meshgrid(*(f.candidates(n_grid) for f in factors), indexing="ij")
+    mesh = np.meshgrid(*(f.candidates(_GRID) for f in factors), indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
     scores = _overall(points, fits, goals, bounds_by_goal)
     best_idx = int(np.argmax(scores))  # first index wins ties

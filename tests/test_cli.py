@@ -359,6 +359,25 @@ def test_design_command_to_stdout(model_file, capsys):
     assert len(captured.out.splitlines()) == 9
 
 
+def test_out_dash_prints_what_out_file_writes(model_file, truth_file, tmp_path,
+                                              monkeypatch, capsys):
+    """design, simulate and profile with --out - print the bytes --out <file>
+    writes (profile after its report), and no file named '-' appears."""
+    monkeypatch.chdir(tmp_path)
+    steps = [
+        (["design", str(model_file), "--runs", "8", "--whole-plots", "4",
+          "--starts", "2", "--seed", "3"], "design.csv"),
+        (["simulate", str(model_file), "design.csv", "--truth", str(truth_file)], "data.csv"),
+        (["profile", str(model_file), "data.csv", "--goal", "y:maximize"], "rec.csv"),
+    ]
+    for argv, name in steps:
+        assert main([*argv, "--out", name]) == 0
+        to_file = capsys.readouterr().out.encode("utf-8") + (tmp_path / name).read_bytes()
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == to_file, argv[0]
+        assert not (tmp_path / "-").exists(), argv[0]
+
+
 def test_eval_command(model_file, tmp_path, capsys):
     design_path = tmp_path / "design.csv"
     main(["design", str(model_file), "--runs", "8", "--whole-plots", "4",
@@ -512,6 +531,17 @@ def test_validation_failures_exit_2(model_file, tmp_path, capsys):
     assert rc == 2
     captured = capsys.readouterr()
     assert "power=" not in captured.out
+
+
+def test_unreadable_files_exit_2(model_file, tmp_path, capsys):
+    """A missing or non-UTF-8 input file is invalid input that names the file."""
+    latin = tmp_path / "latin1.model"
+    latin.write_bytes("factor caf\xe9 continuous -1 1\n".encode("latin-1"))
+    assert main(["plan", str(latin)]) == 2
+    assert main(["eval", str(model_file), str(tmp_path / "missing.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read model file {latin}: 'utf-8' codec" in err
+    assert f"error: cannot read design file {tmp_path / 'missing.csv'}: " in err
 
 
 def test_negative_seeds_exit_2(model_file, truth_file, tmp_path, capsys):

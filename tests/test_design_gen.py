@@ -413,7 +413,7 @@ def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
 
     worker._scan = checked
     with patch.object(design_gen, "_MAX_SWEEPS", 3):  # small models may stay singular
-        settings, best, sweeps, evaluations = worker.run(np.random.default_rng(seed))
+        settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
     assert scans and scans[-1] == best
     assert 1 <= sweeps <= 3 and evaluations >= 1
     for key, row in worker.model_rows.items():  # each cached row is its key's model row
@@ -450,14 +450,14 @@ def test_screened_log_det_matches_the_exact_criterion(case, seed, ratio):
 
     worker._screen = checked
     with patch.object(design_gen, "_MAX_SWEEPS", 3):
-        settings, best, sweeps, evaluations = worker.run(np.random.default_rng(seed))
+        settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
         exact = design_gen._Exchanger(model, layout, ratio)
         exact._screen = lambda *args: None
-        ref_settings, ref_best, ref_sweeps, ref_evaluations = exact.run(
+        ref_settings, (ref_best, ref_sweeps, ref_evaluations, ref_screened) = exact.run(
             np.random.default_rng(seed))
     assert settings.tobytes() == ref_settings.tobytes()
     assert repr(best) == repr(ref_best) and sweeps == ref_sweeps
-    assert evaluations <= ref_evaluations and exact.screened == 0
+    assert evaluations <= ref_evaluations and ref_screened == 0
 
 
 def test_the_screen_replaces_most_exact_scores(tin_model):

@@ -164,8 +164,6 @@ def test_optimize_input_errors():
     fits = line_fits({"y": 1.0})
     goal = Goal("y", "maximize", bounds=(-1.0, 1.0))
     with pytest.raises(ValidationError):
-        optimize(fits, [goal], n_grid=1)
-    with pytest.raises(ValidationError):
         optimize(fits, [])
     with pytest.raises(ValidationError):
         optimize({}, [goal])
