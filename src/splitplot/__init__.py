@@ -35,8 +35,6 @@ from .design_eval import (
     diagnostics,
     power_report,
     prediction_variance,
-    term_correlation,
-    vif,
 )
 from .design_gen import (
     Design,

@@ -82,7 +82,11 @@ def _output(target):
     elif hasattr(target, "write"):
         yield target
     else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(target, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {target}: {exc}") from None
+        with fh:
             yield fh
 
 

@@ -17,6 +17,8 @@ and a tail that is nan both ways falls back to a bound on it or, where the
 bound cannot settle it, to quadrature (see _two_sided_power).
 
 Error degrees of freedom follow the containment rule, ModelSpec.error_df.
+Correlations, aliases and variance inflation factors of the model columns
+come from one entry point, diagnostics.
 """
 
 from __future__ import annotations
@@ -33,14 +35,6 @@ from .model_spec import ModelSpec
 
 ALIAS_TOL = 1e-12
 TAIL_TOL = 1e-13  # most a tail set from its bound may add to a power's error
-
-
-def _column_levels(model: ModelSpec) -> list[str]:
-    """Testing level of every non-intercept model column, in column order."""
-    levels = []
-    for t in model.terms:
-        levels.extend([t.level] * t.df)
-    return levels
 
 
 def _information_inverse(design: Design, model: ModelSpec, ratio: float) -> np.ndarray:
@@ -193,30 +187,30 @@ def power_report(
             )
     cinv = _information_inverse(design, model, ratio)
     labels = column_labels(model)
-    levels = _column_levels(model)
     rows = []
-    for j, level in enumerate(levels, start=1):
-        v = float(cinv[j, j])
-        if v <= 0:
-            raise NumericalError(f"nonpositive variance factor for column {labels[j]!r}")
-        delta = snr / np.sqrt(v)
-        df = dfs[level]
-        power = _two_sided_power(df, delta, alpha)
-        if not 0 <= power <= 1:
-            raise NumericalError(
-                f"power for column {labels[j]!r} is not computable "
-                f"(df={df}, noncentrality={delta:.6g}, alpha={alpha:g})"
+    for term, cols in zip(model.terms, model.term_columns):
+        df = dfs[term.level]
+        for j in range(cols.start, cols.stop):
+            v = float(cinv[j, j])
+            if v <= 0:
+                raise NumericalError(f"nonpositive variance factor for column {labels[j]!r}")
+            delta = snr / np.sqrt(v)
+            power = _two_sided_power(df, delta, alpha)
+            if not 0 <= power <= 1:
+                raise NumericalError(
+                    f"power for column {labels[j]!r} is not computable "
+                    f"(df={df}, noncentrality={delta:.6g}, alpha={alpha:g})"
+                )
+            rows.append(
+                PowerRow(
+                    label=labels[j],
+                    level=term.level,
+                    variance_factor=v,
+                    noncentrality=float(delta),
+                    error_df=int(df),
+                    power=float(power),
+                )
             )
-        rows.append(
-            PowerRow(
-                label=labels[j],
-                level=level,
-                variance_factor=v,
-                noncentrality=float(delta),
-                error_df=int(df),
-                power=float(power),
-            )
-        )
     return PowerReport(ratio=ratio, snr=snr, alpha=alpha, rows=tuple(rows))
 
 
@@ -228,59 +222,42 @@ class DiagnosticsReport:
     alias_warnings: tuple[tuple[str, str], ...]
 
 
-def term_correlation(design: Design, model: ModelSpec):
-    """Pearson correlation of centered model columns, intercept excluded.
+def diagnostics(design: Design, model: ModelSpec) -> DiagnosticsReport:
+    """Correlations, aliases and variance inflation of the centered model columns.
 
-    Constant columns get NaN rows instead of raising; pairs with |r| at 1
-    (within 1e-12) are reported as aliases.
+    The intercept is excluded, and the columns are expanded and centered
+    once.  correlation is their Pearson correlation; a constant column gets
+    NaN rows instead of raising, and pairs with |r| at 1 (within ALIAS_TOL)
+    are reported as aliases.  VIF_j = 1 / (1 - R2_j) regresses centered
+    column j on the others: NaN for a constant column, inf for an aliased one.
     """
     x = expand_model_matrix(design, model)[:, 1:]
     labels = column_labels(model)[1:]
     centered = x - x.mean(axis=0)
     norms = np.linalg.norm(centered, axis=0)
     k = x.shape[1]
+    ok = norms > 0  # constant columns carry no information
+    idx = np.flatnonzero(ok)
     corr = np.full((k, k), np.nan)
-    ok = norms > 0
-    if ok.any():
-        u = centered[:, ok] / norms[ok]
-        block = np.clip(u.T @ u, -1.0, 1.0)
-        idx = np.flatnonzero(ok)
-        corr[np.ix_(idx, idx)] = block
+    u = centered[:, ok] / norms[ok]
+    corr[np.ix_(idx, idx)] = np.clip(u.T @ u, -1.0, 1.0)
     np.fill_diagonal(corr, np.where(ok, 1.0, np.nan))
-    aliases = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.isfinite(corr[i, j]) and abs(corr[i, j]) >= 1.0 - ALIAS_TOL:
-                aliases.append((labels[i], labels[j]))
-    return labels, corr, tuple(aliases)
-
-
-def vif(design: Design, model: ModelSpec) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """Variance inflation factors, VIF_j = 1 / (1 - R2_j), on centered columns."""
-    x = expand_model_matrix(design, model)[:, 1:]
-    labels = column_labels(model)[1:]
-    centered = x - x.mean(axis=0)
-    out = []
-    for j in range(x.shape[1]):
+    # nan compares false, so constant columns are never aliases
+    pairs = zip(*np.nonzero(np.triu(np.abs(corr) >= 1.0 - ALIAS_TOL, 1)))
+    aliases = tuple((labels[i], labels[j]) for i, j in pairs)
+    vifs = []
+    for j in range(k):
         yj = centered[:, j]
-        ss_tot = float(yj @ yj)
-        if ss_tot <= 0:
-            out.append(float("nan"))  # constant column carries no information
-            continue
-        others = np.delete(centered, j, axis=1)
-        if others.shape[1] == 0:
-            out.append(1.0)
-            continue
-        resid = yj - others @ np.linalg.lstsq(others, yj, rcond=None)[0]
-        r2 = 1.0 - float(resid @ resid) / ss_tot
-        out.append(float("inf") if r2 >= 1.0 - ALIAS_TOL else 1.0 / (1.0 - r2))
-    return labels, tuple(out)
-
-
-def diagnostics(design: Design, model: ModelSpec) -> DiagnosticsReport:
-    labels, corr, aliases = term_correlation(design, model)
-    _, vifs = vif(design, model)
-    return DiagnosticsReport(labels=labels, correlation=corr, vif=vifs, alias_warnings=aliases)
+        if not ok[j]:
+            vifs.append(float("nan"))
+        elif k == 1:
+            vifs.append(1.0)
+        else:
+            others = np.delete(centered, j, axis=1)
+            resid = yj - others @ np.linalg.lstsq(others, yj, rcond=None)[0]
+            r2 = 1.0 - float(resid @ resid) / float(yj @ yj)
+            vifs.append(float("inf") if r2 >= 1.0 - ALIAS_TOL else 1.0 / (1.0 - r2))
+    return DiagnosticsReport(labels, corr, tuple(vifs), aliases)
 
 
 def prediction_variance(design: Design, model: ModelSpec, point, ratio: float = 1.0) -> float:

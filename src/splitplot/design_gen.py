@@ -219,11 +219,13 @@ class _Exchanger:
     """One coordinate-exchange search over a fixed layout.
 
     Each run keeps the model matrix X of its current settings and, when a
-    coordinate changes, overwrites only the changed rows.  Rows come from a
-    cache of model rows keyed by the settings row's bytes, shared by every
-    start of the search.  model_matrix builds X row by row, so a cached row
-    equals a rebuilt one byte for byte and every criterion value, tie and
-    seeded design is what a full rebuild per candidate would give.
+    coordinate changes, overwrites only the changed rows.  Rows come from
+    cached blocks, shared by every start of the search: the block of a
+    settings row and factor fi is model_matrix of that row at each of fi's
+    candidates, and a scan tries candidates by their index into it.
+    model_matrix builds X row by row, so a block row equals a rebuilt one
+    byte for byte and every criterion value, tie and seeded design is what
+    a full rebuild per candidate would give.
 
     A scan of one run first screens its candidates with the determinant
     lemma of the module docstring, from M^{-1}, W = V^{-1} X M^{-1} and
@@ -242,14 +244,15 @@ class _Exchanger:
         self.layout = layout
         self.ratio = ratio
         self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
+        self.cand_index = [{c: k for k, c in enumerate(cands.tolist())} for cands in self.cands]
+        self.first_bytes = [cands[:1].tobytes() for cands in self.cands]
         self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
         self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
         self.run_rows = tuple(np.arange(layout.n_runs)[:, None])
         sizes = layout.sizes[layout.zero_based]  # m_i of each run's plot
         self.run_plot_keep = 1.0 / (1.0 + sizes * ratio)  # 1 - m_i w_i
         self.run_keep = (1.0 + (sizes - 1) * ratio) * self.run_plot_keep  # 1 - w_i
-        self.model_rows: dict[bytes, np.ndarray] = {}
-        self.candidate_rows: dict[tuple[bytes, int], np.ndarray] = {}
+        self.blocks: dict[tuple[int, bytes], np.ndarray] = {}
         self.lemma = None  # (M^-1, W, e) of the incumbent, False if off, None if stale
         self.evaluations = 0
         self.screened = 0
@@ -267,19 +270,24 @@ class _Exchanger:
             settings[:, fi] = rng.choice(self.cands[fi], size=n)
         return settings
 
-    def _model_row(self, settings_row):
-        # bytes, not values, key the cache: 0.0 and -0.0 never share a row
-        key = settings_row.tobytes()
-        row = self.model_rows.get(key)
-        if row is None:
-            row = self.model_rows[key] = model_matrix(self.model, settings_row)[0]
-        return row
+    def _block(self, settings_row, fi):
+        """model_matrix of settings_row at each candidate of factor fi, cached."""
+        # keyed by fi and the row's bytes with fi's first candidate spliced in; bytes,
+        # not values, key the cache: 0.0 and -0.0 never share a block
+        raw, at = settings_row.tobytes(), fi * settings_row.itemsize
+        key = (fi, raw[:at] + self.first_bytes[fi] + raw[at + settings_row.itemsize:])
+        block = self.blocks.get(key)
+        if block is None:
+            trial = np.tile(np.frombuffer(key[1]), (len(self.cands[fi]), 1))
+            trial[:, fi] = self.cands[fi]
+            block = self.blocks[key] = model_matrix(self.model, trial)
+        return block
 
-    def _set(self, settings, x, rows, fi, value):
-        """Set one coordinate on rows and copy their model rows into x."""
-        settings[rows, fi] = value
+    def _set(self, settings, x, rows, fi, k):
+        """Set factor fi of rows to its candidate k and copy their block rows into x."""
         for r in rows:
-            x[r] = self._model_row(settings[r])
+            x[r] = self._block(settings[r], fi)[k]
+        settings[rows, fi] = self.cands[fi][k]
 
     def _lemma_terms(self, x):
         """(M^-1, W, e) of the incumbent X, or False where the screen is off."""
@@ -315,16 +323,7 @@ class _Exchanger:
         if self.lemma is False:
             return None
         minv, w, e = self.lemma
-        key = (settings[r].tobytes(), fi)
-        cand_rows = self.candidate_rows.get(key)
-        if cand_rows is None:
-            row = settings[r].copy()
-            cand_rows = np.empty((len(self.cands[fi]), x.shape[1]))
-            for k, cand in enumerate(self.cands[fi]):
-                row[fi] = cand
-                cand_rows[k] = self._model_row(row)
-            self.candidate_rows[key] = cand_rows
-        d = cand_rows - x[r]
+        d = self._block(settings[r], fi) - x[r]
         keep, e_r = self.run_keep[r], e[r]
         out = []
         for a, b in zip(np.einsum("ij,ij->i", d @ minv, d).tolist(), (d @ w[r]).tolist()):
@@ -334,31 +333,31 @@ class _Exchanger:
 
     def _scan(self, settings, x, rows, fi, best, rng):
         """Try every candidate for one coordinate; ties keep the incumbent."""
-        current = settings[rows[0], fi]
-        best_cand, best_val = current, best
+        current = self.cand_index[fi][settings[rows[0], fi]]
+        best_k, best_val = current, best
         screened = self._screen(settings, x, rows[0], fi, best) if len(rows) == 1 else None
         moved = False
-        for k, cand in enumerate(self.cands[fi]):
-            if cand == current:
+        for k in range(len(self.cands[fi])):
+            if k == current:
                 continue
             if screened is not None:
                 self.screened += 1
                 if screened[k] + _SCREEN_MARGIN <= best_val:
                     continue  # its exact value could not beat best_val
-            self._set(settings, x, rows, fi, cand)
+            self._set(settings, x, rows, fi, k)
             moved = True
             val = self.criterion(x)
             self.evaluations += 1
             if val > best_val:
-                best_cand, best_val = cand, val
+                best_k, best_val = k, val
         if best_val == float("-inf"):
             # every choice singular: re-randomize to escape the flat region
-            best_cand = rng.choice(self.cands[fi])
-        if best_cand != current:
+            best_k = int(rng.choice(len(self.cands[fi])))
+        if best_k != current:
             self.lemma = None
             moved = True
         if moved:
-            self._set(settings, x, rows, fi, best_cand)
+            self._set(settings, x, rows, fi, best_k)
         if not best_val >= best:  # exchange never walks downhill
             raise NumericalError(f"exchange criterion must not decrease: {best} -> {best_val}")
         return best_val

@@ -345,10 +345,7 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
     """Wald F test per model term; for a 1-df term F = (beta / se)^2."""
     err = fit.error_df
     out = []
-    start = 1
-    for term in fit.model.terms:
-        cols = slice(start, start + term.df)
-        start += term.df
+    for term, cols in zip(fit.model.terms, fit.model.term_columns):
         df_den = err[term.level]
         if df_den < 1:
             raise ValidationError(

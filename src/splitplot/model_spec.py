@@ -16,7 +16,7 @@ and subplot error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,6 +229,12 @@ class ModelSpec:
     @property
     def n_parameters(self) -> int:
         return 1 + sum(t.df for t in self.terms)
+
+    @property
+    def term_columns(self) -> tuple[slice, ...]:
+        """Model-matrix columns of each term, in term order; column 0 is the intercept."""
+        ends = np.cumsum([1, *(t.df for t in self.terms)]).tolist()
+        return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
     def error_df(self, n_runs: int, n_plots: int) -> dict[str, int]:
         """Containment error df per testing level for n_runs runs in n_plots whole plots.

@@ -25,6 +25,7 @@ from .inference import GlsFit
 
 _GRID = 21
 _REFINE_GRID = 201
+_GRID_CHUNK = 4096  # grid points scored per batch; the 1 764-point tin grid is one batch
 
 _DIRECTIONS = ("maximize", "minimize", "target")
 
@@ -147,8 +148,10 @@ def optimize(fits: dict[str, GlsFit], goals) -> SettingRecommendation:
 
     fits maps response names to fitted models sharing one factor list.
     The scan enumerates the full grid (categorical levels crossed with
-    _GRID (21) coded points per continuous factor), then runs one refinement
-    pass along each axis in factor order.
+    _GRID (21) coded points per continuous factor) in C order, scoring
+    _GRID_CHUNK points at a time so memory stays flat, then runs one
+    refinement pass along each axis in factor order.  Time still grows 21x
+    per continuous factor.
     """
     goals = tuple(goals)
     if not goals:
@@ -166,12 +169,17 @@ def optimize(fits: dict[str, GlsFit], goals) -> SettingRecommendation:
             raise ValidationError("all fits must share the same factors")
     bounds_by_goal = [_resolve_bounds(g, fits[g.response]) for g in goals]
 
-    mesh = np.meshgrid(*(f.candidates(_GRID) for f in factors), indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
-    scores = _overall(points, fits, goals, bounds_by_goal)
-    best_idx = int(np.argmax(scores))  # first index wins ties
-    best = points[best_idx].copy()
-    best_score = float(scores[best_idx])
+    axes = [f.candidates(_GRID) for f in factors]
+    shape = tuple(len(a) for a in axes)
+    n_points = int(np.prod(shape))
+    best, best_score = None, -np.inf
+    for start in range(0, n_points, _GRID_CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + _GRID_CHUNK, n_points)), shape)
+        points = np.column_stack([a[i] for a, i in zip(axes, idx)])
+        scores = _overall(points, fits, goals, bounds_by_goal)
+        j = int(np.argmax(scores))
+        if scores[j] > best_score:  # first index wins ties; scores are >= 0
+            best, best_score = points[j].copy(), float(scores[j])
 
     # one polishing pass, coordinate by coordinate
     for i, f in enumerate(factors):

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import splitplot
 from splitplot import Design, ValidationError, build_model, define_factor
@@ -208,6 +210,67 @@ def test_design_csv_round_trip_is_byte_stable(tmp_path):
     assert responses == {}
     assert back.whole_plot == d.whole_plot
     assert back.settings == pytest.approx(d.settings, abs=1e-12)
+    write_design_csv(second, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
+def csv_designs(draw):
+    """A design over random continuous (random natural range) and 2- or 3-level
+    factors, hard and easy, on a shuffled layout of unequal plots that always
+    includes a one-run plot; ranges have 3 decimals, coded values sit on a 0.001 grid."""
+    kinds = draw(st.lists(st.sampled_from(["continuous", 2, 3]), min_size=1, max_size=4))
+    factors = []
+    for i, kind in enumerate(kinds):
+        hard = draw(st.booleans())
+        if kind == "continuous":
+            low = draw(st.integers(-10**6, 10**6)) / 1000
+            high = low + draw(st.integers(1, 10**6)) / 1000
+            factors.append(define_factor(f"f{i}", "continuous", low=low, high=high,
+                                         hard_to_change=hard))
+        else:
+            factors.append(define_factor(f"f{i}", "categorical", levels=("p", "q", "r")[:kind],
+                                         hard_to_change=hard))
+    model = build_model(factors, "mains_only")
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)) + [1]
+    plots = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    plots = plots[draw(st.permutations(range(len(plots))))]
+
+    def values(f, n):
+        codes = st.integers(0, f.n_levels - 1) if f.is_categorical else st.integers(-1000, 1000)
+        vals = np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=float)
+        return vals if f.is_categorical else vals / 1000
+
+    settings = np.column_stack([
+        values(f, len(sizes))[plots - 1] if f.hard_to_change else values(f, len(plots))
+        for f in factors
+    ])
+    return model, Design(factors=model.factors, whole_plot=tuple(plots.tolist()),
+                         settings=settings)
+
+
+def _snap_case():
+    """215.2263 reads back as coded -0.8500000000000001, which rewrites as 215.22629999999998
+    unless the reader snaps it."""
+    m = build_model([define_factor("a", "continuous", low=184.05, high=599.734)], "mains_only")
+    return m, Design(factors=m.factors, whole_plot=(1,), settings=[[-0.85]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_designs())
+@example(_snap_case())
+def test_design_csv_round_trip_is_byte_stable_on_random_designs(tmp_path_factory, case):
+    model, d = case
+    tmp_path = tmp_path_factory.mktemp("csv")
+    first, second = tmp_path / "d1.csv", tmp_path / "d2.csv"
+    write_design_csv(first, d)
+    back, responses = read_design_csv(first, model)
+    assert responses == {}
+    assert back.whole_plot == d.whole_plot
+    # natural-unit text carries a coded value only to the float spacing of the range
+    for f, got, want in zip(model.factors, back.settings.T, d.settings.T):
+        spacing = np.spacing(max(abs(f.low), abs(f.high))) / ((f.high - f.low) / 2)
+        assert np.all(np.abs(got - want) <= (0.0 if f.is_categorical else 1e-12 + 8 * spacing))
     write_design_csv(second, back)
     assert second.read_bytes() == first.read_bytes()
 
@@ -542,6 +605,20 @@ def test_unreadable_files_exit_2(model_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: cannot read model file {latin}: 'utf-8' codec" in err
     assert f"error: cannot read design file {tmp_path / 'missing.csv'}: " in err
+
+
+def test_unwritable_outputs_exit_2(model_file, tmp_path, capsys):
+    """An output that cannot be opened is invalid input that names the file."""
+    missing = tmp_path / "missing_dir"
+    rc = main(["design", str(model_file), "--runs", "8", "--whole-plots", "4",
+               "--out", str(missing / "x.csv")])
+    assert rc == 2
+    rc = main(["plan", str(model_file), "--out-prefix", str(missing / "p_")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write output file {missing / 'x.csv'}: " in err
+    assert f"error: cannot write output file {missing / 'p_whole_plot.csv'}: " in err
+    assert not missing.exists()
 
 
 def test_negative_seeds_exit_2(model_file, truth_file, tmp_path, capsys):

@@ -18,8 +18,6 @@ from splitplot import (
     diagnostics,
     power_report,
     prediction_variance,
-    term_correlation,
-    vif,
 )
 from splitplot import design_eval
 
@@ -301,12 +299,13 @@ def test_orthogonal_columns_have_unit_vif_and_zero_correlation():
     u = [1, 1, 1, 1, -1, -1, -1, -1]
     v = [1, 1, -1, -1, 1, 1, -1, -1]
     d, m = easy_pair_design(u, v)
-    labels, corr, aliases = term_correlation(d, m)
+    rep = diagnostics(d, m)
+    labels, corr, aliases = rep.labels, rep.correlation, rep.alias_warnings
     assert labels == ("u", "v")
     assert corr[0, 1] == pytest.approx(0.0, abs=1e-15)
     assert corr[0, 0] == 1.0
     assert aliases == ()
-    _, vifs = vif(d, m)
+    vifs = rep.vif
     assert vifs == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
@@ -315,19 +314,21 @@ def test_correlated_pair_hits_textbook_vif():
     u = [1, 1, 1, 1, -1, -1, -1, -1]
     v = [0.7, 0.7, -0.1, -0.1, 0.1, -0.7, 0.1, -0.7]
     d, m = easy_pair_design(u, v)
-    _, corr, _ = term_correlation(d, m)
+    rep = diagnostics(d, m)
+    corr = rep.correlation
     assert corr[0, 1] == pytest.approx(0.6, abs=1e-12)
-    _, vifs = vif(d, m)
+    vifs = rep.vif
     assert vifs == pytest.approx((1.5625, 1.5625), abs=1e-10)
 
 
 def test_aliased_columns_are_flagged():
     u = [1, 1, -1, -1, 1, 1, -1, -1]
     d, m = easy_pair_design(u, u)
-    labels, corr, aliases = term_correlation(d, m)
+    rep = diagnostics(d, m)
+    corr, aliases = rep.correlation, rep.alias_warnings
     assert corr[0, 1] == pytest.approx(1.0, abs=1e-15)
     assert aliases == (("u", "v"),)
-    _, vifs = vif(d, m)
+    vifs = rep.vif
     assert vifs[0] == float("inf")
     assert vifs[1] == float("inf")
 
@@ -336,11 +337,12 @@ def test_constant_column_reports_nan_not_alias():
     u = [1, 1, -1, -1, 1, 1, -1, -1]
     c = [0.5] * 8
     d, m = easy_pair_design(u, c)
-    labels, corr, aliases = term_correlation(d, m)
+    rep = diagnostics(d, m)
+    corr, aliases = rep.correlation, rep.alias_warnings
     assert np.isnan(corr[1, 1])
     assert np.isnan(corr[0, 1])
     assert aliases == ()
-    _, vifs = vif(d, m)
+    vifs = rep.vif
     assert np.isnan(vifs[1])
     assert vifs[0] == pytest.approx(1.0)
 

@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitplot import (
@@ -416,8 +416,38 @@ def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
         settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
     assert scans and scans[-1] == best
     assert 1 <= sweeps <= 3 and evaluations >= 1
-    for key, row in worker.model_rows.items():  # each cached row is its key's model row
-        assert np.array_equal(row, model_matrix(model, np.frombuffer(key))[0])
+    for (fi, key), block in worker.blocks.items():  # each block is its key row at every candidate
+        row = np.frombuffer(key).copy()
+        assert row[fi] == worker.cands[fi][0] and len(block) == len(worker.cands[fi])
+        for cand, block_row in zip(worker.cands[fi], block):
+            row[fi] = cand
+            assert np.array_equal(block_row, model_matrix(model, row)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_cases(max_plots=8), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False),
+       st.sampled_from([0.0, 1.0, 7.5]))
+def test_criterion_invariant_to_run_permutation_and_plot_relabeling_on_random_designs(
+        case, seed, shuffle, ratio):
+    model, layout = case
+    worker = design_gen._Exchanger(model, layout, ratio)
+    settings = worker.random_start(np.random.default_rng(seed))
+    x = model_matrix(model, settings)
+    assume(np.linalg.matrix_rank(x) == x.shape[1])  # a singular criterion has no value to keep
+    d = Design(factors=model.factors, whole_plot=layout.assignment, settings=settings)
+    base = d_criterion(d, model, ratio)
+
+    perm = list(range(d.n_runs))
+    shuffle.shuffle(perm)
+    shuffled = Design(factors=d.factors, whole_plot=tuple(d.whole_plot[i] for i in perm),
+                      settings=d.settings[perm])
+    assert d_criterion(shuffled, model, ratio) == pytest.approx(base, rel=1e-9, abs=1e-9)
+
+    labels = list(range(1, layout.n_plots + 1))
+    shuffle.shuffle(labels)
+    relabeled = Design(factors=d.factors, whole_plot=tuple(labels[w - 1] for w in d.whole_plot),
+                       settings=d.settings)
+    assert d_criterion(relabeled, model, ratio) == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)

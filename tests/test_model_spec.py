@@ -1,5 +1,7 @@
 """Factors, term classification and degree-of-freedom budgets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from splitplot import (
     ValidationError,
     build_model,
     classify_term,
+    column_labels,
     count_subplot_df,
     count_whole_plot_df,
     define_factor,
@@ -123,6 +126,20 @@ def test_interaction_df_is_product_of_level_counts_minus_one():
     assert df["a*b"] == 2
     assert df["a*c"] == 2
     assert df["b*c"] == 1
+
+
+def test_term_columns_partition_the_model_columns_in_term_order():
+    three = define_factor("a", "categorical", levels=("p", "q", "r"), hard_to_change=True)
+    m = build_model([three, two_level("b"), define_factor("c", "continuous")])
+    labels = column_labels(m)
+    cols = m.term_columns
+    assert len(cols) == len(m.terms)
+    assert cols[0].start == 1 and cols[-1].stop == m.n_parameters == len(labels)
+    for term, this, after in zip(m.terms, cols, cols[1:] + (None,)):
+        assert this.stop - this.start == term.df
+        assert after is None or this.stop == after.start
+        # a column label is its term's label with the level tags dropped
+        assert [re.sub(r"\[[^]]*\]", "", lab) for lab in labels[this]] == [term.label] * term.df
 
 
 def test_model_term_order_is_canonical(tin_model):

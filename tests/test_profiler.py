@@ -17,6 +17,7 @@ from splitplot import (
     reml_fit,
     simulate,
 )
+from splitplot import profiler
 
 
 def line_fits(slopes, low=-1.0, high=1.0):
@@ -155,6 +156,34 @@ def test_tin_study_recommends_the_heavy_nut(tin_design, tin_model):
     by_name = {name: (value, se) for name, value, se in rec.predictions}
     assert by_name["y1"][0] > by_name["y2"][0]  # run-out beats rollback out there
     assert all(se > 0 for _, se in by_name.values())
+
+
+def test_grid_scan_in_small_chunks_matches_the_one_shot_scan(monkeypatch):
+    """Chunking keeps the C-order enumeration and the first-index tie rule."""
+    facs = [
+        define_factor("g", "categorical", levels=("p", "q", "r")),
+        define_factor("x", "continuous"),
+        define_factor("z", "continuous", low=0.0, high=10.0),
+    ]
+    m = build_model(facs, "mains_and_all_2fi")
+    levels = np.array([(g, x, z) for g in range(3) for x in (-1, 0, 1) for z in (-1, 0, 1)],
+                      dtype=float)
+    d = Design(factors=m.factors, whole_plot=tuple(range(1, 28)), settings=levels)
+    rng = np.random.default_rng(5)
+    tab = ResponseTable(design=d, responses={"y": rng.normal(size=27), "w": rng.normal(size=27)})
+    fits = {name: gls_fit(tab, m, ratio=0.0, response=name) for name in ("y", "w")}
+    plateau = float(np.quantile(fits["y"].fitted, 0.3))  # many grid points tie at desirability 1
+    for goals in (
+        [Goal("y", "maximize"), Goal("w", "minimize", weight=2.0)],
+        [Goal("y", "maximize", bounds=(plateau - 1.0, plateau))],
+    ):
+        whole = optimize(fits, goals)
+        with monkeypatch.context() as patched:
+            patched.setattr(profiler, "_GRID_CHUNK", 7)
+            chunked = optimize(fits, goals)
+        assert chunked.settings == whole.settings
+        assert chunked.predictions == whole.predictions
+        assert chunked.desirability == pytest.approx(whole.desirability, rel=1e-12)
 
 
 # ---------------------------------------------------------------- validation
