@@ -38,6 +38,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import sys
 
 import numpy as np
@@ -228,6 +229,19 @@ def write_design_csv(target, design: Design, responses: dict | None = None) -> N
     ))
 
 
+def _snap_decimals(factor) -> int:
+    """Decimals a coded value of factor is rounded to when read back from text.
+
+    Writing low + (s + 1) * (high - low) / 2 and converting it back moves a
+    coded value s by a few eps * max(|low|, |high|) / (high - low), more than
+    1e-12 on a range that is narrow against its offset.  The snap grid sits
+    above that fuzz and is never finer than 12 decimals.
+    """
+    fuzz = 16 * np.finfo(float).eps * max(abs(factor.low), abs(factor.high))
+    fuzz /= factor.high - factor.low
+    return 12 if fuzz < 1e-12 else math.floor(-math.log10(fuzz))
+
+
 def read_design_csv(path, model: ModelSpec):
     """Parse a design CSV against a model; returns (design, response columns)."""
     rows = list(csv.reader(io.StringIO(_read_text(path, "design"), newline="")))
@@ -245,6 +259,7 @@ def read_design_csv(path, model: ModelSpec):
     if not body:
         raise ValidationError(f"{path}: no data rows")
 
+    decimals = [None if f.is_categorical else _snap_decimals(f) for f in model.factors]
     run_ids = []
     whole_plot = []
     settings = []
@@ -267,7 +282,7 @@ def read_design_csv(path, model: ModelSpec):
             except ValidationError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
             # snap text round-trip fuzz so rewrites are stable
-            coded_row.append(coded if f.is_categorical else round(coded, 12))
+            coded_row.append(coded if f.is_categorical else round(coded, decimals[j]))
         settings.append(coded_row)
         for k, name in enumerate(response_names):
             responses[name].append(_parse_float(row[len(expected) + k], where))
@@ -354,10 +369,12 @@ def cmd_design(args) -> int:
         n_starts=args.starts,
         seed=args.seed,
     )
-    design = generate_design(spec)
-    if not args.no_randomize:
-        design = randomize_run_order(design, np.random.default_rng((args.seed, 1)))
-    write_design_csv(args.out, design)
+    # open --out first: an unwritable path fails before the search, not after it
+    with _output(args.out) as out:
+        design = generate_design(spec)
+        if not args.no_randomize:
+            design = randomize_run_order(design, np.random.default_rng((args.seed, 1)))
+        write_design_csv(out, design)
     print(f"log D criterion: {_fmt(design.criterion)}", file=sys.stderr)
     return 0
 

@@ -29,10 +29,13 @@ and S holds the per-plot column sums of B.  `information` evaluates the
 second line; design search and design evaluation score designs with it.
 `solve_v_unit` evaluates the first.  The REML/GLS fit uses the first line
 too, because it also needs X' V^{-1} y and the weighted residual sum of
-squares: it gathers S = Z'X to runs once per fit and repeats solve_v_unit's
-elementwise arithmetic at each ratio, so fitted output is unchanged.  The
-two lines round differently, and seeded designs and fitted output are
-pinned byte for byte, so each consumer keeps the form it has always used.
+squares.  It gathers S = Z'X to runs once per fit and forms V^{-1} X for a
+stack of ratios at a time, w[a] * S[a] subtracted from X in a (k, n, p)
+buffer with solve_v_unit's elementwise arithmetic; k is as many ratios as
+fit in 2^16 cells, up to the whole REML grid.  Each ratio's slice rounds as
+solve_v_unit would, so fitted output is unchanged.  The two lines round
+differently, and seeded designs and fitted output are pinned byte for
+byte, so each consumer keeps the form it has always used.
 """
 
 from __future__ import annotations
@@ -157,11 +160,6 @@ def solve_v_unit(layout: WholePlotLayout, b: np.ndarray, eta: float) -> np.ndarr
     """V^{-1} b at V = I + eta Z Z', for an (n, k) array b."""
     a = layout.zero_based
     return b - _shrink(layout, eta)[a, None] * _plot_sums(layout, b)[a]
-
-
-def log_det_v_unit(layout: WholePlotLayout, eta: float) -> float:
-    """log det(I + eta Z Z') = sum_i log(1 + m_i eta)."""
-    return float(np.sum(np.log1p(layout.sizes * eta)))
 
 
 def solve_v(model: CovarianceModel, rhs: np.ndarray) -> np.ndarray:

@@ -16,9 +16,21 @@ boundary solution.  Then
     sigma2_eps = y' P y / (n - p),   sigma2_gamma = eta * sigma2_eps.
 
 Wald tests use the containment denominator degrees of freedom,
-ModelSpec.error_df.  Each fit gathers Z'X to runs once (_evaluator) and forms
-V^{-1} X at every ratio with the same elementwise arithmetic as
-covariance.solve_v_unit, so fitted output is unchanged.
+ModelSpec.error_df.
+
+All fits evaluate obj through one kernel, _evaluator, over a stack of
+ratios.  Per fit it checks that X has full column rank, gathers Z'X to
+runs once and allocates one (k, n, p) buffer for V^{-1} X, with k the
+ratios that fit in _PASS_CELLS = 2^16 cells (512 KB), at least one and at
+most the 49-point grid.  reml_fit scores its whole grid in ceil(49 / k)
+stacked passes: one on the 24-run tin design, and 49 of one ratio at
+12 800 runs, where the buffer is the size of X.  Golden-section steps,
+the eta = 0 check, gls_fit and reml_objective are passes of one ratio.
+Within a pass V^{-1} X is formed with covariance.solve_v_unit's
+elementwise arithmetic, and X' V^{-1} X, slogdet and the solve for beta
+are stacked numpy calls whose every slice makes the BLAS or LAPACK call
+of a single ratio, so a ratio's result does not depend on the pass it is
+scored in and fitted output is unchanged.
 """
 
 from __future__ import annotations
@@ -34,9 +46,6 @@ from .covariance import (
     WholePlotLayout,
     _check_ratio,
     _plot_sums,
-    _shrink,
-    log_det_v_unit,
-    solve_v_unit,
 )
 from .design_gen import Design, column_labels, expand_model_matrix
 from .errors import NumericalError, ValidationError
@@ -92,36 +101,65 @@ class _Evaluation(NamedTuple):
     qform: float  # y' P y, the weighted residual sum of squares
 
 
-def _evaluator(x, y, layout):
-    """Per-fit evaluator eta -> _Evaluation of the profiled objective.
+# cells (ratios x runs x columns) of the V^{-1} X work buffer, 512 KB: a whole
+# REML grid on a small design in one pass, one ratio per pass on a large one
+_PASS_CELLS = 2**16
 
-    Z'X, gathered back to runs, and one n x p work buffer are formed once per
-    fit; each evaluation forms V^{-1} X = X - w[a] * (Z'X)[a] in the buffer
-    with the elementwise operations of solve_v_unit, so every result rounds
-    exactly as a fresh solve would.  Both arrays live only as long as the
-    returned function.
+
+def _evaluator(x, y, layout):
+    """Per-fit evaluator: a sequence of etas -> one _Evaluation per eta, in order.
+
+    Raises NumericalError if X lacks full column rank.  The etas are scored in
+    passes of up to len(vix) ratios (see the module docstring).  Within a pass
+    the ratios are checked in order: every slogdet sign before any solve, then
+    the noise floor.  The buffers live only as long as the returned function.
     """
     n, p = x.shape
+    if np.linalg.matrix_rank(x) < p:
+        raise NumericalError("model matrix is rank deficient on this design")
     a = layout.zero_based
+    r = layout.n_plots
+    sizes = layout.sizes
     sx = _plot_sums(layout, x)[a]
-    vix = np.empty_like(sx)
+    width = max(1, min(_GRID_POINTS, _PASS_CELLS // (n * p)))
+    vix = np.empty((width, n, p))
+    bins = a + r * np.arange(width)[:, None]  # run -> (ratio, plot) bin of the residual sums
     # residual variation at rounding scale means the data carry no noise
     noise_floor = 1e-24 * float(y @ y)
 
-    def evaluate(eta):
-        np.multiply(_shrink(layout, eta)[a, None], sx, out=vix)
-        np.subtract(x, vix, out=vix)
-        m = x.T @ vix
+    def one_pass(eta):
+        k = len(eta)
+        eta = eta[:, None]
+        scaled = sizes * eta
+        wa = (eta / (1.0 + scaled))[:, a]  # covariance._shrink per ratio, gathered to runs
+        buf = vix[:k]
+        np.multiply(wa[..., None], sx, out=buf)
+        np.subtract(x, buf, out=buf)
+        m = np.matmul(x.T, buf)
         sign, ldm = np.linalg.slogdet(m)
-        if sign <= 0 or not np.isfinite(ldm):
+        ldm = ldm.tolist()
+        # before the solve, which would raise LinAlgError on a singular slice
+        if not all(s > 0 and math.isfinite(d) for s, d in zip(sign.tolist(), ldm)):
             raise NumericalError("model matrix is rank deficient on this design")
-        beta = np.linalg.solve(m, vix.T @ y)
-        resid = y - x @ beta
-        qform = float(resid @ solve_v_unit(layout, resid[:, None], eta)[:, 0])
-        if qform <= noise_floor:
+        rhs = np.matmul(buf.transpose(0, 2, 1), y)
+        # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
+        beta = np.linalg.solve(m, rhs[..., None])[..., 0]
+        resid = y - np.matmul(x, beta[..., None])[..., 0]
+        sums = np.bincount(bins[:k].ravel(), weights=resid.ravel(), minlength=k * r)
+        vr = resid - wa * sums.reshape(k, r)[:, a]  # V^{-1} resid, as solve_v_unit forms it
+        qform = [float(resid[i] @ vr[i]) for i in range(k)]
+        if min(qform) <= noise_floor:
             raise NumericalError("zero residual variation; nothing to estimate")
-        objective = log_det_v_unit(layout, eta) + float(ldm) + (n - p) * math.log(qform)
-        return _Evaluation(objective, beta, m, qform)
+        log_det_v = np.log1p(scaled).sum(axis=1).tolist()
+        objective = [ld + d + (n - p) * math.log(q) for ld, d, q in zip(log_det_v, ldm, qform)]
+        return list(map(_Evaluation, objective, beta, m, qform))
+
+    def evaluate(etas):
+        etas = np.asarray(etas, dtype=float)
+        out = []
+        for start in range(0, len(etas), width):
+            out += one_pass(etas[start:start + width])
+        return out
 
     return evaluate
 
@@ -135,7 +173,7 @@ def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLa
     n, p = x.shape
     if n - p < 1:
         raise ValidationError("no residual degrees of freedom (n <= p)")
-    return _evaluator(x, y, layout)(eta).objective
+    return _evaluator(x, y, layout)([eta])[0].objective
 
 
 def _golden_section(fun, lo, hi, tol):
@@ -299,16 +337,15 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     evaluate = _evaluator(x, y, layout)
 
     def obj(t):
-        return evaluate(math.exp(t)).objective
+        return evaluate([math.exp(t)])[0].objective
 
     ts = np.linspace(LOG_ETA_LOW, LOG_ETA_HIGH, _GRID_POINTS)
-    vals = [obj(t) for t in ts]
+    vals = [e.objective for e in evaluate([math.exp(t) for t in ts])]
     k = int(np.argmin(vals))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
     t_star = _golden_section(obj, lo, hi, GOLDEN_TOL)
-    star = evaluate(math.exp(t_star))
-    zero = evaluate(0.0)
+    star, zero = evaluate([math.exp(t_star), 0.0])
     if zero.objective <= star.objective:
         eta_hat, at_eta, boundary = 0.0, zero, True
     else:
@@ -327,7 +364,7 @@ def gls_fit(
     """
     _check_ratio(ratio)
     response, layout, x, y = _prepare(responses, model, response)
-    at_ratio = _evaluator(x, y, layout)(ratio)
+    at_ratio = _evaluator(x, y, layout)([ratio])[0]
     return _finalize(response, model, layout, x, y, ratio, ratio == 0.0, at_ratio, "gls")
 
 

@@ -275,6 +275,22 @@ def test_design_csv_round_trip_is_byte_stable_on_random_designs(tmp_path_factory
     assert second.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("low, high, coded", [(8.0, 8.001, 0.0), (1000.0, 1000.001, 0.5)])
+def test_design_csv_round_trip_is_exact_on_narrow_ranges_far_from_zero(
+    tmp_path, low, high, coded
+):
+    """There the text round trip moves a coded value by ~1e-10, far above a fixed
+    12-decimal snap; the reader's snap scales with the range and recovers it exactly."""
+    m = build_model([define_factor("a", "continuous", low=low, high=high)], "mains_only")
+    d = Design(factors=m.factors, whole_plot=(1, 1), settings=[[coded], [-1.0]])
+    first, second = tmp_path / "d1.csv", tmp_path / "d2.csv"
+    write_design_csv(first, d)
+    back, _ = read_design_csv(first, m)
+    assert back.settings.tolist() == [[coded], [-1.0]]
+    write_design_csv(second, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_design_csv_with_responses(tmp_path):
     d, m = small_design()
     path = tmp_path / "data.csv"
@@ -619,6 +635,20 @@ def test_unwritable_outputs_exit_2(model_file, tmp_path, capsys):
     assert f"error: cannot write output file {missing / 'x.csv'}: " in err
     assert f"error: cannot write output file {missing / 'p_whole_plot.csv'}: " in err
     assert not missing.exists()
+
+
+def test_unwritable_design_output_fails_before_the_search(
+    model_file, tmp_path, capsys, monkeypatch
+):
+    def no_search(spec):
+        raise AssertionError("the design search ran before --out was opened")
+
+    monkeypatch.setattr(splitplot.cli, "generate_design", no_search)
+    target = tmp_path / "missing_dir" / "x.csv"
+    rc = main(["design", str(model_file), "--runs", "8", "--whole-plots", "4",
+               "--out", str(target)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output file {target}: ")
 
 
 def test_negative_seeds_exit_2(model_file, truth_file, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from splitplot import (
     reml_objective,
     solve_v,
 )
+from splitplot import inference
 from splitplot.covariance import build_v, information, solve_v_unit
 from splitplot.inference import _evaluator
 
@@ -236,10 +239,38 @@ def test_reml_evaluator_carries_nothing_between_ratios(layout, p, etas, seed):
     evaluate = _evaluator(x, y, layout)
     dense = {}
     for eta in [0.0, *etas, 1e8, *reversed(etas), 0.0]:
-        got = evaluate(eta)
-        assert _evaluation_bytes(got) == _evaluation_bytes(_evaluator(x, y, layout)(eta))
+        (got,) = evaluate([eta])
+        assert _evaluation_bytes(got) == _evaluation_bytes(_evaluator(x, y, layout)([eta])[0])
         if eta not in dense:
             dense[eta] = extended_reml_objective(eta, x, y, layout)
         cond = 1.0 + float(layout.sizes.max()) * eta
         slack = 1e-9 * (1.0 + abs(dense[eta])) + n * np.finfo(float).eps * cond
         assert got.objective == pytest.approx(dense[eta], rel=0, abs=slack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layouts(),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(ETAS + (7.5, 1e8)) | st.floats(0.0, 1e8), min_size=2, max_size=12),
+    st.integers(1, 11),
+    st.integers(0, 2**32 - 1),
+)
+def test_reml_evaluator_rounds_alike_in_any_pass_width(layout, p, etas, chunk, seed):
+    """A ratio list scored in one stacked pass, one ratio per pass, or in uneven chunks
+    (the cell budget shrunk to fit chunk ratios) gives the same objective, beta,
+    X' V^{-1} X and y' P y bit for bit."""
+    n = layout.n_runs
+    assume(n > p)
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = rng.normal(size=n)
+    etas = [0.0, *etas, 1e8]
+    results = []
+    for width in (len(etas), 1, min(chunk, len(etas))):
+        with mock.patch.object(inference, "_PASS_CELLS", width * n * p):
+            got = _evaluator(x, y, layout)(etas)
+        assert len(got) == len(etas)
+        results.append([_evaluation_bytes(e) for e in got])
+    assert results[1] == results[0]
+    assert results[2] == results[0]

@@ -140,6 +140,35 @@ def test_rank_deficient_model_raises():
         reml_fit(tab, m, response="y")
 
 
+def test_gls_fit_refuses_an_exactly_rank_deficient_model():
+    """A 3-level factor that never takes its first level has effect-coded columns
+    with c2 = 1 + 2 c1; slogdet of X' V^{-1} X can still come out positive from
+    rounding, so the rank of X itself is what has to be checked."""
+    m = build_model(
+        [
+            define_factor("h", "categorical", levels=["a", "b"], hard_to_change=True),
+            define_factor("g", "categorical", levels=["p", "q", "r"], hard_to_change=True),
+        ],
+        "mains_only",
+    )
+    whole_plot = (1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 4)
+    a = np.asarray(whole_plot) - 1
+    settings = np.column_stack([
+        np.array([0.0, 1.0, 1.0, 1.0])[a],  # h per plot
+        np.array([1.0, 1.0, 2.0, 2.0])[a],  # g per plot, never at its first level
+    ])
+    d = Design(factors=m.factors, whole_plot=whole_plot, settings=settings)
+    y = np.array([0.9, 0.4, -0.5, 0.6, 0.4, 0.3, 0.0, 0.5, -0.7, -0.2, -0.5])
+    tab = ResponseTable(design=d, responses={"y": y})
+    for ratio in (0.0, 1.0, 7.5):
+        with pytest.raises(NumericalError, match="rank deficient"):
+            gls_fit(tab, m, ratio=ratio, response="y")
+    with pytest.raises(NumericalError, match="rank deficient"):
+        reml_fit(tab, m, response="y")
+    with pytest.raises(NumericalError, match="rank deficient"):
+        reml_objective(1.0, expand_model_matrix(d, m), y, d.layout)
+
+
 # ---------------------------------------------------------------- boundary
 
 
@@ -227,6 +256,17 @@ def one_run_plot_design():
     return d, m
 
 
+def repeated_tin_design(tin_design, copies):
+    """The tin design's plots repeated copies times: 24 * copies runs in 6 * copies plots."""
+    a = np.asarray(tin_design.whole_plot)
+    whole_plot = np.concatenate([a + 6 * c for c in range(copies)])
+    return Design(
+        factors=tin_design.factors,
+        whole_plot=tuple(int(i) for i in whole_plot),
+        settings=np.tile(tin_design.settings, (copies, 1)),
+    )
+
+
 def _pinned_fits(case, tin_design, tin_model):
     y1 = default_truth().responses["y1"]
     if case == "tin":
@@ -247,6 +287,11 @@ def _pinned_fits(case, tin_design, tin_model):
             intercept=10.0, coefficients={"a": 2.0, "b": 1.0}, sigma_gamma=0.0, sigma_epsilon=1.0,
         )})
         yield reml_fit(simulate(d, truth, seed=(50, 0)), m)
+    elif case == "large layout":
+        d = repeated_tin_design(tin_design, 82)  # 1 968 runs: 3 ratios per 2**16-cell pass
+        truth = TruthConfig(responses={"y1": y1})
+        for k in range(3):
+            yield reml_fit(simulate(d, truth, seed=(9, k)), tin_model)
     else:
         tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
         for ratio in (0.0, 1.0, 7.5):
@@ -255,13 +300,16 @@ def _pinned_fits(case, tin_design, tin_model):
 
 # sha256 over repr(ratio), repr(objective), boundary and the beta and cov_beta bytes
 # of each fit, recorded with the golden-section fit that solved V^{-1} X afresh at
-# every evaluation and refitted at the chosen ratio; fits must reproduce them exactly
+# every evaluation and refitted at the chosen ratio ("large layout", whose grid now
+# runs in several unequal passes, with the fit that scored one ratio at a time);
+# fits must reproduce them exactly
 PINNED_FITS = {
     "tin": "eadd0e33f7f6e79216c00993253514661cebd6cfc53a47397270be645b43d209",
     "one-run plot": "0e744b98cec5d971dab815bebe698213f5c2f92260c1a21be3751a2d26c0d84d",
     "cap": "bd047fa590faffcdef796e36dc1edd4f07c59daa6e8c38ab0b28d350962dfb59",
     "zero boundary": "a939619d1b11125381d20504e1a6fa5bb077fec60eedd0ec4cd44aa7d0b40395",
     "gls": "d4864e2317836f3fe2471baef1aa2a594f466ebb280569ded13f94ee3b93e230",
+    "large layout": "6f5d82830ca9ea3af78f1b42fd2e54acb2835414acec5eead6d6faae7c1389ef",
 }
 
 
