@@ -26,7 +26,8 @@ Truth file for simulate, key = value lines:
 Seeds, here and in every --seed flag, are non-negative integers.
 
 CSV outputs (design --out, simulate --out, profile --out) go to stdout when
-the path is omitted or '-'; profile prints its report there first.
+the path is omitted or '-'; profile prints its report there first.  A command
+that fails leaves an existing output file as it was.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.  A negative
 seed and a non-finite factor cell (nan, inf) are invalid input.
@@ -39,6 +40,7 @@ import contextlib
 import csv
 import io
 import math
+import os
 import sys
 
 import numpy as np
@@ -77,18 +79,36 @@ def _read_text(path, what: str) -> str:
 
 @contextlib.contextmanager
 def _output(target):
-    """Stdout for None and '-', a stream as is, else a UTF-8 file with newline=''."""
+    """Stdout for None and '-', a stream as is, else a UTF-8 file with newline=''.
+
+    A file is written to a new temporary file beside it, which replaces it only
+    when the block succeeds, so a failing command leaves an existing file as it
+    was.  A target that exists and is not a regular file (a device, a pipe) is
+    written in place.
+    """
     if target is None or target == "-":
         yield sys.stdout
-    elif hasattr(target, "write"):
+        return
+    if hasattr(target, "write"):
         yield target
-    else:
-        try:
-            fh = open(target, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ValidationError(f"cannot write output file {target}: {exc}") from None
+        return
+    path = os.fspath(target)
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    head, tail = os.path.split(path)
+    tmp = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w" if in_place else "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {target}: {exc}") from None
+    try:
         with fh:
             yield fh
+        if not in_place:
+            os.replace(tmp, path)
+    except BaseException:
+        if not in_place:
+            os.unlink(tmp)
+        raise
 
 
 def _write_table(target, header, rows) -> None:

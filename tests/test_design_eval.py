@@ -1,5 +1,7 @@
 """Power, collinearity and prediction-variance diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -119,18 +121,40 @@ def test_power_report_validation(tin_design, tin_model):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 1000), st.floats(0.0, 100.0), st.floats(0.01, 0.5))
-@example(1, 8.0, 0.05)  # nctdtr: lower tail nan directly and reflected
-@example(4, 40.0, 0.05)  # nctdtr: lower tail nan directly
-@example(9, 40.0, 0.05)  # nctdtr: upper tail nan directly
+@example(1, 8.0, 0.05)  # a lower tail of 1e-27
+@example(4, 40.0, 0.05)  # a lower tail below the smallest double
+@example(9, 40.0, 0.05)  # an upper tail that rounds to 1
 def test_power_row_matches_scipy_stats_oracle(df, delta, alpha):
     power = design_eval._two_sided_power(df, delta, alpha)
     t_crit = t_dist.ppf(1 - alpha / 2, df)
     assert 0.0 <= power <= 1.0
     oracle = nct.sf(t_crit, df, delta) + nct.sf(t_crit, df, -delta)
     assert abs(power - oracle) <= 1e-12
-    before = 1 - nct.cdf(t_crit, df, delta) + nct.cdf(-t_crit, df, delta)
-    if np.isfinite(before):
-        assert power == before  # every power that was finite keeps its bytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(1, 1000), st.floats(1.0, 1e6)),
+    st.floats(-10.0, math.log10(0.999)).map(lambda e: 10.0**e),
+)
+@example(1, 1e-10)
+@example(2, 1e-10)
+@example(10**6, 1e-10)
+@example(10**6, 0.999)
+@example(1, 0.999)
+@example(4, 0.9821718891880378)  # -stdtrit(4, alpha / 2) is 3.9e-13 too large here
+def test_t_crit_matches_mpmath(df, alpha):
+    """t with I_x(df / 2, 1 / 2) = alpha at x = df / (df + t^2), to 30 digits,
+    started from stdtrit at alpha / 2 (at 1 - alpha / 2 its rounding moves t_crit
+    by up to 8e-8 relative at alpha 1e-10)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        expected = mp.findroot(
+            lambda t: mp.betainc(mp.mpf(df) / 2, 0.5, 0, df / (df + t * t), regularized=True)
+            - alpha,
+            mp.mpf(float(-stdtrit(df, alpha / 2))),
+        )
+    assert design_eval._t_crit(df, alpha) == pytest.approx(float(expected), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("snr", [5.0, 8.0, 40.0, 1e12, 1e300])
@@ -142,29 +166,9 @@ def test_power_is_finite_for_strong_effects(tin_design, tin_model, snr):
         assert all(row.power == 1.0 for row in rep.rows)
 
 
-def test_power_fallbacks_where_nctdtr_is_nan(monkeypatch):
-    """A nan tail comes from its reflection, else from a bound within TAIL_TOL, else
-    from quadrature."""
-    import scipy.special
-
-    real = scipy.special.nctdtr
-    t_crit = t_dist.ppf(0.975, 9)
-    oracle = {d: nct.sf(t_crit, 9, d) + nct.sf(t_crit, 9, -d) for d in (3.0, 5.0, 10.0)}
-
-    def nan_where(cond):
-        monkeypatch.setattr(
-            scipy.special, "nctdtr", lambda df, nc, x: np.nan if cond(nc, x) else real(df, nc, x)
-        )
-
-    power = design_eval._two_sided_power
-    nan_where(lambda nc, x: nc > 0)  # both tails from their reflections
-    assert power(9, 3.0, 0.05) == pytest.approx(oracle[3.0], abs=1e-12)
-    nan_where(lambda nc, x: nc * x < 0)  # the lower tail is nan both ways
-    assert power(9, 10.0, 0.05) == pytest.approx(oracle[10.0], abs=1e-12)  # bound 1e-24
-    assert power(9, 5.0, 0.05) == pytest.approx(oracle[5.0], abs=1e-12)  # bound 4e-8: quadrature
-    nan_where(lambda nc, x: True)  # both tails nan both ways
-    assert power(9, 40.0, 0.05) == 1.0  # upper bound 2e-19: settled as 1
-    assert power(9, 3.0, 0.05) == pytest.approx(oracle[3.0], abs=1e-12)  # both integrated
+def _t_crit(df, alpha):
+    """The oracles' critical t, from the exact input alpha / 2 (see test_t_crit_matches_mpmath)."""
+    return float(-stdtrit(df, alpha / 2))
 
 
 def _mp_tail(df, delta, t):
@@ -191,8 +195,8 @@ def _mp_tail(df, delta, t):
     "df, delta", [(4, 6.37), (4, 6.39), (4, 6.41), (9, 6.18), (9, 6.22), (9, 6.26)]
 )
 def test_power_in_the_small_alpha_windows_matches_mpmath(df, delta):
-    """Here nctdtr is nan both ways and the closed-form bound (about 2e-13) misses TAIL_TOL."""
-    t_crit = float(stdtrit(df, 1 - 0.001 / 2))
+    """Both tails far out at a small alpha: the lower tail is about 2e-13."""
+    t_crit = _t_crit(df, 0.001)
     oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
     assert abs(design_eval._two_sided_power(df, delta, 0.001) - oracle) <= 1e-12
 
@@ -203,10 +207,10 @@ def test_power_in_the_small_alpha_windows_matches_mpmath(df, delta):
      (1e6, 37.5, 0.99)],
 )
 def test_power_is_one_where_the_upper_tail_is_settled_as_one(df, delta, alpha):
-    """Here the upper tail is nan both ways and its bound settles it as 1, while nctdtr
-    gives a finite lower tail (1.4e-14 at df 1e6, alpha 0.999) far above the true one;
-    adding the two made the power 1.0000000000000135."""
-    t_crit = float(stdtrit(df, 1 - alpha / 2))
+    """An upper tail whose complement is below rounding settles the power as 1; the
+    lower tail here is below 1e-300, and a wrong one of 1.4e-14 at df 1e6, alpha 0.999
+    would make the power 1.0000000000000135."""
+    t_crit = _t_crit(df, alpha)
     oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
     power = design_eval._two_sided_power(df, delta, alpha)
     assert 0.0 <= power <= 1.0
@@ -218,10 +222,10 @@ def test_power_is_one_where_the_upper_tail_is_settled_as_one(df, delta, alpha):
     [(1, 1e6, 1e-10), (1, 3e5, 1e-6), (1, 1e9, 1e-10), (2, 1e6, 1e-10)],
 )
 def test_power_where_the_upper_tail_is_nan_both_ways_matches_mpmath(df, delta, alpha):
-    """Here nctdtr's upper tail is nan directly and reflected and its bound cannot settle
-    it, so the power was nan; the upper tail is now integrated.  At df 2 the integral
-    rounds to 1 + 2e-16, which settles the power as 1."""
-    t_crit = float(stdtrit(df, 1 - alpha / 2))
+    """Far upper tails at t up to 6e9 and delta up to 1e9, where Phi(delta - t s) steps
+    over a width of 1 / delta in log s.  At df 2 the upper tail's complement is below
+    rounding, which settles the power as 1."""
+    t_crit = _t_crit(df, alpha)
     oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
     power = design_eval._two_sided_power(df, delta, alpha)
     assert 0.0 <= power <= 1.0
@@ -231,12 +235,39 @@ def test_power_where_the_upper_tail_is_nan_both_ways_matches_mpmath(df, delta, a
 
 
 @pytest.mark.parametrize(
+    "df, delta, alpha, expected",
+    [(2, 82222.0, 1e-10, 0.4913757404587445), (1, 25773.0, 1e-6, 0.03229284387956707),
+     (1, 1e5, 1e-10, 1.25331413726396e-05)],
+)
+def test_power_at_finite_scipy_errors_matches_mpmath(df, delta, alpha, expected):
+    """Far tails at df <= 2 and alpha <= 1e-6, near points where nctdtr's finite
+    tails were wrong by up to 2e-7; expected is _mp_tail's sum of the two tails."""
+    t_crit = _t_crit(df, alpha)
+    oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
+    assert oracle == pytest.approx(expected, rel=1e-13)
+    assert abs(design_eval._two_sided_power(df, delta, alpha) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "df, delta, alpha",
+    [(1e6, 2.0, 0.05), (1e6, -2.0, 0.05), (1e6, 4.0, 0.001), (1e6, -1.0, 1e-6)],
+)
+def test_tail_quadrature_at_df_1e6_matches_mpmath(df, delta, alpha):
+    """At df 1e6, (df / 2) log(df / 2) - lgamma(df / 2) and -(df / 2) s^2 are each
+    about 5e5 in the log density of log S; summed as such they cost about 2e-10
+    relative."""
+    t_crit = _t_crit(df, alpha)
+    tail = design_eval._tail_by_quadrature(df, delta, t_crit)
+    assert tail == pytest.approx(_mp_tail(df, delta, t_crit), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
     "df, delta, alpha",
     [(1, 3.0, 0.05), (1, 3.0, 1e-6), (4, 0.5, 0.05), (4, 6.39, 1e-10), (9, 6.18, 0.001),
      (30, 2.0, 0.999), (30, 20.0, 1e-6)],
 )
 def test_lower_tail_quadrature_matches_mpmath(df, delta, alpha):
-    t_crit = float(stdtrit(df, 1 - alpha / 2))
+    t_crit = _t_crit(df, alpha)
     oracle = _mp_tail(df, -delta, t_crit)
     tail = design_eval._tail_by_quadrature(df, -delta, t_crit)
     assert tail == pytest.approx(oracle, rel=1e-9)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import f as f_dist
 
@@ -408,9 +408,10 @@ def test_error_df_and_overall_f_bookkeeping():
     q, den = fit.df_overall
     assert q == m.n_parameters - 1
     assert den == fit.error_df[SUBPLOT]
-    assert fit.p_overall == f_dist.sf(fit.f_overall, q, den)
+    assert fit.p_overall == pytest.approx(f_dist.sf(fit.f_overall, q, den), rel=1e-12, abs=0)
     for test in fixed_effect_tests(fit):
-        assert test.p_value == f_dist.sf(test.f_stat, test.df_num, test.df_den)
+        expected = f_dist.sf(test.f_stat, test.df_num, test.df_den)
+        assert test.p_value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -419,11 +420,25 @@ def test_error_df_and_overall_f_bookkeeping():
     st.integers(1, 50),
     st.integers(1, 10_000),
 )
-def test_f_p_value_matches_scipy_stats_bit_for_bit(stat, df_num, df_den):
+@example(1.5804010189250162, 5, 8480)  # x near the continued fraction's switch point
+@example(878815.5075774473, 21, 43)
+@example(3.0, 1, 9)
+def test_f_p_value_matches_mpmath(stat, df_num, df_den):
+    """I_x(df_den / 2, df_num / 2) at x = df_den / (df_den + df_num stat), to 40 digits."""
+    mp = pytest.importorskip("mpmath")
     p = _f_sf(stat, df_num, df_den)
-    expected = float(f_dist.sf(stat, df_num, df_den))
     assert type(p) is float
-    assert p == expected or (math.isnan(p) and math.isnan(expected))
+    if math.isnan(stat):
+        assert math.isnan(p)
+        return
+    if stat <= 0 or stat == math.inf:
+        assert p == (1.0 if stat <= 0 else 0.0)
+        return
+    with mp.workdps(40):
+        x = mp.mpf(df_den) / (df_den + df_num * mp.mpf(stat))
+        expected = mp.betainc(mp.mpf(df_den) / 2, mp.mpf(df_num) / 2, 0, x, regularized=True)
+    if expected >= mp.mpf("1e-300"):
+        assert p == pytest.approx(float(expected), rel=1e-12, abs=0)
 
 
 def test_no_subplot_error_df_disables_overall_f_and_term_tests():
