@@ -27,15 +27,16 @@ with eta = sigma2_gamma / sigma2_eps, where the block inverse becomes
 
 and S holds the per-plot column sums of B.  `information` evaluates the
 second line; design search and design evaluation score designs with it.
-`solve_v_unit` evaluates the first.  The REML/GLS fit uses the first line
-too, because it also needs X' V^{-1} y and the weighted residual sum of
-squares.  It gathers S = Z'X to runs once per fit and forms V^{-1} X for a
-stack of ratios at a time, w[a] * S[a] subtracted from X in a (k, n, p)
-buffer with solve_v_unit's elementwise arithmetic; k is as many ratios as
-fit in 2^16 cells, up to the whole REML grid.  Each ratio's slice rounds as
-solve_v_unit would, so fitted output is unchanged.  The two lines round
-differently, and seeded designs and fitted output are pinned byte for
-byte, so each consumer keeps the form it has always used.
+`solve_v` evaluates the first, then divides by sigma2_eps.  The REML/GLS
+fit uses the first line too, because it also needs X' V^{-1} y and the
+weighted residual sum of squares.  It gathers S = Z'X to runs once per fit
+and forms V^{-1} X for a stack of ratios at a time, w[a] * S[a] subtracted
+from X in a (k, n, p) buffer with solve_v's elementwise arithmetic; k is as
+many ratios as fit in 2^16 cells, up to the whole REML grid.  Each ratio's
+slice rounds as solve_v would at unit error variance, so fitted output is
+unchanged.  The two lines round differently, and seeded designs and fitted
+output are pinned byte for byte, so each consumer keeps the form it has
+always used.
 """
 
 from __future__ import annotations
@@ -156,23 +157,18 @@ def information(layout: WholePlotLayout, b: np.ndarray, eta: float) -> np.ndarra
     return b.T @ b - s.T @ (s * _shrink(layout, eta)[:, None])
 
 
-def solve_v_unit(layout: WholePlotLayout, b: np.ndarray, eta: float) -> np.ndarray:
-    """V^{-1} b at V = I + eta Z Z', for an (n, k) array b."""
-    a = layout.zero_based
-    return b - _shrink(layout, eta)[a, None] * _plot_sums(layout, b)[a]
-
-
 def solve_v(model: CovarianceModel, rhs: np.ndarray) -> np.ndarray:
     """V^{-1} rhs through the per-plot closed form; rhs is (n,) or (n, k)."""
+    layout = model.layout
     b = np.asarray(rhs, dtype=float)
     one_dim = b.ndim == 1
     if one_dim:
         b = b[:, None]
-    if b.shape[0] != model.layout.n_runs:
-        raise ValidationError(
-            f"rhs has {b.shape[0]} rows, layout has {model.layout.n_runs} runs"
-        )
-    out = solve_v_unit(model.layout, b, model.components.ratio) / model.components.sigma2_epsilon
+    if b.shape[0] != layout.n_runs:
+        raise ValidationError(f"rhs has {b.shape[0]} rows, layout has {layout.n_runs} runs")
+    a = layout.zero_based
+    unit = b - _shrink(layout, model.components.ratio)[a, None] * _plot_sums(layout, b)[a]
+    out = unit / model.components.sigma2_epsilon
     return out[:, 0] if one_dim else out
 
 

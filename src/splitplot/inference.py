@@ -16,7 +16,7 @@ boundary solution.  Then
     sigma2_eps = y' P y / (n - p),   sigma2_gamma = eta * sigma2_eps.
 
 Wald tests use the containment denominator degrees of freedom,
-ModelSpec.error_df.
+ModelSpec.error_df; their p-values are tails.f_sf.
 
 All fits evaluate obj through one kernel, _evaluator, over a stack of
 ratios.  Per fit it checks that X has full column rank, gathers Z'X to
@@ -26,7 +26,7 @@ most the 49-point grid.  reml_fit scores its whole grid in ceil(49 / k)
 stacked passes: one on the 24-run tin design, and 49 of one ratio at
 12 800 runs, where the buffer is the size of X.  Golden-section steps,
 the eta = 0 check, gls_fit and reml_objective are passes of one ratio.
-Within a pass V^{-1} X is formed with covariance.solve_v_unit's
+Within a pass V^{-1} X is formed with covariance.solve_v's
 elementwise arithmetic, and X' V^{-1} X, slogdet and the solve for beta
 are stacked numpy calls whose every slice makes the BLAS or LAPACK call
 of a single ratio, so a ratio's result does not depend on the pass it is
@@ -35,8 +35,6 @@ scored in and fitted output is unchanged.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,6 +50,7 @@ from .covariance import (
 from .design_gen import Design, column_labels, expand_model_matrix
 from .errors import NumericalError, ValidationError
 from .model_spec import ModelSpec, SUBPLOT, _check_name
+from .tails import f_sf
 
 LOG_ETA_LOW = math.log(1e-8)
 LOG_ETA_HIGH = math.log(1e8)
@@ -61,9 +60,6 @@ GOLDEN_TOL = 1e-8
 # not within GOLDEN_TOL; an optimum within 0.01 % of the cap is the cap.
 _CAP_TOL = 1e-4
 _GRID_POINTS = 49
-_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
-_CF_HEAD = 64
-_CF_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ def _evaluator(x, y, layout):
         beta = np.linalg.solve(m, rhs[..., None])[..., 0]
         resid = y - np.matmul(x, beta[..., None])[..., 0]
         sums = np.bincount(bins[:k].ravel(), weights=resid.ravel(), minlength=k * r)
-        vr = resid - wa * sums.reshape(k, r)[:, a]  # V^{-1} resid, as solve_v_unit forms it
+        vr = resid - wa * sums.reshape(k, r)[:, a]  # V^{-1} resid, as solve_v forms it
         qform = [float(resid[i] @ vr[i]) for i in range(k)]
         if min(qform) <= noise_floor:
             raise NumericalError("zero residual variation; nothing to estimate")
@@ -171,8 +167,7 @@ def _evaluator(x, y, layout):
 
 def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLayout) -> float:
     """Profiled -2 restricted log likelihood, up to an additive constant."""
-    if not (np.isfinite(eta) and eta >= 0):
-        raise ValidationError("eta must be finite and >= 0")
+    _check_ratio(eta)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
@@ -230,7 +225,7 @@ class GlsFit:
     @property
     def p_overall(self) -> float | None:
         """P-value of the overall F, computed on read: a fit that never reads it pays nothing."""
-        return None if self.f_overall is None else _f_sf(self.f_overall, *self.df_overall)
+        return None if self.f_overall is None else f_sf(self.f_overall, *self.df_overall)
 
     @property
     def error_df(self) -> dict[str, int]:
@@ -273,118 +268,6 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
 def _wald_f(b, c, df_num) -> float:
     """Wald F = b' C^{-1} b / df_num for estimates b with covariance C."""
     return float(b @ np.linalg.solve(c, b)) / df_num
-
-
-def _stirling_remainder(z: float) -> float:
-    """lgamma(z) - ((z - 1/2) log z - z + log sqrt(2 pi)) for z >= 1/2, without the
-    cancellation of that difference at large z."""
-    if z < 10:
-        return math.lgamma(z) - ((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI)
-    r = 1 / (z * z)  # Stirling's series; its next term is below 4e-17 at z = 10
-    return (1 / 12 + r * (-1 / 360 + r * (1 / 1260 + r * (-1 / 1680 + r * (
-        1 / 1188 + r * (-691 / 360360 + r / 156)))))) / z
-
-
-@functools.lru_cache(maxsize=256)
-def _beta_constants(df_num: int, df_den: int):
-    """Per-(df_num, df_den) constants of _f_tails: a, b, (a + b) / a, (a + b) / b, the
-    continued fraction's switch point (a + 1) / (a + b + 2), and
-    sqrt(ab / (2 pi (a + b))) exp(delta(a + b) - delta(a) - delta(b))."""
-    a, b = df_den / 2, df_num / 2
-    rem = _stirling_remainder(a + b) - _stirling_remainder(a) - _stirling_remainder(b)
-    scale = math.sqrt(a * b / (2 * math.pi * (a + b))) * math.exp(rem)
-    return a, b, (a + b) / a, (a + b) / b, (a + 1) / (a + b + 2), scale
-
-
-def _log1pmx(u: float, one_plus_u: float) -> float:
-    """log(1 + u) - u, given 1 + u formed without cancellation."""
-    if abs(u) > 0.1:  # 1 + u underflows to 0 only where x or y does
-        return math.log(one_plus_u) - u if one_plus_u > 0 else -math.inf
-    w = u / (2 + u)  # log(1 + u) = 2 atanh(w) and u = 2w / (1 - w); the series ends below 1e-16
-    w2 = w * w
-    return 2 * w * w2 * (1 / 3 + w2 * (1 / 5 + w2 * (1 / 7 + w2 * (1 / 9 + w2 * (
-        1 / 11 + w2 / 13))))) - u * w
-
-
-def _cf_steps(a: float, b: float, start: int = 1):
-    """Steps m = start, start + 1, ... of the even contraction of the continued
-    fraction for I_x(a, b) (Numerical Recipes 6.4).  With d_k its k-th coefficient,
-    step m is num / (den + ...) with num = -d_(2m-1) d_(2m) and den = 1 + d_(2m) +
-    d_(2m+1); it is yielded as (num / x^2, (den - y) / x), y = 1 - x, so that den
-    is formed without cancellation where x is near 1."""
-    for m in range(start, _CF_MAX_STEPS):
-        k = a + 2 * m
-        even = m * (b - m) / ((k - 1) * k)
-        odd_before = -(a + m - 1) * (a + b + m - 1) / ((k - 2) * (k - 1))
-        odd_plus_1 = (a * (2 * m + 1 - b) + m * (3 * m + 2 - b)) / (k * (k + 1))
-        yield -odd_before * even, even + odd_plus_1
-
-
-@functools.lru_cache(maxsize=256)
-def _cf_head(a: float, b: float) -> tuple:
-    """The first _CF_HEAD steps of _cf_steps(a, b).  With df_num <= 50 no fraction
-    took more than 56 steps, at any df_den up to 1e6."""
-    return tuple(itertools.islice(_cf_steps(a, b), _CF_HEAD))
-
-
-def _beta_cf(a: float, b: float, x: float, y: float) -> float:
-    """The continued fraction of I_x(a, b) = x^a y^b / (a B(a, b)) * cf, y = 1 - x,
-    for x < (a + 1) / (a + b + 2), by modified Lentz on its even contraction."""
-    tiny = 1e-300  # stands in for an exact 0, which would divide by zero
-    d = h = 1 / ((y + (1 - b) * x / (a + 1)) or tiny)  # 1 - (a + b) x / (a + 1)
-    c = 1 / tiny
-    x2 = x * x
-    for num, den in itertools.chain(_cf_head(a, b), _cf_steps(a, b, _CF_HEAD + 1)):
-        num *= x2
-        den = y + den * x
-        d = 1 / ((den + num * d) or tiny)
-        c = (den + num / c) or tiny
-        step = d * c
-        h *= step
-        if -1e-15 < step - 1 < 1e-15:
-            return h
-    raise NumericalError(f"incomplete beta at a={a:g}, b={b:g}, x={x:g} did not converge")
-
-
-def _f_tails(stat: float, df_num: int, df_den: int) -> tuple[float, float, float]:
-    """(P(F > stat), P(F <= stat), x^a y^b / B(a, b)) for F ~ F(df_num, df_den) and
-    0 < stat < inf, with a = df_den / 2, b = df_num / 2, x = df_den / (df_den + df_num
-    stat) and y = 1 - x, so that P(F > stat) = I_x(a, b), the regularized incomplete beta.
-
-    The smaller tail comes from the continued fraction and the other is its
-    complement.  The prefactor is formed as in DiDonato and Morris (1992, ACM
-    TOMS 18:360, brcomp), without the cancellation of lgamma terms at large df:
-    x^a y^b / B(a, b) = sqrt(ab / (2 pi (a + b))) exp(a g(u) + b g(v) + delta(a + b)
-    - delta(a) - delta(b)), with g(u) = log(1 + u) - u, u = x / x0 - 1, v = y / y0 - 1,
-    x0 = a / (a + b), y0 = b / (a + b) and delta the Stirling remainder of lgamma.
-    u and v come straight from the inputs: u = df_num (1 - stat) / (df_den + df_num
-    stat) and v = -u df_den / df_num.
-    """
-    a, b, to_x0, to_y0, switch, scale = _beta_constants(df_num, df_den)
-    if stat > 1:  # divide through by stat, so that nothing overflows
-        p, q, m = df_den / stat, float(df_num), (1 - stat) / stat
-    else:
-        p, q, m = float(df_den), df_num * stat, 1 - stat
-    den = p + q
-    x, y = p / den, q / den
-    u, v = df_num * m / den, -df_den * m / den
-    front = scale * math.exp(a * _log1pmx(u, x * to_x0) + b * _log1pmx(v, y * to_y0))
-    if x < switch:
-        sf = front * _beta_cf(a, b, x, y) / a
-        return sf, 1 - sf, front
-    cdf = front * _beta_cf(b, a, y, x) / b
-    return 1 - cdf, cdf, front
-
-
-def _f_sf(stat, df_num, df_den) -> float:
-    """P(F > stat) for F ~ F(df_num, df_den): 1 at stat <= 0, 0 at inf, nan at nan."""
-    if stat <= 0:
-        return 1.0
-    if stat == math.inf:
-        return 0.0
-    if stat != stat:
-        return math.nan
-    return _f_tails(stat, df_num, df_den)[0]
 
 
 def _finalize(response, model, layout, x, y, eta, boundary, at_eta, method) -> GlsFit:
@@ -505,7 +388,7 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
                 df_num=term.df,
                 df_den=int(df_den),
                 f_stat=stat,
-                p_value=_f_sf(stat, term.df, df_den),
+                p_value=f_sf(stat, term.df, df_den),
             )
         )
     return tuple(out)

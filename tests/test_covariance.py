@@ -17,7 +17,7 @@ from splitplot import (
     solve_v,
 )
 from splitplot import inference
-from splitplot.covariance import build_v, information, solve_v_unit
+from splitplot.covariance import build_v, information
 from splitplot.inference import _evaluator
 
 
@@ -162,7 +162,8 @@ def test_information_matches_dense_oracle(layout, eta, k, seed):
     b = np.random.default_rng(seed).normal(size=(layout.n_runs, k))
     dense = np.linalg.solve(unit_v(layout, eta), b)
     # dense solves lose about cond(V) * eps, cond(V) <= 1 + 4 * 1e6
-    assert solve_v_unit(layout, b, eta) == pytest.approx(
+    unit = CovarianceModel(layout, VarianceComponents(eta, 1.0))
+    assert solve_v(unit, b) == pytest.approx(
         dense, abs=1e-8 * (1.0 + float(np.max(np.abs(b))))
     )
     got = information(layout, b, eta)

@@ -1,6 +1,7 @@
 """Power, collinearity and prediction-variance diagnostics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from splitplot import (
     power_report,
     prediction_variance,
 )
-from splitplot import design_eval
+from splitplot import design_eval, tails
 
 
 def easy_pair_design(u_col, v_col):
@@ -125,7 +126,7 @@ def test_power_report_validation(tin_design, tin_model):
 @example(4, 40.0, 0.05)  # a lower tail below the smallest double
 @example(9, 40.0, 0.05)  # an upper tail that rounds to 1
 def test_power_row_matches_scipy_stats_oracle(df, delta, alpha):
-    power = design_eval._two_sided_power(df, delta, alpha)
+    power = tails.two_sided_power(df, delta, alpha)
     t_crit = t_dist.ppf(1 - alpha / 2, df)
     assert 0.0 <= power <= 1.0
     oracle = nct.sf(t_crit, df, delta) + nct.sf(t_crit, df, -delta)
@@ -146,7 +147,7 @@ def test_power_row_matches_scipy_stats_oracle(df, delta, alpha):
 def test_t_crit_matches_mpmath(df, alpha):
     """t with I_x(df / 2, 1 / 2) = alpha at x = df / (df + t^2), to 30 digits,
     started from stdtrit at alpha / 2 (at 1 - alpha / 2 its rounding moves t_crit
-    by up to 8e-8 relative at alpha 1e-10)."""
+    by up to 8e-8 relative at alpha 1e-10), in at most 6 Newton steps."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         expected = mp.findroot(
@@ -154,7 +155,11 @@ def test_t_crit_matches_mpmath(df, alpha):
             - alpha,
             mp.mpf(float(-stdtrit(df, alpha / 2))),
         )
-    assert design_eval._t_crit(df, alpha) == pytest.approx(float(expected), rel=1e-13, abs=0)
+    with mock.patch.object(tails, "_f_tails", wraps=tails._f_tails) as f_tails:
+        t_crit = tails._t_crit(df, alpha)
+    assert t_crit == pytest.approx(float(expected), rel=1e-13, abs=0)
+    # one tail evaluation per Newton step: at most 5 over df 1..1e6 and alpha 1e-10..0.999
+    assert f_tails.call_count <= 6
 
 
 @pytest.mark.parametrize("snr", [5.0, 8.0, 40.0, 1e12, 1e300])
@@ -174,21 +179,43 @@ def _t_crit(df, alpha):
 def _mp_tail(df, delta, t):
     """E[ndtr(delta - t S)], S = sqrt(chi2_df / df), to 30 digits: P(T > t) at noncentrality
     delta, or P(T <= -t) at -delta.  For delta > 0, ndtr(delta - t s) steps down over a
-    width 1/t around s = delta/t, so the pieces break there too."""
+    width 1/t around s = delta/t, so the pieces break there too.  A far lower tail peaks
+    narrowly, so they also break around the integrand's mode, in units of its curvature
+    width.  mp.quad stops on an absolute error, so the integrand is taken relative to its
+    value at the mode: unscaled, a tail of 1e-115 was accepted 1e-7 off."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         df, delta, t = mp.mpf(df), mp.mpf(delta), mp.mpf(t)
         half = df / 2
         log_norm = mp.log(2) + half * mp.log(half) - mp.loggamma(half)
 
-        def integrand(s):
-            return mp.ncdf(delta - t * s) * mp.exp(log_norm + (df - 1) * mp.log(s) - half * s * s)
+        def log_h(s):
+            return mp.log(mp.ncdf(delta - t * s)) + (df - 1) * mp.log(s) - half * s * s
+
+        def mills(x):
+            return mp.npdf(x) / mp.ncdf(x)
+
+        lo, hi = mp.mpf("1e-30"), mp.mpf("1e30")
+        for _ in range(80):  # bisection in log s on the slope of log_h, which falls once
+            s = mp.sqrt(lo * hi)
+            if (df - 1) / s - df * s - t * mills(delta - t * s) > 0:
+                lo = s
+            else:
+                hi = s
+        mode = mp.sqrt(lo * hi)
+        x = delta - t * mode
+        m = mills(x)
+        width = 1 / mp.sqrt((df - 1) / mode**2 + df + t * t * m * (x + m))
+        peak = log_h(mode)
 
         pieces = [0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1, 1.5, 2, 4]
         if delta > 0:
             pieces += [(delta + k) / t for k in (-40, -10, -4, -2, -1, 0, 1, 2, 4, 10, 40)
                        if delta + k > 0]
-        return float(mp.quad(integrand, sorted(set(pieces)) + [mp.inf]))
+        pieces += [mode + k * width for k in (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)
+                   if mode + k * width > 0]
+        scaled = mp.quad(lambda s: mp.exp(log_h(s) - peak), sorted(set(pieces)) + [mp.inf])
+        return float(scaled * mp.exp(log_norm + peak))
 
 
 @pytest.mark.parametrize(
@@ -198,7 +225,7 @@ def test_power_in_the_small_alpha_windows_matches_mpmath(df, delta):
     """Both tails far out at a small alpha: the lower tail is about 2e-13."""
     t_crit = _t_crit(df, 0.001)
     oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
-    assert abs(design_eval._two_sided_power(df, delta, 0.001) - oracle) <= 1e-12
+    assert abs(tails.two_sided_power(df, delta, 0.001) - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -212,7 +239,7 @@ def test_power_is_one_where_the_upper_tail_is_settled_as_one(df, delta, alpha):
     would make the power 1.0000000000000135."""
     t_crit = _t_crit(df, alpha)
     oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
-    power = design_eval._two_sided_power(df, delta, alpha)
+    power = tails.two_sided_power(df, delta, alpha)
     assert 0.0 <= power <= 1.0
     assert abs(power - oracle) <= 1e-12
 
@@ -227,11 +254,11 @@ def test_power_where_the_upper_tail_is_nan_both_ways_matches_mpmath(df, delta, a
     rounding, which settles the power as 1."""
     t_crit = _t_crit(df, alpha)
     oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
-    power = design_eval._two_sided_power(df, delta, alpha)
+    power = tails.two_sided_power(df, delta, alpha)
     assert 0.0 <= power <= 1.0
     assert abs(power - oracle) <= 1e-12
-    upper = design_eval._tail_by_quadrature(df, delta, t_crit)
-    assert upper == pytest.approx(_mp_tail(df, delta, t_crit), rel=1e-12)
+    upper = tails._tail_by_quadrature(df, delta, t_crit)
+    assert upper == pytest.approx(_mp_tail(df, delta, t_crit), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -245,7 +272,7 @@ def test_power_at_finite_scipy_errors_matches_mpmath(df, delta, alpha, expected)
     t_crit = _t_crit(df, alpha)
     oracle = _mp_tail(df, delta, t_crit) + _mp_tail(df, -delta, t_crit)
     assert oracle == pytest.approx(expected, rel=1e-13)
-    assert abs(design_eval._two_sided_power(df, delta, alpha) - oracle) <= 1e-12
+    assert abs(tails.two_sided_power(df, delta, alpha) - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -257,7 +284,7 @@ def test_tail_quadrature_at_df_1e6_matches_mpmath(df, delta, alpha):
     about 5e5 in the log density of log S; summed as such they cost about 2e-10
     relative."""
     t_crit = _t_crit(df, alpha)
-    tail = design_eval._tail_by_quadrature(df, delta, t_crit)
+    tail = tails._tail_by_quadrature(df, delta, t_crit)
     assert tail == pytest.approx(_mp_tail(df, delta, t_crit), rel=1e-12, abs=0)
 
 
@@ -269,8 +296,8 @@ def test_tail_quadrature_at_df_1e6_matches_mpmath(df, delta, alpha):
 def test_lower_tail_quadrature_matches_mpmath(df, delta, alpha):
     t_crit = _t_crit(df, alpha)
     oracle = _mp_tail(df, -delta, t_crit)
-    tail = design_eval._tail_by_quadrature(df, -delta, t_crit)
-    assert tail == pytest.approx(oracle, rel=1e-9)
+    tail = tails._tail_by_quadrature(df, -delta, t_crit)
+    assert tail == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 def test_mpmath_oracle_resolves_the_step_at_large_t():
@@ -291,7 +318,7 @@ def test_mpmath_oracle_resolves_the_step_at_large_t():
 
 
 def test_power_report_flags_an_uncomputable_power(tin_design, tin_model, monkeypatch):
-    monkeypatch.setattr(design_eval, "_two_sided_power", lambda df, delta, alpha: np.nan)
+    monkeypatch.setattr(design_eval, "two_sided_power", lambda df, delta, alpha: np.nan)
     with pytest.raises(NumericalError, match="power for column 'nut_weight' is not computable"):
         power_report(tin_design, tin_model)
 

@@ -31,7 +31,7 @@ from splitplot import (
     residual_report,
     simulate,
 )
-from splitplot.inference import _f_sf
+from splitplot.tails import f_sf
 
 
 def intercept_only_design(whole_plot):
@@ -426,7 +426,7 @@ def test_error_df_and_overall_f_bookkeeping():
 def test_f_p_value_matches_mpmath(stat, df_num, df_den):
     """I_x(df_den / 2, df_num / 2) at x = df_den / (df_den + df_num stat), to 40 digits."""
     mp = pytest.importorskip("mpmath")
-    p = _f_sf(stat, df_num, df_den)
+    p = f_sf(stat, df_num, df_den)
     assert type(p) is float
     if math.isnan(stat):
         assert math.isnan(p)
