@@ -22,15 +22,30 @@ All fits evaluate obj through one kernel, _evaluator, over a stack of
 ratios.  Per fit it checks that X has full column rank, gathers Z'X to
 runs once and allocates one (k, n, p) buffer for V^{-1} X, with k the
 ratios that fit in _PASS_CELLS = 2^16 cells (512 KB), at least one and at
-most the 49-point grid.  reml_fit scores its whole grid in ceil(49 / k)
-stacked passes: one on the 24-run tin design, and 49 of one ratio at
-12 800 runs, where the buffer is the size of X.  Golden-section steps,
-the eta = 0 check, gls_fit and reml_objective are passes of one ratio.
-Within a pass V^{-1} X is formed with covariance.solve_v's
-elementwise arithmetic, and X' V^{-1} X, slogdet and the solve for beta
-are stacked numpy calls whose every slice makes the BLAS or LAPACK call
-of a single ratio, so a ratio's result does not depend on the pass it is
-scored in and fitted output is unchanged.
+most the 49-point grid plus eta = 0.  reml_fit scores its grid and eta = 0
+in ceil(50 / k) stacked passes: one on the 24-run tin design, and 50 of
+one ratio at 12 800 runs, where the buffer is the size of X.  gls_fit and
+reml_objective are passes of one ratio.  Within a pass V^{-1} X is formed
+with covariance.solve_v's elementwise arithmetic, and X' V^{-1} X, slogdet
+and the solve for beta are stacked numpy calls whose every slice makes the
+BLAS or LAPACK call of a single ratio, so a ratio's result does not depend
+on the pass it is scored in and fitted output is unchanged.
+
+Golden section looks ahead.  Which point a step scores next depends only
+on the comparisons made so far, so one pass scores the 2^D - 1 points the
+next D steps could ask for, one per outcome of the comparisons, and the
+walk then takes D steps comparing as a one-point search would; a step
+whose bracket is done asks for the midpoint, which is eta-hat.  Ratios
+score alike in any pass, so the lookahead moves no fitted digit.  D is the
+largest depth whose (2^D - 1) n p cells fit in _LOOKAHEAD_CELLS = 2^11, at
+least one: depth 3 and 16 passes per fit on the tin design, and depth 1
+(one point per pass, as without lookahead) once n p exceeds 682, from 63
+runs of the tin model on; at 12 800 runs a wider pass costs more than
+the passes it saves.  Lookahead adds no failure mode: every point lies
+inside the grid bracket, whose ends were already scored, and in exact
+arithmetic X' V^{-1} X is positive definite at every ratio while y' P y
+does not grow with eta, so a point between two ends that passed the rank
+and noise-floor checks passes them too.
 """
 
 from __future__ import annotations
@@ -105,6 +120,8 @@ class _Evaluation(NamedTuple):
 # cells (ratios x runs x columns) of the V^{-1} X work buffer, 512 KB: a whole
 # REML grid on a small design in one pass, one ratio per pass on a large one
 _PASS_CELLS = 2**16
+# cells of one golden-section lookahead pass; wider passes cost more than they save
+_LOOKAHEAD_CELLS = 2**11
 
 
 def _evaluator(x, y, layout):
@@ -122,7 +139,7 @@ def _evaluator(x, y, layout):
     r = layout.n_plots
     sizes = layout.sizes
     sx = _plot_sums(layout, x)[a]
-    width = max(1, min(_GRID_POINTS, _PASS_CELLS // (n * p)))
+    width = max(1, min(_GRID_POINTS + 1, _PASS_CELLS // (n * p)))
     vix = np.empty((width, n, p))
     bins = a + r * np.arange(width)[:, None]  # run -> (ratio, plot) bin of the residual sums
     # residual variation at rounding scale means the data carry no noise
@@ -176,23 +193,50 @@ def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLa
     return _evaluator(x, y, layout)([eta])[0].objective
 
 
-def _golden_section(fun, lo, hi, tol):
-    """Minimize a unimodal scalar function on [lo, hi]; returns the final bracket's midpoint."""
+def _golden_section(score, lo, hi, tol, depth):
+    """Minimize a unimodal function on [lo, hi], hi - lo > tol, by golden section.
+
+    score maps a list of points to their _Evaluations.  Each pass scores
+    every point the next `depth` steps could ask for (see the module
+    docstring); returns the final bracket's midpoint and its _Evaluation.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def step(a, b, c, d, left):
+        """The bracket after one comparison, and the point it asks for: c if left, else d."""
+        if left:
+            b, d = d, c
+            c = b - invphi * (b - a)
+            return a, b, c, d, c
+        a, c = c, d
+        d = a + invphi * (b - a)
+        return a, b, c, d, d
+
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return (a + b) / 2.0
+    fc, fd = (e.objective for e in score([c, d]))
+    branching = 2 ** (depth - 1) - 1  # nodes above the tree's last level
+    while True:
+        # breadth first, node k's children are 2k + 1 (reached if fc <= fd at k) and
+        # 2k + 2; a node whose bracket is done asks for its midpoint and has no children
+        tree, points = [step(a, b, c, d, fc <= fd)], []
+        for k in range(2**depth - 1):
+            node = tree[k]
+            done = node is None or node[1] - node[0] <= tol
+            if node is not None:
+                points.append((node[0] + node[1]) / 2.0 if done else node[4])
+            if k < branching:
+                tree += (None, None) if done else (step(*node[:4], True), step(*node[:4], False))
+        scored = iter(score(points))
+        values = [None if node is None else next(scored) for node in tree]
+        k = 0
+        for _ in range(depth):
+            a, b, c, d = tree[k][:4]
+            if b - a <= tol:
+                return (a + b) / 2.0, values[k]
+            fc, fd = (values[k].objective, fc) if fc <= fd else (fd, values[k].objective)
+            k = 2 * k + (1 if fc <= fd else 2)
 
 
 @dataclass(frozen=True)
@@ -267,6 +311,8 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
 
 def _wald_f(b, c, df_num) -> float:
     """Wald F = b' C^{-1} b / df_num for estimates b with covariance C."""
+    if df_num == 1:
+        return float(b[0] * (b[0] / c[0, 0]))  # the 1 x 1 solve's own rounding, without its cost
     return float(b @ np.linalg.solve(c, b)) / df_num
 
 
@@ -318,26 +364,30 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     """Estimate the variance ratio by REML; report the GLS fit at that ratio.
 
     The search evaluates the profiled objective on a log-spaced grid over
-    [1e-8, 1e8], refines the best bracket by golden section, and compares
-    the interior optimum against eta = 0; ties go to the boundary.  An
-    optimum at the upper cap (the grid minimum is its last point and golden
-    section ends within _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary
-    fit too, with the ratio left where golden section put it.  Each
-    evaluation is a GLS fit, so the one at the chosen ratio is reported as is.
+    [1e-8, 1e8] and at eta = 0 in one stacked pass, refines the best bracket
+    by golden section, and compares the interior optimum against eta = 0;
+    ties go to the boundary.  Golden section scores the points its next D
+    steps could ask for in one pass, D from _LOOKAHEAD_CELLS and the size of
+    X (see the module docstring); the eta it returns is the one a search
+    scoring one point per pass would return.  An optimum at the upper cap
+    (the grid minimum is its last point and golden section ends within
+    _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too, with the
+    ratio left where golden section put it.  Each evaluation is a GLS fit,
+    so the one at the chosen ratio is reported as is.
     """
     response, layout, x, y = _prepare(responses, model, response)
     evaluate = _evaluator(x, y, layout)
+    n, p = x.shape
+    depth = max(1, (_LOOKAHEAD_CELLS // (n * p) + 1).bit_length() - 1)
 
-    def obj(t):
-        return evaluate([math.exp(t)])[0].objective
-
-    ts = np.linspace(LOG_ETA_LOW, LOG_ETA_HIGH, _GRID_POINTS)
-    vals = [e.objective for e in evaluate([math.exp(t) for t in ts])]
-    k = int(np.argmin(vals))
+    ts = np.linspace(LOG_ETA_LOW, LOG_ETA_HIGH, _GRID_POINTS).tolist()  # floats: cheaper steps
+    *grid, zero = evaluate([*(math.exp(t) for t in ts), 0.0])
+    k = int(np.argmin([e.objective for e in grid]))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
-    t_star = _golden_section(obj, lo, hi, GOLDEN_TOL)
-    star, zero = evaluate([math.exp(t_star), 0.0])
+    t_star, star = _golden_section(
+        lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, depth
+    )
     if zero.objective <= star.objective:
         eta_hat, at_eta, boundary = 0.0, zero, True
     else:

@@ -3,12 +3,15 @@
 import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import f as f_dist
+from test_covariance import layouts
 
 from splitplot import (
     Design,
@@ -31,6 +34,8 @@ from splitplot import (
     residual_report,
     simulate,
 )
+from splitplot import inference
+from splitplot.inference import _wald_f
 from splitplot.tails import f_sf
 
 
@@ -321,6 +326,134 @@ def test_reml_fits_match_their_recorded_digests(tin_design, tin_model, case):
         digest.update(fit.beta.tobytes())
         digest.update(fit.cov_beta.tobytes())
     assert digest.hexdigest() == PINNED_FITS[case]
+
+
+def _fit_digest(fits):
+    digest = hashlib.sha256()
+    for fit in fits:
+        digest.update(f"{fit.ratio!r} {fit.objective!r} {fit.boundary}".encode())
+        digest.update(fit.beta.tobytes())
+        digest.update(fit.cov_beta.tobytes())
+    return digest.hexdigest()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layouts(),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.3, 3.0, 1e5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_reml_fit_is_the_same_at_every_lookahead_depth(layout, p, plot_scale, seed):
+    """Golden section looking 1, 2, 3 or 4 steps ahead walks to the same ratio and
+    reports the same fit bit for bit, on layouts with one-run plots and on data that
+    pin the ratio at zero, inside the grid or at its cap."""
+    n = layout.n_runs
+    assume(n > p)
+    factors = [define_factor(f"u{j}", "continuous") for j in range(max(p - 1, 1))]
+    m = build_model(factors, "mains_only" if p > 1 else [])
+    rng = np.random.default_rng(seed)
+    d = Design(factors=m.factors, whole_plot=layout.assignment,
+               settings=rng.uniform(-1.0, 1.0, size=(n, len(m.factors))))
+    y = rng.normal(size=n) + plot_scale * rng.normal(size=layout.n_plots)[layout.zero_based]
+    tab = ResponseTable(design=d, responses={"y": y})
+    digests = set()
+    for depth in (1, 2, 3, 4):
+        # the largest depth whose 2**depth - 1 points fit the cell budget is `depth`
+        with mock.patch.object(inference, "_LOOKAHEAD_CELLS", (2**depth - 1) * n * p):
+            digests.add(_fit_digest([reml_fit(tab, m, response="y")]))
+    assert len(digests) == 1
+
+
+def _one_point_golden_section(fun, lo, hi, tol):
+    """Golden section scoring one point per step: the reference for the lookahead."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    return (a + b) / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-20.0, 20.0),
+    st.sampled_from([2e-8, 1e-7, 1e-3, 0.77, 1.54]),
+    st.floats(-0.5, 1.5),
+    st.integers(1, 6),
+)
+def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, depth):
+    """Any depth, and brackets that end a few steps in (a done node high in the tree
+    leaves its subtree unscored), return the one-point search's midpoint bit for bit
+    and the score of that midpoint."""
+    hi = lo + width
+    target = lo + where * width
+
+    def score(points):
+        return [SimpleNamespace(objective=abs(t - target)) for t in points]
+
+    t_star, at_star = inference._golden_section(score, lo, hi, 1e-8, depth)
+    assert t_star == _one_point_golden_section(lambda t: abs(t - target), lo, hi, 1e-8)
+    assert at_star.objective == abs(t_star - target)
+
+
+def test_lookahead_pass_counts(tin_design, tin_model):
+    """Every stacked evaluator pass makes one slogdet call over its ratios.
+
+    The tin fit looks 3 steps ahead: the grid with eta = 0, the first golden pair,
+    13 passes of 7 points and the midpoint make 16 passes, against 44 when golden
+    section scored one point per pass.  The 1 968-run layout keeps depth 1, the
+    one-point search: 92 ratios per fit, the 93 of that search less the point its
+    last step scored and never compared."""
+    y1 = default_truth().responses["y1"]
+    tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
+    with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
+        reml_fit(tab, tin_model)
+    assert slogdet.call_count <= 16
+    with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
+        assert len(list(_pinned_fits("large layout", tin_design, tin_model))) == 3
+    widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
+    assert sum(widths) == 3 * 92
+    # per fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the first golden
+    # pair in one pass, then one point per pass
+    assert set(widths) == {1, 2, 3}
+    assert widths.count(3) == 3 * 16
+    assert widths.count(2) == 3 * 2
+
+
+# sha256 over repr(f_stat) and repr(p_value) of each fixed_effect_tests row of the
+# "tin" fits, recorded with the Wald F that solved b' C^{-1} b for every term
+PINNED_TIN_TESTS = "6ab43844ab8273c6ce47289e2e4c83f8c17757778d53a7f797e6df45af241d81"
+
+
+def test_tin_wald_tests_match_their_recorded_digest(tin_design, tin_model):
+    digest = hashlib.sha256()
+    for fit in _pinned_fits("tin", tin_design, tin_model):
+        for test in fixed_effect_tests(fit):
+            digest.update(f"{test.f_stat!r} {test.p_value!r}".encode())
+    assert digest.hexdigest() == PINNED_TIN_TESTS
+
+
+magnitudes = st.floats(-5.0, 5.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(magnitudes, magnitudes, st.booleans())
+@example(3.0, 7.0, False)
+def test_one_df_wald_f_rounds_like_the_solve(b, c, negative):
+    """The 1-df shortcut b (b / c) is b' C^{-1} b as the LAPACK solve rounds it."""
+    b = np.array([-b if negative else b])
+    c = np.array([[c]])
+    assert _wald_f(b, c, 1).hex() == float(b @ np.linalg.solve(c, b)).hex()
 
 
 def test_gls_fit_validates_ratio():
