@@ -100,6 +100,16 @@ def default_truth() -> TruthConfig:
 
 
 def _term_column(design: Design, label: str) -> np.ndarray:
+    """The read-only column of a truth term on the design, memoized on the design."""
+    col = design._memo.get(label)
+    if col is None:
+        col = _expand_term(design, label)
+        col.setflags(write=False)
+        design._memo[label] = col
+    return col
+
+
+def _expand_term(design: Design, label: str) -> np.ndarray:
     index = {f.name: i for i, f in enumerate(design.factors)}
     names = [p.strip() for p in label.split("*")]
     if len(set(names)) != len(names):

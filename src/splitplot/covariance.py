@@ -29,8 +29,8 @@ and S holds the per-plot column sums of B.  `information` evaluates the
 second line; design search and design evaluation score designs with it.
 `solve_v` evaluates the first, then divides by sigma2_eps.  The REML/GLS
 fit uses the first line too, because it also needs X' V^{-1} y and the
-weighted residual sum of squares.  It gathers S = Z'X to runs once per fit
-and forms V^{-1} X for a stack of ratios at a time, w[a] * S[a] subtracted
+weighted residual sum of squares.  It sums S = Z'X once per design and
+model, gathers it to runs once per fit, and forms V^{-1} X for a stack of ratios at a time, w[a] * S[a] subtracted
 from X in a (k, n, p) buffer with solve_v's elementwise arithmetic; k is as
 many ratios as fit in 2^16 cells, up to the whole REML grid.  Each ratio's
 slice rounds as solve_v would at unit error variance, so fitted output is

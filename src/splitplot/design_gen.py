@@ -108,6 +108,16 @@ class Design:
     start's final log det, its sweeps, the candidates scored exactly
     (the random start included) and the candidates screened by the
     determinant lemma.  It is None otherwise.
+
+    _memo holds what fitting and simulating derive from the settings alone,
+    so Monte Carlo replicates on one design derive it once.  A ModelSpec key
+    holds that model's read-only model matrix X, its full-rank check, Z'X
+    per plot and the bins of the REML evaluator, and its column labels
+    (inference fills it; a model that fails a check is checked again on the
+    next call).  A truth-term label key holds that term's read-only column
+    (boomerang_sim fills it; an invalid label raises on every call).  The
+    settings are read-only, so no entry goes stale; the memo lives as long
+    as the design and is no part of its equality or repr.
     """
 
     factors: tuple[Factor, ...]
@@ -118,6 +128,7 @@ class Design:
         default=None, repr=False, compare=False
     )
     layout: WholePlotLayout = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.settings, dtype=float)

@@ -19,17 +19,24 @@ Wald tests use the containment denominator degrees of freedom,
 ModelSpec.error_df; their p-values are tails.f_sf.
 
 All fits evaluate obj through one kernel, _evaluator, over a stack of
-ratios.  Per fit it checks that X has full column rank, gathers Z'X to
-runs once and allocates one (k, n, p) buffer for V^{-1} X, with k the
-ratios that fit in _PASS_CELLS = 2^16 cells (512 KB), at least one and at
-most the 49-point grid plus eta = 0.  reml_fit scores its grid and eta = 0
-in ceil(50 / k) stacked passes: one on the 24-run tin design, and 50 of
-one ratio at 12 800 runs, where the buffer is the size of X.  gls_fit and
-reml_objective are passes of one ratio.  Within a pass V^{-1} X is formed
-with covariance.solve_v's elementwise arithmetic, and X' V^{-1} X, slogdet
-and the solve for beta are stacked numpy calls whose every slice makes the
-BLAS or LAPACK call of a single ratio, so a ratio's result does not depend
-on the pass it is scored in and fitted output is unchanged.
+ratios.  It has a per-design part and a per-response part.  The per-design
+part, _design_part, checks that X has full column rank, sums Z'X per plot
+(r x p) and lays out the bins of the per-pass residual sums; reml_fit and
+gls_fit keep it, with the read-only X and its column labels, in the
+design's memo under the ModelSpec (see Design), so Monte Carlo replicates
+on one design derive it once, while reml_objective builds it afresh for
+the x it is given.  The per-response part holds y and its noise floor,
+gathers Z'X to runs and allocates one (k, n, p) buffer for V^{-1} X, with k
+the ratios that fit in _PASS_CELLS = 2^16 cells (512 KB), at least one and
+at most the 49-point grid plus eta = 0.  reml_fit scores its grid and
+eta = 0 in ceil(50 / k) stacked passes: one on the 24-run tin design, and
+50 of one ratio at 12 800 runs, where the buffer is the size of X.
+gls_fit and reml_objective are passes of one ratio.  Within a pass
+V^{-1} X is formed with covariance.solve_v's elementwise arithmetic, and
+X' V^{-1} X, slogdet, the solve for beta and y' P y are stacked numpy calls
+whose every slice makes the BLAS or LAPACK call of a single ratio, so a
+ratio's result does not depend on the pass it is scored in and fitted
+output is unchanged.
 
 Golden section looks ahead.  Which point a step scores next depends only
 on the comparisons made so far, so one pass scores the 2^D - 1 points the
@@ -75,6 +82,9 @@ GOLDEN_TOL = 1e-8
 # not within GOLDEN_TOL; an optimum within 0.01 % of the cap is the cap.
 _CAP_TOL = 1e-4
 _GRID_POINTS = 49
+# the REML grid: log ratios evenly spaced over [LOG_ETA_LOW, LOG_ETA_HIGH], and the ratios
+_GRID_LOG_ETAS = tuple(np.linspace(LOG_ETA_LOW, LOG_ETA_HIGH, _GRID_POINTS).tolist())
+_GRID_ETAS = tuple(math.exp(t) for t in _GRID_LOG_ETAS)
 
 
 @dataclass(frozen=True)
@@ -124,62 +134,104 @@ _PASS_CELLS = 2**16
 _LOOKAHEAD_CELLS = 2**11
 
 
-def _evaluator(x, y, layout):
-    """Per-fit evaluator: a sequence of etas -> one _Evaluation per eta, in order.
+def _row_dots(a, b) -> list[float]:
+    """[a[i] @ b[i] for each row i], in one stacked matmul.
 
-    Raises NumericalError if X lacks full column rank.  The etas are scored in
-    passes of up to len(vix) ratios (see the module docstring).  Within a pass
-    the ratios are checked in order: every slogdet sign before any solve, then
-    the noise floor.  The buffers live only as long as the returned function.
+    Each slice is the dot product of one row pair, so it rounds as the
+    per-row @ does; einsum("ij,ij->i") sums in another order and does not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
+
+
+class _DesignPart(NamedTuple):
+    """The per-design part of _evaluator, from _design_part; its arrays are read-only."""
+
+    x: np.ndarray  # of full column rank
+    layout: WholePlotLayout
+    plot_x: np.ndarray  # Z'X: per-plot column sums, r x p
+    width: int  # ratios per pass
+    bins: np.ndarray  # run -> (ratio, plot) bin of the residual sums, width x n
+
+    def evaluator(self, y):
+        """The per-response part: a sequence of etas -> one _Evaluation per eta, in order.
+
+        The etas are scored in passes of up to width ratios (see the module
+        docstring).  Within a pass the ratios are checked in order: every
+        slogdet sign before any solve, then the noise floor.  The buffers
+        live only as long as the returned function.
+        """
+        x, layout, plot_x, width, bins = self
+        n, p = x.shape
+        a = layout.zero_based
+        r = layout.n_plots
+        sizes = layout.sizes
+        sx = plot_x[a]
+        vix = np.empty((width, n, p))
+        # residual variation at rounding scale means the data carry no noise
+        noise_floor = 1e-24 * float(y @ y)
+
+        def one_pass(eta):
+            k = len(eta)
+            eta = eta[:, None]
+            scaled = sizes * eta
+            wa = (eta / (1.0 + scaled))[:, a]  # covariance._shrink per ratio, gathered to runs
+            buf = vix[:k]
+            np.multiply(wa[..., None], sx, out=buf)
+            np.subtract(x, buf, out=buf)
+            m = np.matmul(x.T, buf)
+            sign, ldm = np.linalg.slogdet(m)
+            # before the solve, which would raise LinAlgError on a singular slice
+            if not ((sign > 0).all() and np.isfinite(ldm).all()):
+                raise NumericalError("model matrix is rank deficient on this design")
+            rhs = np.matmul(buf.transpose(0, 2, 1), y)
+            # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
+            beta = np.linalg.solve(m, rhs[..., None])[..., 0]
+            resid = y - np.matmul(x, beta[..., None])[..., 0]
+            sums = np.bincount(bins[:k].ravel(), weights=resid.ravel(), minlength=k * r)
+            vr = resid - wa * sums.reshape(k, r)[:, a]  # V^{-1} resid, as solve_v forms it
+            qform = _row_dots(resid, vr)
+            if min(qform) <= noise_floor:
+                raise NumericalError("zero residual variation; nothing to estimate")
+            log_det_v = np.log1p(scaled).sum(axis=1).tolist()
+            objective = [
+                ld + d + (n - p) * math.log(q)
+                for ld, d, q in zip(log_det_v, ldm.tolist(), qform)
+            ]
+            return list(map(_Evaluation, objective, beta, m, qform))
+
+        def evaluate(etas):
+            etas = np.asarray(etas, dtype=float)
+            out = []
+            for start in range(0, len(etas), width):
+                out += one_pass(etas[start:start + width])
+            return out
+
+        return evaluate
+
+
+def _design_part(x, layout) -> _DesignPart:
+    """Check that X has full column rank and derive what every response on it shares.
+
+    Raises NumericalError if X lacks full column rank.  x itself is kept, so
+    a caller that shares the part passes a read-only x.
     """
     n, p = x.shape
     if np.linalg.matrix_rank(x) < p:
         raise NumericalError("model matrix is rank deficient on this design")
-    a = layout.zero_based
-    r = layout.n_plots
-    sizes = layout.sizes
-    sx = _plot_sums(layout, x)[a]
+    plot_x = _plot_sums(layout, x)
     width = max(1, min(_GRID_POINTS + 1, _PASS_CELLS // (n * p)))
-    vix = np.empty((width, n, p))
-    bins = a + r * np.arange(width)[:, None]  # run -> (ratio, plot) bin of the residual sums
-    # residual variation at rounding scale means the data carry no noise
-    noise_floor = 1e-24 * float(y @ y)
+    bins = layout.zero_based + layout.n_plots * np.arange(width)[:, None]
+    plot_x.setflags(write=False)
+    bins.setflags(write=False)
+    return _DesignPart(x, layout, plot_x, width, bins)
 
-    def one_pass(eta):
-        k = len(eta)
-        eta = eta[:, None]
-        scaled = sizes * eta
-        wa = (eta / (1.0 + scaled))[:, a]  # covariance._shrink per ratio, gathered to runs
-        buf = vix[:k]
-        np.multiply(wa[..., None], sx, out=buf)
-        np.subtract(x, buf, out=buf)
-        m = np.matmul(x.T, buf)
-        sign, ldm = np.linalg.slogdet(m)
-        ldm = ldm.tolist()
-        # before the solve, which would raise LinAlgError on a singular slice
-        if not all(s > 0 and math.isfinite(d) for s, d in zip(sign.tolist(), ldm)):
-            raise NumericalError("model matrix is rank deficient on this design")
-        rhs = np.matmul(buf.transpose(0, 2, 1), y)
-        # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
-        beta = np.linalg.solve(m, rhs[..., None])[..., 0]
-        resid = y - np.matmul(x, beta[..., None])[..., 0]
-        sums = np.bincount(bins[:k].ravel(), weights=resid.ravel(), minlength=k * r)
-        vr = resid - wa * sums.reshape(k, r)[:, a]  # V^{-1} resid, as solve_v forms it
-        qform = [float(resid[i] @ vr[i]) for i in range(k)]
-        if min(qform) <= noise_floor:
-            raise NumericalError("zero residual variation; nothing to estimate")
-        log_det_v = np.log1p(scaled).sum(axis=1).tolist()
-        objective = [ld + d + (n - p) * math.log(q) for ld, d, q in zip(log_det_v, ldm, qform)]
-        return list(map(_Evaluation, objective, beta, m, qform))
 
-    def evaluate(etas):
-        etas = np.asarray(etas, dtype=float)
-        out = []
-        for start in range(0, len(etas), width):
-            out += one_pass(etas[start:start + width])
-        return out
+def _evaluator(x, y, layout):
+    """The REML/GLS kernel: a sequence of etas -> one _Evaluation per eta, in order.
 
-    return evaluate
+    Raises NumericalError if X lacks full column rank.
+    """
+    return _design_part(x, layout).evaluator(y)
 
 
 def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLayout) -> float:
@@ -295,18 +347,22 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
     if response not in responses.responses:
         raise ValidationError(f"unknown response {response!r} (have {responses.names})")
     design = responses.design
-    layout = design.layout
-    if layout.n_plots < model.whole_plot_model_df:
-        raise ValidationError(
-            f"{layout.n_plots} whole plots cannot support "
-            f"{model.whole_plot_model_df} whole-plot model df"
-        )
-    x = expand_model_matrix(design, model)
-    y = responses.responses[response]
-    n, p = x.shape
-    if n - p < 1:
-        raise ValidationError("no residual degrees of freedom (n <= p)")
-    return response, layout, x, y
+    # what the fit derives from the design alone, once per design and model
+    terms = design._memo.get(model)
+    if terms is None:
+        layout = design.layout
+        if layout.n_plots < model.whole_plot_model_df:
+            raise ValidationError(
+                f"{layout.n_plots} whole plots cannot support "
+                f"{model.whole_plot_model_df} whole-plot model df"
+            )
+        x = expand_model_matrix(design, model)
+        n, p = x.shape
+        if n - p < 1:
+            raise ValidationError("no residual degrees of freedom (n <= p)")
+        x.setflags(write=False)
+        terms = design._memo[model] = (_design_part(x, layout), column_labels(model))
+    return (response, *terms, responses.responses[response])
 
 
 def _wald_f(b, c, df_num) -> float:
@@ -316,7 +372,8 @@ def _wald_f(b, c, df_num) -> float:
     return float(b @ np.linalg.solve(c, b)) / df_num
 
 
-def _finalize(response, model, layout, x, y, eta, boundary, at_eta, method) -> GlsFit:
+def _finalize(response, model, part, labels, y, eta, boundary, at_eta, method) -> GlsFit:
+    x, layout = part.x, part.layout
     n, p = x.shape
     beta = at_eta.beta
     sigma2_eps = at_eta.qform / (n - p)
@@ -342,7 +399,7 @@ def _finalize(response, model, layout, x, y, eta, boundary, at_eta, method) -> G
         response=response,
         model=model,
         layout=layout,
-        labels=column_labels(model),
+        labels=labels,
         beta=beta,
         cov_beta=cov_beta,
         components=components,
@@ -375,13 +432,12 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     ratio left where golden section put it.  Each evaluation is a GLS fit,
     so the one at the chosen ratio is reported as is.
     """
-    response, layout, x, y = _prepare(responses, model, response)
-    evaluate = _evaluator(x, y, layout)
-    n, p = x.shape
-    depth = max(1, (_LOOKAHEAD_CELLS // (n * p) + 1).bit_length() - 1)
+    response, part, labels, y = _prepare(responses, model, response)
+    evaluate = part.evaluator(y)
+    depth = max(1, (_LOOKAHEAD_CELLS // part.x.size + 1).bit_length() - 1)
 
-    ts = np.linspace(LOG_ETA_LOW, LOG_ETA_HIGH, _GRID_POINTS).tolist()  # floats: cheaper steps
-    *grid, zero = evaluate([*(math.exp(t) for t in ts), 0.0])
+    ts = _GRID_LOG_ETAS
+    *grid, zero = evaluate([*_GRID_ETAS, 0.0])
     k = int(np.argmin([e.objective for e in grid]))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
@@ -393,7 +449,7 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     else:
         at_cap = bool(k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL)
         eta_hat, at_eta, boundary = math.exp(t_star), star, at_cap
-    return _finalize(response, model, layout, x, y, eta_hat, boundary, at_eta, "reml")
+    return _finalize(response, model, part, labels, y, eta_hat, boundary, at_eta, "reml")
 
 
 def gls_fit(
@@ -405,9 +461,9 @@ def gls_fit(
     coefficient covariance and RMSE stay data driven.
     """
     _check_ratio(ratio)
-    response, layout, x, y = _prepare(responses, model, response)
-    at_ratio = _evaluator(x, y, layout)([ratio])[0]
-    return _finalize(response, model, layout, x, y, ratio, ratio == 0.0, at_ratio, "gls")
+    response, part, labels, y = _prepare(responses, model, response)
+    at_ratio = part.evaluator(y)([ratio])[0]
+    return _finalize(response, model, part, labels, y, ratio, ratio == 0.0, at_ratio, "gls")
 
 
 @dataclass(frozen=True)
@@ -430,7 +486,7 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
             raise ValidationError(
                 f"no {term.level} error df to test {term.label!r} against"
             )
-        stat = _wald_f(fit.beta[cols], fit.cov_beta[cols, :][:, cols], term.df)
+        stat = _wald_f(fit.beta[cols], fit.cov_beta[cols, cols], term.df)
         out.append(
             TermTest(
                 label=term.label,

@@ -62,6 +62,8 @@ class Factor:
 
     def __post_init__(self):
         _check_name(self.name, "factor")
+        # tuples keep the factor hashable: fits memoize per ModelSpec on the design
+        object.__setattr__(self, "levels", () if self.levels is None else tuple(self.levels))
         if self.kind not in _KINDS:
             raise ValidationError(f"factor kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind == "categorical":
@@ -168,6 +170,9 @@ class ModelTerm:
     level: str
     df: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
+
     @property
     def label(self) -> str:
         return "*".join(self.factors)
@@ -195,6 +200,9 @@ class ModelSpec:
     terms: tuple[ModelTerm, ...]
 
     def __post_init__(self):
+        # tuples keep the spec hashable: fits memoize per ModelSpec on the design
+        object.__setattr__(self, "factors", tuple(self.factors))
+        object.__setattr__(self, "terms", tuple(self.terms))
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate factor names")

@@ -1,5 +1,8 @@
 """Rolling-tin simulator: factor catalog, truth config and replicate draws."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from splitplot import (
     default_truth,
     define_factor,
     mean_surface,
+    reml_fit,
     simulate,
 )
 from splitplot.boomerang_sim import _term_column
@@ -189,6 +193,36 @@ def test_term_column_rejections():
     )
     with pytest.raises(ValidationError):
         _term_column(d3, "g")  # 3-level factor spans 2 columns
+
+
+def test_an_unknown_truth_term_raises_on_every_call():
+    d = small_tin_design()
+    bad = TruthConfig(responses={"y": ResponseTruth(
+        intercept=0.0, coefficients={"tension": 1.0, "mass": 2.0},
+        sigma_gamma=1.0, sigma_epsilon=1.0,
+    )})
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="mass"):
+            simulate(d, bad, seed=0)
+    assert "mass" not in d._memo
+    col = _term_column(d, "tension")
+    assert col is _term_column(d, "tension")  # expanded once per design
+    with pytest.raises(ValueError):
+        col[0] = 5.0  # and read-only
+
+
+def test_a_filled_memo_leaves_design_equality_and_repr_alone():
+    d = small_tin_design()
+    twin = copy.copy(d)  # shares the settings array, so == compares the designs
+    object.__setattr__(twin, "_memo", {})
+    before = repr(d)
+    table = simulate(d, default_truth(), seed=0)
+    reml_fit(table, build_model(d.factors, "mains_only"), response="y1")
+    assert len(d._memo) == 5 and not twin._memo  # 4 truth terms and one model
+    assert d == twin and twin == d
+    assert repr(d) == repr(twin) == before
+    memo = next(f for f in dataclasses.fields(Design) if f.name == "_memo")
+    assert not (memo.init or memo.repr or memo.compare)
 
 
 def test_truth_validation():

@@ -15,6 +15,8 @@ from test_covariance import layouts
 
 from splitplot import (
     Design,
+    ModelSpec,
+    ModelTerm,
     NumericalError,
     ResponseTable,
     ResponseTruth,
@@ -24,6 +26,7 @@ from splitplot import (
     WHOLE_PLOT,
     boomerang_model,
     build_model,
+    column_labels,
     default_truth,
     define_factor,
     expand_model_matrix,
@@ -629,3 +632,123 @@ def test_response_selection_rules():
     single = ResponseTable(design=d, responses={"y": np.array([0.0, 2.0, 4.0, 6.0])})
     fit = reml_fit(single, m)
     assert fit.response == "y"
+
+
+# ---------------------------------------------------------------- per-design memo
+
+
+def _rebuilt(design):
+    """A fresh Design with the same settings: an empty memo."""
+    return Design(factors=design.factors, whole_plot=design.whole_plot, settings=design.settings)
+
+
+def _replicate_digest(design_for, model, replicates):
+    """sha256 over the simulate, reml_fit, gls_fit and fixed_effect_tests output of
+    replicates (7, k) of the default truth, each on the design design_for(k)."""
+    digest = hashlib.sha256()
+    truth = default_truth()
+    for k in range(replicates):
+        table = simulate(design_for(k), truth, seed=(7, k))
+        for name in table.names:
+            digest.update(table.responses[name].tobytes())
+        fits = [reml_fit(table, model, response="y1"), gls_fit(table, model, 1.0, "y2")]
+        digest.update(_fit_digest(fits).encode())
+        for fit in fits:
+            digest.update(repr(fit.labels).encode())
+            digest.update(fit.fitted.tobytes())
+            for test in fixed_effect_tests(fit):
+                digest.update(f"{test.f_stat!r} {test.p_value!r}".encode())
+    return digest.hexdigest()
+
+
+def test_replicates_on_one_design_match_replicates_on_fresh_designs(tin_design, tin_model):
+    shared = _rebuilt(tin_design)
+    once = _replicate_digest(lambda k: shared, tin_model, 200)
+    assert tin_model in shared._memo  # the replicates did share the design's terms
+    assert once == _replicate_digest(lambda k: _rebuilt(tin_design), tin_model, 200)
+
+
+def test_each_model_on_a_design_keeps_its_own_terms(tin_design):
+    full, mains = boomerang_model(), boomerang_model("mains_only")
+    shared = _rebuilt(tin_design)
+    table = simulate(shared, default_truth(), seed=(3, 0))
+    fits = [reml_fit(table, m, response="y1") for m in (full, mains, full, mains)]
+    for fit, m in zip(fits, (full, mains, full, mains)):
+        x = shared._memo[m][0].x
+        assert np.array_equal(x, expand_model_matrix(shared, m))
+        assert fit.labels == column_labels(m)
+        assert fit.beta.shape == (m.n_parameters,)
+        fresh = simulate(_rebuilt(tin_design), default_truth(), seed=(3, 0))
+        assert _fit_digest([fit]) == _fit_digest([reml_fit(fresh, m, response="y1")])
+    assert shared._memo[full][0].x.shape[1] > shared._memo[mains][0].x.shape[1]
+
+
+def test_a_spec_built_from_lists_fits_like_build_model(tin_design):
+    """Fits key the design's memo by ModelSpec, so a spec whose fields were given as
+    lists must still hash; it fits as the spec build_model makes."""
+    built = boomerang_model("mains_only")
+    by_hand = ModelSpec(
+        factors=[dataclasses.replace(f, levels=list(f.levels)) for f in built.factors],
+        terms=[ModelTerm(list(t.factors), t.level, t.df) for t in built.terms],
+    )
+    assert by_hand == built
+    table = simulate(_rebuilt(tin_design), default_truth(), seed=(3, 1))
+    assert _fit_digest([reml_fit(table, by_hand, "y1")]) == _fit_digest(
+        [reml_fit(simulate(_rebuilt(tin_design), default_truth(), seed=(3, 1)), built, "y1")]
+    )
+
+
+def test_a_failed_check_fails_on_every_call():
+    facs = [define_factor("u", "continuous"), define_factor("v", "continuous")]
+    m = build_model(facs, "mains_only")
+    settings = np.column_stack([np.tile([-1.0, 1.0], 4), np.tile([-1.0, 1.0], 4)])
+    d = Design(factors=m.factors, whole_plot=(1, 1, 2, 2, 3, 3, 4, 4), settings=settings)
+    tab = ResponseTable(design=d, responses={"y": np.arange(8.0)})
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="rank deficient"):
+            reml_fit(tab, m, response="y")
+        with pytest.raises(NumericalError, match="rank deficient"):
+            gls_fit(tab, m, ratio=1.0, response="y")
+    saturated = build_model(facs, "mains_and_all_2fi")
+    small = Design(factors=m.factors, whole_plot=(1, 2, 3, 4),
+                   settings=[[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    tab = ResponseTable(design=small, responses={"y": np.arange(4.0)})
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="no residual degrees of freedom"):
+            reml_fit(tab, saturated, response="y")
+    assert not d._memo and not small._memo
+
+
+def test_writing_into_an_expanded_model_matrix_changes_no_fit(tin_design, tin_model):
+    d = _rebuilt(tin_design)
+    table = simulate(d, default_truth(), seed=(5, 0))
+    x = expand_model_matrix(d, tin_model)
+    x[:] = 0.0  # before the first fit
+    first = reml_fit(table, tin_model, response="y1")
+    x = expand_model_matrix(d, tin_model)
+    assert x.flags.writeable
+    x[:] = 0.0  # after it
+    again = reml_fit(table, tin_model, response="y1")
+    fresh = reml_fit(simulate(_rebuilt(tin_design), default_truth(), seed=(5, 0)),
+                     tin_model, response="y1")
+    assert _fit_digest([first]) == _fit_digest([again]) == _fit_digest([fresh])
+    with pytest.raises(ValueError):
+        d._memo[tin_model][0].x[0, 0] = 1.0  # the memo's arrays are read-only
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 50),
+    st.sampled_from([24, 25, 96, 800, 1968, 12800]),
+    st.floats(-5.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_row_dots_round_like_the_per_row_product(k, n, log_scale, seed):
+    """y' P y of every ratio in a pass, taken in one stacked matmul, is the per-row
+    resid @ vr bit for bit."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    a = rng.normal(size=(k, n)) * scale
+    b = a + rng.normal(size=(k, n)) * scale * rng.uniform(0.0, 1.0)
+    got = inference._row_dots(a, b)
+    assert [v.hex() for v in got] == [float(a[i] @ b[i]).hex() for i in range(k)]
