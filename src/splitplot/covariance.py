@@ -30,13 +30,14 @@ second line; design search and design evaluation score designs with it.
 `solve_v` evaluates the first, then divides by sigma2_eps.  The REML/GLS
 fit uses the first line too, because it also needs X' V^{-1} y and the
 weighted residual sum of squares.  It sums S = Z'X once per design and
-model, gathers it to runs once per fit, and forms V^{-1} X for a stack of ratios at a time, w[a] * S[a] subtracted
-from X in a (k, n, p) buffer with solve_v's elementwise arithmetic; k is as
-many ratios as fit in 2^16 cells, up to the whole REML grid.  Each ratio's
-slice rounds as solve_v would at unit error variance, so fitted output is
-unchanged.  The two lines round differently, and seeded designs and fitted
-output are pinned byte for byte, so each consumer keeps the form it has
-always used.
+model, gathers it to runs once per fit, and forms V^{-1} X for a stack of
+ratios at a time, w[a] * S[a] subtracted from X in a (k, n, p) buffer with
+solve_v's elementwise arithmetic; k is as many ratios as fit in 2^16 cells,
+up to the whole REML grid.  Each ratio's slice rounds as solve_v would at
+unit error variance, so fitted output is unchanged.  The two lines round
+differently, and seeded designs and fitted output are pinned byte for
+byte, so each consumer keeps the form it has always used; the design search
+keeps each score's S with its M and forms its screen's V^{-1} X rows from S.
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ class WholePlotLayout:
 
     zero_based (plot index per run, from 0), sizes (runs per plot) and
     n_plots are derived once at construction; the arrays are read-only.
+    _bins keeps _plot_sums' bincount index per block width.
     """
 
     assignment: tuple[int, ...]
     zero_based: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
     n_plots: int = field(init=False, repr=False, compare=False)
+    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.assignment) == 0:
@@ -137,10 +140,10 @@ def build_v(model: CovarianceModel) -> np.ndarray:
 
 def _plot_sums(layout: WholePlotLayout, b: np.ndarray) -> np.ndarray:
     """Z' b for an (n, k) array: per-plot column sums, accumulated in run order."""
-    k = b.shape[1]
-    r = layout.n_plots
-    bins = layout.zero_based + r * np.arange(k)[:, None]
-    sums = np.bincount(bins.ravel(), weights=b.T.ravel(), minlength=r * k)
+    k, r = b.shape[1], layout.n_plots
+    if k not in layout._bins:
+        layout._bins[k] = (layout.zero_based + r * np.arange(k)[:, None]).ravel()
+    sums = np.bincount(layout._bins[k], weights=b.T.ravel(), minlength=r * k)
     # C order keeps S' diag(w) S on the BLAS path, and so the rounding, that
     # the design search has always had
     return np.ascontiguousarray(sums.reshape(k, r).T)
@@ -151,10 +154,15 @@ def _shrink(layout: WholePlotLayout, eta: float) -> np.ndarray:
     return eta / (1.0 + layout.sizes * eta)
 
 
+def _information_sums(layout: WholePlotLayout, b: np.ndarray, eta: float):
+    """(B' V^{-1} B, S = Z'B): information and the plot sums it was formed from."""
+    s = _plot_sums(layout, b)
+    return b.T @ b - s.T @ (s * _shrink(layout, eta)[:, None]), s
+
+
 def information(layout: WholePlotLayout, b: np.ndarray, eta: float) -> np.ndarray:
     """B' V^{-1} B at V = I + eta Z Z', for an (n, k) block B; see the module docstring."""
-    s = _plot_sums(layout, b)
-    return b.T @ b - s.T @ (s * _shrink(layout, eta)[:, None])
+    return _information_sums(layout, b, eta)[0]
 
 
 def solve_v(model: CovarianceModel, rhs: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ keep any strict improvement, until a full sweep improves the criterion by
 at most 1e-9.
 
 Candidates that change one run are screened before they are scored.  With
-M = X' V^{-1} X of the incumbent, run r in plot i, u_r = x_r - w_i s_i (row
-r of V^{-1} X) and d = x_new - x_r, the new information matrix is
+M = X' V^{-1} X and the plot sums s_i of the incumbent, both kept from the
+exact score that accepted it, run r in plot i, u_r = x_r - w_i s_i (row r
+of V^{-1} X) and d = x_new - x_r, the new information matrix is
 
     M' = M + d u_r' + u_r d' + (1 - w_i) d d',
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import WholePlotLayout, _check_ratio, _plot_sums, information
+from .covariance import WholePlotLayout, _check_ratio, _information_sums, information
 from .errors import NumericalError, ValidationError
 from .model_spec import Factor, ModelSpec
 
@@ -163,6 +164,12 @@ class Design:
                         f"{varies.min() + 1}"
                     )
 
+    def __eq__(self, other):
+        """Value equality over factors, whole_plot, settings bytes and criterion."""
+        return other.__class__ is self.__class__ and (
+            self.factors, self.whole_plot, self.settings.tobytes(), self.criterion) == (
+            other.factors, other.whole_plot, other.settings.tobytes(), other.criterion)
+
     @property
     def n_runs(self) -> int:
         return len(self.whole_plot)
@@ -239,15 +246,15 @@ class _Exchanger:
     a full rebuild per candidate would give.
 
     A scan of one run first screens its candidates with the determinant
-    lemma of the module docstring, from M^{-1}, W = V^{-1} X M^{-1} and
-    e_r = u_r' M^{-1} u_r of the incumbent.  These are rebuilt, from one
-    _plot_sums, one inv and one refinement step, at the first one-run scan
-    after the incumbent changes.  A candidate is skipped only when its
-    screened log det + _SCREEN_MARGIN is at most the scan's best exact value
-    so far; the rest are scored exactly, and only an exact value is ever
-    accepted.  The screen is off while the incumbent's log det is <= 0 or
-    cond_1(M) > _SCREEN_MAX_COND, and for scans that move a plot of more
-    than one run.
+    lemma of the module docstring.  criterion keeps the M and S it scored,
+    the incumbent holds those of its own exact score, and an accept costs
+    the screen one inv of the held M; u_r, w_r = u_r' M^{-1} (with one
+    refinement step) and e_r are formed per run on first use and kept until
+    the next accept.  A candidate is skipped only when its screened log det
+    + _SCREEN_MARGIN is at most the scan's best exact value so far; the rest
+    are scored exactly, and only an exact value is ever accepted.  The
+    screen is off while the incumbent's log det is <= 0 or cond_1(M) >
+    _SCREEN_MAX_COND, and for scans that move a plot of more than one run.
     """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
@@ -264,12 +271,13 @@ class _Exchanger:
         self.run_plot_keep = 1.0 / (1.0 + sizes * ratio)  # 1 - m_i w_i
         self.run_keep = (1.0 + (sizes - 1) * ratio) * self.run_plot_keep  # 1 - w_i
         self.blocks: dict[tuple[int, bytes], np.ndarray] = {}
-        self.lemma = None  # (M^-1, W, e) of the incumbent, False if off, None if stale
-        self.evaluations = 0
-        self.screened = 0
+        self.scored = self.held = None  # (M, S) of the last exact score and of the incumbent
+        self.lemma = None  # (M^-1, {r: (w_r, e_r)}) of the incumbent, False if off, None if stale
+        self.evaluations = self.screened = 0
 
     def criterion(self, x: np.ndarray) -> float:
-        return _log_det(information(self.layout, x, self.ratio))
+        m, _ = self.scored = _information_sums(self.layout, x, self.ratio)
+        return _log_det(m)
 
     def random_start(self, rng) -> np.ndarray:
         n = self.layout.n_runs
@@ -300,27 +308,6 @@ class _Exchanger:
             x[r] = self._block(settings[r], fi)[k]
         settings[rows, fi] = self.cands[fi][k]
 
-    def _lemma_terms(self, x):
-        """(M^-1, W, e) of the incumbent X, or False where the screen is off."""
-        a = self.layout.zero_based
-        mean = _plot_sums(self.layout, x)[a] / self.layout.sizes[a, None]
-        # V^{-1} X, with x - w_i s_i written as (x - mean_i) + mean_i / (1 + m_i eta),
-        # which keeps plot-constant columns from cancelling at large eta
-        u = (x - mean) + mean * self.run_plot_keep[:, None]
-        m = x.T @ u
-        try:
-            minv = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            return False
-        cond = np.abs(m).sum(axis=0).max() * np.abs(minv).sum(axis=0).max()
-        if not cond <= _SCREEN_MAX_COND:
-            return False
-        w = u @ minv
-        # one refinement step: e is differenced against 1 - w_i, and inv alone can
-        # leave it wrong by 1e-12 relative on an ill-scaled M
-        w += (u - w @ m) @ minv
-        return minv, w, np.einsum("ij,ij->i", w, u).tolist()
-
     def _screen(self, settings, x, r, fi, best):
         """Screened log det for each candidate of run r's factor fi, or None if off.
 
@@ -329,15 +316,30 @@ class _Exchanger:
         """
         if not best > 0:
             return None
-        if self.lemma is None:
-            self.lemma = self._lemma_terms(x)
+        m, s = self.held
+        if self.lemma is None:  # M^-1 of the held M, once per incumbent
+            minv = np.linalg.inv(m)  # best > 0: the LU of slogdet found no zero pivot in m
+            cond = np.abs(m).sum(axis=0).max() * np.abs(minv).sum(axis=0).max()
+            self.lemma = (minv, {}) if cond <= _SCREEN_MAX_COND else False
         if self.lemma is False:
             return None
-        minv, w, e = self.lemma
+        minv, terms = self.lemma
+        if r not in terms:  # w_r = u_r' M^-1 and e_r, once per run and incumbent
+            i = self.layout.zero_based[r]
+            # u_r = x_r - w_i s_i, written as (x_r - mean_i) + mean_i / (1 + m_i eta),
+            # which keeps plot-constant columns from cancelling at large eta
+            mean = s[i] / self.layout.sizes[i]
+            u = (x[r] - mean) + mean * self.run_plot_keep[r]
+            w = u.dot(minv)  # ndarray.dot: @ dispatches as a ufunc, slower on tiny arrays
+            # one refinement step: e is differenced against 1 - w_i, and inv alone can
+            # leave it wrong by 1e-12 relative on an ill-scaled M
+            w += (u - w.dot(m)).dot(minv)
+            terms[r] = w, float(w.dot(u))
+        w_r, e_r = terms[r]
         d = self._block(settings[r], fi) - x[r]
-        keep, e_r = self.run_keep[r], e[r]
+        keep = self.run_keep[r]
         out = []
-        for a, b in zip(np.einsum("ij,ij->i", d @ minv, d).tolist(), (d @ w[r]).tolist()):
+        for a, b in zip(np.einsum("ij,ij->i", d.dot(minv), d).tolist(), d.dot(w_r).tolist()):
             det_ratio = (1.0 + b) ** 2 + a * (keep - e_r)
             out.append(best + math.log(det_ratio) if det_ratio > 0 else math.nan)
         return out
@@ -345,7 +347,7 @@ class _Exchanger:
     def _scan(self, settings, x, rows, fi, best, rng):
         """Try every candidate for one coordinate; ties keep the incumbent."""
         current = self.cand_index[fi][settings[rows[0], fi]]
-        best_k, best_val = current, best
+        best_k, best_val, best_held = current, best, self.held
         screened = self._screen(settings, x, rows[0], fi, best) if len(rows) == 1 else None
         moved = False
         for k in range(len(self.cands[fi])):
@@ -360,12 +362,12 @@ class _Exchanger:
             val = self.criterion(x)
             self.evaluations += 1
             if val > best_val:
-                best_k, best_val = k, val
+                best_k, best_val, best_held = k, val, self.scored
         if best_val == float("-inf"):
             # every choice singular: re-randomize to escape the flat region
-            best_k = int(rng.choice(len(self.cands[fi])))
+            best_k, best_held = int(rng.choice(len(self.cands[fi]))), None
         if best_k != current:
-            self.lemma = None
+            self.held, self.lemma = best_held, None
             moved = True
         if moved:
             self._set(settings, x, rows, fi, best_k)
@@ -381,7 +383,7 @@ class _Exchanger:
         settings = self.random_start(rng)
         x = model_matrix(self.model, settings)
         best = self.criterion(x)
-        self.evaluations, self.screened, self.lemma = 1, 0, None
+        self.evaluations, self.screened, self.held, self.lemma = 1, 0, self.scored, None
         for sweeps in range(1, _MAX_SWEEPS + 1):
             sweep_start = best
             for rows in self.layout.plot_rows:

@@ -26,6 +26,7 @@ from splitplot import (
 )
 from splitplot import design_gen
 from splitplot.cli import randomize_run_order
+from splitplot.covariance import _plot_sums, information
 
 
 def two_factor_model():
@@ -127,6 +128,23 @@ def test_design_settings_are_read_only():
     d = factorial_design(m)
     with pytest.raises(ValueError):
         d.settings[0, 0] = 0.0
+
+
+def test_designs_compare_by_value():
+    """Equal settings compare equal; one changed cell, plot or criterion does not."""
+    m = two_factor_model()
+    d = factorial_design(m)
+    twin = factorial_design(m)
+    assert twin.settings is not d.settings
+    assert d == twin and not d != twin
+    cell = d.settings.copy()
+    cell[1, 1] = 0.0
+    assert d != Design(factors=d.factors, whole_plot=d.whole_plot, settings=cell)
+    assert d != Design(factors=d.factors, whole_plot=(1, 2, 1, 2),
+                       settings=d.settings[[0, 2, 1, 3]])
+    assert d != dataclasses.replace(d, criterion=1.0)
+    assert dataclasses.replace(d, criterion=1.0) == dataclasses.replace(twin, criterion=1.0)
+    assert d != "design"
 
 
 # ---------------------------------------------------------------- plot membership
@@ -450,20 +468,25 @@ def test_criterion_invariant_to_run_permutation_and_plot_relabeling_on_random_de
     assert d_criterion(relabeled, model, ratio) == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
-@settings(max_examples=150, deadline=None)
-@given(exchange_cases(max_plots=8), st.integers(0, 2**32 - 1),
-       st.sampled_from([0.0, 1.0, 7.5, 1e4]))
-def test_screened_log_det_matches_the_exact_criterion(case, seed, ratio):
-    """A screened log det within 10 of the incumbent is its exact criterion to 1e-9,
-    one further down stays that far down, and the screened search makes the same
-    moves as one that scores every candidate."""
-    model, layout = case
-    worker = design_gen._Exchanger(model, layout, ratio)
-    screen = worker._screen
+def check_every_screen(worker):
+    """Wrap worker._screen so that each call checks its output against exact scores.
+
+    A screened log det within 10 of the incumbent must be its exact criterion to
+    1e-9, and one further down must stay that far down.  A screen that is off at
+    a positive log det must be off by the cond_1 gate.  Returns the list of
+    calls, True for each screen that ran.
+    """
+    model, layout, ratio, screen = worker.model, worker.layout, worker.ratio, worker._screen
+    calls = []
 
     def checked(settings, x, r, fi, best):
         out = screen(settings, x, r, fi, best)
+        calls.append(out is not None)
         if out is None:
+            if best > 0:
+                m = information(layout, x, ratio)
+                cond = np.abs(m).sum(axis=0).max() * np.abs(np.linalg.inv(m)).sum(axis=0).max()
+                assert not cond <= design_gen._SCREEN_MAX_COND
             return out
         assert best > 0
         for cand, val in zip(worker.cands[fi], out):
@@ -479,6 +502,18 @@ def test_screened_log_det_matches_the_exact_criterion(case, seed, ratio):
         return out
 
     worker._screen = checked
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(exchange_cases(max_plots=8), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1.0, 7.5, 1e4, 1e6, 1e8]))
+def test_screened_log_det_matches_the_exact_criterion(case, seed, ratio):
+    """Every screen passes check_every_screen, and the screened search makes the same
+    moves as one that scores every candidate."""
+    model, layout = case
+    worker = design_gen._Exchanger(model, layout, ratio)
+    check_every_screen(worker)
     with patch.object(design_gen, "_MAX_SWEEPS", 3):
         settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
         exact = design_gen._Exchanger(model, layout, ratio)
@@ -488,6 +523,69 @@ def test_screened_log_det_matches_the_exact_criterion(case, seed, ratio):
     assert settings.tobytes() == ref_settings.tobytes()
     assert repr(best) == repr(ref_best) and sweeps == ref_sweeps
     assert evaluations <= ref_evaluations and ref_screened == 0
+
+
+@pytest.mark.parametrize("ratio", [1e6, 1e8])
+def test_screened_log_det_at_large_ratios(tin_model, ratio):
+    """Small random models rarely keep a positive log det at large ratios, so the tin
+    model at 48 runs covers them: the screen runs at 1e6, where the held
+    M = information(X) has lost digits to cancellation, and the cond_1 gate keeps it
+    off at 1e8.  Both pass check_every_screen and match a search that screens none."""
+    layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
+    worker = design_gen._Exchanger(tin_model, layout, ratio)
+    calls = check_every_screen(worker)
+    exact = design_gen._Exchanger(tin_model, layout, ratio)
+    exact._screen = lambda *args: None
+    for seed in range(2):
+        settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
+        ref_settings, (ref_best, ref_sweeps, ref_evaluations, _) = exact.run(
+            np.random.default_rng(seed))
+        assert settings.tobytes() == ref_settings.tobytes()
+        assert repr(best) == repr(ref_best) and sweeps == ref_sweeps and best > 0
+        assert evaluations <= ref_evaluations
+    assert calls and any(calls) == (ratio < 1e8)
+
+
+def test_the_held_state_is_the_incumbents(tin_model):
+    """Every screen reads the incumbent's own M and S, byte for byte, and a (w_r, e_r)
+    that matches a dense from-scratch solve to 1e-12 relative."""
+    ratio = 1.0
+    layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
+    worker = design_gen._Exchanger(tin_model, layout, ratio)
+    z = layout.indicator()
+    v_inv = np.linalg.inv(np.eye(layout.n_runs) + ratio * z @ z.T)
+    scan, screen = worker._scan, worker._screen
+    accepted, used = [], []
+
+    def held_is_current(x):
+        m, s = worker.held
+        assert m.tobytes() == information(layout, x, ratio).tobytes()
+        assert s.tobytes() == _plot_sums(layout, x).tobytes()
+
+    def checked_scan(settings, x, *rest):
+        before = settings.tobytes()
+        best = scan(settings, x, *rest)
+        if settings.tobytes() != before:
+            held_is_current(x)
+            accepted.append(best)
+        return best
+
+    def checked_screen(settings, x, r, fi, best):
+        out = screen(settings, x, r, fi, best)
+        held_is_current(x)
+        if out is not None:
+            u = v_inv @ x  # row r is u_r
+            want = np.linalg.solve(x.T @ u, u[r])
+            w, e = worker.lemma[1][r]
+            assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
+            assert abs(e - want @ u[r]) <= 1e-12 * abs(want @ u[r])
+            used.append(r)
+        return out
+
+    worker._scan, worker._screen = checked_scan, checked_screen
+    settings, (best, _, _, screened) = worker.run(np.random.default_rng(1))
+    assert len(accepted) > 20 and accepted[-1] == best
+    assert screened > len(used) > 100 and len(set(used)) == layout.n_runs
 
 
 def test_the_screen_replaces_most_exact_scores(tin_model):
