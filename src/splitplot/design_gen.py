@@ -113,12 +113,13 @@ class Design:
     _memo holds what fitting and simulating derive from the settings alone,
     so Monte Carlo replicates on one design derive it once.  A ModelSpec key
     holds that model's read-only model matrix X, its full-rank check, Z'X
-    per plot and the bins of the REML evaluator, and its column labels
-    (inference fills it; a model that fails a check is checked again on the
+    per plot, the bins of the REML evaluator, its column labels and, once a
+    reml_fit's grid passes its checks, the grid's read-only X' V^{-1} X and
+    slogdet (inference fills it; what fails a check is checked again on the
     next call).  A truth-term label key holds that term's read-only column
     (boomerang_sim fills it; an invalid label raises on every call).  The
     settings are read-only, so no entry goes stale; the memo lives as long
-    as the design and is no part of its equality or repr.
+    as the design and is no part of its equality, hash or repr.
     """
 
     factors: tuple[Factor, ...]
@@ -164,11 +165,15 @@ class Design:
                         f"{varies.min() + 1}"
                     )
 
+    def _key(self):
+        return self.factors, self.whole_plot, self.settings.tobytes(), self.criterion
+
     def __eq__(self, other):
         """Value equality over factors, whole_plot, settings bytes and criterion."""
-        return other.__class__ is self.__class__ and (
-            self.factors, self.whole_plot, self.settings.tobytes(), self.criterion) == (
-            other.factors, other.whole_plot, other.settings.tobytes(), other.criterion)
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_runs(self) -> int:
@@ -331,8 +336,8 @@ class _Exchanger:
             mean = s[i] / self.layout.sizes[i]
             u = (x[r] - mean) + mean * self.run_plot_keep[r]
             w = u.dot(minv)  # ndarray.dot: @ dispatches as a ufunc, slower on tiny arrays
-            # one refinement step: e is differenced against 1 - w_i, and inv alone can
-            # leave it wrong by 1e-12 relative on an ill-scaled M
+            # one refinement step: inv alone leaves w a few ulps off the solve, and
+            # about half its entries off the correctly rounded one
             w += (u - w.dot(m)).dot(minv)
             terms[r] = w, float(w.dot(u))
         w_r, e_r = terms[r]

@@ -38,6 +38,13 @@ whose every slice makes the BLAS or LAPACK call of a single ratio, so a
 ratio's result does not depend on the pass it is scored in and fitted
 output is unchanged.
 
+The grid's X' V^{-1} X and slogdet, at the 49 grid ratios and eta = 0,
+depend on the design alone: the first reml_fit on a design keeps them,
+read-only, next to its per-design part once every grid pass has passed
+its checks, and later fits hand them to their grid passes, which still
+form V^{-1} X and check every sign before any solve.  That is 50 p^2
+floats whatever n is, 48 KB on the tin model; V^{-1} X is never kept.
+
 Golden section looks ahead.  Which point a step scores next depends only
 on the comparisons made so far, so one pass scores the 2^D - 1 points the
 next D steps could ask for, one per outcome of the comparisons, and the
@@ -153,12 +160,13 @@ class _DesignPart(NamedTuple):
     bins: np.ndarray  # run -> (ratio, plot) bin of the residual sums, width x n
 
     def evaluator(self, y):
-        """The per-response part: a sequence of etas -> one _Evaluation per eta, in order.
+        """The per-response part: (etas, grid=None) -> (_Evaluations, pass terms).
 
-        The etas are scored in passes of up to width ratios (see the module
-        docstring).  Within a pass the ratios are checked in order: every
-        slogdet sign before any solve, then the noise floor.  The buffers
-        live only as long as the returned function.
+        Each eta gets one _Evaluation, in order, from passes of up to width
+        ratios (see the module docstring); a pass takes its terms, X' V^{-1} X
+        and its slogdet, from grid, an earlier call's, if given.  Within a pass
+        the ratios are checked in order: every slogdet sign before any solve,
+        then the noise floor.  The buffers live as long as the returned function.
         """
         x, layout, plot_x, width, bins = self
         n, p = x.shape
@@ -170,7 +178,7 @@ class _DesignPart(NamedTuple):
         # residual variation at rounding scale means the data carry no noise
         noise_floor = 1e-24 * float(y @ y)
 
-        def one_pass(eta):
+        def one_pass(eta, terms):
             k = len(eta)
             eta = eta[:, None]
             scaled = sizes * eta
@@ -178,8 +186,10 @@ class _DesignPart(NamedTuple):
             buf = vix[:k]
             np.multiply(wa[..., None], sx, out=buf)
             np.subtract(x, buf, out=buf)
-            m = np.matmul(x.T, buf)
-            sign, ldm = np.linalg.slogdet(m)
+            if terms is None:  # X' V^{-1} X and its slogdet, unless a kept grid hands them in
+                m = np.matmul(x.T, buf)
+                terms = (m, *np.linalg.slogdet(m))
+            m, sign, ldm = terms
             # before the solve, which would raise LinAlgError on a singular slice
             if not ((sign > 0).all() and np.isfinite(ldm).all()):
                 raise NumericalError("model matrix is rank deficient on this design")
@@ -197,14 +207,16 @@ class _DesignPart(NamedTuple):
                 ld + d + (n - p) * math.log(q)
                 for ld, d, q in zip(log_det_v, ldm.tolist(), qform)
             ]
-            return list(map(_Evaluation, objective, beta, m, qform))
+            return list(map(_Evaluation, objective, beta, m, qform)), terms
 
-        def evaluate(etas):
+        def evaluate(etas, grid=None):
             etas = np.asarray(etas, dtype=float)
-            out = []
-            for start in range(0, len(etas), width):
-                out += one_pass(etas[start:start + width])
-            return out
+            out, passes = [], []
+            for i, start in enumerate(range(0, len(etas), width)):
+                scored, terms = one_pass(etas[start:start + width], grid and grid[i])
+                out += scored
+                passes.append(terms)
+            return out, passes
 
         return evaluate
 
@@ -231,7 +243,8 @@ def _evaluator(x, y, layout):
 
     Raises NumericalError if X lacks full column rank.
     """
-    return _design_part(x, layout).evaluator(y)
+    evaluate = _design_part(x, layout).evaluator(y)
+    return lambda etas: evaluate(etas)[0]
 
 
 def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLayout) -> float:
@@ -347,9 +360,9 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
     if response not in responses.responses:
         raise ValidationError(f"unknown response {response!r} (have {responses.names})")
     design = responses.design
-    # what the fit derives from the design alone, once per design and model
-    terms = design._memo.get(model)
-    if terms is None:
+    # [part, labels, grid] from the design alone, once per design and model
+    entry = design._memo.get(model)
+    if entry is None:
         layout = design.layout
         if layout.n_plots < model.whole_plot_model_df:
             raise ValidationError(
@@ -361,8 +374,8 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
         if n - p < 1:
             raise ValidationError("no residual degrees of freedom (n <= p)")
         x.setflags(write=False)
-        terms = design._memo[model] = (_design_part(x, layout), column_labels(model))
-    return (response, *terms, responses.responses[response])
+        entry = design._memo[model] = [_design_part(x, layout), column_labels(model), None]
+    return response, entry, responses.responses[response]
 
 
 def _wald_f(b, c, df_num) -> float:
@@ -430,19 +443,26 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     (the grid minimum is its last point and golden section ends within
     _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too, with the
     ratio left where golden section put it.  Each evaluation is a GLS fit,
-    so the one at the chosen ratio is reported as is.
+    so the one at the chosen ratio is reported as is.  After the first fit
+    on a design, the grid's X' V^{-1} X and log det come from its memo.
     """
-    response, part, labels, y = _prepare(responses, model, response)
+    response, entry, y = _prepare(responses, model, response)
+    part, labels, kept = entry
     evaluate = part.evaluator(y)
     depth = max(1, (_LOOKAHEAD_CELLS // part.x.size + 1).bit_length() - 1)
 
     ts = _GRID_LOG_ETAS
-    *grid, zero = evaluate([*_GRID_ETAS, 0.0])
+    (*grid, zero), passes = evaluate([*_GRID_ETAS, 0.0], kept)
+    if kept is None:  # every pass has passed its checks: keep its terms, read-only
+        for terms in passes:
+            for arr in terms:
+                arr.setflags(write=False)
+        entry[2] = tuple(passes)
     k = int(np.argmin([e.objective for e in grid]))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
     t_star, star = _golden_section(
-        lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, depth
+        lambda points: evaluate([math.exp(t) for t in points])[0], lo, hi, GOLDEN_TOL, depth
     )
     if zero.objective <= star.objective:
         eta_hat, at_eta, boundary = 0.0, zero, True
@@ -461,8 +481,8 @@ def gls_fit(
     coefficient covariance and RMSE stay data driven.
     """
     _check_ratio(ratio)
-    response, part, labels, y = _prepare(responses, model, response)
-    at_ratio = part.evaluator(y)([ratio])[0]
+    response, (part, labels, _), y = _prepare(responses, model, response)
+    (at_ratio,), _ = part.evaluator(y)([ratio])
     return _finalize(response, model, part, labels, y, ratio, ratio == 0.0, at_ratio, "gls")
 
 

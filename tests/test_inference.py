@@ -415,22 +415,29 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     The tin fit looks 3 steps ahead: the grid with eta = 0, the first golden pair,
     13 passes of 7 points and the midpoint make 16 passes, against 44 when golden
     section scored one point per pass.  The 1 968-run layout keeps depth 1, the
-    one-point search: 92 ratios per fit, the 93 of that search less the point its
-    last step scored and never compared."""
+    one-point search: 92 ratios on the first fit, the 93 of that search less the
+    point its last step scored and never compared, and 42 on each later fit on the
+    same design, whose 50 grid ratios come from the design's memo."""
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
         reml_fit(tab, tin_model)
     assert slogdet.call_count <= 16
+    per_fit = []
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
-        assert len(list(_pinned_fits("large layout", tin_design, tin_model))) == 3
-    widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
-    assert sum(widths) == 3 * 92
-    # per fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the first golden
-    # pair in one pass, then one point per pass
-    assert set(widths) == {1, 2, 3}
-    assert widths.count(3) == 3 * 16
-    assert widths.count(2) == 3 * 2
+        for _ in _pinned_fits("large layout", tin_design, tin_model):
+            per_fit.append([call.args[0].shape[0] for call in slogdet.call_args_list])
+            slogdet.reset_mock()
+    assert len(per_fit) == 3
+    assert sum(map(sum, per_fit)) == 92 + 2 * 42
+    # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the first
+    # golden pair in one pass, then one point per pass
+    first, *later = per_fit
+    assert set(first) == {1, 2, 3}
+    assert first.count(3) == 16
+    assert first.count(2) == 2
+    # later fits: the first golden pair, then one point per pass
+    assert all(widths == [2] + [1] * 40 for widths in later)
 
 
 # sha256 over repr(f_stat) and repr(p_value) of each fixed_effect_tests row of the
@@ -734,6 +741,97 @@ def test_writing_into_an_expanded_model_matrix_changes_no_fit(tin_design, tin_mo
     assert _fit_digest([first]) == _fit_digest([again]) == _fit_digest([fresh])
     with pytest.raises(ValueError):
         d._memo[tin_model][0].x[0, 0] = 1.0  # the memo's arrays are read-only
+
+
+def _kept_grid(design, model):
+    """The grid passes reml_fit keeps in the design's memo, or None."""
+    return design._memo[model][2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layouts(),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.3, 3.0, 1e5]),
+    st.sampled_from([0.0, 0.3, 3.0, 1e5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_fit_from_the_kept_grid_is_a_fresh_fit(layout, p, fill_scale, plot_scale, seed):
+    """Once a fit has kept the grid in the design's memo, a later fit on that design
+    reports the fit of a fresh, equal Design byte for byte, on layouts with one-run
+    plots and on data that pin the ratio at zero, inside the grid or at its cap."""
+    n = layout.n_runs
+    assume(n > p)
+    factors = [define_factor(f"u{j}", "continuous") for j in range(max(p - 1, 1))]
+    m = build_model(factors, "mains_only" if p > 1 else [])
+    rng = np.random.default_rng(seed)
+    d = Design(factors=m.factors, whole_plot=layout.assignment,
+               settings=rng.uniform(-1.0, 1.0, size=(n, len(m.factors))))
+    y_fill, y = (rng.normal(size=n) + scale * rng.normal(size=layout.n_plots)[layout.zero_based]
+                 for scale in (fill_scale, plot_scale))
+    tab = ResponseTable(design=d, responses={"fill": y_fill, "y": y})
+    reml_fit(tab, m, response="fill")
+    kept = _kept_grid(d, m)
+    assert kept is not None
+    fit = reml_fit(tab, m, response="y")
+    assert _kept_grid(d, m) is kept
+    fresh = reml_fit(ResponseTable(design=_rebuilt(d), responses={"y": y}), m, response="y")
+    assert _fit_digest([fit]) == _fit_digest([fresh])
+
+
+@pytest.mark.parametrize("case", ["zero boundary", "cap"])
+def test_boundary_fits_from_the_kept_grid_are_fresh_fits(tin_design, tin_model, case):
+    """The pinned zero-boundary and cap fits, refitted on a design whose memo
+    already holds the grid, report the fresh fits byte for byte."""
+    (fresh,) = _pinned_fits(case, _rebuilt(tin_design), tin_model)
+    d = _rebuilt(tin_design) if case == "cap" else lopsided_design()[0]
+    filler = np.random.default_rng(1).normal(size=d.n_runs)
+    reml_fit(ResponseTable(design=d, responses={"fill": filler}), fresh.model)
+    assert _kept_grid(d, fresh.model) is not None
+    fit = reml_fit(ResponseTable(design=d, responses={"y": fresh.y}), fresh.model)
+    assert fit.boundary and (fit.ratio == 0.0) == (case == "zero boundary")
+    assert _fit_digest([fit]) == _fit_digest([fresh])
+
+
+def test_a_noise_free_response_raises_after_the_grid_is_kept():
+    d, m = lopsided_design()
+    rng = np.random.default_rng(3)
+    noisy = rng.normal(size=d.n_runs)
+    x = expand_model_matrix(d, m)
+    flat = x @ np.array([10.0, 2.0, 1.0, 0.5])
+    tab = ResponseTable(design=d, responses={"noisy": noisy, "flat": flat})
+    first = reml_fit(tab, m, response="noisy")
+    kept = _kept_grid(d, m)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="zero residual variation"):
+            reml_fit(tab, m, response="flat")
+    assert _kept_grid(d, m) is kept
+    assert _fit_digest([reml_fit(tab, m, response="noisy")]) == _fit_digest([first])
+
+
+def test_a_grid_that_fails_its_check_is_never_kept():
+    """A failed rank check at a grid ratio raises on every call and keeps no grid;
+    the next fit whose grid passes keeps it.  A model whose X itself lacks full rank
+    keeps nothing at all: test_a_failed_check_fails_on_every_call."""
+    d, m = lopsided_design()
+    tab = ResponseTable(design=d, responses={"y": np.random.default_rng(4).normal(size=8)})
+    slogdet = np.linalg.slogdet
+
+    def one_negative_sign(a):
+        sign, ld = slogdet(a)
+        sign = sign.copy()
+        sign[-1] = -1.0  # eta = 0, the grid's last ratio
+        return sign, ld
+
+    for _ in range(2):
+        with mock.patch.object(np.linalg, "slogdet", one_negative_sign):
+            with pytest.raises(NumericalError, match="rank deficient"):
+                reml_fit(tab, m, response="y")
+        assert _kept_grid(d, m) is None
+    fit = reml_fit(tab, m, response="y")
+    assert _kept_grid(d, m) is not None
+    assert _fit_digest([fit]) == _fit_digest([reml_fit(
+        ResponseTable(design=_rebuilt(d), responses={"y": tab.responses["y"]}), m)])
 
 
 @settings(max_examples=300, deadline=None)
