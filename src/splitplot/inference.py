@@ -46,26 +46,32 @@ form V^{-1} X and check every sign before any solve.  That is 50 p^2
 floats whatever n is, 48 KB on the tin model; V^{-1} X is never kept.
 
 Golden section looks ahead.  Which point a step scores next depends only
-on the comparisons made so far, so one pass scores the 2^D - 1 points the
-next D steps could ask for, one per outcome of the comparisons, and the
-walk then takes D steps comparing as a one-point search would; a step
-whose bracket is done asks for the midpoint, which is eta-hat.  Ratios
-score alike in any pass, so the lookahead moves no fitted digit.  D is the
-largest depth whose (2^D - 1) n p cells fit in _LOOKAHEAD_CELLS = 2^11, at
-least one: depth 3 and 16 passes per fit on the tin design, and depth 1
-(one point per pass, as without lookahead) once n p exceeds 682, from 63
-runs of the tin model on; at 12 800 runs a wider pass costs more than
-the passes it saves.  Lookahead adds no failure mode: every point lies
-inside the grid bracket, whose ends were already scored, and in exact
-arithmetic X' V^{-1} X is positive definite at every ratio while y' P y
-does not grow with eta, so a point between two ends that passed the rank
-and noise-floor checks passes them too.
+on the comparisons made so far, so a pass can score points for several
+steps; the walk then compares as a one-point search would until it
+reaches a step whose point the pass did not score.  A step whose bracket
+is done asks for the midpoint, which is eta-hat.  A pass scores up to
+_LOOKAHEAD_POINTS = 7 points where 7 ratios fit one pass (n p up to
+9 362, 851 runs of the tin model), and one point otherwise, where a wider
+pass saves about what it costs.  A pass scores the path a parabola
+predicts: through the three lowest values scored so far, the bracket's
+grid points among them, it predicts "left" at a step when its vertex
+lies left of (c + d) / 2.  Near the optimum the objective is flat to
+rounding and predictions turn into coin flips, so once two paths have
+broken early, each pass scores the tree of the next 3 steps instead, one
+point per outcome of their comparisons.  A tin fit takes about 9 passes,
+against 15 with trees alone.  Ratios score alike in any pass and the
+walk makes the one-point search's comparisons, so neither prediction nor
+pass width moves a fitted digit.  Lookahead adds no failure mode: every
+point lies inside the grid bracket, whose ends were already scored, and
+in exact arithmetic X' V^{-1} X is positive definite at every ratio while
+y' P y does not grow with eta, so a point between two ends that passed
+the rank and noise-floor checks passes them too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -137,8 +143,10 @@ class _Evaluation(NamedTuple):
 # cells (ratios x runs x columns) of the V^{-1} X work buffer, 512 KB: a whole
 # REML grid on a small design in one pass, one ratio per pass on a large one
 _PASS_CELLS = 2**16
-# cells of one golden-section lookahead pass; wider passes cost more than they save
-_LOOKAHEAD_CELLS = 2**11
+# points per golden-section pass where that many ratios fit one pass, else one: on the
+# tin model 7 tied with 15 and beat 3 and 31 at 24 runs, and took 0.49 to 0.85 of one
+# point's time per fit from 96 to 768 runs; at 1 968 runs neither 3 nor 7 beat one point
+_LOOKAHEAD_POINTS = 7
 
 
 def _row_dots(a, b) -> list[float]:
@@ -258,55 +266,90 @@ def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLa
     return _evaluator(x, y, layout)([eta])[0].objective
 
 
-def _golden_section(score, lo, hi, tol, depth):
+def _vertex(best) -> float:
+    """Where the parabola through three (value, point) pairs is lowest; the lowest
+    point itself if the parabola opens downward or two points coincide."""
+    (f0, x0), (f1, x1), (f2, x2) = sorted(best, key=lambda pair: pair[1])
+    if x0 < x1 < x2:
+        s0 = (f1 - f0) / (x1 - x0)
+        curvature = ((f2 - f1) / (x2 - x1) - s0) / (x2 - x0)
+        if curvature > 0:
+            return (x0 + x1) / 2.0 - s0 / (2.0 * curvature)
+    return min(best)[1]
+
+
+def _golden_section(score, lo, hi, tol, budget, seeds):
     """Minimize a unimodal function on [lo, hi], hi - lo > tol, by golden section.
 
-    score maps a list of points to their _Evaluations.  Each pass scores
-    every point the next `depth` steps could ask for (see the module
-    docstring); returns the final bracket's midpoint and its _Evaluation.
+    score maps a list of points to their _Evaluations; seeds are one or more
+    known (value, point) pairs.  Each pass scores up to `budget` points the next
+    steps could ask for: the path a parabola through the three lowest values
+    predicts, or, once two paths have broken early, the tree of every outcome
+    (see the module docstring).  Returns the final bracket's midpoint, its
+    _Evaluation, and the passes and points scored.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def step(a, b, c, d, left):
-        """The bracket after one comparison, and the point it asks for: c if left, else d."""
+        """The bracket after one comparison and the point it asks for: c if left,
+        else d, and the midpoint once the bracket is done."""
         if left:
             b, d = d, c
             c = b - invphi * (b - a)
-            return a, b, c, d, c
-        a, c = c, d
-        d = a + invphi * (b - a)
-        return a, b, c, d, d
+        else:
+            a, c = c, d
+            d = a + invphi * (b - a)
+        return a, b, c, d, (a + b) / 2.0 if b - a <= tol else c if left else d
 
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = (e.objective for e in score([c, d]))
-    branching = 2 ** (depth - 1) - 1  # nodes above the tree's last level
+    best = sorted([*seeds, (fc, c), (fd, d)])[:3]
+    passes, points, misses = 1, 2, 0
     while True:
-        # breadth first, node k's children are 2k + 1 (reached if fc <= fd at k) and
-        # 2k + 2; a node whose bracket is done asks for its midpoint and has no children
-        tree, points = [step(a, b, c, d, fc <= fd)], []
-        for k in range(2**depth - 1):
-            node = tree[k]
-            done = node is None or node[1] - node[0] <= tol
-            if node is not None:
-                points.append((node[0] + node[1]) / 2.0 if done else node[4])
-            if k < branching:
-                tree += (None, None) if done else (step(*node[:4], True), step(*node[:4], False))
-        scored = iter(score(points))
-        values = [None if node is None else next(scored) for node in tree]
+        # breadth first from the next step; kids[k] maps an outcome (fc <= fd) at
+        # node k to its child, on the predicted side only while on a path
+        vertex = _vertex(best) if misses < 2 else None
+        nodes, kids = [step(a, b, c, d, fc <= fd)], [{}]
+        for k, (na, nb, nc, nd, _) in enumerate(nodes):
+            sides = (True, False) if vertex is None else (vertex < (nc + nd) / 2.0,)
+            for left in sides if nb - na > tol else ():
+                if len(nodes) < budget:
+                    kids[k][left] = len(nodes)
+                    nodes.append(step(na, nb, nc, nd, left))
+                    kids.append({})
+        values = score([node[4] for node in nodes])
+        passes, points = passes + 1, points + len(nodes)
+        best = sorted(best + [(e.objective, node[4]) for e, node in zip(values, nodes)])[:3]
         k = 0
-        for _ in range(depth):
-            a, b, c, d = tree[k][:4]
+        while k is not None:
+            a, b, c, d, t = nodes[k]
             if b - a <= tol:
-                return (a + b) / 2.0, values[k]
+                return t, values[k], passes, points
             fc, fd = (values[k].objective, fc) if fc <= fd else (fd, values[k].objective)
-            k = 2 * k + (1 if fc <= fd else 2)
+            left = fc <= fd
+            misses += len(kids[k]) == 1 and left not in kids[k]  # the path went the other way
+            k = kids[k].get(left)
+
+
+class _RemlSearch(NamedTuple):
+    """How reml_fit found its ratio: GlsFit.search."""
+
+    grid_argmin: int  # index of the lowest objective on the 49-point grid
+    bracket: tuple[float, float]  # the log-eta bracket golden section refined
+    passes: int  # golden-section evaluator passes
+    ratios: int  # ratios those passes scored
+    boundary: str | None  # None, "zero" or "cap"
 
 
 @dataclass(frozen=True)
 class GlsFit:
-    """A fitted response: variance components, coefficients, and fit stats."""
+    """A fitted response: variance components, coefficients, and fit stats.
+
+    search, set by reml_fit, records how it found the ratio (_RemlSearch);
+    it is None on a gls_fit.
+    """
 
     response: str
     model: ModelSpec
@@ -326,6 +369,7 @@ class GlsFit:
     rmse: float
     f_overall: float | None
     df_overall: tuple[int, int] | None
+    search: _RemlSearch | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_runs(self) -> int:
@@ -385,10 +429,12 @@ def _wald_f(b, c, df_num) -> float:
     return float(b @ np.linalg.solve(c, b)) / df_num
 
 
-def _finalize(response, model, part, labels, y, eta, boundary, at_eta, method) -> GlsFit:
+def _finalize(
+    response, model, part, labels, y, eta, boundary, at_eta, method, search=None
+) -> GlsFit:
     x, layout = part.x, part.layout
     n, p = x.shape
-    beta = at_eta.beta
+    beta = at_eta.beta.copy()  # a row of its pass's solve: a fit keeps no pass's arrays
     sigma2_eps = at_eta.qform / (n - p)
     components = VarianceComponents(
         sigma2_gamma=eta * sigma2_eps, sigma2_epsilon=sigma2_eps
@@ -427,6 +473,7 @@ def _finalize(response, model, part, labels, y, eta, boundary, at_eta, method) -
         rmse=rmse,
         f_overall=f_overall,
         df_overall=df_overall,
+        search=search,
     )
 
 
@@ -436,20 +483,24 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     The search evaluates the profiled objective on a log-spaced grid over
     [1e-8, 1e8] and at eta = 0 in one stacked pass, refines the best bracket
     by golden section, and compares the interior optimum against eta = 0;
-    ties go to the boundary.  Golden section scores the points its next D
-    steps could ask for in one pass, D from _LOOKAHEAD_CELLS and the size of
-    X (see the module docstring); the eta it returns is the one a search
-    scoring one point per pass would return.  An optimum at the upper cap
-    (the grid minimum is its last point and golden section ends within
-    _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too, with the
-    ratio left where golden section put it.  Each evaluation is a GLS fit,
-    so the one at the chosen ratio is reported as is.  After the first fit
-    on a design, the grid's X' V^{-1} X and log det come from its memo.
+    ties go to the boundary.  Golden section scores up to _LOOKAHEAD_POINTS
+    per pass, where they fit one pass: the path a parabola through the
+    lowest values predicts its steps will take, and after two paths that
+    break early the tree of its next steps (see the module docstring); the
+    eta it returns is the one a search scoring one point per pass would
+    return.  An optimum at the upper cap (the grid minimum is its last
+    point and golden section ends within _CAP_TOL of LOG_ETA_HIGH) is
+    flagged as a boundary fit too, with the ratio left where golden section
+    put it.  Each evaluation is a GLS fit, so the one at the chosen ratio
+    is reported as is.  After the first fit on a design, the grid's
+    X' V^{-1} X and log det come from its memo.  The fit's search records
+    the grid argmin, the bracket, the golden-section passes and ratios, and
+    the boundary reason.
     """
     response, entry, y = _prepare(responses, model, response)
     part, labels, kept = entry
     evaluate = part.evaluator(y)
-    depth = max(1, (_LOOKAHEAD_CELLS // part.x.size + 1).bit_length() - 1)
+    budget = _LOOKAHEAD_POINTS if part.width >= _LOOKAHEAD_POINTS else 1
 
     ts = _GRID_LOG_ETAS
     (*grid, zero), passes = evaluate([*_GRID_ETAS, 0.0], kept)
@@ -461,15 +512,19 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     k = int(np.argmin([e.objective for e in grid]))
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
-    t_star, star = _golden_section(
-        lambda points: evaluate([math.exp(t) for t in points])[0], lo, hi, GOLDEN_TOL, depth
+    t_star, star, *counts = _golden_section(
+        lambda points: evaluate([math.exp(t) for t in points])[0], lo, hi, GOLDEN_TOL, budget,
+        [(e.objective, t) for t, e in zip(ts, grid) if lo <= t <= hi],
     )
     if zero.objective <= star.objective:
-        eta_hat, at_eta, boundary = 0.0, zero, True
+        eta_hat, at_eta, reason = 0.0, zero, "zero"
     else:
-        at_cap = bool(k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL)
-        eta_hat, at_eta, boundary = math.exp(t_star), star, at_cap
-    return _finalize(response, model, part, labels, y, eta_hat, boundary, at_eta, "reml")
+        at_cap = k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL
+        eta_hat, at_eta, reason = math.exp(t_star), star, "cap" if at_cap else None
+    search = _RemlSearch(k, (lo, hi), *counts, reason)
+    return _finalize(
+        response, model, part, labels, y, eta_hat, reason is not None, at_eta, "reml", search
+    )
 
 
 def gls_fit(

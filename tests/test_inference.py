@@ -348,9 +348,10 @@ def _fit_digest(fits):
     st.integers(0, 2**32 - 1),
 )
 def test_reml_fit_is_the_same_at_every_lookahead_depth(layout, p, plot_scale, seed):
-    """Golden section looking 1, 2, 3 or 4 steps ahead walks to the same ratio and
-    reports the same fit bit for bit, on layouts with one-run plots and on data that
-    pin the ratio at zero, inside the grid or at its cap."""
+    """Golden section scoring up to 1, 3, 7 or 15 points per pass, on predicted
+    paths and on trees, walks to the same ratio and reports the same fit bit for
+    bit, on layouts with one-run plots and on data that pin the ratio at zero,
+    inside the grid or at its cap."""
     n = layout.n_runs
     assume(n > p)
     factors = [define_factor(f"u{j}", "continuous") for j in range(max(p - 1, 1))]
@@ -361,9 +362,8 @@ def test_reml_fit_is_the_same_at_every_lookahead_depth(layout, p, plot_scale, se
     y = rng.normal(size=n) + plot_scale * rng.normal(size=layout.n_plots)[layout.zero_based]
     tab = ResponseTable(design=d, responses={"y": y})
     digests = set()
-    for depth in (1, 2, 3, 4):
-        # the largest depth whose 2**depth - 1 points fit the cell budget is `depth`
-        with mock.patch.object(inference, "_LOOKAHEAD_CELLS", (2**depth - 1) * n * p):
+    for points in (1, 3, 7, 15):  # each fits one pass: these layouts have 50 ratios per pass
+        with mock.patch.object(inference, "_LOOKAHEAD_POINTS", points):
             digests.add(_fit_digest([reml_fit(tab, m, response="y")]))
     assert len(digests) == 1
 
@@ -387,42 +387,75 @@ def _one_point_golden_section(fun, lo, hi, tol):
     return (a + b) / 2.0
 
 
-@settings(max_examples=200, deadline=None)
+def _misleading_seeds(lo, width, side):
+    """Three seeds far below any score, whose parabola's vertex lies a bracket's width
+    beyond `side` (-1 left, +1 right) of [lo, lo + width]: every prediction points there."""
+    centre = lo + width / 2.0 + side * 1.5 * width
+    return [(-1e6, centre - width / 4.0), (-2e6, centre), (-1e6, centre + width / 4.0)]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     st.floats(-20.0, 20.0),
     st.sampled_from([2e-8, 1e-7, 1e-3, 0.77, 1.54]),
     st.floats(-0.5, 1.5),
-    st.integers(1, 6),
+    st.sampled_from([1.0, 0.05, 20.0]),
+    st.integers(1, 40),
+    st.one_of(
+        st.lists(st.tuples(st.floats(-1e6, 1e3), st.floats(-2.0, 3.0)), min_size=1, max_size=4),
+        st.sampled_from([-1, 1]),
+    ),
 )
-def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, depth):
-    """Any depth, and brackets that end a few steps in (a done node high in the tree
-    leaves its subtree unscored), return the one-point search's midpoint bit for bit
-    and the score of that midpoint."""
+@example(lo=0.0, width=1.54, where=1.5, skew=1.0, budget=7, seeds=-1)
+@example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1)
+def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, skew, budget, seeds):
+    """Any point budget, brackets that end a few steps in (a done node leaves its
+    subtree unscored), V-shaped and lopsided targets, and seeds that mislead the
+    parabola (an int seeds side puts its vertex past that end of the bracket, so
+    every prediction is wrong where the target lies past the other end) return the
+    one-point search's midpoint bit for bit, the score of that midpoint, and the
+    passes and points the search really scored."""
     hi = lo + width
     target = lo + where * width
+    if isinstance(seeds, int):
+        seeds = _misleading_seeds(lo, width, seeds)
+    else:
+        seeds = [(value, lo + at * width) for value, at in seeds]
+    calls = []
+
+    def fun(t):
+        return (t - target) * (skew if t > target else -1.0)
 
     def score(points):
-        return [SimpleNamespace(objective=abs(t - target)) for t in points]
+        calls.append(len(points))
+        return [SimpleNamespace(objective=fun(t)) for t in points]
 
-    t_star, at_star = inference._golden_section(score, lo, hi, 1e-8, depth)
-    assert t_star == _one_point_golden_section(lambda t: abs(t - target), lo, hi, 1e-8)
-    assert at_star.objective == abs(t_star - target)
+    t_star, at_star, passes, points = inference._golden_section(score, lo, hi, 1e-8, budget, seeds)
+    assert t_star == _one_point_golden_section(fun, lo, hi, 1e-8)
+    assert at_star.objective == fun(t_star)
+    assert (passes, points) == (len(calls), sum(calls))
+    assert max(calls) <= max(budget, 2)
 
 
 def test_lookahead_pass_counts(tin_design, tin_model):
     """Every stacked evaluator pass makes one slogdet call over its ratios.
 
-    The tin fit looks 3 steps ahead: the grid with eta = 0, the first golden pair,
-    13 passes of 7 points and the midpoint make 16 passes, against 44 when golden
-    section scored one point per pass.  The 1 968-run layout keeps depth 1, the
+    The tin fit scores up to 7 points per pass: the grid with eta = 0, the first
+    golden pair and 8 passes, most of them on the predicted path, against 16 passes
+    when every pass scored the 3-step tree and 44 when golden section scored one
+    point per pass; its search record counts the golden-section passes.  The
+    1 968-run layout, whose passes hold 3 ratios, keeps one point per pass, the
     one-point search: 92 ratios on the first fit, the 93 of that search less the
     point its last step scored and never compared, and 42 on each later fit on the
     same design, whose 50 grid ratios come from the design's memo."""
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
+    fresh = ResponseTable(design=dataclasses.replace(tin_design), responses=tab.responses)
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
-        reml_fit(tab, tin_model)
-    assert slogdet.call_count <= 16
+        fit = reml_fit(fresh, tin_model)
+    widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
+    assert widths == [50, 2] + [7] * 8
+    assert (fit.search.passes, fit.search.ratios) == (9, 58)
     per_fit = []
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
         for _ in _pinned_fits("large layout", tin_design, tin_model):
@@ -438,6 +471,27 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     assert first.count(2) == 2
     # later fits: the first golden pair, then one point per pass
     assert all(widths == [2] + [1] * 40 for widths in later)
+
+
+@pytest.mark.parametrize("case, boundary", [("cap", "cap"), ("zero boundary", "zero")])
+def test_reml_fit_records_its_search(tin_design, tin_model, case, boundary):
+    """GlsFit.search: the grid argmin, the bracket golden section refined, its passes
+    and ratios, and why the fit is a boundary fit; a gls_fit has none."""
+    (fit,) = _pinned_fits(case, tin_design, tin_model)
+    k, (lo, hi), passes, ratios, reason = fit.search
+    ts = inference._GRID_LOG_ETAS
+    assert reason == boundary and fit.boundary
+    assert k == (len(ts) - 1 if boundary == "cap" else 0)
+    assert (lo, hi) == (ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)])
+    if boundary == "cap":
+        assert lo <= math.log(fit.ratio) <= hi
+    else:
+        assert fit.ratio == 0.0
+    assert 2 <= passes < ratios
+    interior = next(_pinned_fits("tin", tin_design, tin_model))
+    assert interior.search.boundary is None and not interior.boundary
+    tab = ResponseTable(design=tin_design, responses={"y1": interior.y})
+    assert gls_fit(tab, tin_model, ratio=1.0).search is None
 
 
 # sha256 over repr(f_stat) and repr(p_value) of each fixed_effect_tests row of the
