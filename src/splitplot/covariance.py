@@ -30,11 +30,11 @@ second line; design search and design evaluation score designs with it.
 `solve_v` evaluates the first, then divides by sigma2_eps.  The REML/GLS
 fit uses the first line too, because it also needs X' V^{-1} y and the
 weighted residual sum of squares.  It sums S = Z'X once per design and
-model, gathers it to runs once per fit, and forms V^{-1} X for a stack of
-ratios at a time, w[a] * S[a] subtracted from X in a (k, n, p) buffer with
-solve_v's elementwise arithmetic; k is as many ratios as fit in 2^16 cells,
-up to the whole REML grid.  Each ratio's slice rounds as solve_v would at
-unit error variance, so fitted output is unchanged.  The two lines round
+model, and forms V^{-1} X for a stack of ratios at a time as solve_v does:
+w * S per plot, (w[:, None] * S)[a] gathered to runs and subtracted from X,
+in a (k, n, p) buffer; k is as many ratios as fit in 2^16 cells, up to the
+whole REML grid.  Each ratio's slice is solve_v's at unit error variance,
+bit for bit, so fitted output is unchanged.  The two lines round
 differently, and seeded designs and fitted output are pinned byte for
 byte, so each consumer keeps the form it has always used; the design search
 keeps each score's S with its M and forms its screen's V^{-1} X rows from S.
@@ -175,7 +175,7 @@ def solve_v(model: CovarianceModel, rhs: np.ndarray) -> np.ndarray:
     if b.shape[0] != layout.n_runs:
         raise ValidationError(f"rhs has {b.shape[0]} rows, layout has {layout.n_runs} runs")
     a = layout.zero_based
-    unit = b - _shrink(layout, model.components.ratio)[a, None] * _plot_sums(layout, b)[a]
+    unit = b - (_shrink(layout, model.components.ratio)[:, None] * _plot_sums(layout, b))[a]
     out = unit / model.components.sigma2_epsilon
     return out[:, 0] if one_dim else out
 

@@ -21,22 +21,22 @@ ModelSpec.error_df; their p-values are tails.f_sf.
 All fits evaluate obj through one kernel, _evaluator, over a stack of
 ratios.  It has a per-design part and a per-response part.  The per-design
 part, _design_part, checks that X has full column rank, sums Z'X per plot
-(r x p) and lays out the bins of the per-pass residual sums; reml_fit and
+(r x p) and lays out the bins, each run's (ratio, plot) row; reml_fit and
 gls_fit keep it, with the read-only X and its column labels, in the
 design's memo under the ModelSpec (see Design), so Monte Carlo replicates
 on one design derive it once, while reml_objective builds it afresh for
-the x it is given.  The per-response part holds y and its noise floor,
-gathers Z'X to runs and allocates one (k, n, p) buffer for V^{-1} X, with k
-the ratios that fit in _PASS_CELLS = 2^16 cells (512 KB), at least one and
-at most the 49-point grid plus eta = 0.  reml_fit scores its grid and
-eta = 0 in ceil(50 / k) stacked passes: one on the 24-run tin design, and
-50 of one ratio at 12 800 runs, where the buffer is the size of X.
-gls_fit and reml_objective are passes of one ratio.  Within a pass
-V^{-1} X is formed with covariance.solve_v's elementwise arithmetic, and
-X' V^{-1} X, slogdet, the solve for beta and y' P y are stacked numpy calls
-whose every slice makes the BLAS or LAPACK call of a single ratio, so a
-ratio's result does not depend on the pass it is scored in and fitted
-output is unchanged.
+the x it is given.  The per-response part holds y and its noise floor and
+allocates one (k, n, p) buffer for V^{-1} X, with k the ratios that fit in
+_PASS_CELLS = 2^16 cells (512 KB), at least one and at most the 49-point
+grid plus eta = 0.  reml_fit scores its grid and eta = 0 in ceil(50 / k)
+stacked passes: one on the 24-run tin design, and 50 of one ratio at
+12 800 runs, where the buffer is the size of X.  gls_fit and reml_objective
+are passes of one ratio.  A pass forms V^{-1} X and V^{-1} resid as
+covariance.solve_v does: w_i times Z'X and the residual sums per plot,
+gathered to runs by one np.take over the bins.  X' V^{-1} X, slogdet, the
+solve for beta and y' P y are stacked numpy calls whose every slice makes
+the BLAS or LAPACK call of a single ratio, so a ratio's result does not
+depend on the pass it is scored in and fitted output is unchanged.
 
 The grid's X' V^{-1} X and slogdet, at the 49 grid ratios and eta = 0,
 depend on the design alone: the first reml_fit on a design keeps them,
@@ -165,7 +165,7 @@ class _DesignPart(NamedTuple):
     layout: WholePlotLayout
     plot_x: np.ndarray  # Z'X: per-plot column sums, r x p
     width: int  # ratios per pass
-    bins: np.ndarray  # run -> (ratio, plot) bin of the residual sums, width x n
+    bins: np.ndarray  # run -> (ratio, plot) row, width x n: a pass's bincount and take index
 
     def evaluator(self, y):
         """The per-response part: (etas, grid=None) -> (_Evaluations, pass terms).
@@ -178,10 +178,8 @@ class _DesignPart(NamedTuple):
         """
         x, layout, plot_x, width, bins = self
         n, p = x.shape
-        a = layout.zero_based
         r = layout.n_plots
         sizes = layout.sizes
-        sx = plot_x[a]
         vix = np.empty((width, n, p))
         # residual variation at rounding scale means the data carry no noise
         noise_floor = 1e-24 * float(y @ y)
@@ -190,9 +188,11 @@ class _DesignPart(NamedTuple):
             k = len(eta)
             eta = eta[:, None]
             scaled = sizes * eta
-            wa = (eta / (1.0 + scaled))[:, a]  # covariance._shrink per ratio, gathered to runs
-            buf = vix[:k]
-            np.multiply(wa[..., None], sx, out=buf)
+            w = eta / (1.0 + scaled)  # covariance._shrink per ratio
+            buf, at = vix[:k], bins[:k]
+            # w_i (Z'X)_i per plot, gathered to runs; bins is in range by construction, and
+            # "clip" spares the copy that out= is buffered through under the default "raise"
+            np.take((w[..., None] * plot_x).reshape(-1, p), at, axis=0, out=buf, mode="clip")
             np.subtract(x, buf, out=buf)
             if terms is None:  # X' V^{-1} X and its slogdet, unless a kept grid hands them in
                 m = np.matmul(x.T, buf)
@@ -205,8 +205,8 @@ class _DesignPart(NamedTuple):
             # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
             beta = np.linalg.solve(m, rhs[..., None])[..., 0]
             resid = y - np.matmul(x, beta[..., None])[..., 0]
-            sums = np.bincount(bins[:k].ravel(), weights=resid.ravel(), minlength=k * r)
-            vr = resid - wa * sums.reshape(k, r)[:, a]  # V^{-1} resid, as solve_v forms it
+            sums = np.bincount(at.ravel(), weights=resid.ravel(), minlength=k * r)
+            vr = resid - np.take(w * sums.reshape(k, r), at)  # V^{-1} resid, as solve_v forms it
             qform = _row_dots(resid, vr)
             if min(qform) <= noise_floor:
                 raise NumericalError("zero residual variation; nothing to estimate")

@@ -275,3 +275,25 @@ def test_reml_evaluator_rounds_alike_in_any_pass_width(layout, p, etas, chunk, s
         results.append([_evaluation_bytes(e) for e in got])
     assert results[1] == results[0]
     assert results[2] == results[0]
+
+
+@settings(max_examples=140, deadline=None)
+@given(layouts(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_reml_evaluator_forms_information_with_solve_v_arithmetic(layout, p, seed):
+    """Every ratio's X' V^{-1} X is X' times solve_v's V^{-1} X at unit error variance,
+    the same stacked matmul, bit for bit: with its ratios stacked in one pass and with
+    one ratio per pass."""
+    n = layout.n_runs
+    assume(n > p)
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = rng.normal(size=n)
+    etas = (0.0, 1e-8, 1.0, 7.5, 1e6, 1e8)
+    want = [
+        np.matmul(x.T, solve_v(CovarianceModel(layout, VarianceComponents(eta, 1.0)), x)[None])[0]
+        for eta in etas
+    ]
+    for width in (len(etas), 1):
+        with mock.patch.object(inference, "_PASS_CELLS", width * n * p):
+            got = _evaluator(x, y, layout)(etas)
+        assert [e.information.tobytes() for e in got] == [m.tobytes() for m in want]

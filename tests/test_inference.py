@@ -300,6 +300,18 @@ def _pinned_fits(case, tin_design, tin_model):
         truth = TruthConfig(responses={"y1": y1})
         for k in range(3):
             yield reml_fit(simulate(d, truth, seed=(9, k)), tin_model)
+    elif case == "one ratio per pass":
+        # 6 000 runs, n p = 66 000 > 2**16 cells, in a shuffled order: no plot is contiguous
+        d = repeated_tin_design(tin_design, 250)
+        order = np.random.default_rng(250).permutation(d.n_runs)
+        d = Design(
+            factors=d.factors,
+            whole_plot=tuple(d.whole_plot[i] for i in order),
+            settings=d.settings[order],
+        )
+        truth = TruthConfig(responses={"y1": y1})
+        for k in range(3):
+            yield reml_fit(simulate(d, truth, seed=(9, k)), tin_model)
     else:
         tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
         for ratio in (0.0, 1.0, 7.5):
@@ -309,7 +321,8 @@ def _pinned_fits(case, tin_design, tin_model):
 # sha256 over repr(ratio), repr(objective), boundary and the beta and cov_beta bytes
 # of each fit, recorded with the golden-section fit that solved V^{-1} X afresh at
 # every evaluation and refitted at the chosen ratio ("large layout", whose grid now
-# runs in several unequal passes, with the fit that scored one ratio at a time);
+# runs in several unequal passes, with the fit that scored one ratio at a time;
+# "one ratio per pass" with the kernel that gathered Z'X to runs before scaling it);
 # fits must reproduce them exactly
 PINNED_FITS = {
     "tin": "eadd0e33f7f6e79216c00993253514661cebd6cfc53a47397270be645b43d209",
@@ -318,6 +331,7 @@ PINNED_FITS = {
     "zero boundary": "a939619d1b11125381d20504e1a6fa5bb077fec60eedd0ec4cd44aa7d0b40395",
     "gls": "d4864e2317836f3fe2471baef1aa2a594f466ebb280569ded13f94ee3b93e230",
     "large layout": "6f5d82830ca9ea3af78f1b42fd2e54acb2835414acec5eead6d6faae7c1389ef",
+    "one ratio per pass": "e1bb93817e7809deb529373c714983c24138db63d9c42f5e34da5be014869f09",
 }
 
 
