@@ -28,16 +28,24 @@ with eta = sigma2_gamma / sigma2_eps, where the block inverse becomes
 and S holds the per-plot column sums of B.  `information` evaluates the
 second line; design search and design evaluation score designs with it.
 `solve_v` evaluates the first, then divides by sigma2_eps.  The REML/GLS
-fit uses the first line too, because it also needs X' V^{-1} y and the
-weighted residual sum of squares.  It sums S = Z'X once per design and
-model, and forms V^{-1} X for a stack of ratios at a time as solve_v does:
-w * S per plot, (w[:, None] * S)[a] gathered to runs and subtracted from X,
-in a (k, n, p) buffer; k is as many ratios as fit in 2^16 cells, up to the
-whole REML grid.  Each ratio's slice is solve_v's at unit error variance,
-bit for bit, so fitted output is unchanged.  The two lines round
-differently, and seeded designs and fitted output are pinned byte for
-byte, so each consumer keeps the form it has always used; the design search
-keeps each score's S with its M and forms its screen's V^{-1} X rows from S.
+fit's exact scores use the first line too, because they also need
+X' V^{-1} y and the weighted residual sum of squares.  They sum S = Z'X
+once per design and model, and form V^{-1} X for a stack of ratios at a
+time as solve_v does: w * S per plot, (w[:, None] * S)[a] gathered to runs
+and subtracted from X, in a (k, n, p) buffer; k is as many ratios as fit in
+2^16 cells, up to the whole REML grid.  Each ratio's slice is solve_v's at
+unit error variance, bit for bit, so fitted output is unchanged.  REML's
+grid screen uses a third form, the stratum one,
+
+    B' V^{-1} B = W + sum_i s_i s_i' / (m_i (1 + m_i eta)),
+
+with W the cross-products of B centered by plot means and s_i the rows of
+S: both terms are positive semidefinite, so it loses nothing to
+cancellation at large eta.  The screen only decides which grid ratios the
+first form scores exactly.  The forms round differently, and seeded
+designs and fitted output are pinned byte for byte, so each consumer keeps
+the form it has always used; the design search keeps each score's S with
+its M and forms its screen's V^{-1} X rows from S.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ boundary solution.  Then
 Wald tests use the containment denominator degrees of freedom,
 ModelSpec.error_df; their p-values are tails.f_sf.
 
-All fits evaluate obj through one kernel, _evaluator, over a stack of
+All exact scores of obj come from one kernel, _evaluator, over a stack of
 ratios.  It has a per-design part and a per-response part.  The per-design
 part, _design_part, checks that X has full column rank, sums Z'X per plot
 (r x p) and lays out the bins, each run's (ratio, plot) row; reml_fit and
@@ -28,22 +28,80 @@ on one design derive it once, while reml_objective builds it afresh for
 the x it is given.  The per-response part holds y and its noise floor and
 allocates one (k, n, p) buffer for V^{-1} X, with k the ratios that fit in
 _PASS_CELLS = 2^16 cells (512 KB), at least one and at most the 49-point
-grid plus eta = 0.  reml_fit scores its grid and eta = 0 in ceil(50 / k)
-stacked passes: one on the 24-run tin design, and 50 of one ratio at
-12 800 runs, where the buffer is the size of X.  gls_fit and reml_objective
-are passes of one ratio.  A pass forms V^{-1} X and V^{-1} resid as
-covariance.solve_v does: w_i times Z'X and the residual sums per plot,
-gathered to runs by one np.take over the bins.  X' V^{-1} X, slogdet, the
-solve for beta and y' P y are stacked numpy calls whose every slice makes
-the BLAS or LAPACK call of a single ratio, so a ratio's result does not
-depend on the pass it is scored in and fitted output is unchanged.
+grid plus eta = 0: 50 on the 24-run tin design, one at 12 800 runs, where
+the buffer is the size of X.  gls_fit and reml_objective are passes of one
+ratio.  A pass forms V^{-1} X and V^{-1} resid as covariance.solve_v does:
+w_i times Z'X and the residual sums per plot, gathered to runs by one
+np.take over the bins.  X' V^{-1} X, slogdet, the solve for beta and
+y' P y are stacked numpy calls whose every slice makes the BLAS or LAPACK
+call of a single ratio, so a ratio's result does not depend on the pass it
+is scored in and fitted output is unchanged.
 
-The grid's X' V^{-1} X and slogdet, at the 49 grid ratios and eta = 0,
-depend on the design alone: the first reml_fit on a design keeps them,
-read-only, next to its per-design part once every grid pass has passed
-its checks, and later fits hand them to their grid passes, which still
-form V^{-1} X and check every sign before any solve.  That is 50 p^2
-floats whatever n is, 48 KB on the tin model; V^{-1} X is never kept.
+The grid serves only to find its argmin k and the seeds at k - 1, k and
+k + 1.  The first reml_fit on a design derives a _Grid from X alone and
+keeps it, read-only, in the memo entry: X' V^{-1} X, its slogdet and
+log det V at the 49 grid ratios and eta = 0, formed in the passes a grid
+scan of k ratios would make, so they are one_pass's bits, and checked for
+rank before anything is kept; and the screen's stratum terms.  Every fit
+then takes one path.  The screen scores all 50 ratios from stratum sums,
+and one_pass, handed the kept terms, exactly scores only the grid ratios
+that can be the grid minimum, their neighbours and eta = 0, in
+ceil(ratios / k) passes; _RemlSearch.exact_grid counts them.
+
+The screen.  With B = [X y] and s_i its sums over plot i,
+
+    B' V^{-1} B = W + sum_d H_d / (1 + d eta),   H_d = sum_{m_i = d} s_i s_i' / d,
+
+where W holds the cross-products of B centered by plot means: the
+split-plot stratum decomposition (Letsinger, Myers & Lentner 1996; Gilmour
+& Goos 2009).  Both parts are positive semidefinite, so nothing cancels at
+large eta.  X's block A_xx and its inverse are per design; a fit makes one
+pass over y for its plot sums and centered values, then works on 50
+p-vectors.  With beta~ = A_xx^{-1} a_xy from the kept inverse, the screened
+y'P y~ = A_yy - a_xy' beta~, and obj~ adds (n - p) log y'P y~ to the kept
+log det V and log det(X' V^{-1} X) bits, so obj and obj~ differ only
+through y' P y.
+
+The margin bounds that difference to first order in eps = 2^-52.  Let m be
+the largest plot size, lambda and kappa the lowest eigenvalue and the
+condition number of A_xx scaled to unit diagonal, and
+R = |y| + sum_l |beta~_l| |x_l|.
+  - The screen's y'P y~ is off by at most
+    eps A_yy [2 (n + p + 8 + m^1.5) (1 + sqrt(p / lambda))^2 + (6p + 4) p kappa^2].
+    A is positive semidefinite, so forming its entries from W and H_d
+    loses a few eps of sqrt(A_ii A_jj) each.  r = [-beta; 1] turns that
+    into eps (sqrt(A_yy) + sum_l |beta_l| sqrt(A_ll))^2, at most the first
+    term because beta' A_xx beta <= A_yy.  The eigendecomposition behind
+    the inverse and the products move a_xy' beta~ by at most the second.
+    Near an exact fit A_yy / y'P y grows, and so does the margin.
+  - one_pass's y' P y is off by at most
+    eps y'P y [(m + 1)(1 + m eta) + (n + 1) sqrt(1 + m eta)]: the per-plot
+    residual sums cost (m + 1) eps of sum_i w_i (sum_k |resid_k|)^2
+    <= |resid|^2 <= (1 + m eta) y' P y, the B'B - S' diag(w) S
+    cancellation of covariance, and resid' V^{-1} resid costs
+    (n + 1) eps |resid| |V^{-1} resid|, with |V^{-1} resid|^2 <= y' P y.
+    Forming resid adds (p + 1) eps R sqrt(y' P y), at most
+    (p + 1) eps (R^2 + y' P y) / 2.  A beta that misses its normal
+    equations by |g_l| <= 2 (n + p + m) eps R |x_l| adds g' M^-1 g, second
+    order, with |M^-1| <= (1 + m eta) / lambda_min of X'X at unit diagonal.
+rho, the two bounds over y'P y~ times _SCREEN_SAFETY = 8, is thus per-design
+coefficients at each ratio times 1, A_yy / y'P y~ and R^2 / y'P y~.  The
+margin is (n - p) rho / (1 - rho), which bounds
+(n - p) |log y' P y - log y'P y~|, plus 8 times 4 eps of
+|log det V + log det(X' V^{-1} X)| + (n - p) |log y'P y~| for the rounding
+of each objective's sums.  It is infinite where rho >= 1/2 or
+y'P y~ <= 2 _NOISE_FLOOR y' y.  A grid ratio whose obj~ less its margin
+exceeds the least obj~ plus margin is strictly above the exact grid
+minimum, so k, the seeds, the golden-section walk and every fitted byte are
+those of a fit that scores all 50.  A ratio whose y' P y may reach the noise
+floor is scored exactly too, so a response is refused for zero residual
+variation on the same inputs as before, and the rank check sees all 50
+ratios before any solve.  Where obj is flat to rounding nothing can be
+excluded: a layout of one-run plots, where V = (1 + eta) I and obj does not
+depend on eta, scores all 50.  A fit-large fit scores 4 and a tin fit 3 or
+4 (3.94 over 2 000 mc-power fits), and over random layouts |obj - obj~|
+stays below an eighth of the margin
+(test_the_grid_screen_bounds_the_exact_objective).
 
 Golden section looks ahead.  Which point a step scores next depends only
 on the comparisons made so far, so a pass can score points for several
@@ -147,6 +205,13 @@ _PASS_CELLS = 2**16
 # tin model 7 tied with 15 and beat 3 and 31 at 24 runs, and took 0.49 to 0.85 of one
 # point's time per fit from 96 to 768 runs; at 1 968 runs neither 3 nor 7 beat one point
 _LOOKAHEAD_POINTS = 7
+# the ratios every reml_fit scores: the grid, then eta = 0
+_GRID_RATIOS = (*_GRID_ETAS, 0.0)
+_EPS = float(np.finfo(float).eps)
+# y' P y at or below this share of y' y is rounding: the data carry no noise
+_NOISE_FLOOR = 1e-24
+# the screen's margin is this multiple of its first-order error bound
+_SCREEN_SAFETY = 8.0
 
 
 def _row_dots(a, b) -> list[float]:
@@ -158,6 +223,28 @@ def _row_dots(a, b) -> list[float]:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
 
 
+def _check_rank(sign, ldm) -> None:
+    """Raise NumericalError unless every X' V^{-1} X slogdet is positive and finite."""
+    if not ((sign > 0).all() and np.isfinite(ldm).all()):
+        raise NumericalError("model matrix is rank deficient on this design")
+
+
+class _Grid(NamedTuple):
+    """What reml_fit keeps per design at the 50 _GRID_RATIOS, read-only (module docstring)."""
+
+    terms: tuple  # X' V^{-1} X, its slogdet sign and log, log det V: one_pass's, stacked
+    xc: np.ndarray  # X centered by plot means, n x p
+    classes: np.ndarray  # D x r: 1 where plot i has the d-th distinct size
+    shrink: np.ndarray  # 50 x D: 1 / (1 + d eta)
+    ainv: np.ndarray  # 50 x p x p: inverses of the stratum form of X' V^{-1} X
+    x_norms: np.ndarray  # p: column norms of X
+    base: np.ndarray  # 50: log det V + log det(X' V^{-1} X), as one_pass adds them
+    # 50 each: the margin's rho per unit of 1, of y' V^{-1} y / y'P y~ and of R^2 / y'P y~
+    rel: np.ndarray
+    per_ayy: np.ndarray
+    per_reach: np.ndarray
+
+
 class _DesignPart(NamedTuple):
     """The per-design part of _evaluator, from _design_part; its arrays are read-only."""
 
@@ -167,40 +254,102 @@ class _DesignPart(NamedTuple):
     width: int  # ratios per pass
     bins: np.ndarray  # run -> (ratio, plot) row, width x n: a pass's bincount and take index
 
-    def evaluator(self, y):
-        """The per-response part: (etas, grid=None) -> (_Evaluations, pass terms).
+    def _inverse_x(self, eta, buf):
+        """V^{-1} X at a column of k ratios, into buf (k x n x p), as covariance.solve_v
+        forms it; returns the shrink weights w (k x r) and the scaled plot sizes m_i eta."""
+        scaled = self.layout.sizes * eta
+        w = eta / (1.0 + scaled)  # covariance._shrink per ratio
+        # w_i (Z'X)_i per plot, gathered to runs; bins is in range by construction, and
+        # "clip" spares the copy that out= is buffered through under the default "raise"
+        np.take((w[..., None] * self.plot_x).reshape(-1, buf.shape[2]), self.bins[:len(eta)],
+                axis=0, out=buf, mode="clip")
+        np.subtract(self.x, buf, out=buf)
+        return w, scaled
 
-        Each eta gets one _Evaluation, in order, from passes of up to width
-        ratios (see the module docstring); a pass takes its terms, X' V^{-1} X
-        and its slogdet, from grid, an earlier call's, if given.  Within a pass
-        the ratios are checked in order: every slogdet sign before any solve,
-        then the noise floor.  The buffers live as long as the returned function.
+    def _pass_terms(self, buf, scaled):
+        """(X' V^{-1} X, its slogdet sign and log, log det V) of one pass."""
+        m = np.matmul(self.x.T, buf)
+        return (m, *np.linalg.slogdet(m), np.log1p(scaled).sum(axis=1))
+
+    def grid(self) -> _Grid:
+        """The per-design terms of every reml_fit's grid, from X alone (see _Grid).
+
+        X' V^{-1} X and the log dets come from the passes a grid scan of width
+        ratios would make, so they are the bits one_pass forms.  Raises
+        NumericalError if X' V^{-1} X fails the rank check at any ratio.
         """
-        x, layout, plot_x, width, bins = self
+        x, layout, plot_x = self.x, self.layout, self.plot_x
+        n, p = x.shape
+        ratios = np.asarray(_GRID_RATIOS)
+        buf = np.empty((self.width, n, p))
+        passes = []
+        for start in range(0, len(ratios), self.width):
+            eta = ratios[start:start + self.width, None]
+            vix = buf[:len(eta)]
+            _, scaled = self._inverse_x(eta, vix)
+            passes.append(self._pass_terms(vix, scaled))
+        terms = tuple(np.concatenate(parts) for parts in zip(*passes))
+        _check_rank(*terms[1:3])
+
+        sizes = layout.sizes
+        xc = x - np.take(plot_x / sizes[:, None], layout.zero_based, axis=0)
+        distinct, size_class = np.unique(sizes, return_inverse=True)
+        classes = (size_class == np.arange(len(distinct))[:, None]).astype(float)
+        shrink = 1.0 / (1.0 + np.multiply.outer(ratios, distinct))
+        between = np.matmul(plot_x.T * (classes / sizes)[:, None, :], plot_x)  # H_d
+        axx = xc.T @ xc + np.tensordot(shrink, between, axes=1)
+        root = np.sqrt(np.diagonal(axx, axis1=1, axis2=2))
+        scaling = root[:, :, None] * root[:, None, :]
+        lam, vectors = np.linalg.eigh(axx / scaling)  # at unit diagonal
+        low = lam[:, 0]
+        bounded = low > 0  # elsewhere the margin is infinite, whatever ainv holds
+        ainv = np.matmul(vectors / np.where(bounded[:, None], lam, np.inf)[:, None, :],
+                         vectors.transpose(0, 2, 1)) / scaling
+        unbounded = np.full(len(ratios), np.inf)
+        cond = np.divide(lam[:, -1], low, out=unbounded.copy(), where=bounded)
+        tilt = np.divide(p, low, out=unbounded.copy(), where=bounded)  # p / lambda
+
+        xtx = x.T @ x
+        x_norms = np.sqrt(np.diagonal(xtx))
+        lam_x = np.linalg.eigvalsh(xtx / np.multiply.outer(x_norms, x_norms))[0]
+        m = int(sizes.max())
+        stretch = 1.0 + m * ratios  # bounds resid' resid / y' P y
+        exact = (m + 1) * stretch + (n + 1) * np.sqrt(stretch) + (p + 1) / 2
+        screen = 2 * (n + p + 8 + m * math.sqrt(m)) * (1.0 + np.sqrt(tilt)) ** 2 + (
+            (6 * p + 4) * p * cond**2
+        )
+        quad = p * (2.0 * (n + p + m)) ** 2 * stretch * (1.0 / lam_x if lam_x > 0 else np.inf)
+        safety = _SCREEN_SAFETY * _EPS
+        grid = _Grid(
+            terms, xc, classes, shrink, ainv, x_norms, terms[3] + terms[2], safety * exact,
+            safety * screen, safety * ((p + 1) / 2 + _EPS * quad),
+        )
+        for arr in (*terms, *grid[1:]):
+            arr.setflags(write=False)
+        return grid
+
+    def evaluator(self, y):
+        """The per-response part: (etas, terms=None) -> one _Evaluation per eta, in order.
+
+        Each eta gets one _Evaluation, from passes of up to width ratios (see
+        the module docstring); terms, if given, are the _Grid.terms rows of
+        every eta, and each pass takes X' V^{-1} X, its slogdet and log det V
+        from them.  Within a pass the ratios are checked in order: every slogdet
+        sign before any solve, then the noise floor.  The buffers live as long
+        as the returned function.
+        """
+        x, layout, width, bins = self.x, self.layout, self.width, self.bins
         n, p = x.shape
         r = layout.n_plots
-        sizes = layout.sizes
         vix = np.empty((width, n, p))
-        # residual variation at rounding scale means the data carry no noise
-        noise_floor = 1e-24 * float(y @ y)
+        noise_floor = _NOISE_FLOOR * float(y @ y)
 
         def one_pass(eta, terms):
             k = len(eta)
-            eta = eta[:, None]
-            scaled = sizes * eta
-            w = eta / (1.0 + scaled)  # covariance._shrink per ratio
             buf, at = vix[:k], bins[:k]
-            # w_i (Z'X)_i per plot, gathered to runs; bins is in range by construction, and
-            # "clip" spares the copy that out= is buffered through under the default "raise"
-            np.take((w[..., None] * plot_x).reshape(-1, p), at, axis=0, out=buf, mode="clip")
-            np.subtract(x, buf, out=buf)
-            if terms is None:  # X' V^{-1} X and its slogdet, unless a kept grid hands them in
-                m = np.matmul(x.T, buf)
-                terms = (m, *np.linalg.slogdet(m))
-            m, sign, ldm = terms
-            # before the solve, which would raise LinAlgError on a singular slice
-            if not ((sign > 0).all() and np.isfinite(ldm).all()):
-                raise NumericalError("model matrix is rank deficient on this design")
+            w, scaled = self._inverse_x(eta[:, None], buf)
+            m, sign, ldm, ldv = terms or self._pass_terms(buf, scaled)
+            _check_rank(sign, ldm)  # before the solve, which would raise LinAlgError
             rhs = np.matmul(buf.transpose(0, 2, 1), y)
             # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
             beta = np.linalg.solve(m, rhs[..., None])[..., 0]
@@ -210,21 +359,19 @@ class _DesignPart(NamedTuple):
             qform = _row_dots(resid, vr)
             if min(qform) <= noise_floor:
                 raise NumericalError("zero residual variation; nothing to estimate")
-            log_det_v = np.log1p(scaled).sum(axis=1).tolist()
             objective = [
                 ld + d + (n - p) * math.log(q)
-                for ld, d, q in zip(log_det_v, ldm.tolist(), qform)
+                for ld, d, q in zip(ldv.tolist(), ldm.tolist(), qform)
             ]
-            return list(map(_Evaluation, objective, beta, m, qform)), terms
+            return list(map(_Evaluation, objective, beta, m, qform))
 
-        def evaluate(etas, grid=None):
+        def evaluate(etas, terms=None):
             etas = np.asarray(etas, dtype=float)
-            out, passes = [], []
-            for i, start in enumerate(range(0, len(etas), width)):
-                scored, terms = one_pass(etas[start:start + width], grid and grid[i])
-                out += scored
-                passes.append(terms)
-            return out, passes
+            out = []
+            for start in range(0, len(etas), width):
+                chunk = slice(start, start + width)
+                out += one_pass(etas[chunk], terms and tuple(t[chunk] for t in terms))
+            return out
 
         return evaluate
 
@@ -239,7 +386,7 @@ def _design_part(x, layout) -> _DesignPart:
     if np.linalg.matrix_rank(x) < p:
         raise NumericalError("model matrix is rank deficient on this design")
     plot_x = _plot_sums(layout, x)
-    width = max(1, min(_GRID_POINTS + 1, _PASS_CELLS // (n * p)))
+    width = max(1, min(len(_GRID_RATIOS), _PASS_CELLS // (n * p)))
     bins = layout.zero_based + layout.n_plots * np.arange(width)[:, None]
     plot_x.setflags(write=False)
     bins.setflags(write=False)
@@ -251,8 +398,35 @@ def _evaluator(x, y, layout):
 
     Raises NumericalError if X lacks full column rank.
     """
-    evaluate = _design_part(x, layout).evaluator(y)
-    return lambda etas: evaluate(etas)[0]
+    return _design_part(x, layout).evaluator(y)
+
+
+def _screened(part, grid, y):
+    """The stratum-sum objective at the 50 _GRID_RATIOS and its margin; one pass over y.
+
+    Where the bound of the module docstring does not hold, or y'P y~ may be
+    at the noise floor, the margin is infinite.
+    """
+    layout = part.layout
+    n, p = part.x.shape
+    sums = np.bincount(layout.zero_based, weights=y, minlength=layout.n_plots)
+    means = sums / layout.sizes
+    yc = y - means[layout.zero_based]
+    by_size = grid.classes * means  # D x r
+    ax = yc @ grid.xc + np.dot(grid.shrink, by_size @ part.plot_x)  # X' V^{-1} y, 50 x p
+    ayy = yc @ yc + np.dot(grid.shrink, by_size @ sums)  # y' V^{-1} y
+    yy = float(y @ y)
+    with np.errstate(all="ignore"):  # a ratio without a finite bound is scored exactly
+        beta = np.matmul(grid.ainv, ax[:, :, None])[:, :, 0]
+        qform = ayy - np.matmul(ax[:, None, :], beta[:, :, None])[:, 0, 0]
+        reach = math.sqrt(yy) + np.abs(beta) @ grid.x_norms
+        rho = grid.rel + (ayy * grid.per_ayy + reach * reach * grid.per_reach) / qform
+        logs = (n - p) * np.log(qform)
+        objective = grid.base + logs
+        rounding = 4 * _EPS * (np.abs(grid.base) + np.abs(logs))  # of each objective's sums
+        margin = (n - p) * rho / (1.0 - rho) + _SCREEN_SAFETY * rounding
+        bounded = (qform > 2 * _NOISE_FLOOR * yy) & (rho < 0.5)
+    return np.where(bounded, objective, 0.0), np.where(bounded, margin, np.inf)
 
 
 def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLayout) -> float:
@@ -341,6 +515,7 @@ class _RemlSearch(NamedTuple):
     passes: int  # golden-section evaluator passes
     ratios: int  # ratios those passes scored
     boundary: str | None  # None, "zero" or "cap"
+    exact_grid: int  # grid ratios and eta = 0 the screen left to the exact evaluator, of 50
 
 
 @dataclass(frozen=True)
@@ -348,7 +523,8 @@ class GlsFit:
     """A fitted response: variance components, coefficients, and fit stats.
 
     search, set by reml_fit, records how it found the ratio (_RemlSearch);
-    it is None on a gls_fit.
+    it is None on a gls_fit.  x is the design's read-only model matrix, from
+    which fitted and residuals are computed on read.
     """
 
     response: str
@@ -363,12 +539,11 @@ class GlsFit:
     objective: float
     method: str
     y: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
     r2: float
     rmse: float
     f_overall: float | None
     df_overall: tuple[int, int] | None
+    x: np.ndarray = field(repr=False, compare=False)  # the design's read-only model matrix
     search: _RemlSearch | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -379,6 +554,20 @@ class GlsFit:
     def p_overall(self) -> float | None:
         """P-value of the overall F, computed on read: a fit that never reads it pays nothing."""
         return None if self.f_overall is None else f_sf(self.f_overall, *self.df_overall)
+
+    @property
+    def fitted(self) -> np.ndarray:
+        """X beta, computed on read: a fit keeps no n-length array it can recompute."""
+        fitted = self.x @ self.beta
+        fitted.setflags(write=False)
+        return fitted
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """y - X beta, computed on read."""
+        residuals = self.y - self.fitted
+        residuals.setflags(write=False)
+        return residuals
 
     @property
     def error_df(self) -> dict[str, int]:
@@ -440,9 +629,7 @@ def _finalize(
         sigma2_gamma=eta * sigma2_eps, sigma2_epsilon=sigma2_eps
     )
     cov_beta = sigma2_eps * np.linalg.inv(at_eta.information)
-    fitted = x @ beta
-    residuals = y - fitted
-    r2 = _squared_correlation(y, fitted)
+    r2 = _squared_correlation(y, x @ beta)
     rmse = math.sqrt(sigma2_eps)
 
     q = p - 1
@@ -452,7 +639,7 @@ def _finalize(
         f_overall = _wald_f(beta[1:], cov_beta[1:, 1:], q)
         df_overall = (q, sp_err)
 
-    for arr in (beta, cov_beta, fitted, residuals):
+    for arr in (beta, cov_beta):
         arr.setflags(write=False)
     return GlsFit(
         response=response,
@@ -467,12 +654,11 @@ def _finalize(
         objective=at_eta.objective,
         method=method,
         y=y,
-        fitted=fitted,
-        residuals=residuals,
         r2=r2,
         rmse=rmse,
         f_overall=f_overall,
         df_overall=df_overall,
+        x=x,
         search=search,
     )
 
@@ -480,48 +666,56 @@ def _finalize(
 def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = None) -> GlsFit:
     """Estimate the variance ratio by REML; report the GLS fit at that ratio.
 
-    The search evaluates the profiled objective on a log-spaced grid over
-    [1e-8, 1e8] and at eta = 0 in one stacked pass, refines the best bracket
-    by golden section, and compares the interior optimum against eta = 0;
-    ties go to the boundary.  Golden section scores up to _LOOKAHEAD_POINTS
-    per pass, where they fit one pass: the path a parabola through the
-    lowest values predicts its steps will take, and after two paths that
-    break early the tree of its next steps (see the module docstring); the
-    eta it returns is the one a search scoring one point per pass would
-    return.  An optimum at the upper cap (the grid minimum is its last
-    point and golden section ends within _CAP_TOL of LOG_ETA_HIGH) is
-    flagged as a boundary fit too, with the ratio left where golden section
-    put it.  Each evaluation is a GLS fit, so the one at the chosen ratio
-    is reported as is.  After the first fit on a design, the grid's
-    X' V^{-1} X and log det come from its memo.  The fit's search records
-    the grid argmin, the bracket, the golden-section passes and ratios, and
-    the boundary reason.
+    The search scores the profiled objective on a log-spaced grid over
+    [1e-8, 1e8] and at eta = 0, refines the best bracket by golden section,
+    and compares the interior optimum against eta = 0; ties go to the
+    boundary.  The grid is screened with stratum sums in one pass over y,
+    and only the ratios that can be its minimum, their neighbours and
+    eta = 0 are scored exactly, with the X' V^{-1} X and log dets the
+    design's first fit kept in its memo; the margin that excludes the rest
+    is derived in the module docstring, so the fit is the one a scan that
+    scores all 50 exactly would give.  Golden section scores up to
+    _LOOKAHEAD_POINTS per pass, where they fit one pass: the path a parabola
+    through the lowest values predicts its steps will take, and after two
+    paths that break early the tree of its next steps (see the module
+    docstring); the eta it returns is the one a search scoring one point
+    per pass would return.  An optimum at the upper cap (the grid minimum is
+    its last point and golden section ends within _CAP_TOL of LOG_ETA_HIGH)
+    is flagged as a boundary fit too, with the ratio left where golden
+    section put it.  Each evaluation is a GLS fit, so the one at the chosen
+    ratio is reported as is.  The fit's search records the grid argmin, the
+    bracket, the golden-section passes and ratios, the boundary reason and
+    how many of the 50 grid ratios were scored exactly.
     """
     response, entry, y = _prepare(responses, model, response)
-    part, labels, kept = entry
+    part, labels, grid = entry
+    if grid is None:  # the design's first fit: keep the grid terms once they pass their check
+        grid = entry[2] = part.grid()
     evaluate = part.evaluator(y)
     budget = _LOOKAHEAD_POINTS if part.width >= _LOOKAHEAD_POINTS else 1
 
+    # exactly score the grid ratios that can be the grid minimum or whose y' P y may be at
+    # the noise floor, their neighbours, and eta = 0
+    objective, margin = _screened(part, grid, y)
+    upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
+    certified = np.flatnonzero(lower <= upper.min()).tolist()
+    near = {i + step for i in certified for step in (-1, 0, 1)}
+    at = [*sorted(near.intersection(range(_GRID_POINTS))), _GRID_POINTS]
+    *exact, zero = evaluate([_GRID_RATIOS[i] for i in at], tuple(t[at] for t in grid.terms))
     ts = _GRID_LOG_ETAS
-    (*grid, zero), passes = evaluate([*_GRID_ETAS, 0.0], kept)
-    if kept is None:  # every pass has passed its checks: keep its terms, read-only
-        for terms in passes:
-            for arr in terms:
-                arr.setflags(write=False)
-        entry[2] = tuple(passes)
-    k = int(np.argmin([e.objective for e in grid]))
+    k = at[int(np.argmin([e.objective for e in exact]))]
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
     t_star, star, *counts = _golden_section(
-        lambda points: evaluate([math.exp(t) for t in points])[0], lo, hi, GOLDEN_TOL, budget,
-        [(e.objective, t) for t, e in zip(ts, grid) if lo <= t <= hi],
+        lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, budget,
+        [(e.objective, ts[i]) for i, e in zip(at, exact) if lo <= ts[i] <= hi],
     )
     if zero.objective <= star.objective:
         eta_hat, at_eta, reason = 0.0, zero, "zero"
     else:
         at_cap = k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL
         eta_hat, at_eta, reason = math.exp(t_star), star, "cap" if at_cap else None
-    search = _RemlSearch(k, (lo, hi), *counts, reason)
+    search = _RemlSearch(k, (lo, hi), *counts, reason, len(at))
     return _finalize(
         response, model, part, labels, y, eta_hat, reason is not None, at_eta, "reml", search
     )
@@ -537,7 +731,7 @@ def gls_fit(
     """
     _check_ratio(ratio)
     response, (part, labels, _), y = _prepare(responses, model, response)
-    (at_ratio,), _ = part.evaluator(y)([ratio])
+    (at_ratio,) = part.evaluator(y)([ratio])
     return _finalize(response, model, part, labels, y, ratio, ratio == 0.0, at_ratio, "gls")
 
 
@@ -577,15 +771,11 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
 
 def residual_report(fit: GlsFit) -> tuple[tuple[int, int, float, float, float], ...]:
     """Per-run rows: (run, whole_plot, observed, fitted, residual)."""
-    rows = []
-    for i in range(fit.n_runs):
-        rows.append(
-            (
-                i + 1,
-                int(fit.layout.assignment[i]),
-                float(fit.y[i]),
-                float(fit.fitted[i]),
-                float(fit.residuals[i]),
-            )
+    fitted = fit.fitted
+    residuals = fit.y - fitted
+    return tuple(
+        (i + 1, int(plot), float(observed), float(f), float(resid))
+        for i, (plot, observed, f, resid) in enumerate(
+            zip(fit.layout.assignment, fit.y, fitted, residuals)
         )
-    return tuple(rows)
+    )

@@ -24,6 +24,7 @@ from splitplot import (
     TruthConfig,
     ValidationError,
     WHOLE_PLOT,
+    WholePlotLayout,
     boomerang_model,
     build_model,
     column_labels,
@@ -452,7 +453,8 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
 
 
 def test_lookahead_pass_counts(tin_design, tin_model):
-    """Every stacked evaluator pass makes one slogdet call over its ratios.
+    """Every evaluator pass that forms its own X' V^{-1} X makes one slogdet call over
+    its ratios; the grid's are formed once per design, in the passes a grid scan makes.
 
     The tin fit scores up to 7 points per pass: the grid with eta = 0, the first
     golden pair and 8 passes, most of them on the predicted path, against 16 passes
@@ -490,9 +492,10 @@ def test_lookahead_pass_counts(tin_design, tin_model):
 @pytest.mark.parametrize("case, boundary", [("cap", "cap"), ("zero boundary", "zero")])
 def test_reml_fit_records_its_search(tin_design, tin_model, case, boundary):
     """GlsFit.search: the grid argmin, the bracket golden section refined, its passes
-    and ratios, and why the fit is a boundary fit; a gls_fit has none."""
+    and ratios, why the fit is a boundary fit, and how many of the 50 grid ratios the
+    screen left to the exact evaluator; a gls_fit has none."""
     (fit,) = _pinned_fits(case, tin_design, tin_model)
-    k, (lo, hi), passes, ratios, reason = fit.search
+    k, (lo, hi), passes, ratios, reason, exact_grid = fit.search
     ts = inference._GRID_LOG_ETAS
     assert reason == boundary and fit.boundary
     assert k == (len(ts) - 1 if boundary == "cap" else 0)
@@ -502,6 +505,8 @@ def test_reml_fit_records_its_search(tin_design, tin_model, case, boundary):
     else:
         assert fit.ratio == 0.0
     assert 2 <= passes < ratios
+    # the grid's end, its one neighbour, eta = 0 and a ratio or two the margin keeps in
+    assert 3 <= exact_grid <= 5
     interior = next(_pinned_fits("tin", tin_design, tin_model))
     assert interior.search.boundary is None and not interior.boundary
     tab = ResponseTable(design=tin_design, responses={"y1": interior.y})
@@ -900,6 +905,134 @@ def test_a_grid_that_fails_its_check_is_never_kept():
     assert _kept_grid(d, m) is not None
     assert _fit_digest([fit]) == _fit_digest([reml_fit(
         ResponseTable(design=_rebuilt(d), responses={"y": tab.responses["y"]}), m)])
+
+
+# ---------------------------------------------------------------- grid screen
+
+
+def _screen_case(layout, p, plot_scale, offset, noise, skip, seed):
+    """A design with p columns on layout and a response: run noise times noise, plot
+    effects times plot_scale and an offset, plus X times random coefficients where
+    noise is 0.  skip responses are drawn and dropped first.  With offset 0, noise 1
+    and skip 0 (or skip 1) this is the design and response of
+    test_reml_fit_is_the_same_at_every_lookahead_depth (of
+    test_a_fit_from_the_kept_grid_is_a_fresh_fit) at the same seed."""
+    n = layout.n_runs
+    factors = [define_factor(f"u{j}", "continuous") for j in range(max(p - 1, 1))]
+    m = build_model(factors, "mains_only" if p > 1 else [])
+    rng = np.random.default_rng(seed)
+    d = Design(factors=m.factors, whole_plot=layout.assignment,
+               settings=rng.uniform(-1.0, 1.0, size=(n, len(m.factors))))
+    for _ in range(skip + 1):
+        y = (noise * rng.normal(size=n)
+             + plot_scale * rng.normal(size=layout.n_plots)[layout.zero_based] + offset)
+    if noise == 0.0:
+        y = y + expand_model_matrix(d, m) @ rng.normal(size=p)
+    return d, m, ResponseTable(design=d, responses={"y": y})
+
+
+# data whose objective is flat in eta near the cap, where a margin of 1e-9 relative
+# excludes the grid minimum, and one 4-run plot with p = 3 and a response offset by
+# 1e3, where y' P y is a small difference of large stratum sums
+_SCREEN_EXAMPLES = [
+    dict(layout=WholePlotLayout((1, 1, 2)), p=2, plot_scale=0.0, offset=0.0, noise=1.0,
+         skip=0, seed=3),
+    dict(layout=WholePlotLayout((1, 2)), p=1, plot_scale=0.3, offset=0.0, noise=1.0,
+         skip=0, seed=0),
+    dict(layout=WholePlotLayout((1, 2)), p=1, plot_scale=0.3, offset=0.0, noise=1.0,
+         skip=1, seed=1),
+    dict(layout=WholePlotLayout((1, 1, 1, 1)), p=3, plot_scale=0.0, offset=1e3, noise=1.0,
+         skip=0, seed=0),
+]
+
+
+def _with_screen_examples(test):
+    for case in reversed(_SCREEN_EXAMPLES):
+        test = example(**case)(test)
+    return test
+
+
+_screen_inputs = dict(
+    layout=layouts(),
+    p=st.integers(1, 3),
+    plot_scale=st.sampled_from([0.0, 0.3, 3.0, 1e5]),
+    offset=st.sampled_from([0.0, 1e3]),
+    noise=st.sampled_from([1.0, 0.0]),
+    skip=st.just(0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_screen_inputs)
+@_with_screen_examples
+def test_the_grid_screen_bounds_the_exact_objective(layout, p, plot_scale, offset, noise,
+                                                    skip, seed):
+    """At all 50 grid ratios the stratum-sum objective is within an eighth of its margin
+    of the exact one, on layouts with one-run and unequal plots, offset and noise-free
+    responses, and optima at zero, inside the grid and at its cap.  A response whose
+    exact scan hits the noise floor is refused by reml_fit too."""
+    assume(layout.n_runs > p)
+    d, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)
+    y = tab.responses["y"]
+    _, (part, _, _), _ = inference._prepare(tab, m, "y")
+    grid = part.grid()
+    objective, margin = inference._screened(part, grid, y)
+    try:
+        exact = part.evaluator(y)(inference._GRID_RATIOS, grid.terms)
+    except NumericalError:
+        with pytest.raises(NumericalError, match="zero residual variation"):
+            reml_fit(tab, m)
+        return
+    got = np.array([e.objective for e in exact])
+    bounded = np.isfinite(margin)
+    assert np.all(np.abs(got - objective)[bounded] <= margin[bounded] / 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_screen_inputs)
+@_with_screen_examples
+def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, offset, noise,
+                                                      skip, seed):
+    """With an infinite margin every grid ratio is scored exactly; the screened fit
+    reports the same fit byte for byte, or the same error."""
+    assume(layout.n_runs > p)
+
+    def fit():
+        _, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)
+        try:
+            return reml_fit(tab, m)
+        except NumericalError as exc:
+            return str(exc)
+
+    screened = fit()
+    with mock.patch.object(inference, "_SCREEN_SAFETY", math.inf):
+        full = fit()
+    if isinstance(full, str):
+        assert screened == full
+    else:
+        assert full.search.exact_grid == 50
+        assert _fit_digest([screened]) == _fit_digest([full])
+        assert screened.search[:5] == full.search[:5]
+
+
+def test_the_screen_leaves_few_grid_ratios_to_the_exact_evaluator(tin_design, tin_model):
+    """Nearly every tin fit scores only its grid argmin, the argmin's neighbours and
+    eta = 0 exactly: 4 ratios, 3 where the argmin is an end of the grid.  Where the
+    objective is nearly flat between the first grid ratios, the margin keeps a few
+    more.  On a layout of one-run plots V = (1 + eta) I and the objective does not
+    depend on eta, so nothing can be excluded and all 50 are scored."""
+    ends = (0, len(inference._GRID_LOG_ETAS) - 1)
+    searches = [fit.search for fit in _pinned_fits("tin", tin_design, tin_model)]
+    assert max(s.exact_grid for s in searches) <= 6
+    assert sum(s.exact_grid == (3 if s.grid_argmin in ends else 4) for s in searches) >= 90
+    m = build_model([define_factor("u", "continuous"), define_factor("v", "continuous")],
+                    "mains_only")
+    rng = np.random.default_rng(6)
+    d = Design(factors=m.factors, whole_plot=tuple(range(1, 13)),
+               settings=rng.uniform(-1.0, 1.0, size=(12, 2)))
+    fit = reml_fit(ResponseTable(design=d, responses={"y": rng.normal(size=12)}), m)
+    assert fit.search.exact_grid == 50
 
 
 @settings(max_examples=300, deadline=None)
