@@ -42,8 +42,9 @@ k + 1.  The first reml_fit on a design derives a _Grid from X alone and
 keeps it, read-only, in the memo entry: X' V^{-1} X, its slogdet and
 log det V at the 49 grid ratios and eta = 0, formed in the passes a grid
 scan of k ratios would make, so they are one_pass's bits, and checked for
-rank before anything is kept; and the screen's stratum terms.  Every fit
-then takes one path.  The screen scores all 50 ratios from stratum sums,
+rank before anything is kept; and the screen's stratum terms, a _Strata
+(W_xx = X_c' X_c, the H_d of X, X_c and the plot-size classes) with its
+_Coefficients at the 50 ratios.  Every fit then takes one path.  The screen scores all 50 ratios from stratum sums,
 and one_pass, handed the kept terms, exactly scores only the grid ratios
 that can be the grid minimum, their neighbours and eta = 0, in
 ceil(ratios / k) passes; _RemlSearch.exact_grid counts them.
@@ -55,9 +56,9 @@ The screen.  With B = [X y] and s_i its sums over plot i,
 where W holds the cross-products of B centered by plot means: the
 split-plot stratum decomposition (Letsinger, Myers & Lentner 1996; Gilmour
 & Goos 2009).  Both parts are positive semidefinite, so nothing cancels at
-large eta.  X's block A_xx and its inverse are per design; a fit makes one
-pass over y for its plot sums and centered values, then works on 50
-p-vectors.  With beta~ = A_xx^{-1} a_xy from the kept inverse, the screened
+large eta.  X's block A_xx and its inverse are per design (_Strata.at
+forms them at any ratio in p x p work); a fit makes one pass over y for
+its plot sums and centered values, then works on 50 p-vectors.  With beta~ = A_xx^{-1} a_xy from the kept inverse, the screened
 y'P y~ = A_yy - a_xy' beta~, and obj~ adds (n - p) log y'P y~ to the kept
 log det V and log det(X' V^{-1} X) bits, so obj and obj~ differ only
 through y' P y.
@@ -124,6 +125,54 @@ point lies inside the grid bracket, whose ends were already scored, and
 in exact arithmetic X' V^{-1} X is positive definite at every ratio while
 y' P y does not grow with eta, so a point between two ends that passed
 the rank and noise-floor checks passes them too.
+
+The walk's screen.  Where a pass holds fewer than _LOOKAHEAD_POINTS ratios
+(fit-large, the 1 968- and 6 000-run layouts), golden section scores one
+point per pass, each a pass over n, and the screen decides what
+comparisons it can first.  y is centered once per fit by beta_k, the
+exact coefficients at the grid argmin: P X = 0, so y' P y is unchanged in
+exact arithmetic, while A_yy / y'P y~, which sets the screen's error, falls
+from about 24 to about 1 on fit-large.  At any ratio _Strata.at gives
+A_xx, its inverse, log det A_xx and the margin's coefficients, and log det V
+is summed as one_pass sums it.  _screened_steps takes golden section's own
+steps: where |obj~(c) - obj~(d)| exceeds the two margins, the exact
+comparison has the same sign, and the step is taken without an exact
+pass.  At the first comparison it cannot decide it hands the bracket
+(a, b, c, d), the floats the exact walk holds there, to _golden_section,
+which scores c and d and walks on exactly; the last step, which ends the
+walk, is always the exact walk's.  So eta-hat, its _Evaluation and every fitted
+byte are the exact walk's.  A fit-large fit decides about 15 of its 40
+comparisons and scores about 27 ratios exactly, against 42;
+_RemlSearch.certified counts the decided comparisons, passes and ratios
+the exact work.  A tin fit, at 7 points per pass, walks exactly.
+
+The walk's margin is the grid's with three more terms, each times
+_SCREEN_SAFETY, where obj~ takes its log dets from the screen too.
+  - log det(X' V^{-1} X).  one_pass takes the slogdet of M = X'(X - G), the
+    screen log det A_xx from eigh at unit diagonal.  Each is the log det of
+    the true X' V^{-1} X with entries off by at most e eps sqrt(A_ii A_jj):
+    (n + m + 5)(1 + m eta) for M's products, as |x_k|^2 <= (1 + m eta)
+    x_k' V^{-1} x_k; p^2 2^(p - 1) s for slogdet's LU, with s the spread of
+    A_xx's diagonal and 2^(p - 1) partial pivoting's growth bound;
+    2 (n + p + 8 + m^1.5) for A_xx's sums, as above; 6p + 6 for its scaling
+    and eigh.  At unit diagonal that is a perturbation of norm p e eps, so
+    each log det moves by at most p^2 e eps / lambda; the (3p + 2) eps
+    rounding of their sums of logs is added.  Where p e eps / lambda times
+    _SCREEN_SAFETY reaches 1/2 the margin is infinite; below that M is
+    positive definite, so the exact pass would pass its rank check.
+  - Centering.  y - X beta_k is off by at most (p + 2) eps R, here with
+    R = |y| + sum_l (|beta_k,l| + |beta~_l|) |x_l|, and P <= V^{-1} <= I, so
+    y' P y moves by at most 2 (p + 2) eps R sqrt(y' P y): rho gains
+    2 (p + 2) eps R / sqrt(y'P y~).
+  - log det V.  Each log1p(m_i eta) is within eps (1 + log1p(m_i eta)) and a
+    sum of r terms in any order within (r - 1) eps of their sum, so two
+    computations differ by at most 2 r eps (1 + log det V).
+rho < 1/2 and y'P y~ > 2 _NOISE_FLOOR y' y still keep the exact y' P y off
+the noise floor, so no decided step skips a point where the exact walk
+would raise.  On fit-large the margin at eta-hat is about 1.5e-5, against
+3.4e-4 with y uncentered, and |obj - obj~| about 6e-11; over random layouts
+|obj - obj~| stays below an eighth of the margin
+(test_the_walk_screen_bounds_the_exact_objective).
 """
 
 from __future__ import annotations
@@ -229,20 +278,86 @@ def _check_rank(sign, ldm) -> None:
         raise NumericalError("model matrix is rank deficient on this design")
 
 
+class _Coefficients(NamedTuple):
+    """The screen's y-free terms at a stack of ratios, from _Strata.at (module docstring)."""
+
+    shrink: np.ndarray  # k x D: 1 / (1 + d eta)
+    ainv: np.ndarray  # k x p x p: inverses of A_xx, the stratum form of X' V^{-1} X
+    logdet: np.ndarray  # k: log det A_xx
+    # k each: the margin's rho per unit of 1, of A_yy / y'P y~ and of R^2 / y'P y~
+    rel: np.ndarray
+    per_ayy: np.ndarray
+    per_reach: np.ndarray
+    gap: np.ndarray  # k: the margin on |log det(X' V^{-1} X) - log det A_xx|, or inf
+
+
+class _Strata(NamedTuple):
+    """The screen's per-design stratum terms (module docstring); its arrays are read-only."""
+
+    xc: np.ndarray  # X centered by plot means, n x p
+    classes: np.ndarray  # D x r: 1 where plot i has the d-th distinct size
+    sizes: np.ndarray  # D: the distinct plot sizes, ascending
+    wxx: np.ndarray  # p x p: X_c' X_c
+    between: np.ndarray  # D x p x p: H_d
+    x_norms: np.ndarray  # p: column norms of X
+    lam_x: float  # lowest eigenvalue of X' X at unit diagonal
+
+    def at(self, ratios) -> _Coefficients:
+        """The screen's y-free terms at each of a 1-d array of ratios."""
+        n, p = self.xc.shape
+        m = float(self.sizes[-1])
+        safety = _SCREEN_SAFETY * _EPS
+        shrink = 1.0 / (1.0 + np.multiply.outer(ratios, self.sizes))
+        axx = self.wxx + (shrink @ self.between.reshape(len(self.sizes), -1)).reshape(-1, p, p)
+        root = np.sqrt(np.diagonal(axx, axis1=1, axis2=2))
+        scaling = root[:, :, None] * root[:, None, :]
+        lam, vectors = np.linalg.eigh(axx / scaling)  # at unit diagonal
+        low = lam[:, 0]
+        bounded = low > 0  # elsewhere the margin is infinite, whatever the terms hold
+        stretch = 1.0 + m * ratios  # bounds resid' resid / y' P y
+        exact = (m + 1) * stretch + (n + 1) * np.sqrt(stretch) + (p + 1) / 2
+        lam_x = self.lam_x
+        quad = p * (2.0 * (n + p + m)) ** 2 * stretch * (1.0 / lam_x if lam_x > 0 else np.inf)
+        with np.errstate(all="ignore"):
+            ainv = np.matmul(vectors / lam[:, None, :], vectors.transpose(0, 2, 1)) / scaling
+            tilt = p / low
+            screen = 2 * (n + p + 8 + m * math.sqrt(m)) * (1.0 + np.sqrt(tilt)) ** 2 + (
+                (6 * p + 4) * p * (lam[:, -1] / low) ** 2
+            )
+            # entry errors of one_pass's M and of A_xx, in eps of sqrt(A_ii A_jj): M's
+            # products, slogdet's LU at growth 2^(p - 1), A_xx's sums, scaling and eigh
+            spread = (np.max(root, axis=1) / np.min(root, axis=1)) ** 2
+            entry = ((n + m + 5) * stretch + p * p * 2.0 ** (p - 1) * spread
+                     + 2 * (n + p + 8 + m * math.sqrt(m)) + 6 * p + 6)
+            shift = safety * entry * tilt  # bounds |A_xx^-1 E| at unit diagonal, times safety
+            logs, log_root = np.log(lam), np.log(root)
+            rounding = (3 * p + 2) * safety * (
+                2 * np.abs(log_root).sum(axis=1) + p * np.maximum(np.abs(logs[:, 0]), math.log(p))
+            )
+        return _Coefficients(
+            shrink, ainv, 2 * log_root.sum(axis=1) + logs.sum(axis=1),
+            np.where(bounded, safety * exact, np.inf), safety * screen,
+            safety * ((p + 1) / 2 + _EPS * quad),
+            np.where(bounded & (shift < 0.5), p * shift + rounding, np.inf),
+        )
+
+    def response(self, part, y):
+        """y's stratum sums X_c' y_c, y_c' y_c and, per plot size, h_xy and h_yy: one pass."""
+        layout = part.layout
+        sums = np.bincount(layout.zero_based, weights=y, minlength=layout.n_plots)
+        means = sums / layout.sizes
+        yc = y - means[layout.zero_based]
+        by_size = self.classes * means  # D x r
+        return yc @ self.xc, yc @ yc, by_size @ part.plot_x, by_size @ sums
+
+
 class _Grid(NamedTuple):
     """What reml_fit keeps per design at the 50 _GRID_RATIOS, read-only (module docstring)."""
 
     terms: tuple  # X' V^{-1} X, its slogdet sign and log, log det V: one_pass's, stacked
-    xc: np.ndarray  # X centered by plot means, n x p
-    classes: np.ndarray  # D x r: 1 where plot i has the d-th distinct size
-    shrink: np.ndarray  # 50 x D: 1 / (1 + d eta)
-    ainv: np.ndarray  # 50 x p x p: inverses of the stratum form of X' V^{-1} X
-    x_norms: np.ndarray  # p: column norms of X
+    strata: _Strata
+    screen: _Coefficients  # at the 50 ratios
     base: np.ndarray  # 50: log det V + log det(X' V^{-1} X), as one_pass adds them
-    # 50 each: the margin's rho per unit of 1, of y' V^{-1} y / y'P y~ and of R^2 / y'P y~
-    rel: np.ndarray
-    per_ayy: np.ndarray
-    per_reach: np.ndarray
 
 
 class _DesignPart(NamedTuple):
@@ -295,36 +410,13 @@ class _DesignPart(NamedTuple):
         xc = x - np.take(plot_x / sizes[:, None], layout.zero_based, axis=0)
         distinct, size_class = np.unique(sizes, return_inverse=True)
         classes = (size_class == np.arange(len(distinct))[:, None]).astype(float)
-        shrink = 1.0 / (1.0 + np.multiply.outer(ratios, distinct))
         between = np.matmul(plot_x.T * (classes / sizes)[:, None, :], plot_x)  # H_d
-        axx = xc.T @ xc + np.tensordot(shrink, between, axes=1)
-        root = np.sqrt(np.diagonal(axx, axis1=1, axis2=2))
-        scaling = root[:, :, None] * root[:, None, :]
-        lam, vectors = np.linalg.eigh(axx / scaling)  # at unit diagonal
-        low = lam[:, 0]
-        bounded = low > 0  # elsewhere the margin is infinite, whatever ainv holds
-        ainv = np.matmul(vectors / np.where(bounded[:, None], lam, np.inf)[:, None, :],
-                         vectors.transpose(0, 2, 1)) / scaling
-        unbounded = np.full(len(ratios), np.inf)
-        cond = np.divide(lam[:, -1], low, out=unbounded.copy(), where=bounded)
-        tilt = np.divide(p, low, out=unbounded.copy(), where=bounded)  # p / lambda
-
         xtx = x.T @ x
         x_norms = np.sqrt(np.diagonal(xtx))
-        lam_x = np.linalg.eigvalsh(xtx / np.multiply.outer(x_norms, x_norms))[0]
-        m = int(sizes.max())
-        stretch = 1.0 + m * ratios  # bounds resid' resid / y' P y
-        exact = (m + 1) * stretch + (n + 1) * np.sqrt(stretch) + (p + 1) / 2
-        screen = 2 * (n + p + 8 + m * math.sqrt(m)) * (1.0 + np.sqrt(tilt)) ** 2 + (
-            (6 * p + 4) * p * cond**2
-        )
-        quad = p * (2.0 * (n + p + m)) ** 2 * stretch * (1.0 / lam_x if lam_x > 0 else np.inf)
-        safety = _SCREEN_SAFETY * _EPS
-        grid = _Grid(
-            terms, xc, classes, shrink, ainv, x_norms, terms[3] + terms[2], safety * exact,
-            safety * screen, safety * ((p + 1) / 2 + _EPS * quad),
-        )
-        for arr in (*terms, *grid[1:]):
+        lam_x = float(np.linalg.eigvalsh(xtx / np.multiply.outer(x_norms, x_norms))[0])
+        strata = _Strata(xc, classes, distinct.astype(float), xc.T @ xc, between, x_norms, lam_x)
+        grid = _Grid(terms, strata, strata.at(ratios), terms[3] + terms[2])
+        for arr in (*terms, *strata[:-1], *grid.screen, grid.base):
             arr.setflags(write=False)
         return grid
 
@@ -401,32 +493,61 @@ def _evaluator(x, y, layout):
     return _design_part(x, layout).evaluator(y)
 
 
-def _screened(part, grid, y):
-    """The stratum-sum objective at the 50 _GRID_RATIOS and its margin; one pass over y.
+def _screen(strata, coef, response, yy, base, fixed, center=None):
+    """obj~ and its margin at coef's ratios, from a response's stratum sums.
 
+    base is log det V + log det(X' V^{-1} X) per ratio and fixed an absolute
+    margin to add; center, if given, is |beta| of the coefficients y was
+    centered by before its sums were taken, and yy the uncentered y' y.
     Where the bound of the module docstring does not hold, or y'P y~ may be
     at the noise floor, the margin is infinite.
     """
-    layout = part.layout
-    n, p = part.x.shape
-    sums = np.bincount(layout.zero_based, weights=y, minlength=layout.n_plots)
-    means = sums / layout.sizes
-    yc = y - means[layout.zero_based]
-    by_size = grid.classes * means  # D x r
-    ax = yc @ grid.xc + np.dot(grid.shrink, by_size @ part.plot_x)  # X' V^{-1} y, 50 x p
-    ayy = yc @ yc + np.dot(grid.shrink, by_size @ sums)  # y' V^{-1} y
-    yy = float(y @ y)
+    n, p = strata.xc.shape
+    wxy, wyy, hxy, hyy = response
+    ax = wxy + np.dot(coef.shrink, hxy)  # X' V^{-1} y, k x p
+    ayy = wyy + np.dot(coef.shrink, hyy)  # y' V^{-1} y
     with np.errstate(all="ignore"):  # a ratio without a finite bound is scored exactly
-        beta = np.matmul(grid.ainv, ax[:, :, None])[:, :, 0]
+        beta = np.matmul(coef.ainv, ax[:, :, None])[:, :, 0]
         qform = ayy - np.matmul(ax[:, None, :], beta[:, :, None])[:, 0, 0]
-        reach = math.sqrt(yy) + np.abs(beta) @ grid.x_norms
-        rho = grid.rel + (ayy * grid.per_ayy + reach * reach * grid.per_reach) / qform
+        coefs = np.abs(beta) if center is None else np.abs(beta) + center
+        reach = math.sqrt(yy) + coefs @ strata.x_norms
+        rho = coef.rel + (ayy * coef.per_ayy + reach * reach * coef.per_reach) / qform
+        if center is not None:  # the rounding of y - X beta
+            rho = rho + 2 * (p + 2) * _SCREEN_SAFETY * _EPS * reach / np.sqrt(qform)
         logs = (n - p) * np.log(qform)
-        objective = grid.base + logs
-        rounding = 4 * _EPS * (np.abs(grid.base) + np.abs(logs))  # of each objective's sums
-        margin = (n - p) * rho / (1.0 - rho) + _SCREEN_SAFETY * rounding
+        objective = base + logs
+        rounding = 4 * _EPS * (np.abs(base) + np.abs(logs))  # of each objective's sums
+        margin = (n - p) * rho / (1.0 - rho) + _SCREEN_SAFETY * rounding + fixed
         bounded = (qform > 2 * _NOISE_FLOOR * yy) & (rho < 0.5)
     return np.where(bounded, objective, 0.0), np.where(bounded, margin, np.inf)
+
+
+def _screened(part, grid, y):
+    """The stratum-sum objective at the 50 _GRID_RATIOS and its margin; one pass over y."""
+    response = grid.strata.response(part, y)
+    return _screen(grid.strata, grid.screen, response, float(y @ y), grid.base, 0.0)
+
+
+def _walk_screen(part, grid, y, beta):
+    """t -> (obj~, margin) at eta = exp(t), for golden section's screened steps.
+
+    y is centered by beta, the exact coefficients at the grid argmin, in one
+    pass; each point then costs p x p work and log det V's sum over plots.
+    """
+    strata, layout = grid.strata, part.layout
+    response = strata.response(part, y - part.x @ beta)
+    yy = float(y @ y)
+    center = np.abs(beta)
+
+    def screen(t):
+        eta = math.exp(t)
+        coef = strata.at(np.array([eta]))
+        ldv = float(np.log1p(layout.sizes * eta).sum())  # as one_pass sums it
+        fixed = coef.gap + 2 * _SCREEN_SAFETY * _EPS * layout.n_plots * (1.0 + ldv)
+        objective, margin = _screen(strata, coef, response, yy, coef.logdet + ldv, fixed, center)
+        return float(objective[0]), float(margin[0])
+
+    return screen
 
 
 def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLayout) -> float:
@@ -452,32 +573,66 @@ def _vertex(best) -> float:
     return min(best)[1]
 
 
-def _golden_section(score, lo, hi, tol, budget, seeds):
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_step(a, b, c, d, left, tol):
+    """Golden section's bracket after one comparison and the point it asks for: c if
+    left, else d, and the midpoint once the bracket is done."""
+    if left:
+        b, d = d, c
+        c = b - _INVPHI * (b - a)
+    else:
+        a, c = c, d
+        d = a + _INVPHI * (b - a)
+    return a, b, c, d, (a + b) / 2.0 if b - a <= tol else c if left else d
+
+
+def _golden_points(a, b):
+    """The inner points (c, d) of a fresh golden-section bracket [a, b]."""
+    return b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+
+
+def _screened_steps(screen, lo, hi, tol):
+    """Golden section's first steps on [lo, hi], as far as the screen decides them.
+
+    screen maps a point to (obj~, margin).  A step is taken when
+    |obj~(c) - obj~(d)| exceeds the two margins, so its comparison is the
+    exact one.  Returns the bracket (a, b, c, d) at the first comparison the
+    screen cannot decide, or before the step that would end the walk, and
+    the comparisons decided.
+    """
+    a, b = lo, hi
+    c, d = _golden_points(a, b)
+    (fc, mc), (fd, md) = screen(c), screen(d)
+    certified = 0
+    while abs(fc - fd) > mc + md:
+        left = fc < fd
+        *bracket, t = _golden_step(a, b, c, d, left, tol)
+        if bracket[1] - bracket[0] <= tol:  # the exact walk takes the last step
+            break
+        (a, b, c, d), certified = bracket, certified + 1
+        if left:
+            (fd, md), (fc, mc) = (fc, mc), screen(t)
+        else:
+            (fc, mc), (fd, md) = (fd, md), screen(t)
+    return (a, b, c, d), certified
+
+
+def _golden_section(score, lo, hi, tol, budget, seeds, inner=None):
     """Minimize a unimodal function on [lo, hi], hi - lo > tol, by golden section.
 
     score maps a list of points to their _Evaluations; seeds are one or more
-    known (value, point) pairs.  Each pass scores up to `budget` points the next
-    steps could ask for: the path a parabola through the three lowest values
-    predicts, or, once two paths have broken early, the tree of every outcome
-    (see the module docstring).  Returns the final bracket's midpoint, its
-    _Evaluation, and the passes and points scored.
+    known (value, point) pairs; inner, if given, are the bracket's inner
+    points (c, d), else those of a fresh bracket.  Each pass scores up to
+    `budget` points the next steps could ask for: the path a parabola
+    through the three lowest values predicts, or, once two paths have broken
+    early, the tree of every outcome (see the module docstring).  Returns the
+    final bracket's midpoint, its _Evaluation, and the passes and points
+    scored.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def step(a, b, c, d, left):
-        """The bracket after one comparison and the point it asks for: c if left,
-        else d, and the midpoint once the bracket is done."""
-        if left:
-            b, d = d, c
-            c = b - invphi * (b - a)
-        else:
-            a, c = c, d
-            d = a + invphi * (b - a)
-        return a, b, c, d, (a + b) / 2.0 if b - a <= tol else c if left else d
-
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = inner or _golden_points(a, b)
     fc, fd = (e.objective for e in score([c, d]))
     best = sorted([*seeds, (fc, c), (fd, d)])[:3]
     passes, points, misses = 1, 2, 0
@@ -485,13 +640,13 @@ def _golden_section(score, lo, hi, tol, budget, seeds):
         # breadth first from the next step; kids[k] maps an outcome (fc <= fd) at
         # node k to its child, on the predicted side only while on a path
         vertex = _vertex(best) if misses < 2 else None
-        nodes, kids = [step(a, b, c, d, fc <= fd)], [{}]
+        nodes, kids = [_golden_step(a, b, c, d, fc <= fd, tol)], [{}]
         for k, (na, nb, nc, nd, _) in enumerate(nodes):
             sides = (True, False) if vertex is None else (vertex < (nc + nd) / 2.0,)
             for left in sides if nb - na > tol else ():
                 if len(nodes) < budget:
                     kids[k][left] = len(nodes)
-                    nodes.append(step(na, nb, nc, nd, left))
+                    nodes.append(_golden_step(na, nb, nc, nd, left, tol))
                     kids.append({})
         values = score([node[4] for node in nodes])
         passes, points = passes + 1, points + len(nodes)
@@ -516,6 +671,7 @@ class _RemlSearch(NamedTuple):
     ratios: int  # ratios those passes scored
     boundary: str | None  # None, "zero" or "cap"
     exact_grid: int  # grid ratios and eta = 0 the screen left to the exact evaluator, of 50
+    certified: int  # golden-section comparisons the screen decided, without an exact pass
 
 
 @dataclass(frozen=True)
@@ -679,13 +835,19 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     through the lowest values predicts its steps will take, and after two
     paths that break early the tree of its next steps (see the module
     docstring); the eta it returns is the one a search scoring one point
-    per pass would return.  An optimum at the upper cap (the grid minimum is
-    its last point and golden section ends within _CAP_TOL of LOG_ETA_HIGH)
-    is flagged as a boundary fit too, with the ratio left where golden
-    section put it.  Each evaluation is a GLS fit, so the one at the chosen
-    ratio is reported as is.  The fit's search records the grid argmin, the
-    bracket, the golden-section passes and ratios, the boundary reason and
-    how many of the 50 grid ratios were scored exactly.
+    per pass would return.  Where fewer ratios fit a pass, golden section
+    scores one point per pass, and the stratum screen, with y centered by
+    the grid argmin's coefficients, first decides every comparison its
+    margin certifies; the exact walk takes over at the first one it cannot,
+    from the bracket it would have reached itself.  An optimum at the upper
+    cap (the grid minimum is its last point and golden section ends within
+    _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too, with the
+    ratio left where golden section put it.  Each evaluation is a GLS fit,
+    so the one at the chosen ratio is reported as is.  The fit's search
+    records the grid argmin, the bracket, the exact golden-section passes
+    and ratios, the boundary reason, how many of the 50 grid ratios were
+    scored exactly and how many golden-section comparisons the screen
+    decided.
     """
     response, entry, y = _prepare(responses, model, response)
     part, labels, grid = entry
@@ -706,16 +868,23 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     k = at[int(np.argmin([e.objective for e in exact]))]
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
+    seeds = [(e.objective, ts[i]) for i, e in zip(at, exact) if lo <= ts[i] <= hi]
+    a, b, inner, certified = lo, hi, None, 0
+    if budget == 1:  # one point per pass: the screen decides the comparisons it can first
+        beta = exact[at.index(k)].beta
+        (a, b, *inner), certified = _screened_steps(
+            _walk_screen(part, grid, y, beta), lo, hi, GOLDEN_TOL
+        )
     t_star, star, *counts = _golden_section(
-        lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, budget,
-        [(e.objective, ts[i]) for i, e in zip(at, exact) if lo <= ts[i] <= hi],
+        lambda points: evaluate([math.exp(t) for t in points]), a, b, GOLDEN_TOL, budget,
+        seeds, inner,
     )
     if zero.objective <= star.objective:
         eta_hat, at_eta, reason = 0.0, zero, "zero"
     else:
         at_cap = k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL
         eta_hat, at_eta, reason = math.exp(t_star), star, "cap" if at_cap else None
-    search = _RemlSearch(k, (lo, hi), *counts, reason, len(at))
+    search = _RemlSearch(k, (lo, hi), *counts, reason, len(at), certified)
     return _finalize(
         response, model, part, labels, y, eta_hat, reason is not None, at_eta, "reml", search
     )

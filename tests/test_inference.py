@@ -420,16 +420,20 @@ def _misleading_seeds(lo, width, side):
         st.lists(st.tuples(st.floats(-1e6, 1e3), st.floats(-2.0, 3.0)), min_size=1, max_size=4),
         st.sampled_from([-1, 1]),
     ),
+    st.sampled_from([None, 0.0, 0.01]),
 )
-@example(lo=0.0, width=1.54, where=1.5, skew=1.0, budget=7, seeds=-1)
-@example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1)
-def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, skew, budget, seeds):
+@example(lo=0.0, width=1.54, where=1.5, skew=1.0, budget=7, seeds=-1, margin=None)
+@example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1, margin=None)
+def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, skew, budget, seeds,
+                                                            margin):
     """Any point budget, brackets that end a few steps in (a done node leaves its
     subtree unscored), V-shaped and lopsided targets, and seeds that mislead the
     parabola (an int seeds side puts its vertex past that end of the bracket, so
     every prediction is wrong where the target lies past the other end) return the
     one-point search's midpoint bit for bit, the score of that midpoint, and the
-    passes and points the search really scored."""
+    passes and points the search really scored.  So does a walk whose first steps
+    a screen with the given margin decided, handed over at the first comparison it
+    could not decide (a margin of 0 decides every step but the last)."""
     hi = lo + width
     target = lo + where * width
     if isinstance(seeds, int):
@@ -445,7 +449,12 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
         calls.append(len(points))
         return [SimpleNamespace(objective=fun(t)) for t in points]
 
-    t_star, at_star, passes, points = inference._golden_section(score, lo, hi, 1e-8, budget, seeds)
+    a, b, inner = lo, hi, None
+    if margin is not None:
+        (a, b, *inner), _ = inference._screened_steps(lambda t: (fun(t), margin), lo, hi, 1e-8)
+    t_star, at_star, passes, points = inference._golden_section(
+        score, a, b, 1e-8, budget, seeds, inner
+    )
     assert t_star == _one_point_golden_section(fun, lo, hi, 1e-8)
     assert at_star.objective == fun(t_star)
     assert (passes, points) == (len(calls), sum(calls))
@@ -461,9 +470,10 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     when every pass scored the 3-step tree and 44 when golden section scored one
     point per pass; its search record counts the golden-section passes.  The
     1 968-run layout, whose passes hold 3 ratios, keeps one point per pass, the
-    one-point search: 92 ratios on the first fit, the 93 of that search less the
-    point its last step scored and never compared, and 42 on each later fit on the
-    same design, whose 50 grid ratios come from the design's memo."""
+    one-point search, whose 40 comparisons the screen decides first where it can:
+    the 50 grid ratios and 25 golden-section ratios on the first fit, then 26 and 25
+    on the later fits on the same design, whose grid ratios come from the design's
+    memo, against 42 per fit without the screen."""
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
     fresh = ResponseTable(design=dataclasses.replace(tin_design), responses=tab.responses)
@@ -478,24 +488,25 @@ def test_lookahead_pass_counts(tin_design, tin_model):
             per_fit.append([call.args[0].shape[0] for call in slogdet.call_args_list])
             slogdet.reset_mock()
     assert len(per_fit) == 3
-    assert sum(map(sum, per_fit)) == 92 + 2 * 42
-    # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the first
-    # golden pair in one pass, then one point per pass
+    assert sum(map(sum, per_fit)) == 75 + 26 + 25
+    # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the golden
+    # pair the screen hands over in one pass, then one point per pass
     first, *later = per_fit
     assert set(first) == {1, 2, 3}
     assert first.count(3) == 16
     assert first.count(2) == 2
-    # later fits: the first golden pair, then one point per pass
-    assert all(widths == [2] + [1] * 40 for widths in later)
+    # later fits: the golden pair the screen hands over, then one point per pass
+    assert later == [[2] + [1] * 24, [2] + [1] * 23]
 
 
 @pytest.mark.parametrize("case, boundary", [("cap", "cap"), ("zero boundary", "zero")])
 def test_reml_fit_records_its_search(tin_design, tin_model, case, boundary):
     """GlsFit.search: the grid argmin, the bracket golden section refined, its passes
-    and ratios, why the fit is a boundary fit, and how many of the 50 grid ratios the
-    screen left to the exact evaluator; a gls_fit has none."""
+    and ratios, why the fit is a boundary fit, how many of the 50 grid ratios the
+    screen left to the exact evaluator and how many golden-section comparisons it
+    decided; a gls_fit has none."""
     (fit,) = _pinned_fits(case, tin_design, tin_model)
-    k, (lo, hi), passes, ratios, reason, exact_grid = fit.search
+    k, (lo, hi), passes, ratios, reason, exact_grid, certified = fit.search
     ts = inference._GRID_LOG_ETAS
     assert reason == boundary and fit.boundary
     assert k == (len(ts) - 1 if boundary == "cap" else 0)
@@ -507,6 +518,7 @@ def test_reml_fit_records_its_search(tin_design, tin_model, case, boundary):
     assert 2 <= passes < ratios
     # the grid's end, its one neighbour, eta = 0 and a ratio or two the margin keeps in
     assert 3 <= exact_grid <= 5
+    assert certified == 0  # a tin fit scores 7 points per pass and walks exactly
     interior = next(_pinned_fits("tin", tin_design, tin_model))
     assert interior.search.boundary is None and not interior.boundary
     tab = ResponseTable(design=tin_design, responses={"y1": interior.y})
@@ -995,7 +1007,9 @@ def test_the_grid_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
 def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, offset, noise,
                                                       skip, seed):
     """With an infinite margin every grid ratio is scored exactly; the screened fit
-    reports the same fit byte for byte, or the same error."""
+    reports the same fit byte for byte, or the same error.  With one ratio per pass
+    golden section walks one point per pass, so the screen decides what comparisons
+    it can first; that fit too is the one without the screen, byte for byte."""
     assume(layout.n_runs > p)
 
     def fit():
@@ -1014,6 +1028,67 @@ def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, off
         assert full.search.exact_grid == 50
         assert _fit_digest([screened]) == _fit_digest([full])
         assert screened.search[:5] == full.search[:5]
+
+    with mock.patch.object(inference, "_PASS_CELLS", layout.n_runs * p):
+        walked = fit()
+        with mock.patch.object(inference, "_SCREEN_SAFETY", math.inf):
+            unwalked = fit()
+    if isinstance(unwalked, str):
+        assert walked == unwalked
+    else:
+        assert unwalked.search.certified == 0
+        assert _fit_digest([walked]) == _fit_digest([unwalked])
+        fields = ("grid_argmin", "bracket", "boundary")
+        assert [getattr(walked.search, f) for f in fields] == [
+            getattr(unwalked.search, f) for f in fields
+        ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_screen_inputs)
+@_with_screen_examples
+def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offset, noise,
+                                                    skip, seed):
+    """At random ratios inside a random grid bracket, the stratum-sum objective of y
+    centered by the exact coefficients at the bracket's grid point is within an eighth
+    of its margin of the exact one, on the inputs of the grid screen's test.  A ratio
+    with a finite margin passes the exact rank and noise-floor checks.  Where every
+    plot has one run the objective is flat in eta, and no comparison is decided."""
+    assume(layout.n_runs > p)
+    _, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)
+    y = tab.responses["y"]
+    _, (part, _, _), _ = inference._prepare(tab, m, "y")
+    grid = part.grid()
+    evaluate = part.evaluator(y)
+    try:
+        exact = evaluate(inference._GRID_RATIOS, grid.terms)
+    except NumericalError:
+        return  # reml_fit refuses it: test_the_grid_screen_bounds_the_exact_objective
+    rng = np.random.default_rng(seed)
+    ts = inference._GRID_LOG_ETAS
+    k = int(rng.integers(len(ts)))
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    screen = inference._walk_screen(part, grid, y, exact[k].beta)
+    for t in lo + (hi - lo) * rng.uniform(size=6):
+        objective, margin = screen(t)
+        if math.isfinite(margin):
+            (got,) = evaluate([math.exp(t)])
+            assert abs(got.objective - objective) <= margin / 8
+    if set(layout.sizes.tolist()) == {1}:
+        assert inference._screened_steps(screen, lo, hi, inference.GOLDEN_TOL)[1] == 0
+
+
+def test_the_walk_screen_decides_only_one_point_per_pass_walks(tin_design, tin_model):
+    """A large fit, which scores one point per pass, has the screen decide a third of
+    its 40 golden-section comparisons and scores at most 32 ratios exactly, 42
+    without the screen; every comparison is decided once, by the screen or exactly.
+    A tin fit, which scores 7 points per pass, walks exactly."""
+    for fit in _pinned_fits("one ratio per pass", tin_design, tin_model):
+        search = fit.search
+        assert search.certified > 0 and search.ratios <= 32
+        assert search.ratios + search.certified == 42
+    tin = next(_pinned_fits("tin", tin_design, tin_model))
+    assert tin.search.certified == 0
 
 
 def test_the_screen_leaves_few_grid_ratios_to_the_exact_evaluator(tin_design, tin_model):
