@@ -280,6 +280,12 @@ def read_design_csv(path, model: ModelSpec):
         raise ValidationError(f"{path}: no data rows")
 
     decimals = [None if f.is_categorical else _snap_decimals(f) for f in model.factors]
+    for f, places in zip(model.factors, decimals):
+        if places is not None and places < 1:
+            raise ValidationError(
+                f"{path}: factor {f.name!r} range {f.low!r} to {f.high!r} is too narrow for its "
+                "magnitude to read coded settings back from text"
+            )
     run_ids = []
     whole_plot = []
     settings = []

@@ -18,24 +18,24 @@ boundary solution.  Then
 Wald tests use the containment denominator degrees of freedom,
 ModelSpec.error_df; their p-values are tails.f_sf.
 
-All exact scores of obj come from one kernel, _evaluator, over a stack of
-ratios.  It has a per-design part and a per-response part.  The per-design
-part, _design_part, checks that X has full column rank, sums Z'X per plot
-(r x p) and lays out the bins, each run's (ratio, plot) row; reml_fit and
-gls_fit keep it, with the read-only X and its column labels, in the
-design's memo under the ModelSpec (see Design), so Monte Carlo replicates
-on one design derive it once, while reml_objective builds it afresh for
-the x it is given.  The per-response part holds y and its noise floor and
-allocates one (k, n, p) buffer for V^{-1} X, with k the ratios that fit in
-_PASS_CELLS = 2^16 cells (512 KB), at least one and at most the 49-point
-grid plus eta = 0: 50 on the 24-run tin design, one at 12 800 runs, where
-the buffer is the size of X.  gls_fit and reml_objective are passes of one
-ratio.  A pass forms V^{-1} X and V^{-1} resid as covariance.solve_v does:
-w_i times Z'X and the residual sums per plot, gathered to runs by one
-np.take over the bins.  X' V^{-1} X, slogdet, the solve for beta and
-y' P y are stacked numpy calls whose every slice makes the BLAS or LAPACK
-call of a single ratio, so a ratio's result does not depend on the pass it
-is scored in and fitted output is unchanged.
+All exact scores of obj come from one kernel, _DesignPart.evaluator, over
+a stack of ratios.  It has a per-design part and a per-response part.  The
+per-design part, _design_part, checks that X has full column rank, sums
+Z'X per plot (r x p) and lays out the bins, each run's (ratio, plot) row;
+reml_fit and gls_fit keep it, with the read-only X and its column labels,
+in the design's memo under the ModelSpec (see Design), so Monte Carlo
+replicates on one design derive it once, while reml_objective builds it
+afresh for the x it is given.  The per-response part holds y and its noise
+floor and allocates one (k, n, p) buffer for V^{-1} X, with k the ratios
+that fit in _PASS_CELLS = 2^16 cells (512 KB), at least one and at most
+the 49-point grid plus eta = 0: 50 on the 24-run tin design, one at 12 800
+runs, where the buffer is the size of X.  gls_fit and reml_objective are
+passes of one ratio.  A pass forms V^{-1} X and V^{-1} resid as
+covariance.solve_v does: w_i times Z'X and the residual sums per plot,
+gathered to runs by one np.take over the bins.  X' V^{-1} X, slogdet, the
+solve for beta and y' P y are stacked numpy calls whose every slice makes
+the BLAS or LAPACK call of a single ratio, so a ratio's result does not
+depend on the pass it is scored in and fitted output is unchanged.
 
 The grid serves only to find its argmin k and the seeds at k - 1, k and
 k + 1.  The first reml_fit on a design derives a _Grid from X alone and
@@ -44,10 +44,11 @@ log det V at the 49 grid ratios and eta = 0, formed in the passes a grid
 scan of k ratios would make, so they are one_pass's bits, and checked for
 rank before anything is kept; and the screen's stratum terms, a _Strata
 (W_xx = X_c' X_c, the H_d of X, X_c and the plot-size classes) with its
-_Coefficients at the 50 ratios.  Every fit then takes one path.  The screen scores all 50 ratios from stratum sums,
-and one_pass, handed the kept terms, exactly scores only the grid ratios
-that can be the grid minimum, their neighbours and eta = 0, in
-ceil(ratios / k) passes; _RemlSearch.exact_grid counts them.
+_Coefficients at the 50 ratios.  Every fit then takes one path.  The
+screen scores all 50 ratios from stratum sums, and one_pass, handed the
+kept terms, exactly scores only the grid ratios that can be the grid
+minimum, their neighbours and eta = 0, in ceil(ratios / k) passes;
+_RemlSearch.exact_grid counts them.
 
 The screen.  With B = [X y] and s_i its sums over plot i,
 
@@ -58,7 +59,8 @@ split-plot stratum decomposition (Letsinger, Myers & Lentner 1996; Gilmour
 & Goos 2009).  Both parts are positive semidefinite, so nothing cancels at
 large eta.  X's block A_xx and its inverse are per design (_Strata.at
 forms them at any ratio in p x p work); a fit makes one pass over y for
-its plot sums and centered values, then works on 50 p-vectors.  With beta~ = A_xx^{-1} a_xy from the kept inverse, the screened
+its plot sums and centered values, then works on 50 p-vectors.  With
+beta~ = A_xx^{-1} a_xy from the kept inverse, the screened
 y'P y~ = A_yy - a_xy' beta~, and obj~ adds (n - p) log y'P y~ to the kept
 log det V and log det(X' V^{-1} X) bits, so obj and obj~ differ only
 through y' P y.
@@ -104,47 +106,39 @@ depend on eta, scores all 50.  A fit-large fit scores 4 and a tin fit 3 or
 stays below an eighth of the margin
 (test_the_grid_screen_bounds_the_exact_objective).
 
-Golden section looks ahead.  Which point a step scores next depends only
-on the comparisons made so far, so a pass can score points for several
-steps; the walk then compares as a one-point search would until it
-reaches a step whose point the pass did not score.  A step whose bracket
-is done asks for the midpoint, which is eta-hat.  A pass scores up to
-_LOOKAHEAD_POINTS = 7 points where 7 ratios fit one pass (n p up to
-9 362, 851 runs of the tin model), and one point otherwise, where a wider
-pass saves about what it costs.  A pass scores the path a parabola
-predicts: through the three lowest values scored so far, the bracket's
-grid points among them, it predicts "left" at a step when its vertex
-lies left of (c + d) / 2.  Near the optimum the objective is flat to
-rounding and predictions turn into coin flips, so once two paths have
-broken early, each pass scores the tree of the next 3 steps instead, one
-point per outcome of their comparisons.  A tin fit takes about 9 passes,
-against 15 with trees alone.  Ratios score alike in any pass and the
-walk makes the one-point search's comparisons, so neither prediction nor
-pass width moves a fitted digit.  Lookahead adds no failure mode: every
-point lies inside the grid bracket, whose ends were already scored, and
-in exact arithmetic X' V^{-1} X is positive definite at every ratio while
-y' P y does not grow with eta, so a point between two ends that passed
-the rank and noise-floor checks passes them too.
-
-The walk's screen.  Where a pass holds fewer than _LOOKAHEAD_POINTS ratios
-(fit-large, the 1 968- and 6 000-run layouts), golden section scores one
-point per pass, each a pass over n, and the screen decides what
-comparisons it can first.  y is centered once per fit by beta_k, the
-exact coefficients at the grid argmin: P X = 0, so y' P y is unchanged in
-exact arithmetic, while A_yy / y'P y~, which sets the screen's error, falls
-from about 24 to about 1 on fit-large.  At any ratio _Strata.at gives
-A_xx, its inverse, log det A_xx and the margin's coefficients, and log det V
-is summed as one_pass sums it.  _screened_steps takes golden section's own
-steps: where |obj~(c) - obj~(d)| exceeds the two margins, the exact
-comparison has the same sign, and the step is taken without an exact
-pass.  At the first comparison it cannot decide it hands the bracket
-(a, b, c, d), the floats the exact walk holds there, to _golden_section,
-which scores c and d and walks on exactly; the last step, which ends the
-walk, is always the exact walk's.  So eta-hat, its _Evaluation and every fitted
-byte are the exact walk's.  A fit-large fit decides about 15 of its 40
-comparisons and scores about 27 ratios exactly, against 42;
+Golden section walks one loop, _golden_section, of its own steps.  Which
+point a step asks for next depends only on the comparisons made so far.
+Where a pass holds fewer than _LOOKAHEAD_POINTS = 7 ratios (fit-large,
+the 1 968- and 6 000-run layouts), each exact point is a pass over n, and
+the walk first takes every step the stratum screen decides.  y is centered
+once per fit by beta_k, the exact coefficients at the grid argmin: P X = 0,
+so y' P y is unchanged in exact arithmetic, while A_yy / y'P y~, which sets
+the screen's error, falls from about 24 to about 1 on fit-large.  At any
+ratio _Strata.at gives A_xx, its inverse, log det A_xx and the margin's
+coefficients, and log det V is summed as one_pass sums it.  Where
+|obj~(c) - obj~(d)| exceeds the two margins, the exact comparison has the
+same sign, and the step is taken without an exact pass.  From the first
+comparison the screen cannot decide on, and always at the step that ends
+the walk, the walk is exact: one pass scores c and d, and each later pass
+the point the next step asks for and, where 7 ratios fit one pass (n p up
+to 9 362, 851 runs of the tin model), up to 6 more on the path a parabola
+predicts.  Through the three lowest values scored so far, the bracket's
+grid points among them, it predicts "left" at a step when its vertex lies
+left of (c + d) / 2.  The walk compares as a one-point search would until a
+comparison leaves the path, and a step whose bracket is done asks for the
+midpoint, which is eta-hat.  One point per pass elsewhere: there a wider
+pass saves about what it costs.  A tin fit takes about 10 passes and
+decides nothing on the screen; a fit-large fit decides about 15 of its 40
+comparisons and scores about 27 ratios exactly, against 42.
 _RemlSearch.certified counts the decided comparisons, passes and ratios
-the exact work.  A tin fit, at 7 points per pass, walks exactly.
+the exact work.  Ratios score alike in any pass and every comparison is
+golden section's own, so neither the screen, the prediction nor the pass
+width moves a fitted digit: eta-hat, its _Evaluation and every fitted byte
+are those of a search that scores one point per pass.  Lookahead adds no
+failure mode: every point lies inside the grid bracket, whose ends were
+already scored, and in exact arithmetic X' V^{-1} X is positive definite
+at every ratio while y' P y does not grow with eta, so a point between two
+ends that passed the rank and noise-floor checks passes them too.
 
 The walk's margin is the grid's with three more terms, each times
 _SCREEN_SAFETY, where obj~ takes its log dets from the screen too.
@@ -361,7 +355,7 @@ class _Grid(NamedTuple):
 
 
 class _DesignPart(NamedTuple):
-    """The per-design part of _evaluator, from _design_part; its arrays are read-only."""
+    """The per-design part of the REML kernel, from _design_part; its arrays are read-only."""
 
     x: np.ndarray  # of full column rank
     layout: WholePlotLayout
@@ -485,14 +479,6 @@ def _design_part(x, layout) -> _DesignPart:
     return _DesignPart(x, layout, plot_x, width, bins)
 
 
-def _evaluator(x, y, layout):
-    """The REML/GLS kernel: a sequence of etas -> one _Evaluation per eta, in order.
-
-    Raises NumericalError if X lacks full column rank.
-    """
-    return _design_part(x, layout).evaluator(y)
-
-
 def _screen(strata, coef, response, yy, base, fixed, center=None):
     """obj~ and its margin at coef's ratios, from a response's stratum sums.
 
@@ -558,7 +544,7 @@ def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLa
     n, p = x.shape
     if n - p < 1:
         raise ValidationError("no residual degrees of freedom (n <= p)")
-    return _evaluator(x, y, layout)([eta])[0].objective
+    return _design_part(x, layout).evaluator(y)([eta])[0].objective
 
 
 def _vertex(best) -> float:
@@ -588,78 +574,54 @@ def _golden_step(a, b, c, d, left, tol):
     return a, b, c, d, (a + b) / 2.0 if b - a <= tol else c if left else d
 
 
-def _golden_points(a, b):
-    """The inner points (c, d) of a fresh golden-section bracket [a, b]."""
-    return b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-
-
-def _screened_steps(screen, lo, hi, tol):
-    """Golden section's first steps on [lo, hi], as far as the screen decides them.
-
-    screen maps a point to (obj~, margin).  A step is taken when
-    |obj~(c) - obj~(d)| exceeds the two margins, so its comparison is the
-    exact one.  Returns the bracket (a, b, c, d) at the first comparison the
-    screen cannot decide, or before the step that would end the walk, and
-    the comparisons decided.
-    """
-    a, b = lo, hi
-    c, d = _golden_points(a, b)
-    (fc, mc), (fd, md) = screen(c), screen(d)
-    certified = 0
-    while abs(fc - fd) > mc + md:
-        left = fc < fd
-        *bracket, t = _golden_step(a, b, c, d, left, tol)
-        if bracket[1] - bracket[0] <= tol:  # the exact walk takes the last step
-            break
-        (a, b, c, d), certified = bracket, certified + 1
-        if left:
-            (fd, md), (fc, mc) = (fc, mc), screen(t)
-        else:
-            (fc, mc), (fd, md) = (fd, md), screen(t)
-    return (a, b, c, d), certified
-
-
-def _golden_section(score, lo, hi, tol, budget, seeds, inner=None):
+def _golden_section(score, lo, hi, tol, budget, seeds, screen=None):
     """Minimize a unimodal function on [lo, hi], hi - lo > tol, by golden section.
 
     score maps a list of points to their _Evaluations; seeds are one or more
-    known (value, point) pairs; inner, if given, are the bracket's inner
-    points (c, d), else those of a fresh bracket.  Each pass scores up to
-    `budget` points the next steps could ask for: the path a parabola
-    through the three lowest values predicts, or, once two paths have broken
-    early, the tree of every outcome (see the module docstring).  Returns the
-    final bracket's midpoint, its _Evaluation, and the passes and points
-    scored.
+    known (value, point) pairs.  screen, if given, maps a point to
+    (obj~, margin), and the walk first takes every step whose
+    |obj~(c) - obj~(d)| exceeds the two margins, up to the first it cannot
+    decide or the step that ends the walk.  One pass then scores c and d,
+    and each later pass the point the next step asks for and up to
+    budget - 1 more on the path a parabola through the three lowest values
+    predicts (see the module docstring).  Returns the final bracket's
+    midpoint, its _Evaluation, the passes and points scored and the
+    comparisons the screen decided.
     """
     a, b = lo, hi
-    c, d = inner or _golden_points(a, b)
-    fc, fd = (e.objective for e in score([c, d]))
-    best = sorted([*seeds, (fc, c), (fd, d)])[:3]
-    passes, points, misses = 1, 2, 0
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    marks = screen and [screen(c), screen(d)]  # (obj~, margin) at c and d while screened
+    fc = None  # the exact objectives fc, fd once a pass has scored c and d
+    best, passes, points, decided = sorted(seeds)[:3], 0, 0, 0
     while True:
-        # breadth first from the next step; kids[k] maps an outcome (fc <= fd) at
-        # node k to its child, on the predicted side only while on a path
-        vertex = _vertex(best) if misses < 2 else None
-        nodes, kids = [_golden_step(a, b, c, d, fc <= fd, tol)], [{}]
-        for k, (na, nb, nc, nd, _) in enumerate(nodes):
-            sides = (True, False) if vertex is None else (vertex < (nc + nd) / 2.0,)
-            for left in sides if nb - na > tol else ():
-                if len(nodes) < budget:
-                    kids[k][left] = len(nodes)
-                    nodes.append(_golden_step(na, nb, nc, nd, left, tol))
-                    kids.append({})
+        if marks:
+            (sc, mc), (sd, md) = marks
+            *bracket, t = _golden_step(a, b, c, d, sc < sd, tol)
+            if abs(sc - sd) > mc + md and bracket[1] - bracket[0] > tol:  # the last step is exact
+                (a, b, c, d), decided = bracket, decided + 1
+                marks = [screen(t), marks[0]] if sc < sd else [marks[1], screen(t)]
+                continue
+            marks = None
+        if fc is None:
+            fc, fd = (e.objective for e in score([c, d]))
+            best = sorted([*best, (fc, c), (fd, d)])[:3]
+            passes, points = 1, 2
+            continue
+        nodes = [_golden_step(a, b, c, d, fc <= fd, tol)]
+        if budget > 1:
+            vertex = _vertex(best)
+            while len(nodes) < budget and nodes[-1][1] - nodes[-1][0] > tol:
+                na, nb, nc, nd, _ = nodes[-1]
+                nodes.append(_golden_step(na, nb, nc, nd, vertex < (nc + nd) / 2.0, tol))
         values = score([node[4] for node in nodes])
         passes, points = passes + 1, points + len(nodes)
         best = sorted(best + [(e.objective, node[4]) for e, node in zip(values, nodes)])[:3]
-        k = 0
-        while k is not None:
-            a, b, c, d, t = nodes[k]
+        for (a, b, c, d, t), value in zip(nodes, values):
             if b - a <= tol:
-                return t, values[k], passes, points
-            fc, fd = (values[k].objective, fc) if fc <= fd else (fd, values[k].objective)
-            left = fc <= fd
-            misses += len(kids[k]) == 1 and left not in kids[k]  # the path went the other way
-            k = kids[k].get(left)
+                return t, value, passes, points, decided
+            fc, fd = (value.objective, fc) if fc <= fd else (fd, value.objective)
+            if budget == 1 or (fc <= fd) != (vertex < (c + d) / 2.0):
+                break  # the path went the other way
 
 
 class _RemlSearch(NamedTuple):
@@ -830,24 +792,16 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     eta = 0 are scored exactly, with the X' V^{-1} X and log dets the
     design's first fit kept in its memo; the margin that excludes the rest
     is derived in the module docstring, so the fit is the one a scan that
-    scores all 50 exactly would give.  Golden section scores up to
-    _LOOKAHEAD_POINTS per pass, where they fit one pass: the path a parabola
-    through the lowest values predicts its steps will take, and after two
-    paths that break early the tree of its next steps (see the module
-    docstring); the eta it returns is the one a search scoring one point
-    per pass would return.  Where fewer ratios fit a pass, golden section
-    scores one point per pass, and the stratum screen, with y centered by
-    the grid argmin's coefficients, first decides every comparison its
-    margin certifies; the exact walk takes over at the first one it cannot,
-    from the bracket it would have reached itself.  An optimum at the upper
-    cap (the grid minimum is its last point and golden section ends within
-    _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too, with the
-    ratio left where golden section put it.  Each evaluation is a GLS fit,
-    so the one at the chosen ratio is reported as is.  The fit's search
-    records the grid argmin, the bracket, the exact golden-section passes
-    and ratios, the boundary reason, how many of the 50 grid ratios were
-    scored exactly and how many golden-section comparisons the screen
-    decided.
+    scores all 50 exactly would give.  Golden section first takes the steps
+    the stratum screen decides, where a pass holds one point, then scores
+    up to _LOOKAHEAD_POINTS per pass on the path a parabola predicts, where
+    they fit one pass (see the module docstring); the eta it returns is the
+    one a search scoring one point per pass would return.  An optimum at
+    the upper cap (the grid minimum is its last point and golden section
+    ends within _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too,
+    with the ratio left where golden section put it.  Each evaluation is a
+    GLS fit, so the one at the chosen ratio is reported as is.  The fit's
+    search is a _RemlSearch.
     """
     response, entry, y = _prepare(responses, model, response)
     part, labels, grid = entry
@@ -860,8 +814,8 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     # the noise floor, their neighbours, and eta = 0
     objective, margin = _screened(part, grid, y)
     upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
-    certified = np.flatnonzero(lower <= upper.min()).tolist()
-    near = {i + step for i in certified for step in (-1, 0, 1)}
+    candidates = np.flatnonzero(lower <= upper.min()).tolist()
+    near = {i + step for i in candidates for step in (-1, 0, 1)}
     at = [*sorted(near.intersection(range(_GRID_POINTS))), _GRID_POINTS]
     *exact, zero = evaluate([_GRID_RATIOS[i] for i in at], tuple(t[at] for t in grid.terms))
     ts = _GRID_LOG_ETAS
@@ -869,22 +823,18 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
     seeds = [(e.objective, ts[i]) for i, e in zip(at, exact) if lo <= ts[i] <= hi]
-    a, b, inner, certified = lo, hi, None, 0
-    if budget == 1:  # one point per pass: the screen decides the comparisons it can first
-        beta = exact[at.index(k)].beta
-        (a, b, *inner), certified = _screened_steps(
-            _walk_screen(part, grid, y, beta), lo, hi, GOLDEN_TOL
-        )
-    t_star, star, *counts = _golden_section(
-        lambda points: evaluate([math.exp(t) for t in points]), a, b, GOLDEN_TOL, budget,
-        seeds, inner,
+    # one point per pass: the screen decides the comparisons it can first
+    screen = _walk_screen(part, grid, y, exact[at.index(k)].beta) if budget == 1 else None
+    t_star, star, passes, ratios, decided = _golden_section(
+        lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, budget,
+        seeds, screen,
     )
     if zero.objective <= star.objective:
         eta_hat, at_eta, reason = 0.0, zero, "zero"
     else:
         at_cap = k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL
         eta_hat, at_eta, reason = math.exp(t_star), star, "cap" if at_cap else None
-    search = _RemlSearch(k, (lo, hi), *counts, reason, len(at), certified)
+    search = _RemlSearch(k, (lo, hi), passes, ratios, reason, len(at), decided)
     return _finalize(
         response, model, part, labels, y, eta_hat, reason is not None, at_eta, "reml", search
     )

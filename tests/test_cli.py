@@ -291,6 +291,36 @@ def test_design_csv_round_trip_is_exact_on_narrow_ranges_far_from_zero(
     assert second.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("low, high", [("1e15", "1000000000000001"), ("1e14", "100000000000001")])
+def test_design_csv_refuses_a_range_too_narrow_for_its_magnitude(tmp_path, capsys, low, high):
+    """On these ranges the text round trip moves a coded value by 0.04 to 0.4, so the
+    snap grid would keep no decimals: coded -1 and 1, or 0.5, would read back as 0.
+    The reader refuses the factor by name, and every command that reads a design
+    exits 2."""
+    model_path = tmp_path / "narrow.model"
+    model_path.write_text(f"factor a continuous {low} {high}\nterms mains_only\n")
+    m = parse_model_text(model_path.read_text())
+    d = Design(factors=m.factors, whole_plot=(1, 1, 2, 2), settings=[[-1.0], [0.5], [1.0], [0.0]])
+    path = tmp_path / "d.csv"
+    write_design_csv(path, d, {"y": np.arange(4.0)})
+    with pytest.raises(ValidationError, match=f"{path}: factor 'a' range "):
+        read_design_csv(path, m)
+    for argv in (["eval"], ["simulate"], ["fit"], ["profile", "--goal", "y:maximize"]):
+        assert main([argv[0], str(model_path), str(path), *argv[1:]]) == 2, argv[0]
+        assert "factor 'a' range" in capsys.readouterr().err
+
+
+def test_design_csv_reads_a_range_with_one_decimal_exactly(tmp_path):
+    """1e13 to 1e13 + 1 leaves the snap grid one decimal: -1, 0, 0.5 and 1 read back
+    exactly."""
+    m = build_model([define_factor("a", "continuous", low=1e13, high=1e13 + 1)], "mains_only")
+    d = Design(factors=m.factors, whole_plot=(1, 1, 2, 2), settings=[[-1.0], [0.0], [0.5], [1.0]])
+    path = tmp_path / "d.csv"
+    write_design_csv(path, d)
+    back, _ = read_design_csv(path, m)
+    assert back.settings.tolist() == [[-1.0], [0.0], [0.5], [1.0]]
+
+
 def test_design_csv_with_responses(tmp_path):
     d, m = small_design()
     path = tmp_path / "data.csv"

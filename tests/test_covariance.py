@@ -18,7 +18,7 @@ from splitplot import (
 )
 from splitplot import inference
 from splitplot.covariance import build_v, information
-from splitplot.inference import _evaluator
+from splitplot.inference import _design_part
 
 
 def random_layout(rng, max_runs=12):
@@ -237,11 +237,12 @@ def test_reml_evaluator_carries_nothing_between_ratios(layout, p, etas, seed):
     rng = np.random.default_rng(seed)
     x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     y = rng.normal(size=n)
-    evaluate = _evaluator(x, y, layout)
+    evaluate = _design_part(x, layout).evaluator(y)
     dense = {}
     for eta in [0.0, *etas, 1e8, *reversed(etas), 0.0]:
         (got,) = evaluate([eta])
-        assert _evaluation_bytes(got) == _evaluation_bytes(_evaluator(x, y, layout)([eta])[0])
+        fresh = _design_part(x, layout).evaluator(y)
+        assert _evaluation_bytes(got) == _evaluation_bytes(fresh([eta])[0])
         if eta not in dense:
             dense[eta] = extended_reml_objective(eta, x, y, layout)
         cond = 1.0 + float(layout.sizes.max()) * eta
@@ -270,7 +271,7 @@ def test_reml_evaluator_rounds_alike_in_any_pass_width(layout, p, etas, chunk, s
     results = []
     for width in (len(etas), 1, min(chunk, len(etas))):
         with mock.patch.object(inference, "_PASS_CELLS", width * n * p):
-            got = _evaluator(x, y, layout)(etas)
+            got = _design_part(x, layout).evaluator(y)(etas)
         assert len(got) == len(etas)
         results.append([_evaluation_bytes(e) for e in got])
     assert results[1] == results[0]
@@ -295,5 +296,5 @@ def test_reml_evaluator_forms_information_with_solve_v_arithmetic(layout, p, see
     ]
     for width in (len(etas), 1):
         with mock.patch.object(inference, "_PASS_CELLS", width * n * p):
-            got = _evaluator(x, y, layout)(etas)
+            got = _design_part(x, layout).evaluator(y)(etas)
         assert [e.information.tobytes() for e in got] == [m.tobytes() for m in want]

@@ -363,10 +363,10 @@ def _fit_digest(fits):
     st.integers(0, 2**32 - 1),
 )
 def test_reml_fit_is_the_same_at_every_lookahead_depth(layout, p, plot_scale, seed):
-    """Golden section scoring up to 1, 3, 7 or 15 points per pass, on predicted
-    paths and on trees, walks to the same ratio and reports the same fit bit for
-    bit, on layouts with one-run plots and on data that pin the ratio at zero,
-    inside the grid or at its cap."""
+    """Golden section scoring up to 1, 3, 7 or 15 points per pass, on its predicted
+    path, walks to the same ratio and reports the same fit bit for bit, on layouts
+    with one-run plots and on data that pin the ratio at zero, inside the grid or at
+    its cap."""
     n = layout.n_runs
     assume(n > p)
     factors = [define_factor(f"u{j}", "continuous") for j in range(max(p - 1, 1))]
@@ -426,14 +426,15 @@ def _misleading_seeds(lo, width, side):
 @example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1, margin=None)
 def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, skew, budget, seeds,
                                                             margin):
-    """Any point budget, brackets that end a few steps in (a done node leaves its
-    subtree unscored), V-shaped and lopsided targets, and seeds that mislead the
-    parabola (an int seeds side puts its vertex past that end of the bracket, so
-    every prediction is wrong where the target lies past the other end) return the
+    """Any point budget, brackets that end a few steps in (a done step ends the
+    path), V-shaped and lopsided targets, and seeds that mislead the parabola (an
+    int seeds side puts its vertex past that end of the bracket, so every
+    prediction is wrong where the target lies past the other end) return the
     one-point search's midpoint bit for bit, the score of that midpoint, and the
     passes and points the search really scored.  So does a walk whose first steps
-    a screen with the given margin decided, handed over at the first comparison it
-    could not decide (a margin of 0 decides every step but the last)."""
+    a screen with the given margin decides, up to the first comparison it cannot
+    decide (a margin of 0 decides every step but the last); without a screen it
+    decides none."""
     hi = lo + width
     target = lo + where * width
     if isinstance(seeds, int):
@@ -449,16 +450,16 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
         calls.append(len(points))
         return [SimpleNamespace(objective=fun(t)) for t in points]
 
-    a, b, inner = lo, hi, None
-    if margin is not None:
-        (a, b, *inner), _ = inference._screened_steps(lambda t: (fun(t), margin), lo, hi, 1e-8)
-    t_star, at_star, passes, points = inference._golden_section(
-        score, a, b, 1e-8, budget, seeds, inner
+    screen = None if margin is None else lambda t: (fun(t), margin)
+    t_star, at_star, passes, points, decided = inference._golden_section(
+        score, lo, hi, 1e-8, budget, seeds, screen
     )
     assert t_star == _one_point_golden_section(fun, lo, hi, 1e-8)
     assert at_star.objective == fun(t_star)
     assert (passes, points) == (len(calls), sum(calls))
     assert max(calls) <= max(budget, 2)
+    if screen is None:
+        assert decided == 0
 
 
 def test_lookahead_pass_counts(tin_design, tin_model):
@@ -466,22 +467,22 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     its ratios; the grid's are formed once per design, in the passes a grid scan makes.
 
     The tin fit scores up to 7 points per pass: the grid with eta = 0, the first
-    golden pair and 8 passes, most of them on the predicted path, against 16 passes
-    when every pass scored the 3-step tree and 44 when golden section scored one
-    point per pass; its search record counts the golden-section passes.  The
-    1 968-run layout, whose passes hold 3 ratios, keeps one point per pass, the
-    one-point search, whose 40 comparisons the screen decides first where it can:
-    the 50 grid ratios and 25 golden-section ratios on the first fit, then 26 and 25
-    on the later fits on the same design, whose grid ratios come from the design's
-    memo, against 42 per fit without the screen."""
+    golden pair and 9 passes on the predicted path, the last three cut short where
+    the bracket is done, against 44 when golden section scored one point per pass;
+    its search record counts the golden-section passes.  The 1 968-run layout, whose
+    passes hold 3 ratios, keeps one point per pass, the one-point search, whose 40
+    comparisons the screen decides first where it can: the 50 grid ratios and 25
+    golden-section ratios on the first fit, then 26 and 25 on the later fits on the
+    same design, whose grid ratios come from the design's memo, against 42 per fit
+    without the screen."""
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
     fresh = ResponseTable(design=dataclasses.replace(tin_design), responses=tab.responses)
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
         fit = reml_fit(fresh, tin_model)
     widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
-    assert widths == [50, 2] + [7] * 8
-    assert (fit.search.passes, fit.search.ratios) == (9, 58)
+    assert widths == [50, 2] + [7] * 6 + [6, 4, 2]
+    assert (fit.search.passes, fit.search.ratios) == (10, 56)
     per_fit = []
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
         for _ in _pinned_fits("large layout", tin_design, tin_model):
@@ -1075,7 +1076,10 @@ def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
             (got,) = evaluate([math.exp(t)])
             assert abs(got.objective - objective) <= margin / 8
     if set(layout.sizes.tolist()) == {1}:
-        assert inference._screened_steps(screen, lo, hi, inference.GOLDEN_TOL)[1] == 0
+        walk = inference._golden_section(lambda ts: evaluate([math.exp(t) for t in ts]), lo, hi,
+                                         inference.GOLDEN_TOL, 1, [(exact[k].objective, ts[k])],
+                                         screen)
+        assert walk[4] == 0
 
 
 def test_the_walk_screen_decides_only_one_point_per_pass_walks(tin_design, tin_model):
