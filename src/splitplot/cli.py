@@ -13,7 +13,9 @@ line the model gets mains and all two-factor interactions.
 
 Design CSV: UTF-8, comma separated, '.' decimal, header
 run_id,whole_plot,<factors...>[,<responses...>].  Factor values are in
-natural units (level labels, finite numbers inside the factor range).
+natural units (level labels, finite numbers inside the factor range).  A
+number reads back as the shortest coded decimal that writes it exactly
+(Factor.to_coded), so a written design reads back as itself.
 
 Truth file for simulate, key = value lines:
 
@@ -39,7 +41,6 @@ import argparse
 import contextlib
 import csv
 import io
-import math
 import os
 import sys
 
@@ -249,19 +250,6 @@ def write_design_csv(target, design: Design, responses: dict | None = None) -> N
     ))
 
 
-def _snap_decimals(factor) -> int:
-    """Decimals a coded value of factor is rounded to when read back from text.
-
-    Writing low + (s + 1) * (high - low) / 2 and converting it back moves a
-    coded value s by a few eps * max(|low|, |high|) / (high - low), more than
-    1e-12 on a range that is narrow against its offset.  The snap grid sits
-    above that fuzz and is never finer than 12 decimals.
-    """
-    fuzz = 16 * np.finfo(float).eps * max(abs(factor.low), abs(factor.high))
-    fuzz /= factor.high - factor.low
-    return 12 if fuzz < 1e-12 else math.floor(-math.log10(fuzz))
-
-
 def read_design_csv(path, model: ModelSpec):
     """Parse a design CSV against a model; returns (design, response columns)."""
     rows = list(csv.reader(io.StringIO(_read_text(path, "design"), newline="")))
@@ -279,13 +267,6 @@ def read_design_csv(path, model: ModelSpec):
     if not body:
         raise ValidationError(f"{path}: no data rows")
 
-    decimals = [None if f.is_categorical else _snap_decimals(f) for f in model.factors]
-    for f, places in zip(model.factors, decimals):
-        if places is not None and places < 1:
-            raise ValidationError(
-                f"{path}: factor {f.name!r} range {f.low!r} to {f.high!r} is too narrow for its "
-                "magnitude to read coded settings back from text"
-            )
     run_ids = []
     whole_plot = []
     settings = []
@@ -300,15 +281,12 @@ def read_design_csv(path, model: ModelSpec):
         except ValueError:
             raise ValidationError(f"{where}: run_id and whole_plot must be integers") from None
         coded_row = []
-        for j, f in enumerate(model.factors):
-            cell = row[2 + j]
+        for f, cell in zip(model.factors, row[2:]):
             value = cell if f.is_categorical else _parse_float(cell, where)
             try:
-                coded = f.to_coded(value)
+                coded_row.append(f.to_coded(value))
             except ValidationError as exc:
                 raise ValidationError(f"{where}: {exc}") from None
-            # snap text round-trip fuzz so rewrites are stable
-            coded_row.append(coded if f.is_categorical else round(coded, decimals[j]))
         settings.append(coded_row)
         for k, name in enumerate(response_names):
             responses[name].append(_parse_float(row[len(expected) + k], where))

@@ -122,7 +122,12 @@ class Factor:
         return x[:, None]
 
     def to_coded(self, natural) -> float:
-        """Natural value or level label -> internal setting."""
+        """Natural value or level label -> internal setting.
+
+        A continuous value gives the first round(coded, k), k = 0..16, that
+        to_natural maps back to exactly that value, else the clamped coded
+        value: the text a design writes reads back as that design.
+        """
         if self.is_categorical:
             try:
                 return float(self.levels.index(natural))
@@ -140,7 +145,12 @@ class Factor:
             raise ValidationError(
                 f"value {value} for factor {self.name!r} is outside [{self.low}, {self.high}]"
             )
-        return min(1.0, max(-1.0, coded))
+        coded = min(1.0, max(-1.0, coded))
+        for k in range(17):
+            snapped = round(coded, k) + 0.0  # + 0.0 folds -0.0
+            if self.to_natural(snapped) == value:
+                return snapped
+        return coded
 
     def to_natural(self, setting: float):
         """Internal setting -> natural value or level label."""

@@ -250,8 +250,8 @@ def csv_designs(draw):
 
 
 def _snap_case():
-    """215.2263 reads back as coded -0.8500000000000001, which rewrites as 215.22629999999998
-    unless the reader snaps it."""
+    """215.2263 converts to coded -0.8500000000000001, which rewrites as 215.22629999999998
+    unless the reader takes the shorter -0.85 that writes 215.2263 too."""
     m = build_model([define_factor("a", "continuous", low=184.05, high=599.734)], "mains_only")
     return m, Design(factors=m.factors, whole_plot=(1,), settings=[[-0.85]])
 
@@ -273,46 +273,60 @@ def test_design_csv_round_trip_is_byte_stable_on_random_designs(tmp_path_factory
         assert np.all(np.abs(got - want) <= (0.0 if f.is_categorical else 1e-12 + 8 * spacing))
     write_design_csv(second, back)
     assert second.read_bytes() == first.read_bytes()
+    # the drawn settings are k/1000, the shortest decimals that write their text
+    assert back == d
 
 
-@pytest.mark.parametrize("low, high, coded", [(8.0, 8.001, 0.0), (1000.0, 1000.001, 0.5)])
+@pytest.mark.parametrize("low, high, coded", [
+    (8.0, 8.001, 0.0),
+    (1000.0, 1000.001, 0.5),
+    (8.0, 8.001, 0.123456789),
+    (1e13, 1e13 + 1, 0.25),
+    (1e13, 1e13 + 1, -0.35),
+])
 def test_design_csv_round_trip_is_exact_on_narrow_ranges_far_from_zero(
     tmp_path, low, high, coded
 ):
-    """There the text round trip moves a coded value by ~1e-10, far above a fixed
-    12-decimal snap; the reader's snap scales with the range and recovers it exactly."""
+    """There the text round trip moves a coded value by ~1e-10 to ~0.01; the reader
+    takes the shortest coded decimal that writes the same text, which recovers it
+    exactly: coded 0 on [8, 8.001] as +0.0, not the -0.0 it rounds to, and 0.25 and
+    -0.35 on [1e13, 1e13 + 1], not the 0.2 and -0.4 of a grid sized to that fuzz."""
     m = build_model([define_factor("a", "continuous", low=low, high=high)], "mains_only")
     d = Design(factors=m.factors, whole_plot=(1, 1), settings=[[coded], [-1.0]])
     first, second = tmp_path / "d1.csv", tmp_path / "d2.csv"
     write_design_csv(first, d)
     back, _ = read_design_csv(first, m)
     assert back.settings.tolist() == [[coded], [-1.0]]
+    assert back == d  # settings bytes, so -0.0 for 0.0 fails
     write_design_csv(second, back)
     assert second.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("low, high", [("1e15", "1000000000000001"), ("1e14", "100000000000001")])
-def test_design_csv_refuses_a_range_too_narrow_for_its_magnitude(tmp_path, capsys, low, high):
-    """On these ranges the text round trip moves a coded value by 0.04 to 0.4, so the
-    snap grid would keep no decimals: coded -1 and 1, or 0.5, would read back as 0.
-    The reader refuses the factor by name, and every command that reads a design
-    exits 2."""
+def test_design_csv_reads_a_range_narrow_for_its_magnitude_exactly(tmp_path, low, high):
+    """On these ranges the text round trip moves a coded value by 0.04 to 0.4, yet -1,
+    0.5, 1 and 0 are the shortest coded decimals that write their cells, so they read
+    back exactly, and every command that reads a design exits 0."""
     model_path = tmp_path / "narrow.model"
     model_path.write_text(f"factor a continuous {low} {high}\nterms mains_only\n")
+    truth_path = tmp_path / "truth.txt"
+    truth_path.write_text("y.intercept = 1\ny.coef.a = 2\ny.sigma_epsilon = 1\n")
     m = parse_model_text(model_path.read_text())
     d = Design(factors=m.factors, whole_plot=(1, 1, 2, 2), settings=[[-1.0], [0.5], [1.0], [0.0]])
-    path = tmp_path / "d.csv"
-    write_design_csv(path, d, {"y": np.arange(4.0)})
-    with pytest.raises(ValidationError, match=f"{path}: factor 'a' range "):
-        read_design_csv(path, m)
-    for argv in (["eval"], ["simulate"], ["fit"], ["profile", "--goal", "y:maximize"]):
-        assert main([argv[0], str(model_path), str(path), *argv[1:]]) == 2, argv[0]
-        assert "factor 'a' range" in capsys.readouterr().err
+    first, second = tmp_path / "d1.csv", tmp_path / "d2.csv"
+    write_design_csv(first, d)
+    back, _ = read_design_csv(first, m)
+    assert back == d
+    write_design_csv(second, back)
+    assert second.read_bytes() == first.read_bytes()
+    data = tmp_path / "data.csv"
+    for argv in (["eval", first], ["simulate", first, "--truth", truth_path, "--out", data],
+                 ["fit", data], ["profile", data, "--goal", "y:maximize"]):
+        assert main([argv[0], str(model_path), *map(str, argv[1:])]) == 0, argv[0]
 
 
 def test_design_csv_reads_a_range_with_one_decimal_exactly(tmp_path):
-    """1e13 to 1e13 + 1 leaves the snap grid one decimal: -1, 0, 0.5 and 1 read back
-    exactly."""
+    """1e13 to 1e13 + 1: -1, 0, 0.5 and 1 read back exactly."""
     m = build_model([define_factor("a", "continuous", low=1e13, high=1e13 + 1)], "mains_only")
     d = Design(factors=m.factors, whole_plot=(1, 1, 2, 2), settings=[[-1.0], [0.0], [0.5], [1.0]])
     path = tmp_path / "d.csv"
