@@ -64,7 +64,7 @@ class WholePlotLayout:
 
     zero_based (plot index per run, from 0), sizes (runs per plot) and
     n_plots are derived once at construction; the arrays are read-only.
-    _bins keeps _plot_sums' bincount index per block width.
+    _bins keeps the bins index per block count.
     """
 
     assignment: tuple[int, ...]
@@ -100,6 +100,15 @@ class WholePlotLayout:
         """Run indices of each plot, ascending, plot by plot."""
         grouped = np.argsort(self.zero_based, kind="stable")
         return tuple(np.split(grouped, np.cumsum(self.sizes)[:-1]))
+
+    def bins(self, k: int) -> np.ndarray:
+        """The read-only (k, n) index of k stacked blocks of runs: plot + c * n_plots in
+        block c, so one bincount sums every block per plot; kept per k."""
+        if k not in self._bins:
+            bins = self.zero_based + self.n_plots * np.arange(k)[:, None]
+            bins.setflags(write=False)
+            self._bins[k] = bins
+        return self._bins[k]
 
     def indicator(self) -> np.ndarray:
         """Z, the n x r run-to-plot indicator matrix."""
@@ -149,9 +158,7 @@ def build_v(model: CovarianceModel) -> np.ndarray:
 def _plot_sums(layout: WholePlotLayout, b: np.ndarray) -> np.ndarray:
     """Z' b for an (n, k) array: per-plot column sums, accumulated in run order."""
     k, r = b.shape[1], layout.n_plots
-    if k not in layout._bins:
-        layout._bins[k] = (layout.zero_based + r * np.arange(k)[:, None]).ravel()
-    sums = np.bincount(layout._bins[k], weights=b.T.ravel(), minlength=r * k)
+    sums = np.bincount(layout.bins(k).ravel(), weights=b.T.ravel(), minlength=r * k)
     # C order keeps S' diag(w) S on the BLAS path, and so the rounding, that
     # the design search has always had
     return np.ascontiguousarray(sums.reshape(k, r).T)

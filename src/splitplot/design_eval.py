@@ -163,9 +163,10 @@ def prediction_variance(design: Design, model: ModelSpec, point, ratio: float = 
     """Unit-variance prediction variance f(x)' (X' V^{-1} X)^{-1} f(x).
 
     point is either a settings row in factor order or a mapping from factor
-    name to setting (coded value for continuous, level index or label for
-    categorical).  Points outside the coded range are allowed but warned
-    about: the variance there is an extrapolation.
+    name to setting: a coded number for a continuous factor (text is
+    refused), a level index or label for a categorical one.  Points outside
+    the coded range are allowed but warned about: the variance there is an
+    extrapolation.
     """
     if isinstance(point, dict):
         row = []
@@ -173,6 +174,8 @@ def prediction_variance(design: Design, model: ModelSpec, point, ratio: float = 
             if f.name not in point:
                 raise ValidationError(f"point is missing factor {f.name!r}")
             val = point[f.name]
+            if isinstance(val, str) and not f.is_categorical:
+                raise ValidationError(f"factor {f.name!r} takes a coded number, not {val!r}")
             row.append(f.to_coded(val) if isinstance(val, str) else float(val))
         extra = set(point) - {f.name for f in design.factors}
         if extra:

@@ -112,15 +112,12 @@ class Design:
 
     _memo holds what fitting and simulating derive from the settings alone,
     so Monte Carlo replicates on one design derive it once.  A ModelSpec key
-    holds that model's read-only model matrix X, its full-rank check, Z'X
-    per plot, the bins of the REML evaluator, its column labels and, once a
-    reml_fit's grid passes its checks, the grid's read-only X' V^{-1} X,
-    slogdet and log det V, with the stratum terms of its screen (inference
-    fills it; what fails a check is checked again on the next call).  A
-    truth-term label key holds that term's read-only column (boomerang_sim
-    fills it; an invalid label raises on every call).  The settings are
-    read-only, so no entry goes stale; the memo lives as long as the design
-    and is no part of its equality, hash or repr.
+    holds that model's per-design REML terms (inference fills it and says
+    what they are; what fails a check is checked again on the next call).
+    A truth-term label key holds that term's read-only column
+    (boomerang_sim fills it; an invalid label raises on every call).  The
+    settings are read-only, so no entry goes stale; the memo lives as long
+    as the design and is no part of its equality, hash or repr.
     """
 
     factors: tuple[Factor, ...]

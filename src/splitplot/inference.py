@@ -20,34 +20,35 @@ ModelSpec.error_df; their p-values are tails.f_sf.
 
 All exact scores of obj come from one kernel, _DesignPart.evaluator, over
 a stack of ratios.  It has a per-design part and a per-response part.  The
-per-design part, _design_part, checks that X has full column rank, sums
-Z'X per plot (r x p) and lays out the bins, each run's (ratio, plot) row;
-reml_fit and gls_fit keep it, with the read-only X and its column labels,
-in the design's memo under the ModelSpec (see Design), so Monte Carlo
-replicates on one design derive it once, while reml_objective builds it
-afresh for the x it is given.  The per-response part holds y and its noise
-floor and allocates one (k, n, p) buffer for V^{-1} X, with k the ratios
-that fit in _PASS_CELLS = 2^16 cells (512 KB), at least one and at most
-the 49-point grid plus eta = 0: 50 on the 24-run tin design, one at 12 800
-runs, where the buffer is the size of X.  gls_fit and reml_objective are
-passes of one ratio.  A pass forms V^{-1} X and V^{-1} resid as
-covariance.solve_v does: w_i times Z'X and the residual sums per plot,
-gathered to runs by one np.take over the bins.  X' V^{-1} X, slogdet, the
-solve for beta and y' P y are stacked numpy calls whose every slice makes
-the BLAS or LAPACK call of a single ratio, so a ratio's result does not
-depend on the pass it is scored in and fitted output is unchanged.
+per-design part, _design_part, checks that X has full column rank and sums
+Z'X per plot (r x p); the bins, each run's (ratio, plot) row, are the
+layout's (WholePlotLayout.bins).  reml_fit and gls_fit keep the part, with
+the read-only X and its column labels, in the design's memo under the
+ModelSpec (see Design), so Monte Carlo replicates on one design derive it
+once, while reml_objective builds it afresh for the x it is given.  The
+per-response part holds y and its noise floor and allocates one (k, n, p)
+buffer for V^{-1} X, with k the ratios that fit in _PASS_CELLS = 2^16
+cells (512 KB), at least one and at most the 49-point grid plus eta = 0:
+50 on the 24-run tin design, one at 12 800 runs, where the buffer is the
+size of X.  gls_fit and reml_objective are passes of one ratio.  A pass
+forms V^{-1} X and V^{-1} resid as covariance.solve_v does: w_i times Z'X
+and the residual sums per plot, gathered to runs by one np.take over the
+bins.  X' V^{-1} X, slogdet, the solve for beta and y' P y are stacked
+numpy calls whose every slice makes the BLAS or LAPACK call of a single
+ratio, so a ratio's result does not depend on the pass it is scored in and
+fitted output is unchanged.
 
-The grid serves only to find its argmin k and the seeds at k - 1, k and
-k + 1.  The first reml_fit on a design derives a _Grid from X alone and
-keeps it, read-only, in the memo entry: X' V^{-1} X, its slogdet and
-log det V at the 49 grid ratios and eta = 0, formed in the passes a grid
-scan of k ratios would make, so they are one_pass's bits, and checked for
-rank before anything is kept; and the screen's stratum terms, a _Strata
-(W_xx = X_c' X_c, the H_d of X, X_c and the plot-size classes) with its
-_Coefficients at the 50 ratios.  Every fit then takes one path.  The
-screen scores all 50 ratios from stratum sums, and one_pass, handed the
-kept terms, exactly scores only the grid ratios that can be the grid
-minimum, their neighbours and eta = 0, in ceil(ratios / k) passes;
+The grid serves only to find its argmin k, golden section's seed.  The
+first reml_fit on a design derives a _Grid from X alone and keeps it,
+read-only, in the memo entry: log det V + log det(X' V^{-1} X) at the 49
+grid ratios and eta = 0, from the passes a grid scan of k ratios would
+make, so they are one_pass's bits, with X' V^{-1} X checked for rank at
+every ratio before anything is kept; and the screen's stratum terms, a
+_Strata (W_xx = X_c' X_c, the H_d of X, X_c and the plot-size classes)
+with its _Coefficients at the 50 ratios.  Every fit then takes one path.
+The screen scores all 50 ratios from stratum sums, and one_pass exactly
+scores only the grid ratios that can be the grid minimum and eta = 0, in
+ceil(ratios / k) passes that each form their own X' V^{-1} X;
 _RemlSearch.exact_grid counts them.
 
 The screen.  With B = [X y] and s_i its sums over plot i,
@@ -95,15 +96,15 @@ margin is (n - p) rho / (1 - rho), which bounds
 of each objective's sums.  It is infinite where rho >= 1/2 or
 y'P y~ <= 2 _NOISE_FLOOR y' y.  A grid ratio whose obj~ less its margin
 exceeds the least obj~ plus margin is strictly above the exact grid
-minimum, so k, the seeds, the golden-section walk and every fitted byte are
-those of a fit that scores all 50.  A ratio whose y' P y may reach the noise
+minimum, so k, the golden-section walk and every fitted byte are those of
+a fit that scores all 50.  A ratio whose y' P y may reach the noise
 floor is scored exactly too, so a response is refused for zero residual
 variation on the same inputs as before, and the rank check sees all 50
 ratios before any solve.  Where obj is flat to rounding nothing can be
 excluded: a layout of one-run plots, where V = (1 + eta) I and obj does not
-depend on eta, scores all 50.  A fit-large fit scores 4 and a tin fit 3 or
-4 (3.94 over 2 000 mc-power fits), and over random layouts |obj - obj~|
-stays below an eighth of the margin
+depend on eta, scores all 50.  A fit-large fit scores 2 and a tin fit
+nearly always 2 (2.01 over 2 000 mc-power fits), and over random layouts
+|obj - obj~| stays below an eighth of the margin
 (test_the_grid_screen_bounds_the_exact_objective).
 
 Golden section walks one loop, _golden_section, of its own steps.  Which
@@ -122,11 +123,13 @@ comparison the screen cannot decide on, and always at the step that ends
 the walk, the walk is exact: one pass scores c and d, and each later pass
 the point the next step asks for and, where 7 ratios fit one pass (n p up
 to 9 362, 851 runs of the tin model), up to 6 more on the path a parabola
-predicts.  Through the three lowest values scored so far, the bracket's
-grid points among them, it predicts "left" at a step when its vertex lies
-left of (c + d) / 2.  The walk compares as a one-point search would until a
-comparison leaves the path, and a step whose bracket is done asks for the
-midpoint, which is eta-hat.  One point per pass elsewhere: there a wider
+predicts.  Through the three lowest values among the grid argmin and the
+points scored so far, it predicts "left" at a step when its vertex lies
+left of (c + d) / 2.  The seed is k alone: a seed shapes only the
+predicted path, never a comparison, and that path then does not depend on
+which grid ratios the screen left exact.  The walk compares as a one-point
+search would until a comparison leaves the path, and a step whose bracket
+is done asks for the midpoint, which is eta-hat.  One point per pass elsewhere: there a wider
 pass saves about what it costs.  A tin fit takes about 10 passes and
 decides nothing on the screen; a fit-large fit decides about 15 of its 40
 comparisons and scores about 27 ratios exactly, against 42.
@@ -135,10 +138,11 @@ the exact work.  Ratios score alike in any pass and every comparison is
 golden section's own, so neither the screen, the prediction nor the pass
 width moves a fitted digit: eta-hat, its _Evaluation and every fitted byte
 are those of a search that scores one point per pass.  Lookahead adds no
-failure mode: every point lies inside the grid bracket, whose ends were
-already scored, and in exact arithmetic X' V^{-1} X is positive definite
-at every ratio while y' P y does not grow with eta, so a point between two
-ends that passed the rank and noise-floor checks passes them too.
+failure mode: every point lies inside the grid bracket, whose ends passed
+the rank check when the grid was kept and clear the noise floor, scored
+exactly or within the screen's bound, and in exact arithmetic
+X' V^{-1} X is positive definite at every ratio while y' P y does not grow
+with eta, so a point between two such ends passes both checks too.
 
 The walk's margin is the grid's with three more terms, each times
 _SCREEN_SAFETY, where obj~ takes its log dets from the screen too.
@@ -348,7 +352,6 @@ class _Strata(NamedTuple):
 class _Grid(NamedTuple):
     """What reml_fit keeps per design at the 50 _GRID_RATIOS, read-only (module docstring)."""
 
-    terms: tuple  # X' V^{-1} X, its slogdet sign and log, log det V: one_pass's, stacked
     strata: _Strata
     screen: _Coefficients  # at the 50 ratios
     base: np.ndarray  # 50: log det V + log det(X' V^{-1} X), as one_pass adds them
@@ -361,30 +364,26 @@ class _DesignPart(NamedTuple):
     layout: WholePlotLayout
     plot_x: np.ndarray  # Z'X: per-plot column sums, r x p
     width: int  # ratios per pass
-    bins: np.ndarray  # run -> (ratio, plot) row, width x n: a pass's bincount and take index
 
-    def _inverse_x(self, eta, buf):
+    def _pass(self, eta, buf):
         """V^{-1} X at a column of k ratios, into buf (k x n x p), as covariance.solve_v
-        forms it; returns the shrink weights w (k x r) and the scaled plot sizes m_i eta."""
+        forms it; returns the shrink weights w (k x r), X' V^{-1} X, its slogdet sign
+        and log, and log det V."""
         scaled = self.layout.sizes * eta
         w = eta / (1.0 + scaled)  # covariance._shrink per ratio
-        # w_i (Z'X)_i per plot, gathered to runs; bins is in range by construction, and
+        # w_i (Z'X)_i per plot, gathered to runs; the bins are in range by construction, and
         # "clip" spares the copy that out= is buffered through under the default "raise"
-        np.take((w[..., None] * self.plot_x).reshape(-1, buf.shape[2]), self.bins[:len(eta)],
-                axis=0, out=buf, mode="clip")
+        np.take((w[..., None] * self.plot_x).reshape(-1, buf.shape[2]),
+                self.layout.bins(self.width)[:len(eta)], axis=0, out=buf, mode="clip")
         np.subtract(self.x, buf, out=buf)
-        return w, scaled
-
-    def _pass_terms(self, buf, scaled):
-        """(X' V^{-1} X, its slogdet sign and log, log det V) of one pass."""
         m = np.matmul(self.x.T, buf)
-        return (m, *np.linalg.slogdet(m), np.log1p(scaled).sum(axis=1))
+        return (w, m, *np.linalg.slogdet(m), np.log1p(scaled).sum(axis=1))
 
     def grid(self) -> _Grid:
         """The per-design terms of every reml_fit's grid, from X alone (see _Grid).
 
-        X' V^{-1} X and the log dets come from the passes a grid scan of width
-        ratios would make, so they are the bits one_pass forms.  Raises
+        log det V + log det(X' V^{-1} X) come from the passes a grid scan of
+        width ratios would make, so they are the bits one_pass adds.  Raises
         NumericalError if X' V^{-1} X fails the rank check at any ratio.
         """
         x, layout, plot_x = self.x, self.layout, self.plot_x
@@ -394,11 +393,9 @@ class _DesignPart(NamedTuple):
         passes = []
         for start in range(0, len(ratios), self.width):
             eta = ratios[start:start + self.width, None]
-            vix = buf[:len(eta)]
-            _, scaled = self._inverse_x(eta, vix)
-            passes.append(self._pass_terms(vix, scaled))
-        terms = tuple(np.concatenate(parts) for parts in zip(*passes))
-        _check_rank(*terms[1:3])
+            passes.append(self._pass(eta, buf[:len(eta)])[2:])
+        sign, ldm, ldv = (np.concatenate(parts) for parts in zip(*passes))
+        _check_rank(sign, ldm)
 
         sizes = layout.sizes
         xc = x - np.take(plot_x / sizes[:, None], layout.zero_based, axis=0)
@@ -409,32 +406,31 @@ class _DesignPart(NamedTuple):
         x_norms = np.sqrt(np.diagonal(xtx))
         lam_x = float(np.linalg.eigvalsh(xtx / np.multiply.outer(x_norms, x_norms))[0])
         strata = _Strata(xc, classes, distinct.astype(float), xc.T @ xc, between, x_norms, lam_x)
-        grid = _Grid(terms, strata, strata.at(ratios), terms[3] + terms[2])
-        for arr in (*terms, *strata[:-1], *grid.screen, grid.base):
+        grid = _Grid(strata, strata.at(ratios), ldv + ldm)
+        for arr in (*strata[:-1], *grid.screen, grid.base):
             arr.setflags(write=False)
         return grid
 
     def evaluator(self, y):
-        """The per-response part: (etas, terms=None) -> one _Evaluation per eta, in order.
+        """The per-response part: etas -> one _Evaluation per eta, in order.
 
         Each eta gets one _Evaluation, from passes of up to width ratios (see
-        the module docstring); terms, if given, are the _Grid.terms rows of
-        every eta, and each pass takes X' V^{-1} X, its slogdet and log det V
-        from them.  Within a pass the ratios are checked in order: every slogdet
+        the module docstring); each pass forms its own X' V^{-1} X, slogdet and
+        log det V.  Within a pass the ratios are checked in order: every slogdet
         sign before any solve, then the noise floor.  The buffers live as long
         as the returned function.
         """
-        x, layout, width, bins = self.x, self.layout, self.width, self.bins
+        x, layout, width = self.x, self.layout, self.width
         n, p = x.shape
         r = layout.n_plots
+        bins = layout.bins(width)
         vix = np.empty((width, n, p))
         noise_floor = _NOISE_FLOOR * float(y @ y)
 
-        def one_pass(eta, terms):
+        def one_pass(eta):
             k = len(eta)
             buf, at = vix[:k], bins[:k]
-            w, scaled = self._inverse_x(eta[:, None], buf)
-            m, sign, ldm, ldv = terms or self._pass_terms(buf, scaled)
+            w, m, sign, ldm, ldv = self._pass(eta[:, None], buf)
             _check_rank(sign, ldm)  # before the solve, which would raise LinAlgError
             rhs = np.matmul(buf.transpose(0, 2, 1), y)
             # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
@@ -451,12 +447,11 @@ class _DesignPart(NamedTuple):
             ]
             return list(map(_Evaluation, objective, beta, m, qform))
 
-        def evaluate(etas, terms=None):
+        def evaluate(etas):
             etas = np.asarray(etas, dtype=float)
             out = []
             for start in range(0, len(etas), width):
-                chunk = slice(start, start + width)
-                out += one_pass(etas[chunk], terms and tuple(t[chunk] for t in terms))
+                out += one_pass(etas[start:start + width])
             return out
 
         return evaluate
@@ -473,10 +468,8 @@ def _design_part(x, layout) -> _DesignPart:
         raise NumericalError("model matrix is rank deficient on this design")
     plot_x = _plot_sums(layout, x)
     width = max(1, min(len(_GRID_RATIOS), _PASS_CELLS // (n * p)))
-    bins = layout.zero_based + layout.n_plots * np.arange(width)[:, None]
     plot_x.setflags(write=False)
-    bins.setflags(write=False)
-    return _DesignPart(x, layout, plot_x, width, bins)
+    return _DesignPart(x, layout, plot_x, width)
 
 
 def _screen(strata, coef, response, yy, base, fixed, center=None):
@@ -537,10 +530,17 @@ def _walk_screen(part, grid, y, beta):
 
 
 def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLayout) -> float:
-    """Profiled -2 restricted log likelihood, up to an additive constant."""
+    """Profiled -2 restricted log likelihood, up to an additive constant.
+
+    x must be n x p and y of length n, with n the layout's runs, and both finite.
+    """
     _check_ratio(eta)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or len(x) != layout.n_runs or y.shape != (len(x),):
+        raise ValidationError(f"x {x.shape} and y {y.shape} do not fit {layout.n_runs} runs")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("x and y must be finite")
     n, p = x.shape
     if n - p < 1:
         raise ValidationError("no residual degrees of freedom (n <= p)")
@@ -788,15 +788,15 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     [1e-8, 1e8] and at eta = 0, refines the best bracket by golden section,
     and compares the interior optimum against eta = 0; ties go to the
     boundary.  The grid is screened with stratum sums in one pass over y,
-    and only the ratios that can be its minimum, their neighbours and
-    eta = 0 are scored exactly, with the X' V^{-1} X and log dets the
-    design's first fit kept in its memo; the margin that excludes the rest
-    is derived in the module docstring, so the fit is the one a scan that
-    scores all 50 exactly would give.  Golden section first takes the steps
-    the stratum screen decides, where a pass holds one point, then scores
-    up to _LOOKAHEAD_POINTS per pass on the path a parabola predicts, where
-    they fit one pass (see the module docstring); the eta it returns is the
-    one a search scoring one point per pass would return.  An optimum at
+    against the log dets the design's first fit kept in its memo, and only
+    the ratios that can be its minimum and eta = 0 are scored exactly; the
+    margin that excludes the rest is derived in the module docstring, so
+    the fit is the one a scan that scores all 50 exactly would give.  Golden
+    section, seeded with the grid minimum, first takes the steps the
+    stratum screen decides, where a pass holds one point, then scores up to
+    _LOOKAHEAD_POINTS per pass on the path a parabola predicts, where they
+    fit one pass (see the module docstring); the eta it returns is the one a
+    search scoring one point per pass would return.  An optimum at
     the upper cap (the grid minimum is its last point and golden section
     ends within _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too,
     with the ratio left where golden section put it.  Each evaluation is a
@@ -805,29 +805,26 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     """
     response, entry, y = _prepare(responses, model, response)
     part, labels, grid = entry
-    if grid is None:  # the design's first fit: keep the grid terms once they pass their check
+    if grid is None:  # the design's first fit: keep the grid once it passes its check
         grid = entry[2] = part.grid()
     evaluate = part.evaluator(y)
     budget = _LOOKAHEAD_POINTS if part.width >= _LOOKAHEAD_POINTS else 1
 
     # exactly score the grid ratios that can be the grid minimum or whose y' P y may be at
-    # the noise floor, their neighbours, and eta = 0
+    # the noise floor, and eta = 0
     objective, margin = _screened(part, grid, y)
     upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
-    candidates = np.flatnonzero(lower <= upper.min()).tolist()
-    near = {i + step for i in candidates for step in (-1, 0, 1)}
-    at = [*sorted(near.intersection(range(_GRID_POINTS))), _GRID_POINTS]
-    *exact, zero = evaluate([_GRID_RATIOS[i] for i in at], tuple(t[at] for t in grid.terms))
+    at = [*np.flatnonzero(lower <= upper.min()).tolist(), _GRID_POINTS]
+    *exact, zero = evaluate([_GRID_RATIOS[i] for i in at])
+    k, at_k = min(zip(at, exact), key=lambda pair: pair[1].objective)  # the first lowest
     ts = _GRID_LOG_ETAS
-    k = at[int(np.argmin([e.objective for e in exact]))]
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, len(ts) - 1)]
-    seeds = [(e.objective, ts[i]) for i, e in zip(at, exact) if lo <= ts[i] <= hi]
     # one point per pass: the screen decides the comparisons it can first
-    screen = _walk_screen(part, grid, y, exact[at.index(k)].beta) if budget == 1 else None
+    screen = _walk_screen(part, grid, y, at_k.beta) if budget == 1 else None
     t_star, star, passes, ratios, decided = _golden_section(
         lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, budget,
-        seeds, screen,
+        [(at_k.objective, ts[k])], screen,
     )
     if zero.objective <= star.objective:
         eta_hat, at_eta, reason = 0.0, zero, "zero"

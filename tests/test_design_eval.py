@@ -454,6 +454,15 @@ def test_prediction_variance_validates_points(tin_design, tin_model):
             {"nut_weight": "heavy", "tension": 0.0, "twist": "no",
              "ramp_height": 0.0, "bogus": 1.0},
         )
+    # a number is a coded value; text, which to_coded reads in natural units, is refused:
+    # "1" is tension's low end, coded -1, where 1.0 is coded +1
+    for text in ("1", "1.0", "0"):
+        with pytest.raises(ValidationError, match="tension"):
+            prediction_variance(
+                tin_design,
+                tin_model,
+                {"nut_weight": "heavy", "tension": text, "twist": "no", "ramp_height": 0.0},
+            )
     with pytest.raises(ValidationError):
         prediction_variance(tin_design, tin_model, [0.0, 0.0])
     with pytest.raises(ValidationError):

@@ -119,6 +119,8 @@ def test_reml_optimum_beats_a_dense_grid():
 
 
 def test_reml_objective_validation():
+    """A bad ratio, no residual df, and an x or y that does not fit the layout or is not
+    finite raise ValidationError, not a nan objective or a raw numpy error."""
     d, m = intercept_only_design((1, 1, 2, 2))
     x = expand_model_matrix(d, m)
     y = np.array([0.0, 2.0, 4.0, 6.0])
@@ -126,6 +128,16 @@ def test_reml_objective_validation():
         reml_objective(-1.0, x, y, d.layout)
     with pytest.raises(ValidationError):
         reml_objective(1.0, np.ones((2, 2)), np.zeros(2), d.layout)
+    six = intercept_only_design((1, 1, 2, 2, 3, 3))[0].layout
+    for bad_x, bad_y, layout in [
+        (x, np.array([0.0, np.nan, 4.0, 6.0]), d.layout),
+        (np.ones((6, 1)), np.ones(5), six),
+        (np.ones((7, 1)), np.ones(6), six),
+        (np.ones((6, 1)), np.ones((6, 1)), six),
+        (np.ones(6), np.ones(6), six),
+    ]:
+        with pytest.raises(ValidationError):
+            reml_objective(1.0, bad_x, bad_y, layout)
 
 
 def test_noise_free_data_raises_instead_of_faking_components():
@@ -463,25 +475,27 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
 
 
 def test_lookahead_pass_counts(tin_design, tin_model):
-    """Every evaluator pass that forms its own X' V^{-1} X makes one slogdet call over
-    its ratios; the grid's are formed once per design, in the passes a grid scan makes.
+    """Every evaluator pass forms its own X' V^{-1} X and makes one slogdet call over
+    its ratios; the design's first fit also makes the grid's passes, once per design.
 
-    The tin fit scores up to 7 points per pass: the grid with eta = 0, the first
-    golden pair and 9 passes on the predicted path, the last three cut short where
-    the bracket is done, against 44 when golden section scored one point per pass;
-    its search record counts the golden-section passes.  The 1 968-run layout, whose
-    passes hold 3 ratios, keeps one point per pass, the one-point search, whose 40
-    comparisons the screen decides first where it can: the 50 grid ratios and 25
-    golden-section ratios on the first fit, then 26 and 25 on the later fits on the
-    same design, whose grid ratios come from the design's memo, against 42 per fit
-    without the screen."""
+    The tin fit scores up to 7 points per pass: the grid with eta = 0 for the memo,
+    the grid argmin with eta = 0, the first golden pair and 9 passes on the predicted
+    path, the last three cut short where the bracket is done, against 44 when golden
+    section scored one point per pass; its search record counts the golden-section
+    passes.  The 1 968-run layout, whose passes hold 3 ratios, keeps one point per
+    pass, the one-point search, whose 40 comparisons the screen decides first where
+    it can: the 50 grid ratios, the grid argmin with eta = 0 and 25 golden-section
+    ratios on the first fit, then the grid argmin with eta = 0 and 26 and 25
+    golden-section ratios on the later fits on the same design, whose grid terms come
+    from the design's memo, against 42 golden-section ratios per fit without the
+    screen."""
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
     fresh = ResponseTable(design=dataclasses.replace(tin_design), responses=tab.responses)
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
         fit = reml_fit(fresh, tin_model)
     widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
-    assert widths == [50, 2] + [7] * 6 + [6, 4, 2]
+    assert widths == [50, 2, 2] + [7] * 6 + [6, 4, 2]
     assert (fit.search.passes, fit.search.ratios) == (10, 56)
     per_fit = []
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
@@ -489,15 +503,15 @@ def test_lookahead_pass_counts(tin_design, tin_model):
             per_fit.append([call.args[0].shape[0] for call in slogdet.call_args_list])
             slogdet.reset_mock()
     assert len(per_fit) == 3
-    assert sum(map(sum, per_fit)) == 75 + 26 + 25
-    # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the golden
-    # pair the screen hands over in one pass, then one point per pass
+    assert sum(map(sum, per_fit)) == 77 + 28 + 27
+    # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the grid
+    # argmin with eta = 0, the golden pair the screen hands over, each in one pass,
+    # then one point per pass
     first, *later = per_fit
-    assert set(first) == {1, 2, 3}
-    assert first.count(3) == 16
-    assert first.count(2) == 2
-    # later fits: the golden pair the screen hands over, then one point per pass
-    assert later == [[2] + [1] * 24, [2] + [1] * 23]
+    assert first == [3] * 16 + [2] * 3 + [1] * 23
+    # later fits: the grid argmin with eta = 0, the golden pair the screen hands over,
+    # then one point per pass
+    assert later == [[2, 2] + [1] * 24, [2, 2] + [1] * 23]
 
 
 @pytest.mark.parametrize("case, boundary", [("cap", "cap"), ("zero boundary", "zero")])
@@ -992,7 +1006,7 @@ def test_the_grid_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
     grid = part.grid()
     objective, margin = inference._screened(part, grid, y)
     try:
-        exact = part.evaluator(y)(inference._GRID_RATIOS, grid.terms)
+        exact = part.evaluator(y)(inference._GRID_RATIOS)
     except NumericalError:
         with pytest.raises(NumericalError, match="zero residual variation"):
             reml_fit(tab, m)
@@ -1062,7 +1076,7 @@ def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
     grid = part.grid()
     evaluate = part.evaluator(y)
     try:
-        exact = evaluate(inference._GRID_RATIOS, grid.terms)
+        exact = evaluate(inference._GRID_RATIOS)
     except NumericalError:
         return  # reml_fit refuses it: test_the_grid_screen_bounds_the_exact_objective
     rng = np.random.default_rng(seed)
@@ -1096,15 +1110,13 @@ def test_the_walk_screen_decides_only_one_point_per_pass_walks(tin_design, tin_m
 
 
 def test_the_screen_leaves_few_grid_ratios_to_the_exact_evaluator(tin_design, tin_model):
-    """Nearly every tin fit scores only its grid argmin, the argmin's neighbours and
-    eta = 0 exactly: 4 ratios, 3 where the argmin is an end of the grid.  Where the
-    objective is nearly flat between the first grid ratios, the margin keeps a few
-    more.  On a layout of one-run plots V = (1 + eta) I and the objective does not
+    """Nearly every tin fit scores only its grid argmin and eta = 0 exactly: 2 ratios.
+    Where the objective is nearly flat between the first grid ratios, the margin keeps
+    a few more.  On a layout of one-run plots V = (1 + eta) I and the objective does not
     depend on eta, so nothing can be excluded and all 50 are scored."""
-    ends = (0, len(inference._GRID_LOG_ETAS) - 1)
     searches = [fit.search for fit in _pinned_fits("tin", tin_design, tin_model)]
     assert max(s.exact_grid for s in searches) <= 6
-    assert sum(s.exact_grid == (3 if s.grid_argmin in ends else 4) for s in searches) >= 90
+    assert sum(s.exact_grid == 2 for s in searches) >= 90
     m = build_model([define_factor("u", "continuous"), define_factor("v", "continuous")],
                     "mains_only")
     rng = np.random.default_rng(6)
