@@ -32,11 +32,12 @@ cells (512 KB), at least one and at most the 49-point grid plus eta = 0:
 50 on the 24-run tin design, one at 12 800 runs, where the buffer is the
 size of X.  gls_fit and reml_objective are passes of one ratio.  A pass
 forms V^{-1} X and V^{-1} resid as covariance.solve_v does: w_i times Z'X
-and the residual sums per plot, gathered to runs by one np.take over the
-bins.  X' V^{-1} X, slogdet, the solve for beta and y' P y are stacked
-numpy calls whose every slice makes the BLAS or LAPACK call of a single
-ratio, so a ratio's result does not depend on the pass it is scored in and
-fitted output is unchanged.
+and the residual sums per plot, gathered to runs by one take over the
+bins.  Its rank check reads the slogdet signs and logs as the lists the
+objective is summed from.  X' V^{-1} X, slogdet, the solve for beta and
+y' P y are stacked numpy calls whose every slice makes the BLAS or LAPACK
+call of a single ratio, so a ratio's result does not depend on the pass it
+is scored in and fitted output is unchanged.
 
 The grid serves only to find its argmin k, golden section's seed.  The
 first reml_fit on a design derives a _Grid from X alone and keeps it,
@@ -49,7 +50,9 @@ with its _Coefficients at the 50 ratios.  Every fit then takes one path.
 The screen scores all 50 ratios from stratum sums, and one_pass exactly
 scores only the grid ratios that can be the grid minimum and eta = 0, in
 ceil(ratios / k) passes that each form their own X' V^{-1} X;
-_RemlSearch.exact_grid counts them.
+_RemlSearch.exact_grid counts them.  Where 7 ratios fit one pass, the last
+of these passes is the opening pass, which also scores golden section's
+first points (below).
 
 The screen.  With B = [X y] and s_i its sums over plot i,
 
@@ -121,24 +124,38 @@ coefficients, and log det V is summed as one_pass sums it.  Where
 same sign, and the step is taken without an exact pass.  From the first
 comparison the screen cannot decide on, and always at the step that ends
 the walk, the walk is exact: one pass scores c and d, and each later pass
-the point the next step asks for and, where 7 ratios fit one pass (n p up
-to 9 362, 851 runs of the tin model), up to 6 more on the path a parabola
+the point the next step asks for.  One point per pass there: a wider pass
+saves about what it costs.
+
+Where 7 ratios fit one pass (n p up to 9 362, 851 runs of the tin model),
+the screen decides no step, and each pass after the first pair scores the
+point the next step asks for and up to 6 more on the path a parabola
 predicts.  Through the three lowest values among the grid argmin and the
 points scored so far, it predicts "left" at a step when its vertex lies
-left of (c + d) / 2.  The seed is k alone: a seed shapes only the
-predicted path, never a comparison, and that path then does not depend on
-which grid ratios the screen left exact.  The walk compares as a one-point
-search would until a comparison leaves the path, and a step whose bracket
-is done asks for the midpoint, which is eta-hat.  One point per pass elsewhere: there a wider
-pass saves about what it costs.  A tin fit takes about 10 passes and
-decides nothing on the screen; a fit-large fit decides about 15 of its 40
-comparisons and scores about 27 ratios exactly, against 42.
-_RemlSearch.certified counts the decided comparisons, passes and ratios
-the exact work.  Ratios score alike in any pass and every comparison is
+left of (c + d) / 2.  The first pair and the first path come in the
+opening pass, with the grid candidates and eta = 0, before the grid
+argmin k is known: golden section's first pair in the bracket of the
+screen's best candidate (the least obj~ plus margin), the 7 points of the
+path the parabola through obj~ there and at two grid neighbours predicts,
+then the first pair of each other candidate's bracket, as many as the
+candidates' last pass has room for.  Golden section reads a point already
+scored, keyed by its log ratio, and makes a pass only for a point it
+lacks.  The seed is k alone, and neither a seed nor a prediction decides a
+comparison: they shape only which points a pass holds.  The walk compares
+as a one-point search would until a comparison leaves the path, and a step
+whose bracket is done asks for the midpoint, which is eta-hat.  A tin fit
+makes about 9 exact passes after its grid screen (8.96 over 300 mc-power
+fits, 10.63 with separate passes for the candidates and the first pair);
+a fit-large fit decides about 15 of its 40 comparisons on the screen and
+scores about 27 golden-section ratios exactly, against 42.
+_RemlSearch.passes and ratios count every exact pass and ratio after the
+grid screen, the opening pass included, and certified the comparisons the
+screen decided.  Ratios score alike in any pass and every comparison is
 golden section's own, so neither the screen, the prediction nor the pass
 width moves a fitted digit: eta-hat, its _Evaluation and every fitted byte
-are those of a search that scores one point per pass.  Lookahead adds no
-failure mode: every point lies inside the grid bracket, whose ends passed
+are those of a search that scores one point per pass.  Lookahead and the
+opening pass add no failure mode: every point lies inside a candidate's
+grid bracket, whose ends passed
 the rank check when the grid was kept and clear the noise floor, scored
 exactly or within the screen's bound, and in exact arithmetic
 X' V^{-1} X is positive definite at every ratio while y' P y does not grow
@@ -270,9 +287,10 @@ def _row_dots(a, b) -> list[float]:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
 
 
-def _check_rank(sign, ldm) -> None:
-    """Raise NumericalError unless every X' V^{-1} X slogdet is positive and finite."""
-    if not ((sign > 0).all() and np.isfinite(ldm).all()):
+def _check_rank(signs, logs) -> None:
+    """Raise NumericalError unless every X' V^{-1} X slogdet, given as lists of signs
+    and logs, is positive and finite (a sum of log dets is finite only if each is)."""
+    if not (min(signs) > 0 and math.isfinite(sum(logs))):
         raise NumericalError("model matrix is rank deficient on this design")
 
 
@@ -373,8 +391,8 @@ class _DesignPart(NamedTuple):
         w = eta / (1.0 + scaled)  # covariance._shrink per ratio
         # w_i (Z'X)_i per plot, gathered to runs; the bins are in range by construction, and
         # "clip" spares the copy that out= is buffered through under the default "raise"
-        np.take((w[..., None] * self.plot_x).reshape(-1, buf.shape[2]),
-                self.layout.bins(self.width)[:len(eta)], axis=0, out=buf, mode="clip")
+        (w[..., None] * self.plot_x).reshape(-1, buf.shape[2]).take(
+            self.layout.bins(self.width)[:len(eta)], axis=0, out=buf, mode="clip")
         np.subtract(self.x, buf, out=buf)
         m = np.matmul(self.x.T, buf)
         return (w, m, *np.linalg.slogdet(m), np.log1p(scaled).sum(axis=1))
@@ -395,7 +413,7 @@ class _DesignPart(NamedTuple):
             eta = ratios[start:start + self.width, None]
             passes.append(self._pass(eta, buf[:len(eta)])[2:])
         sign, ldm, ldv = (np.concatenate(parts) for parts in zip(*passes))
-        _check_rank(sign, ldm)
+        _check_rank(sign.tolist(), ldm.tolist())
 
         sizes = layout.sizes
         xc = x - np.take(plot_x / sizes[:, None], layout.zero_based, axis=0)
@@ -431,24 +449,27 @@ class _DesignPart(NamedTuple):
             k = len(eta)
             buf, at = vix[:k], bins[:k]
             w, m, sign, ldm, ldv = self._pass(eta[:, None], buf)
-            _check_rank(sign, ldm)  # before the solve, which would raise LinAlgError
+            logs = ldm.tolist()
+            _check_rank(sign.tolist(), logs)  # before the solve, which would raise LinAlgError
             rhs = np.matmul(buf.transpose(0, 2, 1), y)
             # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
             beta = np.linalg.solve(m, rhs[..., None])[..., 0]
             resid = y - np.matmul(x, beta[..., None])[..., 0]
             sums = np.bincount(at.ravel(), weights=resid.ravel(), minlength=k * r)
-            vr = resid - np.take(w * sums.reshape(k, r), at)  # V^{-1} resid, as solve_v forms it
+            vr = resid - (w * sums.reshape(k, r)).take(at)  # V^{-1} resid, as solve_v forms it
             qform = _row_dots(resid, vr)
             if min(qform) <= noise_floor:
                 raise NumericalError("zero residual variation; nothing to estimate")
             objective = [
                 ld + d + (n - p) * math.log(q)
-                for ld, d, q in zip(ldv.tolist(), ldm.tolist(), qform)
+                for ld, d, q in zip(ldv.tolist(), logs, qform)
             ]
             return list(map(_Evaluation, objective, beta, m, qform))
 
         def evaluate(etas):
             etas = np.asarray(etas, dtype=float)
+            if len(etas) <= width:
+                return one_pass(etas)
             out = []
             for start in range(0, len(etas), width):
                 out += one_pass(etas[start:start + width])
@@ -562,6 +583,11 @@ def _vertex(best) -> float:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _golden_pair(a, b):
+    """Golden section's first pair of points, c < d, in the bracket [a, b]."""
+    return b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+
+
 def _golden_step(a, b, c, d, left, tol):
     """Golden section's bracket after one comparison and the point it asks for: c if
     left, else d, and the midpoint once the bracket is done."""
@@ -574,62 +600,85 @@ def _golden_step(a, b, c, d, left, tol):
     return a, b, c, d, (a + b) / 2.0 if b - a <= tol else c if left else d
 
 
-def _golden_section(score, lo, hi, tol, budget, seeds, screen=None):
+def _path(node, vertex, budget, tol):
+    """Golden section's steps from node, a step already taken, up to budget in all: each
+    later step goes left where vertex lies left of its bracket's (c + d) / 2, and the
+    path ends at the step whose bracket is done."""
+    nodes = [node]
+    while len(nodes) < budget and nodes[-1][1] - nodes[-1][0] > tol:
+        a, b, c, d, _ = nodes[-1]
+        nodes.append(_golden_step(a, b, c, d, vertex < (c + d) / 2.0, tol))
+    return nodes
+
+
+def _golden_section(score, lo, hi, tol, budget, seeds, screen=None, known=None):
     """Minimize a unimodal function on [lo, hi], hi - lo > tol, by golden section.
 
     score maps a list of points to their _Evaluations; seeds are one or more
-    known (value, point) pairs.  screen, if given, maps a point to
+    known (value, point) pairs, and known, if given, maps points already
+    scored to their _Evaluations.  screen, if given, maps a point to
     (obj~, margin), and the walk first takes every step whose
     |obj~(c) - obj~(d)| exceeds the two margins, up to the first it cannot
-    decide or the step that ends the walk.  One pass then scores c and d,
-    and each later pass the point the next step asks for and up to
-    budget - 1 more on the path a parabola through the three lowest values
-    predicts (see the module docstring).  Returns the final bracket's
-    midpoint, its _Evaluation, the passes and points scored and the
-    comparisons the screen decided.
+    decide or the step that ends the walk.  From there the walk is exact:
+    it first needs c and d, then each step the point it asks for.  A point
+    in known is read from there; else one pass scores it (c and d together)
+    and, after the first pair, up to budget - 1 more on the path a parabola
+    through the three lowest values predicts (see the module docstring).
+    Such a path may carry a point of known again (0.3 per tin fit): that
+    costs less than looking for it.  Returns the final bracket's midpoint,
+    its _Evaluation, the passes and points scored here and the comparisons
+    the screen decided.
     """
     a, b = lo, hi
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    c, d = _golden_pair(a, b)
     marks = screen and [screen(c), screen(d)]  # (obj~, margin) at c and d while screened
-    fc = None  # the exact objectives fc, fd once a pass has scored c and d
-    best, passes, points, decided = sorted(seeds)[:3], 0, 0, 0
+    decided = 0
+    while marks:
+        (sc, mc), (sd, md) = marks
+        *bracket, t = _golden_step(a, b, c, d, sc < sd, tol)
+        if not (abs(sc - sd) > mc + md and bracket[1] - bracket[0] > tol):
+            break  # undecided, or the step that ends the walk, which is exact
+        (a, b, c, d), decided = bracket, decided + 1
+        marks = [screen(t), marks[0]] if sc < sd else [marks[1], screen(t)]
+    known = known or {}
+    best = sorted([*seeds, *((e.objective, t) for t, e in known.items())])[:3]
+    passes = points = 0
+    if c in known and d in known:
+        fc, fd = known[c].objective, known[d].objective
+    else:
+        fc, fd = (e.objective for e in score([c, d]))
+        best = sorted([*best, (fc, c), (fd, d)])[:3]
+        passes, points = 1, 2
     while True:
-        if marks:
-            (sc, mc), (sd, md) = marks
-            *bracket, t = _golden_step(a, b, c, d, sc < sd, tol)
-            if abs(sc - sd) > mc + md and bracket[1] - bracket[0] > tol:  # the last step is exact
-                (a, b, c, d), decided = bracket, decided + 1
-                marks = [screen(t), marks[0]] if sc < sd else [marks[1], screen(t)]
-                continue
-            marks = None
-        if fc is None:
-            fc, fd = (e.objective for e in score([c, d]))
-            best = sorted([*best, (fc, c), (fd, d)])[:3]
-            passes, points = 1, 2
-            continue
-        nodes = [_golden_step(a, b, c, d, fc <= fd, tol)]
-        if budget > 1:
-            vertex = _vertex(best)
-            while len(nodes) < budget and nodes[-1][1] - nodes[-1][0] > tol:
-                na, nb, nc, nd, _ = nodes[-1]
-                nodes.append(_golden_step(na, nb, nc, nd, vertex < (nc + nd) / 2.0, tol))
-        values = score([node[4] for node in nodes])
-        passes, points = passes + 1, points + len(nodes)
-        best = sorted(best + [(e.objective, node[4]) for e, node in zip(values, nodes)])[:3]
+        node = _golden_step(a, b, c, d, fc <= fd, tol)
+        value = known.get(node[4])
+        if value is None:
+            vertex = _vertex(best) if budget > 1 else None
+            nodes = _path(node, vertex, budget, tol)
+            values = score([node[4] for node in nodes])
+            passes, points = passes + 1, points + len(nodes)
+            best = sorted(best + [(e.objective, node[4]) for e, node in zip(values, nodes)])[:3]
+        else:
+            nodes, values = [node], [value]
         for (a, b, c, d, t), value in zip(nodes, values):
             if b - a <= tol:
                 return t, value, passes, points, decided
             fc, fd = (value.objective, fc) if fc <= fd else (fd, value.objective)
-            if budget == 1 or (fc <= fd) != (vertex < (c + d) / 2.0):
+            if len(nodes) == 1 or (fc <= fd) != (vertex < (c + d) / 2.0):
                 break  # the path went the other way
 
 
 class _RemlSearch(NamedTuple):
-    """How reml_fit found its ratio: GlsFit.search."""
+    """How reml_fit found its ratio: GlsFit.search.
+
+    passes and ratios count every exact evaluator pass and ratio the fit makes
+    after its grid screen: the grid candidates with eta = 0, in the opening
+    pass where 7 ratios fit one pass, and golden section's.
+    """
 
     grid_argmin: int  # index of the lowest objective on the 49-point grid
     bracket: tuple[float, float]  # the log-eta bracket golden section refined
-    passes: int  # golden-section evaluator passes
+    passes: int  # exact evaluator passes after the grid screen
     ratios: int  # ratios those passes scored
     boundary: str | None  # None, "zero" or "cap"
     exact_grid: int  # grid ratios and eta = 0 the screen left to the exact evaluator, of 50
@@ -793,10 +842,12 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     margin that excludes the rest is derived in the module docstring, so
     the fit is the one a scan that scores all 50 exactly would give.  Golden
     section, seeded with the grid minimum, first takes the steps the
-    stratum screen decides, where a pass holds one point, then scores up to
-    _LOOKAHEAD_POINTS per pass on the path a parabola predicts, where they
-    fit one pass (see the module docstring); the eta it returns is the one a
-    search scoring one point per pass would return.  An optimum at
+    stratum screen decides, where a pass holds one point.  Where
+    _LOOKAHEAD_POINTS fit one pass, it scores up to that many per pass on the
+    path a parabola predicts, and the pass that scores the grid candidates
+    and eta = 0 also scores its first pair and first predicted path, from
+    the screened objective (see the module docstring); the eta it returns is
+    the one a search scoring one point per pass would return.  An optimum at
     the upper cap (the grid minimum is its last point and golden section
     ends within _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too,
     with the ratio left where golden section put it.  Each evaluation is a
@@ -815,17 +866,33 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     objective, margin = _screened(part, grid, y)
     upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
     at = [*np.flatnonzero(lower <= upper.min()).tolist(), _GRID_POINTS]
-    *exact, zero = evaluate([_GRID_RATIOS[i] for i in at])
-    k, at_k = min(zip(at, exact), key=lambda pair: pair[1].objective)  # the first lowest
     ts = _GRID_LOG_ETAS
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
+    brackets = {i: (ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]) for i in at[:-1]}
+    ahead = []  # golden-section points the opening pass scores too, where it has room
+    if budget > 1:
+        # the screen's best candidate: its pair, the path obj~ there and at two grid
+        # neighbours predicts, then the other candidates' pairs
+        j = int(np.argmin(upper))
+        i = min(max(j - 1, 0), len(ts) - 3)
+        vertex = _vertex([(float(objective[i + h]), ts[i + h]) for h in range(3)])
+        c, d = _golden_pair(*brackets[j])
+        first = _golden_step(*brackets[j], c, d, vertex < (c + d) / 2.0, GOLDEN_TOL)
+        ahead = [c, d, *(node[4] for node in _path(first, vertex, budget, GOLDEN_TOL))]
+        for lo, hi in brackets.values():
+            ahead += _golden_pair(lo, hi)
+        ahead = list(dict.fromkeys(ahead))[:-len(at) % part.width]  # the room left
+    opening = evaluate([*(_GRID_RATIOS[i] for i in at), *map(math.exp, ahead)])
+    exact, zero = opening[:len(at) - 1], opening[len(at) - 1]
+    k, at_k = min(zip(at, exact), key=lambda pair: pair[1].objective)  # the first lowest
+    lo, hi = brackets[k]
     # one point per pass: the screen decides the comparisons it can first
     screen = _walk_screen(part, grid, y, at_k.beta) if budget == 1 else None
     t_star, star, passes, ratios, decided = _golden_section(
         lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, budget,
-        [(at_k.objective, ts[k])], screen,
+        [(at_k.objective, ts[k])], screen, dict(zip(ahead, opening[len(at):])),
     )
+    passes += -(-len(opening) // part.width)
+    ratios += len(opening)
     if zero.objective <= star.objective:
         eta_hat, at_eta, reason = 0.0, zero, "zero"
     else:

@@ -295,7 +295,9 @@ def _tail_by_quadrature(df, nc, t):
     edges = [y_mode - steps, [lo, y_mode, hi], y_mode + steps]
     at = (nc + np.array([-16.0, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16])) / t
     edges.append(np.log(at[at > 0]))  # the step, about one unit of nc - t s wide
-    edges = np.unique(np.concatenate(edges))
+    # np.unique's values (no NaN reaches here) without its first call's import of numpy.ma
+    edges = np.sort(np.concatenate(edges))
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
     edges = edges[(edges >= lo) & (edges <= hi)]
     nodes, weights = _gauss_legendre()
     centre, radius = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2

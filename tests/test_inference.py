@@ -358,6 +358,70 @@ def test_reml_fits_match_their_recorded_digests(tin_design, tin_model, case):
     assert digest.hexdigest() == PINNED_FITS[case]
 
 
+def _reml_score(fit):
+    """eta -> d obj / d eta for fit's data at 40 digits, from the split-plot stratum form:
+    with B = [X y], W its cross-products centered by plot means, and
+    H_d = sum_{m_i = d} s_i s_i' / d over the plot sums s_i of B,
+    A = B' V^{-1} B = W + sum_d c_d H_d with c_d = 1 / (1 + d eta), and
+    obj' = sum_d n_d d c_d + tr(A_xx^-1 A'_xx) + (n - p) r' A' r / y'P y, where
+    A' = -sum_d d c_d^2 H_d, r = [-beta; 1] and n_d plots have d runs."""
+    mp = pytest.importorskip("mpmath")
+    n, p = fit.x.shape
+    plots = fit.layout.zero_based
+    with mp.workdps(40):
+        rows = [[mp.mpf(v) for v in row] for row in np.column_stack([fit.x, fit.y]).tolist()]
+        sums, sizes = {}, {}
+        for plot, row in zip(plots.tolist(), rows):
+            sums[plot] = [a + b for a, b in zip(sums.get(plot, [0] * (p + 1)), row)]
+            sizes[plot] = sizes.get(plot, 0) + 1
+        w = mp.zeros(p + 1, p + 1)
+        for plot, row in zip(plots.tolist(), rows):
+            centered = mp.matrix([v - s / sizes[plot] for v, s in zip(row, sums[plot])])
+            w += centered * centered.T
+        h, counts = {}, {}
+        for plot, s in sums.items():
+            d = sizes[plot]
+            h[d] = h.get(d, mp.zeros(p + 1, p + 1)) + mp.matrix(s) * mp.matrix(s).T / d
+            counts[d] = counts.get(d, 0) + 1
+
+    def score(eta):
+        with mp.workdps(40):
+            eta = mp.mpf(eta)
+            c = {d: 1 / (1 + d * eta) for d in h}
+            a = w + sum((c[d] * h[d] for d in h), mp.zeros(p + 1, p + 1))
+            da = -sum((d * c[d] ** 2 * h[d] for d in h), mp.zeros(p + 1, p + 1))
+            axx_inv = mp.inverse(a[:p, :p])
+            beta = axx_inv * a[:p, p]
+            r = mp.matrix([*(-beta[i] for i in range(p)), 1])
+            qform = a[p, p] - sum(a[i, p] * beta[i] for i in range(p))
+            trace = mp.fsum(axx_inv[i, j] * da[j, i] for i in range(p) for j in range(p))
+            return (sum(counts[d] * d * c[d] for d in h) + trace
+                    + (n - p) * (r.T * da * r)[0] / qform)
+
+    return score
+
+
+def test_reml_ratio_is_the_root_of_the_score(tin_design, tin_model):
+    """The first interior fit of the "tin" and "one-run plot" cases sits at a root of the
+    REML score, in 40 digits, to 1e-5 relative: golden section stops up to 3.1e-6 from
+    it.  The zero-boundary fit's score is not negative at eta = 0, and the cap fit's is
+    negative at the cap, so the objective falls toward each boundary."""
+    mp = pytest.importorskip("mpmath")
+    for case in ("tin", "one-run plot"):
+        fit = next(_pinned_fits(case, tin_design, tin_model))
+        assert not fit.boundary
+        score = _reml_score(fit)
+        lo, hi = fit.ratio * (1 - 1e-4), fit.ratio * (1 + 1e-4)
+        assert score(lo) < 0 < score(hi)
+        with mp.workdps(40):
+            root = mp.findroot(score, (lo, hi), solver="anderson", tol=mp.mpf(10) ** -30)
+        assert abs(fit.ratio - float(root)) <= 1e-5 * float(root)
+    (zero,) = _pinned_fits("zero boundary", tin_design, tin_model)
+    assert zero.ratio == 0.0 and _reml_score(zero)(0) >= 0
+    (cap,) = _pinned_fits("cap", tin_design, tin_model)
+    assert cap.search.boundary == "cap" and _reml_score(cap)(math.exp(inference.LOG_ETA_HIGH)) < 0
+
+
 def _fit_digest(fits):
     digest = hashlib.sha256()
     for fit in fits:
@@ -433,11 +497,15 @@ def _misleading_seeds(lo, width, side):
         st.sampled_from([-1, 1]),
     ),
     st.sampled_from([None, 0.0, 0.01]),
+    st.none() | st.tuples(st.floats(-1.0, 2.0), st.booleans()),
 )
-@example(lo=0.0, width=1.54, where=1.5, skew=1.0, budget=7, seeds=-1, margin=None)
-@example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1, margin=None)
+@example(lo=0.0, width=1.54, where=1.5, skew=1.0, budget=7, seeds=-1, margin=None, opening=None)
+@example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1, margin=None, opening=None)
+# a later predicted path through a point the opening scored
+@example(lo=0.0, width=1e-07, where=0.5625, skew=1.0, budget=4, seeds=[(0.0, 0.5)], margin=None,
+         opening=(0.71875, False))
 def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, skew, budget, seeds,
-                                                            margin):
+                                                            margin, opening):
     """Any point budget, brackets that end a few steps in (a done step ends the
     path), V-shaped and lopsided targets, and seeds that mislead the parabola (an
     int seeds side puts its vertex past that end of the bracket, so every
@@ -446,7 +514,11 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
     passes and points the search really scored.  So does a walk whose first steps
     a screen with the given margin decides, up to the first comparison it cannot
     decide (a margin of 0 decides every step but the last); without a screen it
-    decides none."""
+    decides none.  So does a walk given the points reml_fit's opening pass scores:
+    the path predicted from a vertex anywhere near the bracket, with or without
+    golden section's first pair; it reads them, and no pass asks for that pair or
+    opens with a point already scored."""
+    assume(opening is None or margin is None)  # reml_fit gives opening points to exact walks
     hi = lo + width
     target = lo + where * width
     if isinstance(seeds, int):
@@ -458,18 +530,28 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
     def fun(t):
         return (t - target) * (skew if t > target else -1.0)
 
+    c, d = inference._golden_pair(lo, hi)
+    known = {}
+    if opening is not None:
+        guess, with_pair = opening
+        vertex = lo + guess * width
+        first = inference._golden_step(lo, hi, c, d, vertex < (c + d) / 2.0, 1e-8)
+        path = [node[4] for node in inference._path(first, vertex, budget, 1e-8)]
+        known = {t: SimpleNamespace(objective=fun(t)) for t in [c, d][:2 * with_pair] + path}
+
     def score(points):
+        assert points[0] not in known and not (c in known and c in points)
         calls.append(len(points))
         return [SimpleNamespace(objective=fun(t)) for t in points]
 
     screen = None if margin is None else lambda t: (fun(t), margin)
     t_star, at_star, passes, points, decided = inference._golden_section(
-        score, lo, hi, 1e-8, budget, seeds, screen
+        score, lo, hi, 1e-8, budget, seeds, screen, known
     )
     assert t_star == _one_point_golden_section(fun, lo, hi, 1e-8)
     assert at_star.objective == fun(t_star)
     assert (passes, points) == (len(calls), sum(calls))
-    assert max(calls) <= max(budget, 2)
+    assert max(calls, default=0) <= max(budget, 2)
     if screen is None:
         assert decided == 0
 
@@ -477,31 +559,35 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
 def test_lookahead_pass_counts(tin_design, tin_model):
     """Every evaluator pass forms its own X' V^{-1} X and makes one slogdet call over
     its ratios; the design's first fit also makes the grid's passes, once per design.
+    A fit's search record counts every exact pass and ratio after its grid screen.
 
     The tin fit scores up to 7 points per pass: the grid with eta = 0 for the memo,
-    the grid argmin with eta = 0, the first golden pair and 9 passes on the predicted
-    path, the last three cut short where the bracket is done, against 44 when golden
-    section scored one point per pass; its search record counts the golden-section
-    passes.  The 1 968-run layout, whose passes hold 3 ratios, keeps one point per
-    pass, the one-point search, whose 40 comparisons the screen decides first where
-    it can: the 50 grid ratios, the grid argmin with eta = 0 and 25 golden-section
-    ratios on the first fit, then the grid argmin with eta = 0 and 26 and 25
-    golden-section ratios on the later fits on the same design, whose grid terms come
-    from the design's memo, against 42 golden-section ratios per fit without the
-    screen."""
+    then one opening pass of 11 ratios (the grid argmin, eta = 0, golden section's
+    first pair and the 7 points of the path predicted from the screened objective)
+    and 8 passes on the predicted path, the last three cut short where the bracket
+    is done, against 44 when golden section scored one point per pass.  The
+    1 968-run layout, whose passes hold 3 ratios, keeps one point per pass, the
+    one-point search, whose 40 comparisons the screen decides first where it can:
+    the 50 grid ratios, the grid argmin with eta = 0 and 25 golden-section ratios on
+    the first fit, then the grid argmin with eta = 0 and 26 and 25 golden-section
+    ratios on the later fits on the same design, whose grid terms come from the
+    design's memo, against 42 golden-section ratios per fit without the screen."""
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
     fresh = ResponseTable(design=dataclasses.replace(tin_design), responses=tab.responses)
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
         fit = reml_fit(fresh, tin_model)
     widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
-    assert widths == [50, 2, 2] + [7] * 6 + [6, 4, 2]
-    assert (fit.search.passes, fit.search.ratios) == (10, 56)
+    assert widths == [50, 11] + [7] * 5 + [6, 4, 2]
+    assert (fit.search.passes, fit.search.ratios) == (len(widths) - 1, sum(widths) - 50)
     per_fit = []
     with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
-        for _ in _pinned_fits("large layout", tin_design, tin_model):
+        for fit in _pinned_fits("large layout", tin_design, tin_model):
             per_fit.append([call.args[0].shape[0] for call in slogdet.call_args_list])
             slogdet.reset_mock()
+            if len(per_fit) > 1:
+                assert (fit.search.passes, fit.search.ratios) == (len(per_fit[-1]),
+                                                                  sum(per_fit[-1]))
     assert len(per_fit) == 3
     assert sum(map(sum, per_fit)) == 77 + 28 + 27
     # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the grid
@@ -1022,10 +1108,13 @@ def test_the_grid_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
 def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, offset, noise,
                                                       skip, seed):
     """With an infinite margin every grid ratio is scored exactly; the screened fit
-    reports the same fit byte for byte, or the same error.  With one ratio per pass
-    golden section walks one point per pass, so the screen decides what comparisons
-    it can first; that fit too is the one without the screen, byte for byte."""
+    reports the same fit byte for byte, or the same error, and the same grid argmin,
+    bracket and boundary (its passes and ratios count the grid ratios it scores
+    exactly).  With one ratio per pass golden section walks one point per pass, so
+    the screen decides what comparisons it can first; that fit too is the one without
+    the screen, byte for byte."""
     assume(layout.n_runs > p)
+    fields = ("grid_argmin", "bracket", "boundary")
 
     def fit():
         _, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)
@@ -1042,7 +1131,9 @@ def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, off
     else:
         assert full.search.exact_grid == 50
         assert _fit_digest([screened]) == _fit_digest([full])
-        assert screened.search[:5] == full.search[:5]
+        assert [getattr(screened.search, f) for f in fields] == [
+            getattr(full.search, f) for f in fields
+        ]
 
     with mock.patch.object(inference, "_PASS_CELLS", layout.n_runs * p):
         walked = fit()
@@ -1053,7 +1144,6 @@ def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, off
     else:
         assert unwalked.search.certified == 0
         assert _fit_digest([walked]) == _fit_digest([unwalked])
-        fields = ("grid_argmin", "bracket", "boundary")
         assert [getattr(walked.search, f) for f in fields] == [
             getattr(unwalked.search, f) for f in fields
         ]
@@ -1098,13 +1188,15 @@ def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
 
 def test_the_walk_screen_decides_only_one_point_per_pass_walks(tin_design, tin_model):
     """A large fit, which scores one point per pass, has the screen decide a third of
-    its 40 golden-section comparisons and scores at most 32 ratios exactly, 42
-    without the screen; every comparison is decided once, by the screen or exactly.
-    A tin fit, which scores 7 points per pass, walks exactly."""
+    its 40 golden-section comparisons and scores at most 32 golden-section ratios
+    exactly, 42 without the screen; every comparison is decided once, by the screen
+    or exactly.  Its search record's ratios also count the exact grid ratios.  A tin
+    fit, which scores 7 points per pass, walks exactly."""
     for fit in _pinned_fits("one ratio per pass", tin_design, tin_model):
         search = fit.search
-        assert search.certified > 0 and search.ratios <= 32
-        assert search.ratios + search.certified == 42
+        golden = search.ratios - search.exact_grid
+        assert search.certified > 0 and golden <= 32
+        assert golden + search.certified == 42
     tin = next(_pinned_fits("tin", tin_design, tin_model))
     assert tin.search.certified == 0
 
