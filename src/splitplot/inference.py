@@ -135,13 +135,14 @@ points scored so far, it predicts "left" at a step when its vertex lies
 left of (c + d) / 2.  The first pair and the first path come in the
 opening pass, with the grid candidates and eta = 0, before the grid
 argmin k is known: golden section's first pair in the bracket of the
-screen's best candidate (the least obj~ plus margin), the 7 points of the
-path the parabola through obj~ there and at two grid neighbours predicts,
-then the first pair of each other candidate's bracket, as many as the
-candidates' last pass has room for.  Golden section reads a point already
-scored, keyed by its log ratio, and makes a pass only for a point it
-lacks.  The seed is k alone, and neither a seed nor a prediction decides a
-comparison: they shape only which points a pass holds.  The walk compares
+screen's best candidate (the least obj~ plus margin), then the 7 points of
+the path the parabola through obj~ there and at two grid neighbours
+predicts, as many as the candidates' last pass has room for.  Where k is
+another candidate (13 of 2 000 mc-power fits have a second one), golden
+section makes its own passes.  It reads a point already scored, keyed by
+its log ratio, and makes a pass only for a point it lacks.  The seed is
+k alone, and neither a seed nor a prediction decides a comparison: they
+shape only which points a pass holds.  The walk compares
 as a one-point search would until a comparison leaves the path, and a step
 whose bracket is done asks for the midpoint, which is eta-hat.  A tin fit
 makes about 9 exact passes after its grid screen (8.96 over 300 mc-power
@@ -468,8 +469,6 @@ class _DesignPart(NamedTuple):
 
         def evaluate(etas):
             etas = np.asarray(etas, dtype=float)
-            if len(etas) <= width:
-                return one_pass(etas)
             out = []
             for start in range(0, len(etas), width):
                 out += one_pass(etas[start:start + width])
@@ -870,17 +869,15 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     brackets = {i: (ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]) for i in at[:-1]}
     ahead = []  # golden-section points the opening pass scores too, where it has room
     if budget > 1:
-        # the screen's best candidate: its pair, the path obj~ there and at two grid
-        # neighbours predicts, then the other candidates' pairs
+        # the screen's best candidate: its pair and the path obj~ there and at two grid
+        # neighbours predicts
         j = int(np.argmin(upper))
         i = min(max(j - 1, 0), len(ts) - 3)
         vertex = _vertex([(float(objective[i + h]), ts[i + h]) for h in range(3)])
         c, d = _golden_pair(*brackets[j])
         first = _golden_step(*brackets[j], c, d, vertex < (c + d) / 2.0, GOLDEN_TOL)
-        ahead = [c, d, *(node[4] for node in _path(first, vertex, budget, GOLDEN_TOL))]
-        for lo, hi in brackets.values():
-            ahead += _golden_pair(lo, hi)
-        ahead = list(dict.fromkeys(ahead))[:-len(at) % part.width]  # the room left
+        path = (node[4] for node in _path(first, vertex, budget, GOLDEN_TOL))
+        ahead = [c, d, *path][:-len(at) % part.width]  # the room left
     opening = evaluate([*(_GRID_RATIOS[i] for i in at), *map(math.exp, ahead)])
     exact, zero = opening[:len(at) - 1], opening[len(at) - 1]
     k, at_k = min(zip(at, exact), key=lambda pair: pair[1].objective)  # the first lowest
