@@ -148,7 +148,8 @@ def simulate(design: Design, truth: TruthConfig, seed=None) -> ResponseTable:
     non-negative integers.
     """
     seed = truth.seed if seed is None else seed
-    if np.any(np.asarray(seed) < 0):
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in parts):
         raise ValidationError("seed must be a non-negative integer or a tuple of them")
     rng = np.random.default_rng(seed)
     a0 = design.layout.zero_based

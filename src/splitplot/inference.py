@@ -48,11 +48,13 @@ every ratio before anything is kept; and the screen's stratum terms, a
 _Strata (W_xx = X_c' X_c, the H_d of X, X_c and the plot-size classes)
 with its _Coefficients at the 50 ratios.  Every fit then takes one path.
 The screen scores all 50 ratios from stratum sums, and one_pass exactly
-scores only the grid ratios that can be the grid minimum and eta = 0, in
-ceil(ratios / k) passes that each form their own X' V^{-1} X;
-_RemlSearch.exact_grid counts them.  Where 7 ratios fit one pass, the last
-of these passes is the opening pass, which also scores golden section's
-first points (below).
+scores only the grid ratios that can be the grid minimum, in passes that
+each form their own X' V^{-1} X; _RemlSearch.exact_grid counts them with
+eta = 0 where that is scored exactly.  Where 7 ratios fit one pass, they
+and eta = 0 share the opening pass, which also scores golden section's
+first points (below).  Where fewer fit, a lone candidate is the grid
+argmin without an exact pass, and eta = 0 is scored only where the screen
+cannot rule it out (below).
 
 The screen.  With B = [X y] and s_i its sums over plot i,
 
@@ -74,13 +76,24 @@ the largest plot size, lambda and kappa the lowest eigenvalue and the
 condition number of A_xx scaled to unit diagonal, and
 R = |y| + sum_l |beta~_l| |x_l|.
   - The screen's y'P y~ is off by at most
-    eps A_yy [2 (n + p + 8 + m^1.5) (1 + sqrt(p / lambda))^2 + (6p + 4) p kappa^2].
+    eps [e S^2 (1 + p (e + 6p + 6) eps / lambda)^2 + (6p + 4) p kappa^2 A_yy],
+    e = 2 (n + p + 8 + m^1.5), S = sqrt(A_yy) + sum_l |beta~_l| sqrt(A_ll).
     A is positive semidefinite, so forming its entries from W and H_d
-    loses a few eps of sqrt(A_ii A_jj) each.  r = [-beta; 1] turns that
-    into eps (sqrt(A_yy) + sum_l |beta_l| sqrt(A_ll))^2, at most the first
-    term because beta' A_xx beta <= A_yy.  The eigendecomposition behind
-    the inverse and the products move a_xy' beta~ by at most the second.
-    Near an exact fit A_yy / y'P y grows, and so does the margin.
+    loses at most e eps of sqrt(A_ii A_jj) each, and the quadratic form
+    q(b) = r' A r, r = [-b; 1], moves by at most e eps S(b)^2, with
+    S(b) = sqrt(A_yy) + sum_l |b_l| sqrt(A_ll).  y' P y is the least q(b),
+    at beta, and the screen's y'P y~ the least formed q(b), at beta~, so
+    y'P y~ lies within e eps S(beta~)^2 below and e eps S(beta)^2 above
+    y' P y.  beta - beta~ solves A_xx's system with the entry errors
+    (e + 6p + 6 with the scaling and eigh) as right-hand side, so
+    sum_l |beta_l - beta~_l| sqrt(A_ll) <= p (e + 6p + 6) eps S / lambda:
+    S(beta) <= S (1 + p (e + 6p + 6) eps / lambda), the second-order
+    factor.  As beta~' A_xx beta~ <= A_yy, S^2 is at most
+    (1 + sqrt(p / lambda))^2 A_yy, and on fit-large, with y centered
+    (below), it is about A_yy, 25 times less.
+    The eigendecomposition behind the inverse and the products move
+    a_xy' beta~ by at most the second term.  Near an exact fit A_yy / y'P y
+    grows, and so does the margin.
   - one_pass's y' P y is off by at most
     eps y'P y [(m + 1)(1 + m eta) + (n + 1) sqrt(1 + m eta)]: the per-plot
     residual sums cost (m + 1) eps of sum_i w_i (sum_k |resid_k|)^2
@@ -92,7 +105,8 @@ R = |y| + sum_l |beta~_l| |x_l|.
     equations by |g_l| <= 2 (n + p + m) eps R |x_l| adds g' M^-1 g, second
     order, with |M^-1| <= (1 + m eta) / lambda_min of X'X at unit diagonal.
 rho, the two bounds over y'P y~ times _SCREEN_SAFETY = 8, is thus per-design
-coefficients at each ratio times 1, A_yy / y'P y~ and R^2 / y'P y~.  The
+coefficients at each ratio times 1, A_yy / y'P y~, S^2 / y'P y~ and
+R^2 / y'P y~.  The
 margin is (n - p) rho / (1 - rho), which bounds
 (n - p) |log y' P y - log y'P y~|, plus 8 times 4 eps of
 |log det V + log det(X' V^{-1} X)| + (n - p) |log y'P y~| for the rounding
@@ -105,27 +119,35 @@ floor is scored exactly too, so a response is refused for zero residual
 variation on the same inputs as before, and the rank check sees all 50
 ratios before any solve.  Where obj is flat to rounding nothing can be
 excluded: a layout of one-run plots, where V = (1 + eta) I and obj does not
-depend on eta, scores all 50.  A fit-large fit scores 2 and a tin fit
-nearly always 2 (2.01 over 2 000 mc-power fits), and over random layouts
-|obj - obj~| stays below an eighth of the margin
+depend on eta, scores all 50.  A fit-large fit leaves one candidate, which
+it does not score, and a tin fit nearly always scores one with eta = 0
+(2.0065 over 2 000 mc-power fits), and over random layouts |obj - obj~|
+stays below an eighth of the margin
 (test_the_grid_screen_bounds_the_exact_objective).
 
 Golden section walks one loop, _golden_section, of its own steps.  Which
 point a step asks for next depends only on the comparisons made so far.
 Where a pass holds fewer than _LOOKAHEAD_POINTS = 7 ratios (fit-large,
 the 1 968- and 6 000-run layouts), each exact point is a pass over n, and
-the walk first takes every step the stratum screen decides.  y is centered
-once per fit by beta_k, the exact coefficients at the grid argmin: P X = 0,
-so y' P y is unchanged in exact arithmetic, while A_yy / y'P y~, which sets
-the screen's error, falls from about 24 to about 1 on fit-large.  At any
-ratio _Strata.at gives A_xx, its inverse, log det A_xx and the margin's
-coefficients, and log det V is summed as one_pass sums it.  Where
+reml_fit scores nothing exactly that the stratum screen decides.  A lone
+grid candidate is the grid argmin k, and y is centered once per fit by
+beta~_k, the screen's coefficients there (the exact ones where several
+candidates were scored): P X = 0, so y' P y is unchanged in exact
+arithmetic, while A_yy / y'P y~, which sets the screen's error, falls from
+about 24 to about 1 on fit-large.  The walk then takes every step the
+screen decides.  One _Strata.at call gives A_xx, its inverse, log det A_xx
+and the margin's coefficients at a list of ratios, and log det V is summed
+over the plot-size classes: first at c and d, then, at a step asking for
+a point not screened yet, at that point and up to 6 more on the path the
+parabola through the three lowest screened values predicts.  Where
 |obj~(c) - obj~(d)| exceeds the two margins, the exact comparison has the
 same sign, and the step is taken without an exact pass.  From the first
 comparison the screen cannot decide on, and always at the step that ends
 the walk, the walk is exact: one pass scores c and d, and each later pass
 the point the next step asks for.  One point per pass there: a wider pass
-saves about what it costs.
+saves about what it costs.  Last, eta = 0 is scored only where
+obj~(0) - margin(0), from the grid screen, does not exceed the walk's
+final exact objective; elsewhere obj(0) exceeds it, and zero cannot win.
 
 Where 7 ratios fit one pass (n p up to 9 362, 851 runs of the tin model),
 the screen decides no step, and each pass after the first pair scores the
@@ -138,7 +160,7 @@ argmin k is known: golden section's first pair in the bracket of the
 screen's best candidate (the least obj~ plus margin), then the 7 points of
 the path the parabola through obj~ there and at two grid neighbours
 predicts, as many as the candidates' last pass has room for.  Where k is
-another candidate (13 of 2 000 mc-power fits have a second one), golden
+another candidate (12 of 2 000 mc-power fits have a second one), golden
 section makes its own passes.  It reads a point already scored, keyed by
 its log ratio, and makes a pass only for a point it lacks.  The seed is
 k alone, and neither a seed nor a prediction decides a comparison: they
@@ -147,11 +169,13 @@ as a one-point search would until a comparison leaves the path, and a step
 whose bracket is done asks for the midpoint, which is eta-hat.  A tin fit
 makes about 9 exact passes after its grid screen (8.96 over 300 mc-power
 fits, 10.63 with separate passes for the candidates and the first pair);
-a fit-large fit decides about 15 of its 40 comparisons on the screen and
-scores about 27 golden-section ratios exactly, against 42.
+a fit-large fit decides about 17.6 of its 40 comparisons on the screen and
+makes about 23.4 exact passes of 24.4 ratios (20 fits of case 0), against
+42 golden-section ratios, the grid argmin and eta = 0 without the screen.
 _RemlSearch.passes and ratios count every exact pass and ratio after the
-grid screen, the opening pass included, and certified the comparisons the
-screen decided.  Ratios score alike in any pass and every comparison is
+grid screen, the opening pass and eta = 0 included, exact_grid the grid
+ratios and eta = 0 among them, and certified the comparisons the screen
+decided.  Ratios score alike in any pass and every comparison is
 golden section's own, so neither the screen, the prediction nor the pass
 width moves a fitted digit: eta-hat, its _Evaluation and every fitted byte
 are those of a search that scores one point per pass.  Lookahead and the
@@ -180,15 +204,20 @@ _SCREEN_SAFETY, where obj~ takes its log dets from the screen too.
     R = |y| + sum_l (|beta_k,l| + |beta~_l|) |x_l|, and P <= V^{-1} <= I, so
     y' P y moves by at most 2 (p + 2) eps R sqrt(y' P y): rho gains
     2 (p + 2) eps R / sqrt(y'P y~).
-  - log det V.  Each log1p(m_i eta) is within eps (1 + log1p(m_i eta)) and a
-    sum of r terms in any order within (r - 1) eps of their sum, so two
-    computations differ by at most 2 r eps (1 + log det V).
+  - log det V.  Each log1p(m_i eta) is within eps (1 + log1p(m_i eta)).
+    one_pass sums r such terms, within (r - 1) eps of their sum; the screen
+    sums the D class terms times their plot counts, within (D + 1) eps.
+    So the two differ by at most (2 r + 1) eps (1 + log det V).
 rho < 1/2 and y'P y~ > 2 _NOISE_FLOOR y' y still keep the exact y' P y off
 the noise floor, so no decided step skips a point where the exact walk
-would raise.  On fit-large the margin at eta-hat is about 1.5e-5, against
-3.4e-4 with y uncentered, and |obj - obj~| about 6e-11; over random layouts
-|obj - obj~| stays below an eighth of the margin
-(test_the_walk_screen_bounds_the_exact_objective).
+would raise, and a lone grid candidate or eta = 0 left unscored would pass
+both exact checks.  On fit-large the margin at eta-hat is about 1.2e-6
+(1.5e-5 with the a-priori S^2 bound), against 1.1e-4 with y uncentered,
+and |obj - obj~| at most about 6e-11; over random layouts |obj - obj~|
+stays below an eighth of the margin
+(test_the_walk_screen_bounds_the_exact_objective), and every decision the
+screen takes is the exact one
+(test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide).
 """
 
 from __future__ import annotations
@@ -268,7 +297,8 @@ class _Evaluation(NamedTuple):
 _PASS_CELLS = 2**16
 # points per golden-section pass where that many ratios fit one pass, else one: on the
 # tin model 7 tied with 15 and beat 3 and 31 at 24 runs, and took 0.49 to 0.85 of one
-# point's time per fit from 96 to 768 runs; at 1 968 runs neither 3 nor 7 beat one point
+# point's time per fit from 96 to 768 runs; at 1 968 runs neither 3 nor 7 beat one point.
+# Where one point fits, also the points per screened path, one _Strata.at call each
 _LOOKAHEAD_POINTS = 7
 # the ratios every reml_fit scores: the grid, then eta = 0
 _GRID_RATIOS = (*_GRID_ETAS, 0.0)
@@ -300,10 +330,13 @@ class _Coefficients(NamedTuple):
 
     shrink: np.ndarray  # k x D: 1 / (1 + d eta)
     ainv: np.ndarray  # k x p x p: inverses of A_xx, the stratum form of X' V^{-1} X
+    root: np.ndarray  # k x p: sqrt(A_ll), the square roots of A_xx's diagonal
     logdet: np.ndarray  # k: log det A_xx
-    # k each: the margin's rho per unit of 1, of A_yy / y'P y~ and of R^2 / y'P y~
+    # k each: the margin's rho per unit of 1, of A_yy / y'P y~, of S^2 / y'P y~ and of
+    # R^2 / y'P y~
     rel: np.ndarray
     per_ayy: np.ndarray
+    per_form: np.ndarray
     per_reach: np.ndarray
     gap: np.ndarray  # k: the margin on |log det(X' V^{-1} X) - log det A_xx|, or inf
 
@@ -335,25 +368,25 @@ class _Strata(NamedTuple):
         exact = (m + 1) * stretch + (n + 1) * np.sqrt(stretch) + (p + 1) / 2
         lam_x = self.lam_x
         quad = p * (2.0 * (n + p + m)) ** 2 * stretch * (1.0 / lam_x if lam_x > 0 else np.inf)
+        sums = 2 * (n + p + 8 + m * math.sqrt(m))  # A's entry errors from W and H_d, in eps
         with np.errstate(all="ignore"):
             ainv = np.matmul(vectors / lam[:, None, :], vectors.transpose(0, 2, 1)) / scaling
             tilt = p / low
-            screen = 2 * (n + p + 8 + m * math.sqrt(m)) * (1.0 + np.sqrt(tilt)) ** 2 + (
-                (6 * p + 4) * p * (lam[:, -1] / low) ** 2
-            )
+            # A's entry errors through beta~, with beta - beta~ to second order; eigh's turn
+            form = sums * (1.0 + (sums + 6 * p + 6) * _EPS * tilt) ** 2
+            turn = (6 * p + 4) * p * (lam[:, -1] / low) ** 2
             # entry errors of one_pass's M and of A_xx, in eps of sqrt(A_ii A_jj): M's
             # products, slogdet's LU at growth 2^(p - 1), A_xx's sums, scaling and eigh
             spread = (np.max(root, axis=1) / np.min(root, axis=1)) ** 2
-            entry = ((n + m + 5) * stretch + p * p * 2.0 ** (p - 1) * spread
-                     + 2 * (n + p + 8 + m * math.sqrt(m)) + 6 * p + 6)
+            entry = (n + m + 5) * stretch + p * p * 2.0 ** (p - 1) * spread + sums + 6 * p + 6
             shift = safety * entry * tilt  # bounds |A_xx^-1 E| at unit diagonal, times safety
             logs, log_root = np.log(lam), np.log(root)
             rounding = (3 * p + 2) * safety * (
                 2 * np.abs(log_root).sum(axis=1) + p * np.maximum(np.abs(logs[:, 0]), math.log(p))
             )
         return _Coefficients(
-            shrink, ainv, 2 * log_root.sum(axis=1) + logs.sum(axis=1),
-            np.where(bounded, safety * exact, np.inf), safety * screen,
+            shrink, ainv, root, 2 * log_root.sum(axis=1) + logs.sum(axis=1),
+            np.where(bounded, safety * exact, np.inf), safety * turn, safety * form,
             safety * ((p + 1) / 2 + _EPS * quad),
             np.where(bounded & (shift < 0.5), p * shift + rounding, np.inf),
         )
@@ -493,7 +526,7 @@ def _design_part(x, layout) -> _DesignPart:
 
 
 def _screen(strata, coef, response, yy, base, fixed, center=None):
-    """obj~ and its margin at coef's ratios, from a response's stratum sums.
+    """obj~, its margin and beta~ at coef's ratios, from a response's stratum sums.
 
     base is log det V + log det(X' V^{-1} X) per ratio and fixed an absolute
     margin to add; center, if given, is |beta| of the coefficients y was
@@ -508,9 +541,12 @@ def _screen(strata, coef, response, yy, base, fixed, center=None):
     with np.errstate(all="ignore"):  # a ratio without a finite bound is scored exactly
         beta = np.matmul(coef.ainv, ax[:, :, None])[:, :, 0]
         qform = ayy - np.matmul(ax[:, None, :], beta[:, :, None])[:, 0, 0]
+        form = np.sqrt(ayy) + (np.abs(beta) * coef.root).sum(axis=1)  # S
         coefs = np.abs(beta) if center is None else np.abs(beta) + center
         reach = math.sqrt(yy) + coefs @ strata.x_norms
-        rho = coef.rel + (ayy * coef.per_ayy + reach * reach * coef.per_reach) / qform
+        rho = coef.rel + (
+            ayy * coef.per_ayy + form * form * coef.per_form + reach * reach * coef.per_reach
+        ) / qform
         if center is not None:  # the rounding of y - X beta
             rho = rho + 2 * (p + 2) * _SCREEN_SAFETY * _EPS * reach / np.sqrt(qform)
         logs = (n - p) * np.log(qform)
@@ -518,33 +554,38 @@ def _screen(strata, coef, response, yy, base, fixed, center=None):
         rounding = 4 * _EPS * (np.abs(base) + np.abs(logs))  # of each objective's sums
         margin = (n - p) * rho / (1.0 - rho) + _SCREEN_SAFETY * rounding + fixed
         bounded = (qform > 2 * _NOISE_FLOOR * yy) & (rho < 0.5)
-    return np.where(bounded, objective, 0.0), np.where(bounded, margin, np.inf)
+    return np.where(bounded, objective, 0.0), np.where(bounded, margin, np.inf), beta
 
 
 def _screened(part, grid, y):
-    """The stratum-sum objective at the 50 _GRID_RATIOS and its margin; one pass over y."""
+    """obj~, its margin and beta~ at the 50 _GRID_RATIOS; one pass over y."""
     response = grid.strata.response(part, y)
     return _screen(grid.strata, grid.screen, response, float(y @ y), grid.base, 0.0)
 
 
 def _walk_screen(part, grid, y, beta):
-    """t -> (obj~, margin) at eta = exp(t), for golden section's screened steps.
+    """ts -> [(obj~, margin) at eta = exp(t) for t in ts], for golden section's screened
+    steps.
 
-    y is centered by beta, the exact coefficients at the grid argmin, in one
-    pass; each point then costs p x p work and log det V's sum over plots.
+    y is centered by beta, the grid argmin's coefficients, in one pass; a list
+    of points then costs one _Strata.at call, p x p work per point, and log
+    det V summed over the plot-size classes.
     """
-    strata, layout = grid.strata, part.layout
+    strata = grid.strata
     response = strata.response(part, y - part.x @ beta)
     yy = float(y @ y)
     center = np.abs(beta)
+    counts = strata.classes.sum(axis=1)  # plots per size class
+    slack = (2 * part.layout.n_plots + 1) * _SCREEN_SAFETY * _EPS  # log det V's two sums
 
-    def screen(t):
-        eta = math.exp(t)
-        coef = strata.at(np.array([eta]))
-        ldv = float(np.log1p(layout.sizes * eta).sum())  # as one_pass sums it
-        fixed = coef.gap + 2 * _SCREEN_SAFETY * _EPS * layout.n_plots * (1.0 + ldv)
-        objective, margin = _screen(strata, coef, response, yy, coef.logdet + ldv, fixed, center)
-        return float(objective[0]), float(margin[0])
+    def screen(ts):
+        etas = np.array([math.exp(t) for t in ts])  # as reml_fit's exact passes take them
+        coef = strata.at(etas)
+        ldv = np.log1p(np.multiply.outer(etas, strata.sizes)) @ counts
+        fixed = coef.gap + slack * (1.0 + ldv)
+        objective, margin, _ = _screen(strata, coef, response, yy, coef.logdet + ldv, fixed,
+                                       center)
+        return list(zip(objective.tolist(), margin.tolist()))
 
     return screen
 
@@ -615,12 +656,15 @@ def _golden_section(score, lo, hi, tol, budget, seeds, screen=None, known=None):
 
     score maps a list of points to their _Evaluations; seeds are one or more
     known (value, point) pairs, and known, if given, maps points already
-    scored to their _Evaluations.  screen, if given, maps a point to
-    (obj~, margin), and the walk first takes every step whose
+    scored to their _Evaluations.  screen, if given, maps a list of points
+    to their (obj~, margin) pairs, and the walk first takes every step whose
     |obj~(c) - obj~(d)| exceeds the two margins, up to the first it cannot
-    decide or the step that ends the walk.  From there the walk is exact:
-    it first needs c and d, then each step the point it asks for.  A point
-    in known is read from there; else one pass scores it (c and d together)
+    decide or the step that ends the walk.  It screens c and d, then each
+    point a step asks for that is not screened yet with up to
+    _LOOKAHEAD_POINTS - 1 more on the path the parabola through the three
+    lowest screened values predicts.  From there the walk is exact: it
+    first needs c and d, then each step the point it asks for.  A point in
+    known is read from there; else one pass scores it (c and d together)
     and, after the first pair, up to budget - 1 more on the path a parabola
     through the three lowest values predicts (see the module docstring).
     Such a path may carry a point of known again (0.3 per tin fit): that
@@ -630,15 +674,25 @@ def _golden_section(score, lo, hi, tol, budget, seeds, screen=None, known=None):
     """
     a, b = lo, hi
     c, d = _golden_pair(a, b)
-    marks = screen and [screen(c), screen(d)]  # (obj~, margin) at c and d while screened
     decided = 0
-    while marks:
-        (sc, mc), (sd, md) = marks
-        *bracket, t = _golden_step(a, b, c, d, sc < sd, tol)
-        if not (abs(sc - sd) > mc + md and bracket[1] - bracket[0] > tol):
-            break  # undecided, or the step that ends the walk, which is exact
-        (a, b, c, d), decided = bracket, decided + 1
-        marks = [screen(t), marks[0]] if sc < sd else [marks[1], screen(t)]
+    if screen:
+        marks = {}  # (obj~, margin) per screened point
+        guide = sorted(seeds)[:3]  # the lowest finite screened values, and seeds
+
+        def mark(points):
+            pairs = screen(points)
+            marks.update(zip(points, pairs))
+            return sorted(guide + [(v, t) for t, (v, m) in zip(points, pairs) if m < math.inf])[:3]
+
+        guide = mark([c, d])
+        while True:
+            (sc, mc), (sd, md) = marks[c], marks[d]
+            node = _golden_step(a, b, c, d, sc < sd, tol)
+            if not (abs(sc - sd) > mc + md and node[1] - node[0] > tol):
+                break  # undecided, or the step that ends the walk, which is exact
+            (a, b, c, d, t), decided = node, decided + 1
+            if t not in marks:
+                guide = mark([n[4] for n in _path(node, _vertex(guide), _LOOKAHEAD_POINTS, tol)])
     known = known or {}
     best = sorted([*seeds, *((e.objective, t) for t, e in known.items())])[:3]
     passes = points = 0
@@ -672,7 +726,8 @@ class _RemlSearch(NamedTuple):
 
     passes and ratios count every exact evaluator pass and ratio the fit makes
     after its grid screen: the grid candidates with eta = 0, in the opening
-    pass where 7 ratios fit one pass, and golden section's.
+    pass where 7 ratios fit one pass, golden section's, and, where fewer fit,
+    the candidates and eta = 0 the screen could not decide.
     """
 
     grid_argmin: int  # index of the lowest objective on the 49-point grid
@@ -680,7 +735,9 @@ class _RemlSearch(NamedTuple):
     passes: int  # exact evaluator passes after the grid screen
     ratios: int  # ratios those passes scored
     boundary: str | None  # None, "zero" or "cap"
-    exact_grid: int  # grid ratios and eta = 0 the screen left to the exact evaluator, of 50
+    # grid ratios and eta = 0 scored exactly, of 50: 0 where a pass holds one point, the
+    # screen leaves one grid candidate and rules out eta = 0
+    exact_grid: int
     certified: int  # golden-section comparisons the screen decided, without an exact pass
 
 
@@ -839,9 +896,11 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     against the log dets the design's first fit kept in its memo, and only
     the ratios that can be its minimum and eta = 0 are scored exactly; the
     margin that excludes the rest is derived in the module docstring, so
-    the fit is the one a scan that scores all 50 exactly would give.  Golden
-    section, seeded with the grid minimum, first takes the steps the
-    stratum screen decides, where a pass holds one point.  Where
+    the fit is the one a scan that scores all 50 exactly would give.  Where
+    a pass holds fewer than _LOOKAHEAD_POINTS, a lone candidate is taken
+    from the screen without an exact pass, golden section, seeded with the
+    grid minimum, first takes the steps the stratum screen decides, and
+    eta = 0 is scored only where the screen cannot rule it out.  Where
     _LOOKAHEAD_POINTS fit one pass, it scores up to that many per pass on the
     path a parabola predicts, and the pass that scores the grid candidates
     and eta = 0 also scores its first pair and first predicted path, from
@@ -860,42 +919,64 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     evaluate = part.evaluator(y)
     budget = _LOOKAHEAD_POINTS if part.width >= _LOOKAHEAD_POINTS else 1
 
-    # exactly score the grid ratios that can be the grid minimum or whose y' P y may be at
-    # the noise floor, and eta = 0
-    objective, margin = _screened(part, grid, y)
+    # the grid ratios that can be the grid minimum or whose y' P y may be at the noise floor
+    objective, margin, coefs = _screened(part, grid, y)
     upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
-    at = [*np.flatnonzero(lower <= upper.min()).tolist(), _GRID_POINTS]
+    at = np.flatnonzero(lower <= upper.min()).tolist()
     ts = _GRID_LOG_ETAS
-    brackets = {i: (ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]) for i in at[:-1]}
-    ahead = []  # golden-section points the opening pass scores too, where it has room
+    brackets = {i: (ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]) for i in at}
+
+    def score(points):
+        return evaluate([math.exp(t) for t in points])
+
     if budget > 1:
-        # the screen's best candidate: its pair and the path obj~ there and at two grid
-        # neighbours predicts
+        # one opening pass scores the candidates, eta = 0 and, in the room left, the screen's
+        # best candidate's golden pair and the path obj~ there and at two grid neighbours
+        # predicts
         j = int(np.argmin(upper))
         i = min(max(j - 1, 0), len(ts) - 3)
         vertex = _vertex([(float(objective[i + h]), ts[i + h]) for h in range(3)])
         c, d = _golden_pair(*brackets[j])
         first = _golden_step(*brackets[j], c, d, vertex < (c + d) / 2.0, GOLDEN_TOL)
         path = (node[4] for node in _path(first, vertex, budget, GOLDEN_TOL))
-        ahead = [c, d, *path][:-len(at) % part.width]  # the room left
-    opening = evaluate([*(_GRID_RATIOS[i] for i in at), *map(math.exp, ahead)])
-    exact, zero = opening[:len(at) - 1], opening[len(at) - 1]
-    k, at_k = min(zip(at, exact), key=lambda pair: pair[1].objective)  # the first lowest
-    lo, hi = brackets[k]
-    # one point per pass: the screen decides the comparisons it can first
-    screen = _walk_screen(part, grid, y, at_k.beta) if budget == 1 else None
-    t_star, star, passes, ratios, decided = _golden_section(
-        lambda points: evaluate([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL, budget,
-        [(at_k.objective, ts[k])], screen, dict(zip(ahead, opening[len(at):])),
-    )
-    passes += -(-len(opening) // part.width)
-    ratios += len(opening)
-    if zero.objective <= star.objective:
+        ahead = [c, d, *path][:-(len(at) + 1) % part.width]
+        opening = evaluate([*(_GRID_RATIOS[i] for i in at), 0.0, *map(math.exp, ahead)])
+        zero = opening[len(at)]
+        k, at_k = min(zip(at, opening), key=lambda pair: pair[1].objective)  # the first lowest
+        lo, hi = brackets[k]
+        t_star, star, passes, ratios, decided = _golden_section(
+            score, lo, hi, GOLDEN_TOL, budget, [(at_k.objective, ts[k])], None,
+            dict(zip(ahead, opening[len(at) + 1:])),
+        )
+        passes += -(-len(opening) // part.width)
+        ratios += len(opening)
+        exact_grid = len(at) + 1
+    else:
+        # one point per pass: a lone candidate is k, and y is centered by its beta~; the
+        # screen decides the comparisons it can first, and eta = 0 where it can
+        if len(at) > 1:
+            k, at_k = min(zip(at, evaluate([_GRID_RATIOS[i] for i in at])),
+                          key=lambda pair: pair[1].objective)
+            seed, center, exact_grid = at_k.objective, at_k.beta, len(at)
+        else:
+            (k,), exact_grid = at, 0
+            seed, center = float(objective[k]), coefs[k]
+        lo, hi = brackets[k]
+        t_star, star, passes, ratios, decided = _golden_section(
+            score, lo, hi, GOLDEN_TOL, budget, [(seed, ts[k])],
+            _walk_screen(part, grid, y, center),
+        )
+        passes, ratios = passes - (-exact_grid // part.width), ratios + exact_grid
+        zero = None  # obj(0) >= obj~(0) - margin(0) > obj(eta-hat): zero cannot win
+        if not objective[-1] - margin[-1] > star.objective:
+            (zero,) = evaluate([0.0])
+            passes, ratios, exact_grid = passes + 1, ratios + 1, exact_grid + 1
+    if zero is not None and zero.objective <= star.objective:
         eta_hat, at_eta, reason = 0.0, zero, "zero"
     else:
         at_cap = k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL
         eta_hat, at_eta, reason = math.exp(t_star), star, "cap" if at_cap else None
-    search = _RemlSearch(k, (lo, hi), passes, ratios, reason, len(at), decided)
+    search = _RemlSearch(k, (lo, hi), passes, ratios, reason, exact_grid, decided)
     return _finalize(
         response, model, part, labels, y, eta_hat, reason is not None, at_eta, "reml", search
     )

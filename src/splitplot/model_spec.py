@@ -135,7 +135,12 @@ class Factor:
                 raise ValidationError(
                     f"{natural!r} is not a level of factor {self.name!r} (levels: {self.levels})"
                 ) from None
-        value = float(natural)
+        try:
+            value = float(natural)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"value {natural!r} for factor {self.name!r} is not a number"
+            ) from None
         if not np.isfinite(value):
             raise ValidationError(f"value {value} for factor {self.name!r} is not finite")
         half = (self.high - self.low) / 2.0

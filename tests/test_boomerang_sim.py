@@ -140,6 +140,14 @@ def test_simulate_streams():
     assert not np.array_equal(tupled.responses["y1"], a.responses["y1"])
 
 
+@pytest.mark.parametrize("seed", [-1, (7, -1), (7, 1.5), "a", 2.0, [7, 1]])
+def test_simulate_rejects_seeds_that_are_not_non_negative_ints(seed):
+    """A seed is a non-negative int or a tuple of them; anything else, a float inside
+    a tuple or a string included, is a ValidationError, not numpy's own error."""
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        simulate(small_tin_design(), default_truth(), seed=seed)
+
+
 def test_first_response_draws_do_not_depend_on_later_ones():
     d = small_tin_design()
     full = default_truth()

@@ -544,7 +544,7 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
         calls.append(len(points))
         return [SimpleNamespace(objective=fun(t)) for t in points]
 
-    screen = None if margin is None else lambda t: (fun(t), margin)
+    screen = None if margin is None else lambda ts: [(fun(t), margin) for t in ts]
     t_star, at_star, passes, points, decided = inference._golden_section(
         score, lo, hi, 1e-8, budget, seeds, screen, known
     )
@@ -567,11 +567,12 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     and 8 passes on the predicted path, the last three cut short where the bracket
     is done, against 44 when golden section scored one point per pass.  The
     1 968-run layout, whose passes hold 3 ratios, keeps one point per pass, the
-    one-point search, whose 40 comparisons the screen decides first where it can:
-    the 50 grid ratios, the grid argmin with eta = 0 and 25 golden-section ratios on
-    the first fit, then the grid argmin with eta = 0 and 26 and 25 golden-section
-    ratios on the later fits on the same design, whose grid terms come from the
-    design's memo, against 42 golden-section ratios per fit without the screen."""
+    one-point search, whose 40 comparisons the screen decides first where it can.
+    There the screen leaves one grid candidate, the grid argmin, and rules out
+    eta = 0, so neither is scored exactly: the 50 grid ratios and 24 golden-section
+    ratios on the first fit, then 24 and 23 golden-section ratios on the later fits
+    on the same design, whose grid terms come from the design's memo, against 42
+    golden-section ratios per fit without the screen."""
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
     fresh = ResponseTable(design=dataclasses.replace(tin_design), responses=tab.responses)
@@ -589,15 +590,13 @@ def test_lookahead_pass_counts(tin_design, tin_model):
                 assert (fit.search.passes, fit.search.ratios) == (len(per_fit[-1]),
                                                                   sum(per_fit[-1]))
     assert len(per_fit) == 3
-    assert sum(map(sum, per_fit)) == 77 + 28 + 27
-    # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the grid
-    # argmin with eta = 0, the golden pair the screen hands over, each in one pass,
-    # then one point per pass
+    assert sum(map(sum, per_fit)) == 74 + 24 + 23
+    # the first fit: the grid and eta = 0 in 16 passes of 3 and one of 2, the golden
+    # pair the screen hands over in one pass, then one point per pass
     first, *later = per_fit
-    assert first == [3] * 16 + [2] * 3 + [1] * 23
-    # later fits: the grid argmin with eta = 0, the golden pair the screen hands over,
-    # then one point per pass
-    assert later == [[2, 2] + [1] * 24, [2, 2] + [1] * 23]
+    assert first == [3] * 16 + [2] * 2 + [1] * 22
+    # later fits: the golden pair the screen hands over, then one point per pass
+    assert later == [[2] + [1] * 22, [2] + [1] * 21]
 
 
 @pytest.mark.parametrize("case, boundary", [("cap", "cap"), ("zero boundary", "zero")])
@@ -617,8 +616,9 @@ def test_reml_fit_records_its_search(tin_design, tin_model, case, boundary):
     else:
         assert fit.ratio == 0.0
     assert 2 <= passes < ratios
-    # the grid's end, its one neighbour, eta = 0 and a ratio or two the margin keeps in
-    assert 3 <= exact_grid <= 5
+    # the grid's end and eta = 0, with its one neighbour or a ratio or two the margin
+    # keeps in
+    assert 2 <= exact_grid <= 5
     assert certified == 0  # a tin fit scores 7 points per pass and walks exactly
     interior = next(_pinned_fits("tin", tin_design, tin_model))
     assert interior.search.boundary is None and not interior.boundary
@@ -1090,7 +1090,7 @@ def test_the_grid_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
     y = tab.responses["y"]
     _, (part, _, _), _ = inference._prepare(tab, m, "y")
     grid = part.grid()
-    objective, margin = inference._screened(part, grid, y)
+    objective, margin, _ = inference._screened(part, grid, y)
     try:
         exact = part.evaluator(y)(inference._GRID_RATIOS)
     except NumericalError:
@@ -1174,8 +1174,8 @@ def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
     k = int(rng.integers(len(ts)))
     lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
     screen = inference._walk_screen(part, grid, y, exact[k].beta)
-    for t in lo + (hi - lo) * rng.uniform(size=6):
-        objective, margin = screen(t)
+    points = (lo + (hi - lo) * rng.uniform(size=6)).tolist()
+    for t, (objective, margin) in zip(points, screen(points)):
         if math.isfinite(margin):
             (got,) = evaluate([math.exp(t)])
             assert abs(got.objective - objective) <= margin / 8
@@ -1186,12 +1186,76 @@ def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
         assert walk[4] == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(**_screen_inputs)
+@_with_screen_examples
+def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
+        layout, p, plot_scale, offset, noise, skip, seed):
+    """Where golden section scores one point per pass (here passes of 3 ratios), a grid
+    argmin taken from the screen (a lone candidate) is the exact grid argmin, eta = 0 is
+    ruled out only where its exact objective exceeds the walk's final one, and every
+    comparison the screen certifies goes the way the exact comparison goes.  The search
+    record counts the exact passes and ratios the fit makes after its grid screen."""
+    assume(layout.n_runs > p)
+    _, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)
+    y = tab.responses["y"]
+    with mock.patch.object(inference, "_PASS_CELLS", 3 * layout.n_runs * p):
+        _, entry, _ = inference._prepare(tab, m, "y")
+        part = entry[0]
+        try:
+            grid = entry[2] = part.grid()
+            with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
+                fit = reml_fit(tab, m)
+        except NumericalError:
+            return  # the walk that raises: test_every_fit_equals_the_fit_with_the_screen_off
+    widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
+    assert (fit.search.passes, fit.search.ratios) == (len(widths), sum(widths))
+    evaluate = part.evaluator(y)
+    exact = [e.objective for e in evaluate(inference._GRID_RATIOS)]
+    objective, margin, beta = inference._screened(part, grid, y)
+    upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
+    at = np.flatnonzero(lower <= upper.min()).tolist()
+    k = exact.index(min(exact[:-1]))  # the first lowest
+    assert fit.search.grid_argmin == k
+    if len(at) == 1:
+        assert at == [k]
+
+    marks = {}
+    walk = inference._walk_screen(part, grid, y, beta[k])
+
+    def screen(points):
+        pairs = walk(points)
+        marks.update(zip(points, pairs))
+        return pairs
+
+    lo, hi = fit.search.bracket
+    t_star, star, _, _, decided = inference._golden_section(
+        lambda ts: evaluate([math.exp(t) for t in ts]), lo, hi, inference.GOLDEN_TOL, 1,
+        [(exact[k], inference._GRID_LOG_ETAS[k])], screen,
+    )
+    a, b = lo, hi
+    c, d = inference._golden_pair(a, b)
+    for _ in range(decided):
+        (sc, mc), (sd, md) = marks[c], marks[d]
+        fc, fd = (e.objective for e in evaluate([math.exp(c), math.exp(d)]))
+        assert abs(sc - sd) > mc + md and (sc < sd) == (fc <= fd)
+        a, b, c, d, _ = inference._golden_step(a, b, c, d, fc <= fd, inference.GOLDEN_TOL)
+
+    zero = exact[-1]
+    ruled_out = objective[-1] - margin[-1] > star.objective
+    if ruled_out:
+        assert zero > star.objective
+    assert fit.ratio == (0.0 if zero <= star.objective else math.exp(t_star))
+    if len(at) == 1 and ruled_out:
+        assert fit.search.exact_grid == 0
+
+
 def test_the_walk_screen_decides_only_one_point_per_pass_walks(tin_design, tin_model):
-    """A large fit, which scores one point per pass, has the screen decide a third of
-    its 40 golden-section comparisons and scores at most 32 golden-section ratios
-    exactly, 42 without the screen; every comparison is decided once, by the screen
-    or exactly.  Its search record's ratios also count the exact grid ratios.  A tin
-    fit, which scores 7 points per pass, walks exactly."""
+    """A large fit, which scores one point per pass, has the screen decide about two
+    fifths of its 40 golden-section comparisons and scores at most 32 golden-section
+    ratios exactly, 42 without the screen; every comparison is decided once, by the
+    screen or exactly.  Its search record's ratios also count the exact grid ratios.
+    A tin fit, which scores 7 points per pass, walks exactly."""
     for fit in _pinned_fits("one ratio per pass", tin_design, tin_model):
         search = fit.search
         golden = search.ratios - search.exact_grid

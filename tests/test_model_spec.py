@@ -44,6 +44,10 @@ def test_continuous_factor_tolerates_text_fuzz_but_rejects_violations():
         f.to_coded(30.1)
     with pytest.raises(ValidationError):
         f.to_coded(9.9)
+    # text that is not a number is invalid input too, not a raw ValueError
+    for text in ("abc", "", None):
+        with pytest.raises(ValidationError, match="is not a number"):
+            f.to_coded(text)
 
 
 def test_categorical_factor_levels_and_codes():
