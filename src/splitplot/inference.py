@@ -138,10 +138,10 @@ about 24 to about 1 on fit-large.  The walk then takes every step the
 screen decides.  One _Strata.at call gives A_xx, its inverse, log det A_xx
 and the margin's coefficients at a list of ratios, and log det V is summed
 over the plot-size classes: first at c and d, then, at a step asking for
-a point not screened yet, at that point and up to 6 more on the path the
-parabola through the three lowest screened values predicts.  Where
-|obj~(c) - obj~(d)| exceeds the two margins, the exact comparison has the
-same sign, and the step is taken without an exact pass.  From the first
+a point not screened yet, at that point and up to _SCREEN_POINTS - 1 = 6
+more on the path the parabola through the three lowest screened values
+predicts.  Where |obj~(c) - obj~(d)| exceeds the two margins, the exact
+comparison has the same sign, and the step is taken without an exact pass.  From the first
 comparison the screen cannot decide on, and always at the step that ends
 the walk, the walk is exact: one pass scores c and d, and each later pass
 the point the next step asks for.  One point per pass there: a wider pass
@@ -215,8 +215,11 @@ both exact checks.  On fit-large the margin at eta-hat is about 1.2e-6
 (1.5e-5 with the a-priori S^2 bound), against 1.1e-4 with y uncentered,
 and |obj - obj~| at most about 6e-11; over random layouts |obj - obj~|
 stays below an eighth of the margin
-(test_the_walk_screen_bounds_the_exact_objective), and every decision the
-screen takes is the exact one
+(test_the_walk_screen_bounds_the_exact_objective).  The S^2 term, about
+half of rho on fit-large, is three fifths of the margin on 2 000 runs in
+plots of 4, and there bounds the 40-digit error of the formed entries
+(test_the_walk_margin_carries_the_a_entry_term_on_a_large_layout); every
+decision the screen takes is the exact one
 (test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide).
 """
 
@@ -297,9 +300,12 @@ class _Evaluation(NamedTuple):
 _PASS_CELLS = 2**16
 # points per golden-section pass where that many ratios fit one pass, else one: on the
 # tin model 7 tied with 15 and beat 3 and 31 at 24 runs, and took 0.49 to 0.85 of one
-# point's time per fit from 96 to 768 runs; at 1 968 runs neither 3 nor 7 beat one point.
-# Where one point fits, also the points per screened path, one _Strata.at call each
+# point's time per fit from 96 to 768 runs; at 1 968 runs neither 3 nor 7 beat one point
 _LOOKAHEAD_POINTS = 7
+# points per screened path where a pass holds one point, one _Strata.at call each: on
+# fit-large the screened steps took 3.2 ms per fit at 1 point, 2.0 at 2, 1.6 at 3 and 1.2
+# to 1.8 at 4 to 12, least at 7, of which the walk reads 79 %
+_SCREEN_POINTS = 7
 # the ratios every reml_fit scores: the grid, then eta = 0
 _GRID_RATIOS = (*_GRID_ETAS, 0.0)
 _EPS = float(np.finfo(float).eps)
@@ -661,7 +667,7 @@ def _golden_section(score, lo, hi, tol, budget, seeds, screen=None, known=None):
     |obj~(c) - obj~(d)| exceeds the two margins, up to the first it cannot
     decide or the step that ends the walk.  It screens c and d, then each
     point a step asks for that is not screened yet with up to
-    _LOOKAHEAD_POINTS - 1 more on the path the parabola through the three
+    _SCREEN_POINTS - 1 more on the path the parabola through the three
     lowest screened values predicts.  From there the walk is exact: it
     first needs c and d, then each step the point it asks for.  A point in
     known is read from there; else one pass scores it (c and d together)
@@ -692,7 +698,7 @@ def _golden_section(score, lo, hi, tol, budget, seeds, screen=None, known=None):
                 break  # undecided, or the step that ends the walk, which is exact
             (a, b, c, d, t), decided = node, decided + 1
             if t not in marks:
-                guide = mark([n[4] for n in _path(node, _vertex(guide), _LOOKAHEAD_POINTS, tol)])
+                guide = mark([n[4] for n in _path(node, _vertex(guide), _SCREEN_POINTS, tol)])
     known = known or {}
     best = sorted([*seeds, *((e.objective, t) for t, e in known.items())])[:3]
     passes = points = 0

@@ -358,18 +358,15 @@ def test_reml_fits_match_their_recorded_digests(tin_design, tin_model, case):
     assert digest.hexdigest() == PINNED_FITS[case]
 
 
-def _reml_score(fit):
-    """eta -> d obj / d eta for fit's data at 40 digits, from the split-plot stratum form:
-    with B = [X y], W its cross-products centered by plot means, and
-    H_d = sum_{m_i = d} s_i s_i' / d over the plot sums s_i of B,
-    A = B' V^{-1} B = W + sum_d c_d H_d with c_d = 1 / (1 + d eta), and
-    obj' = sum_d n_d d c_d + tr(A_xx^-1 A'_xx) + (n - p) r' A' r / y'P y, where
-    A' = -sum_d d c_d^2 H_d, r = [-beta; 1] and n_d plots have d runs."""
+def _stratum_terms(x, y, plots):
+    """The split-plot stratum form of x and y at 40 digits: with B = [X y], W its
+    cross-products centered by plot means, and H_d = sum_{m_i = d} s_i s_i' / d over the
+    plot sums s_i of B, returns W, H_d and the count n_d of plots of d runs, so that
+    A = B' V^{-1} B = W + sum_d c_d H_d with c_d = 1 / (1 + d eta)."""
     mp = pytest.importorskip("mpmath")
-    n, p = fit.x.shape
-    plots = fit.layout.zero_based
+    p = x.shape[1]
     with mp.workdps(40):
-        rows = [[mp.mpf(v) for v in row] for row in np.column_stack([fit.x, fit.y]).tolist()]
+        rows = [[mp.mpf(v) for v in row] for row in np.column_stack([x, y]).tolist()]
         sums, sizes = {}, {}
         for plot, row in zip(plots.tolist(), rows):
             sums[plot] = [a + b for a, b in zip(sums.get(plot, [0] * (p + 1)), row)]
@@ -383,6 +380,16 @@ def _reml_score(fit):
             d = sizes[plot]
             h[d] = h.get(d, mp.zeros(p + 1, p + 1)) + mp.matrix(s) * mp.matrix(s).T / d
             counts[d] = counts.get(d, 0) + 1
+    return w, h, counts
+
+
+def _reml_score(fit):
+    """eta -> d obj / d eta for fit's data at 40 digits, from the stratum form A of
+    _stratum_terms: obj' = sum_d n_d d c_d + tr(A_xx^-1 A'_xx) + (n - p) r' A' r / y'P y,
+    where A' = -sum_d d c_d^2 H_d, r = [-beta; 1] and n_d plots have d runs."""
+    mp = pytest.importorskip("mpmath")
+    n, p = fit.x.shape
+    w, h, counts = _stratum_terms(fit.x, fit.y, fit.layout.zero_based)
 
     def score(eta):
         with mp.workdps(40):
@@ -1186,7 +1193,73 @@ def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
         assert walk[4] == 0
 
 
-@settings(max_examples=100, deadline=None)
+def test_the_walk_margin_carries_the_a_entry_term_on_a_large_layout():
+    """On 2 000 runs in 500 plots of 4, as on fit-large, the margin's term for the entries
+    of A, eps e S^2 (1 + p (e + 6p + 6) eps / lambda)^2 with e = 2 (n + p + 8 + m^1.5)
+    and S = sqrt(A_yy) + sum_l |beta~_l| sqrt(A_ll), is more than half the walk's
+    margin at each point the walk screens: without it the margin is that much less.
+    There |obj - obj~| stays below an eighth of the margin, and at 40 digits the
+    entries the screen forms move y' P y by at most that term, as the module docstring
+    derives (on the few-dozen-run layouts of the margin tests the other terms alone
+    cover the error)."""
+    mp = pytest.importorskip("mpmath")
+    layout = WholePlotLayout(tuple(np.repeat(np.arange(1, 501), 4).tolist()))
+    _, m, tab = _screen_case(layout, 3, 0.3, 0.0, 1.0, 0, 0)
+    n, p = layout.n_runs, 3
+    walk_screen = inference._walk_screen
+    calls, screened = [], []
+
+    def recording(*args):  # the walk's screen, keeping every point it screens
+        calls.append(args)
+        screen = walk_screen(*args)
+
+        def record(ts):
+            pairs = screen(ts)
+            screened.extend(zip(ts, pairs))
+            return pairs
+
+        return record
+
+    with mock.patch.object(inference, "_PASS_CELLS", n * p), \
+            mock.patch.object(inference, "_walk_screen", recording):
+        fit = reml_fit(tab, m)
+    assert fit.search.certified > 10
+    ((part, grid, y, center),) = calls
+    ts = [t for t, _ in screened]
+    at = inference._Strata.at
+    with mock.patch.object(inference._Strata, "at",
+                           lambda self, ratios: at(self, ratios)._replace(per_form=0 * ratios)):
+        bare = [margin for _, margin in walk_screen(part, grid, y, center)(ts)]
+
+    evaluate = part.evaluator(y)
+    strata = grid.strata
+    yc = y - part.x @ center  # as the walk's screen centers y
+    wxy, wyy, hxy, hyy = strata.response(part, yc)
+    w, h, _ = _stratum_terms(part.x, yc, layout.zero_based)
+    e = 2 * (n + p + 8 + 4 ** 1.5)
+    for (t, (objective, margin)), without in zip(screened, bare):
+        (got,) = evaluate([math.exp(t)])
+        assert abs(got.objective - objective) <= margin / 8
+        # A as the screen forms it, and the term for its entries
+        shrink = 1.0 / (1.0 + math.exp(t) * strata.sizes)
+        axx = strata.wxx + np.tensordot(shrink, strata.between, 1)
+        ax, ayy = wxy + shrink @ hxy, wyy + shrink @ hyy
+        beta = np.linalg.solve(axx, ax)
+        root = np.sqrt(np.diag(axx))
+        lam = np.linalg.eigvalsh(axx / np.outer(root, root))[0]
+        s = math.sqrt(ayy) + np.abs(beta) @ root
+        term = inference._EPS * e * s * s * (1 + p * (e + 6 * p + 6) * inference._EPS / lam) ** 2
+        rho = inference._SCREEN_SAFETY * term / (ayy - ax @ beta)
+        assert margin - without >= 0.999 * (n - p) * rho and margin - without > margin / 2
+        with mp.workdps(40):
+            c = {d: 1 / (1 + d * mp.mpf(math.exp(t))) for d in h}
+            exact = w + sum((c[d] * h[d] for d in h), mp.zeros(p + 1, p + 1))
+            formed = mp.matrix([[*row, a] for row, a in zip(axx.tolist(), ax.tolist())]
+                               + [[*ax.tolist(), ayy]])
+            q = [a[p, p] - (a[p, :p] * mp.inverse(a[:p, :p]) * a[:p, p])[0]
+                 for a in (exact, formed)]
+            assert abs(q[1] - q[0]) <= term
+
 @given(**_screen_inputs)
 @_with_screen_examples
 def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
@@ -1194,8 +1267,10 @@ def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
     """Where golden section scores one point per pass (here passes of 3 ratios), a grid
     argmin taken from the screen (a lone candidate) is the exact grid argmin, eta = 0 is
     ruled out only where its exact objective exceeds the walk's final one, and every
-    comparison the screen certifies goes the way the exact comparison goes.  The search
-    record counts the exact passes and ratios the fit makes after its grid screen."""
+    comparison the screen certifies goes the way the exact comparison goes: a replay of
+    the walk, with y centered and golden section seeded as reml_fit does, certifies as
+    many.  The search record counts the exact passes and ratios the fit makes after its
+    grid screen."""
     assume(layout.n_runs > p)
     _, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)
     y = tab.responses["y"]
@@ -1211,17 +1286,21 @@ def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
     widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
     assert (fit.search.passes, fit.search.ratios) == (len(widths), sum(widths))
     evaluate = part.evaluator(y)
-    exact = [e.objective for e in evaluate(inference._GRID_RATIOS)]
+    grid_fits = evaluate(inference._GRID_RATIOS)
+    exact = [e.objective for e in grid_fits]
     objective, margin, beta = inference._screened(part, grid, y)
     upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
     at = np.flatnonzero(lower <= upper.min()).tolist()
     k = exact.index(min(exact[:-1]))  # the first lowest
     assert fit.search.grid_argmin == k
-    if len(at) == 1:
+    if len(at) == 1:  # reml_fit centers y by beta~_k and seeds golden section with obj~
         assert at == [k]
+        seed, center = float(objective[k]), beta[k]
+    else:  # by the exact coefficients and objective at k
+        seed, center = exact[k], grid_fits[k].beta
 
     marks = {}
-    walk = inference._walk_screen(part, grid, y, beta[k])
+    walk = inference._walk_screen(part, grid, y, center)
 
     def screen(points):
         pairs = walk(points)
@@ -1231,8 +1310,9 @@ def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
     lo, hi = fit.search.bracket
     t_star, star, _, _, decided = inference._golden_section(
         lambda ts: evaluate([math.exp(t) for t in ts]), lo, hi, inference.GOLDEN_TOL, 1,
-        [(exact[k], inference._GRID_LOG_ETAS[k])], screen,
+        [(seed, inference._GRID_LOG_ETAS[k])], screen,
     )
+    assert decided == fit.search.certified  # the replay is the fit's own walk
     a, b = lo, hi
     c, d = inference._golden_pair(a, b)
     for _ in range(decided):
