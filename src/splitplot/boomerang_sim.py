@@ -137,6 +137,19 @@ def mean_surface(design: Design, truth: ResponseTruth) -> np.ndarray:
     return mean
 
 
+def _mean_column(design: Design, truth: ResponseTruth) -> np.ndarray:
+    """mean_surface(design, truth), read-only and memoized on the design under its
+    intercept and coefficient items, so a truth whose coefficients change after a
+    call never reads the mean of the old ones."""
+    key = (float(truth.intercept), *((label, float(c)) for label, c in truth.coefficients.items()))
+    mean = design._memo.get(key)
+    if mean is None:
+        mean = mean_surface(design, truth)
+        mean.setflags(write=False)
+        design._memo[key] = mean
+    return mean
+
+
 def simulate(design: Design, truth: TruthConfig, seed=None) -> ResponseTable:
     """Draw one replicate of every response in the truth config.
 
@@ -157,7 +170,7 @@ def simulate(design: Design, truth: TruthConfig, seed=None) -> ResponseTable:
     n = design.n_runs
     columns = {}
     for name, resp in truth.responses.items():
-        mean = mean_surface(design, resp)
+        mean = _mean_column(design, resp)
         gamma = rng.normal(0.0, resp.sigma_gamma, size=r)
         eps = rng.normal(0.0, resp.sigma_epsilon, size=n)
         columns[name] = mean + gamma[a0] + eps

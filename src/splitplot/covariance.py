@@ -54,8 +54,31 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ValidationError
+
+
+# The LAPACK gufuncs behind np.linalg.slogdet, solve and inv, called with the loop those
+# wrappers pick for float64, so each result has the wrapper's bits at a fraction of the
+# call cost.  They skip the wrappers' checks: the input is a float64 square matrix or a
+# stack of them, and solve's and inv's is nonsingular, which every caller has made sure
+# of (a slogdet sign > 0 with a finite log, from the same LU, comes first).  Without the
+# wrappers' errstate a singular input would warn and give nan instead of raising.
+def _slogdet(a):
+    """(sign, log |det a|), as np.linalg.slogdet; sign 0 and log -inf where a is singular."""
+    return _umath_linalg.slogdet(a, signature="d->dd")
+
+
+def _solve(a, b):
+    """a^-1 b for nonsingular a, as np.linalg.solve: b is (p,) or a stack of (p, k)."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return gufunc(a, b, signature="dd->d")
+
+
+def _inv(a):
+    """a^-1 for nonsingular a, as np.linalg.inv."""
+    return _umath_linalg.inv(a, signature="d->d")
 
 
 @dataclass(frozen=True)

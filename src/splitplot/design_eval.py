@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _check_ratio, information
+from .covariance import _check_ratio, _inv, _slogdet, information
 from .design_gen import Design, column_labels, expand_model_matrix, model_matrix
 from .errors import NumericalError, ValidationError
 from .model_spec import ModelSpec
@@ -39,10 +39,10 @@ ALIAS_TOL = 1e-12
 def _information_inverse(design: Design, model: ModelSpec, ratio: float) -> np.ndarray:
     _check_ratio(ratio)
     m = information(design.layout, expand_model_matrix(design, model), ratio)
-    sign, _ = np.linalg.slogdet(m)
+    sign, _ = _slogdet(m)
     if sign <= 0:
         raise NumericalError("singular information matrix; the design cannot fit this model")
-    return np.linalg.inv(m)
+    return _inv(m)
 
 
 @dataclass(frozen=True)

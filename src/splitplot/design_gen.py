@@ -45,7 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import WholePlotLayout, _check_ratio, _information_sums, information
+from .covariance import (
+    WholePlotLayout, _check_ratio, _information_sums, _inv, _slogdet, information,
+)
 from .errors import NumericalError, ValidationError
 from .model_spec import Factor, ModelSpec
 
@@ -115,9 +117,12 @@ class Design:
     holds that model's per-design REML terms (inference fills it and says
     what they are; what fails a check is checked again on the next call).
     A truth-term label key holds that term's read-only column
-    (boomerang_sim fills it; an invalid label raises on every call).  The
-    settings are read-only, so no entry goes stale; the memo lives as long
-    as the design and is no part of its equality, hash or repr.
+    (boomerang_sim fills it; an invalid label raises on every call).  A
+    tuple key, a truth's intercept and then its (label, coefficient) items
+    in order, holds that truth's read-only mean surface (simulate fills it;
+    a truth whose coefficients change reads under a new key).  The settings
+    are read-only, so no entry goes stale; the memo lives as long as the
+    design and is no part of its equality, hash or repr.
     """
 
     factors: tuple[Factor, ...]
@@ -224,7 +229,7 @@ def expand_model_matrix(design: Design, model: ModelSpec) -> np.ndarray:
 
 
 def _log_det(m: np.ndarray) -> float:
-    sign, ld = np.linalg.slogdet(m)
+    sign, ld = _slogdet(m)
     if sign <= 0 or not np.isfinite(ld):
         return float("-inf")
     return float(ld)
@@ -321,7 +326,7 @@ class _Exchanger:
             return None
         m, s = self.held
         if self.lemma is None:  # M^-1 of the held M, once per incumbent
-            minv = np.linalg.inv(m)  # best > 0: the LU of slogdet found no zero pivot in m
+            minv = _inv(m)  # best > 0: the LU of slogdet found no zero pivot in m
             cond = np.abs(m).sum(axis=0).max() * np.abs(minv).sum(axis=0).max()
             self.lemma = (minv, {}) if cond <= _SCREEN_MAX_COND else False
         if self.lemma is False:

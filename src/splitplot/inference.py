@@ -37,7 +37,12 @@ bins.  Its rank check reads the slogdet signs and logs as the lists the
 objective is summed from.  X' V^{-1} X, slogdet, the solve for beta and
 y' P y are stacked numpy calls whose every slice makes the BLAS or LAPACK
 call of a single ratio, so a ratio's result does not depend on the pass it
-is scored in and fitted output is unchanged.
+is scored in and fitted output is unchanged.  slogdet, the solves and the
+inverse behind cov_beta call LAPACK's gufuncs through covariance's helpers
+(_slogdet, _solve, _inv): the calls np.linalg's wrappers make, with their
+bits, without the wrappers' checks and per-call set-up.  They need a
+nonsingular input: each solve and inverse takes an X' V^{-1} X that passed
+the rank check, or a Wald test's block of its inverse.
 
 The grid serves only to find its argmin k, golden section's seed.  The
 first reml_fit on a design derives a _Grid from X alone and keeps it,
@@ -235,7 +240,10 @@ from .covariance import (
     VarianceComponents,
     WholePlotLayout,
     _check_ratio,
+    _inv,
     _plot_sums,
+    _slogdet,
+    _solve,
 )
 from .design_gen import Design, column_labels, expand_model_matrix
 from .errors import NumericalError, ValidationError
@@ -435,7 +443,7 @@ class _DesignPart(NamedTuple):
             self.layout.bins(self.width)[:len(eta)], axis=0, out=buf, mode="clip")
         np.subtract(self.x, buf, out=buf)
         m = np.matmul(self.x.T, buf)
-        return (w, m, *np.linalg.slogdet(m), np.log1p(scaled).sum(axis=1))
+        return (w, m, *_slogdet(m), np.log1p(scaled).sum(axis=1))
 
     def grid(self) -> _Grid:
         """The per-design terms of every reml_fit's grid, from X alone (see _Grid).
@@ -490,10 +498,10 @@ class _DesignPart(NamedTuple):
             buf, at = vix[:k], bins[:k]
             w, m, sign, ldm, ldv = self._pass(eta[:, None], buf)
             logs = ldm.tolist()
-            _check_rank(sign.tolist(), logs)  # before the solve, which would raise LinAlgError
+            _check_rank(sign.tolist(), logs)  # before the solve, whose m must be nonsingular
             rhs = np.matmul(buf.transpose(0, 2, 1), y)
             # an explicit column axis: numpy 1.x and 2.x read a stacked vector differently
-            beta = np.linalg.solve(m, rhs[..., None])[..., 0]
+            beta = _solve(m, rhs[..., None])[..., 0]
             resid = y - np.matmul(x, beta[..., None])[..., 0]
             sums = np.bincount(at.ravel(), weights=resid.ravel(), minlength=k * r)
             vr = resid - (w * sums.reshape(k, r)).take(at)  # V^{-1} resid, as solve_v forms it
@@ -752,8 +760,11 @@ class GlsFit:
     """A fitted response: variance components, coefficients, and fit stats.
 
     search, set by reml_fit, records how it found the ratio (_RemlSearch);
-    it is None on a gls_fit.  x is the design's read-only model matrix, from
-    which fitted and residuals are computed on read.
+    it is None on a gls_fit.  x is the design's read-only model matrix.
+    fitted, residuals, r2, the overall F (f_overall, with df_overall and
+    p_overall) and error_df are computed on read, from the fields, so a fit
+    that never reads them pays nothing for them: a Monte Carlo replicate
+    reads only the coefficients and their covariance.
     """
 
     response: str
@@ -768,10 +779,7 @@ class GlsFit:
     objective: float
     method: str
     y: np.ndarray
-    r2: float
     rmse: float
-    f_overall: float | None
-    df_overall: tuple[int, int] | None
     x: np.ndarray = field(repr=False, compare=False)  # the design's read-only model matrix
     search: _RemlSearch | None = field(default=None, repr=False, compare=False)
 
@@ -780,9 +788,29 @@ class GlsFit:
         return self.layout.n_runs
 
     @property
+    def r2(self) -> float:
+        """Squared correlation of y and the fitted values; 0 for a flat fit or flat data."""
+        return _squared_correlation(self.y, self.fitted)
+
+    @property
+    def df_overall(self) -> tuple[int, int] | None:
+        """(numerator, denominator) df of the overall F: every column but the intercept
+        against subplot error; None without either."""
+        q = len(self.beta) - 1
+        sp_err = self.error_df[SUBPLOT]
+        return (q, sp_err) if q >= 1 and sp_err >= 1 else None
+
+    @property
+    def f_overall(self) -> float | None:
+        """Wald F that every coefficient but the intercept is zero, or None (df_overall)."""
+        df = self.df_overall
+        return None if df is None else _wald_f(self.beta[1:], self.cov_beta[1:, 1:], df[0])
+
+    @property
     def p_overall(self) -> float | None:
-        """P-value of the overall F, computed on read: a fit that never reads it pays nothing."""
-        return None if self.f_overall is None else f_sf(self.f_overall, *self.df_overall)
+        """P-value of the overall F."""
+        df = self.df_overall
+        return None if df is None else f_sf(self.f_overall, *df)
 
     @property
     def fitted(self) -> np.ndarray:
@@ -844,7 +872,7 @@ def _wald_f(b, c, df_num) -> float:
     """Wald F = b' C^{-1} b / df_num for estimates b with covariance C."""
     if df_num == 1:
         return float(b[0] * (b[0] / c[0, 0]))  # the 1 x 1 solve's own rounding, without its cost
-    return float(b @ np.linalg.solve(c, b)) / df_num
+    return float(b @ _solve(c, b)) / df_num
 
 
 def _finalize(
@@ -857,17 +885,7 @@ def _finalize(
     components = VarianceComponents(
         sigma2_gamma=eta * sigma2_eps, sigma2_epsilon=sigma2_eps
     )
-    cov_beta = sigma2_eps * np.linalg.inv(at_eta.information)
-    r2 = _squared_correlation(y, x @ beta)
-    rmse = math.sqrt(sigma2_eps)
-
-    q = p - 1
-    sp_err = model.error_df(n, layout.n_plots)[SUBPLOT]
-    f_overall = df_overall = None
-    if q >= 1 and sp_err >= 1:
-        f_overall = _wald_f(beta[1:], cov_beta[1:, 1:], q)
-        df_overall = (q, sp_err)
-
+    cov_beta = sigma2_eps * _inv(at_eta.information)
     for arr in (beta, cov_beta):
         arr.setflags(write=False)
     return GlsFit(
@@ -883,10 +901,7 @@ def _finalize(
         objective=at_eta.objective,
         method=method,
         y=y,
-        r2=r2,
-        rmse=rmse,
-        f_overall=f_overall,
-        df_overall=df_overall,
+        rmse=math.sqrt(sigma2_eps),
         x=x,
         search=search,
     )

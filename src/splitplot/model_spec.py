@@ -17,6 +17,7 @@ and subplot error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,11 @@ class Factor:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValidationError(
                     f"continuous factor {self.name!r} needs a finite range with low < high"
+                )
+            if not np.isfinite(hi - lo):  # to_natural and to_coded scale by (high - low) / 2
+                raise ValidationError(
+                    f"continuous factor {self.name!r} has a range too wide for a float: "
+                    f"high - low overflows"
                 )
 
     @property
@@ -209,7 +215,11 @@ def classify_term(factor_names, factors) -> str:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A factor list plus an ordered term list (mains first, then interactions)."""
+    """A factor list plus an ordered term list (mains first, then interactions).
+
+    The model df and term_columns are derived once per spec, on first read:
+    fixed_effect_tests reads them on every Monte Carlo replicate.
+    """
 
     factors: tuple[Factor, ...]
     terms: tuple[ModelTerm, ...]
@@ -240,12 +250,12 @@ class ModelSpec:
     def subplot_terms(self) -> tuple[ModelTerm, ...]:
         return tuple(t for t in self.terms if t.level == SUBPLOT)
 
-    @property
+    @cached_property
     def whole_plot_model_df(self) -> int:
         # intercept is counted here, at the whole-plot level
         return 1 + sum(t.df for t in self.whole_plot_terms)
 
-    @property
+    @cached_property
     def subplot_model_df(self) -> int:
         return sum(t.df for t in self.subplot_terms)
 
@@ -253,7 +263,7 @@ class ModelSpec:
     def n_parameters(self) -> int:
         return 1 + sum(t.df for t in self.terms)
 
-    @property
+    @cached_property
     def term_columns(self) -> tuple[slice, ...]:
         """Model-matrix columns of each term, in term order; column 0 is the intercept."""
         ends = np.cumsum([1, *(t.df for t in self.terms)]).tolist()

@@ -224,11 +224,36 @@ def test_a_filled_memo_leaves_design_equality_and_repr_alone():
     before = repr(d)
     table = simulate(d, default_truth(), seed=0)
     reml_fit(table, build_model(d.factors, "mains_only"), response="y1")
-    assert len(d._memo) == 5 and not twin._memo  # 4 truth terms and one model
+    assert len(d._memo) == 7 and not twin._memo  # 4 truth terms, 2 truth means, one model
     assert d == twin and twin == d
     assert repr(d) == repr(twin) == before
     memo = next(f for f in dataclasses.fields(Design) if f.name == "_memo")
     assert not (memo.init or memo.repr or memo.compare)
+
+
+def _table_bytes(table):
+    return {name: values.tobytes() for name, values in table.responses.items()}
+
+
+def test_a_memoized_mean_never_goes_stale():
+    """simulate keeps each truth's mean surface on the design under its intercept and
+    coefficient items: a truth whose coefficients change afterwards, and a second truth
+    equal to the first, each draw the bytes a fresh design gives, and memoized
+    replicates equal unmemoized ones."""
+    d = small_tin_design()
+    truth = default_truth()
+    first = simulate(d, truth, seed=3)
+    truth.responses["y1"].coefficients["tension"] = -40.0
+    changed = simulate(d, truth, seed=3)
+    assert _table_bytes(changed) == _table_bytes(simulate(small_tin_design(), truth, seed=3))
+    assert changed.responses["y1"].tobytes() != first.responses["y1"].tobytes()
+    assert changed.responses["y2"].tobytes() == first.responses["y2"].tobytes()
+    for equal in (default_truth(), default_truth()):  # both read the entry of the first call
+        assert _table_bytes(simulate(d, equal, seed=3)) == _table_bytes(first)
+    for k in range(20):
+        memoized = simulate(d, truth, seed=(7, k))
+        fresh = simulate(dataclasses.replace(d), truth, seed=(7, k))  # an empty memo
+        assert _table_bytes(memoized) == _table_bytes(fresh)
 
 
 def test_truth_validation():

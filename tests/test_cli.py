@@ -656,6 +656,23 @@ def test_validation_failures_exit_2(model_file, tmp_path, capsys):
     assert "power=" not in captured.out
 
 
+def test_a_range_whose_width_overflows_is_refused_at_definition(tmp_path, capsys):
+    """-1e308 to 1e308 is finite with low < high, but high - low overflows, so coded
+    settings would map to nan and inf: define_factor refuses it, and plan and design
+    exit 2 and write nothing."""
+    with pytest.raises(ValidationError, match="high - low overflows"):
+        define_factor("a", "continuous", low=-1e308, high=1e308)
+    define_factor("a", "continuous", low=-8e307, high=8e307)  # a width of 1.6e308 is finite
+    model_path = tmp_path / "wide.model"
+    model_path.write_text("factor a continuous -1e308 1e308\nterms mains_only\n")
+    out = tmp_path / "design.csv"
+    assert main(["plan", str(model_path)]) == 2
+    assert main(["design", str(model_path), "--runs", "8", "--whole-plots", "4",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "high - low overflows" in capsys.readouterr().err
+
+
 def test_unreadable_files_exit_2(model_file, tmp_path, capsys):
     """A missing or non-UTF-8 input file is invalid input that names the file."""
     latin = tmp_path / "latin1.model"

@@ -17,7 +17,7 @@ from splitplot import (
     solve_v,
 )
 from splitplot import inference
-from splitplot.covariance import build_v, information
+from splitplot.covariance import _inv, _slogdet, _solve, build_v, information
 from splitplot.inference import _design_part
 
 
@@ -30,6 +30,39 @@ def random_layout(rng, max_runs=12):
         cuts = np.array([], dtype=int)
     sizes = np.diff(np.concatenate([[0], cuts, [n]]))
     return WholePlotLayout(tuple(int(v) for v in np.repeat(np.arange(1, r + 1), sizes)))
+
+
+# ---------------------------------------------------------------- LAPACK helpers
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 12), st.integers(-12, 12), st.integers(0, 2**32 - 1))
+def test_lapack_helpers_round_as_numpy(k, p, decades, seed):
+    """_slogdet, _solve and _inv give the bits of np.linalg.slogdet, solve and inv on one
+    p x p matrix (k = 0) or a stack of k: solve with a (k, p, 1) right-hand side, and
+    with a 1-d one on one matrix.  A matrix with a zero row is exactly singular:
+    slogdet's sign is 0 and its log -inf, as numpy's."""
+    rng = np.random.default_rng(seed)
+    shape = (k, p, p) if k else (p, p)
+    a = rng.normal(size=shape) * rng.lognormal(size=shape) * 10.0 ** decades
+    rhs = rng.normal(size=(*shape[:-1], 1))
+    vector = rng.normal(size=p)
+    one = a[0] if k else a
+    singular = a.copy()
+    singular[..., rng.integers(p), :] = 0.0
+    for matrix in (a, one, singular):
+        assert all(map(_same_bits, _slogdet(matrix), np.linalg.slogdet(matrix)))
+    sign, log = _slogdet(singular)
+    assert np.all(sign == 0.0) and np.all(log == -np.inf)
+    assume(np.all(np.linalg.slogdet(a)[0] != 0.0))  # solve and inv need a nonsingular a
+    assert _same_bits(_solve(a, rhs), np.linalg.solve(a, rhs))
+    assert _same_bits(_solve(one, vector), np.linalg.solve(one, vector))
+    assert _same_bits(_inv(a), np.linalg.inv(a))
 
 
 # ---------------------------------------------------------------- layout

@@ -358,6 +358,26 @@ def test_reml_fits_match_their_recorded_digests(tin_design, tin_model, case):
     assert digest.hexdigest() == PINNED_FITS[case]
 
 
+# sha256 over repr((r2, rmse, f_overall, df_overall, p_overall)) of each fit, recorded
+# with the fits that formed r2 and the overall F when they were made; the summaries read
+# now must reproduce them exactly
+PINNED_SUMMARIES = {
+    "tin": "ff5596b90ee72c7600eb462df6339f1042e76946fb17e189abf747db485c70d5",
+    "one-run plot": "d2d85344d7ba1761eab54b294869f761c80b93fb0a40e9b21dbf46a32af2671d",
+    "gls": "2a6b862edc72446183049570f9d6fee60c14cd210e5c739625a677d42865efa5",
+    "large layout": "d37880a5dfd9c39fcc9afcae7667dfe57a22d5af8c913d839820c2b055aa3206",
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SUMMARIES))
+def test_fit_summaries_match_their_recorded_digests(tin_design, tin_model, case):
+    digest = hashlib.sha256()
+    for fit in _pinned_fits(case, tin_design, tin_model):
+        summary = (fit.r2, fit.rmse, fit.f_overall, fit.df_overall, fit.p_overall)
+        digest.update(repr(summary).encode())
+    assert digest.hexdigest() == PINNED_SUMMARIES[case]
+
+
 def _stratum_terms(x, y, plots):
     """The split-plot stratum form of x and y at 40 digits: with B = [X y], W its
     cross-products centered by plot means, and H_d = sum_{m_i = d} s_i s_i' / d over the
@@ -583,13 +603,13 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     y1 = default_truth().responses["y1"]
     tab = simulate(tin_design, TruthConfig(responses={"y1": y1}), seed=(7, 0))
     fresh = ResponseTable(design=dataclasses.replace(tin_design), responses=tab.responses)
-    with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
+    with mock.patch.object(inference, "_slogdet", wraps=inference._slogdet) as slogdet:
         fit = reml_fit(fresh, tin_model)
     widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
     assert widths == [50, 11] + [7] * 5 + [6, 4, 2]
     assert (fit.search.passes, fit.search.ratios) == (len(widths) - 1, sum(widths) - 50)
     per_fit = []
-    with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
+    with mock.patch.object(inference, "_slogdet", wraps=inference._slogdet) as slogdet:
         for fit in _pinned_fits("large layout", tin_design, tin_model):
             per_fit.append([call.args[0].shape[0] for call in slogdet.call_args_list])
             slogdet.reset_mock()
@@ -1008,7 +1028,7 @@ def test_a_grid_that_fails_its_check_is_never_kept():
     keeps nothing at all: test_a_failed_check_fails_on_every_call."""
     d, m = lopsided_design()
     tab = ResponseTable(design=d, responses={"y": np.random.default_rng(4).normal(size=8)})
-    slogdet = np.linalg.slogdet
+    slogdet = inference._slogdet
 
     def one_negative_sign(a):
         sign, ld = slogdet(a)
@@ -1017,7 +1037,7 @@ def test_a_grid_that_fails_its_check_is_never_kept():
         return sign, ld
 
     for _ in range(2):
-        with mock.patch.object(np.linalg, "slogdet", one_negative_sign):
+        with mock.patch.object(inference, "_slogdet", one_negative_sign):
             with pytest.raises(NumericalError, match="rank deficient"):
                 reml_fit(tab, m, response="y")
         assert _kept_grid(d, m) is None
@@ -1279,7 +1299,7 @@ def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
         part = entry[0]
         try:
             grid = entry[2] = part.grid()
-            with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
+            with mock.patch.object(inference, "_slogdet", wraps=inference._slogdet) as slogdet:
                 fit = reml_fit(tab, m)
         except NumericalError:
             return  # the walk that raises: test_every_fit_equals_the_fit_with_the_screen_off
