@@ -17,6 +17,8 @@ alone) with comfortable power.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -52,11 +54,20 @@ class ResponseTruth:
     sigma_epsilon: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_gamma) and self.sigma_gamma >= 0):
-            raise ValidationError("sigma_gamma must be finite and >= 0")
-        if not (np.isfinite(self.sigma_epsilon) and self.sigma_epsilon >= 0):
-            raise ValidationError("sigma_epsilon must be finite and >= 0")
+        _check_number(self.intercept, "intercept")
+        for label, coef in dict(self.coefficients).items():
+            _check_number(coef, f"coefficient {label!r}")
+        for name in ("sigma_gamma", "sigma_epsilon"):
+            if not _check_number(getattr(self, name), name) >= 0:
+                raise ValidationError(f"{name} must be finite and >= 0")
         object.__setattr__(self, "coefficients", dict(self.coefficients))
+
+
+def _check_number(value, what):
+    """value, if it is a finite real number (not a bool); else ValidationError naming what."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValidationError(f"truth {what} must be a finite number, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

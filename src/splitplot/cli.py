@@ -219,15 +219,12 @@ def parse_truth_text(text: str) -> TruthConfig:
             raise ValidationError(f"{where}: unknown key {key!r}")
     if not data:
         raise ValidationError("truth file declares no responses")
-    responses = {
-        name: ResponseTruth(
-            intercept=entry["intercept"],
-            coefficients=entry["coefficients"],
-            sigma_gamma=entry["sigma_gamma"],
-            sigma_epsilon=entry["sigma_epsilon"],
-        )
-        for name, entry in data.items()
-    }
+    responses = {}
+    for name, entry in data.items():
+        try:
+            responses[name] = ResponseTruth(**entry)
+        except ValidationError as exc:  # say which response, before anything is drawn
+            raise ValidationError(f"response {name!r}: {exc}") from None
     return TruthConfig(responses=responses, seed=seed)
 
 

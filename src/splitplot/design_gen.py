@@ -82,6 +82,10 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_runs", "n_whole_plots", "n_starts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, not {value!r}")
         if self.n_runs < self.model.n_parameters:
             raise ValidationError(
                 f"{self.n_runs} runs cannot estimate {self.model.n_parameters} parameters"

@@ -52,14 +52,13 @@ make, so they are one_pass's bits, with X' V^{-1} X checked for rank at
 every ratio before anything is kept; and the screen's stratum terms, a
 _Strata (W_xx = X_c' X_c, the H_d of X, X_c and the plot-size classes)
 with its _Coefficients at the 50 ratios.  Every fit then takes one path.
-The screen scores all 50 ratios from stratum sums, and one_pass exactly
-scores only the grid ratios that can be the grid minimum, in passes that
-each form their own X' V^{-1} X; _RemlSearch.exact_grid counts them with
-eta = 0 where that is scored exactly.  Where 7 ratios fit one pass, they
-and eta = 0 share the opening pass, which also scores golden section's
-first points (below).  Where fewer fit, a lone candidate is the grid
-argmin without an exact pass, and eta = 0 is scored only where the screen
-cannot rule it out (below).
+The screen scores all 50 ratios from stratum sums and keeps as candidates
+only the grid ratios that can be the grid minimum.  A lone candidate is
+the grid argmin k, without an exact pass; several are scored exactly
+together, in passes that each form their own X' V^{-1} X, and k is the
+first lowest.  eta = 0 is scored only where the screen cannot rule it out
+(below); _RemlSearch.exact_grid counts the candidates scored exactly and
+eta = 0 where it is.
 
 The screen.  With B = [X y] and s_i its sums over plot i,
 
@@ -124,68 +123,66 @@ floor is scored exactly too, so a response is refused for zero residual
 variation on the same inputs as before, and the rank check sees all 50
 ratios before any solve.  Where obj is flat to rounding nothing can be
 excluded: a layout of one-run plots, where V = (1 + eta) I and obj does not
-depend on eta, scores all 50.  A fit-large fit leaves one candidate, which
-it does not score, and a tin fit nearly always scores one with eta = 0
-(2.0065 over 2 000 mc-power fits), and over random layouts |obj - obj~|
-stays below an eighth of the margin
+depend on eta, scores all 50.  Nearly every fit leaves one candidate,
+which it does not score: over 2 000 mc-power fits of case 0 a fit scores
+0.0825 grid ratios and eta = 0 exactly, nearly all of them eta = 0, in
+about 7 % of the fits, and no fit-large fit scores any.  Over random
+layouts |obj - obj~| stays below an eighth of the margin
 (test_the_grid_screen_bounds_the_exact_objective).
 
-Golden section walks one loop, _golden_section, of its own steps.  Which
-point a step asks for next depends only on the comparisons made so far.
-Where a pass holds fewer than _LOOKAHEAD_POINTS = 7 ratios (fit-large,
-the 1 968- and 6 000-run layouts), each exact point is a pass over n, and
-reml_fit scores nothing exactly that the stratum screen decides.  A lone
-grid candidate is the grid argmin k, and y is centered once per fit by
-beta~_k, the screen's coefficients there (the exact ones where several
-candidates were scored): P X = 0, so y' P y is unchanged in exact
-arithmetic, while A_yy / y'P y~, which sets the screen's error, falls from
-about 24 to about 1 on fit-large.  The walk then takes every step the
-screen decides.  One _Strata.at call gives A_xx, its inverse, log det A_xx
-and the margin's coefficients at a list of ratios, and log det V is summed
-over the plot-size classes: first at c and d, then, at a step asking for
-a point not screened yet, at that point and up to _SCREEN_POINTS - 1 = 6
-more on the path the parabola through the three lowest screened values
-predicts.  Where |obj~(c) - obj~(d)| exceeds the two margins, the exact
-comparison has the same sign, and the step is taken without an exact pass.  From the first
-comparison the screen cannot decide on, and always at the step that ends
-the walk, the walk is exact: one pass scores c and d, and each later pass
-the point the next step asks for.  One point per pass there: a wider pass
-saves about what it costs.  Last, eta = 0 is scored only where
-obj~(0) - margin(0), from the grid screen, does not exceed the walk's
-final exact objective; elsewhere obj(0) exceeds it, and zero cannot win.
+Golden section walks one loop, _golden_section, of its own steps, in k's
+grid bracket.  Which point a step asks for next depends only on the
+comparisons made so far.  The pass width selects only two things: the
+length of the exact path, and whether the walk's screen runs.  Where a
+pass holds fewer than _PATH_POINTS = 7 ratios (fit-large, the 1 968- and
+6 000-run layouts), each exact point is a pass over n, and the walk first
+takes every step the stratum screen decides.  y is centered
+once per fit by beta~_k, the screen's coefficients there (the exact ones
+where several candidates were scored): P X = 0, so y' P y is unchanged in
+exact arithmetic, while A_yy / y'P y~, which sets the screen's error,
+falls from about 24 to about 1 on fit-large.  One _Strata.at call gives
+A_xx, its inverse, log det A_xx and the margin's coefficients at a list of
+ratios, and log det V is summed over the plot-size classes: first at c
+and d, then, at a step asking for a point not screened yet, at that point
+and up to _PATH_POINTS - 1 = 6 more on the path the parabola through the
+three lowest screened values predicts, the grid screen's obj~ at k and its
+two grid neighbours among them.  Where |obj~(c) - obj~(d)| exceeds the two
+margins, the exact comparison has the same sign, and the step is taken
+without an exact pass.  From the first comparison the screen cannot
+decide on, and always at the step that ends the walk, the walk is exact:
+it scores c and d, then the point each step asks for, one point per pass:
+a wider pass saves about what it costs.
 
 Where 7 ratios fit one pass (n p up to 9 362, 851 runs of the tin model),
-the screen decides no step, and each pass after the first pair scores the
-point the next step asks for and up to 6 more on the path a parabola
-predicts.  Through the three lowest values among the grid argmin and the
-points scored so far, it predicts "left" at a step when its vertex lies
-left of (c + d) / 2.  The first pair and the first path come in the
-opening pass, with the grid candidates and eta = 0, before the grid
-argmin k is known: golden section's first pair in the bracket of the
-screen's best candidate (the least obj~ plus margin), then the 7 points of
-the path the parabola through obj~ there and at two grid neighbours
-predicts, as many as the candidates' last pass has room for.  Where k is
-another candidate (12 of 2 000 mc-power fits have a second one), golden
-section makes its own passes.  It reads a point already scored, keyed by
-its log ratio, and makes a pass only for a point it lacks.  The seed is
-k alone, and neither a seed nor a prediction decides a comparison: they
-shape only which points a pass holds.  The walk compares
-as a one-point search would until a comparison leaves the path, and a step
-whose bracket is done asks for the midpoint, which is eta-hat.  A tin fit
-makes about 9 exact passes after its grid screen (8.96 over 300 mc-power
-fits, 10.63 with separate passes for the candidates and the first pair);
-a fit-large fit decides about 17.6 of its 40 comparisons on the screen and
-makes about 23.4 exact passes of 24.4 ratios (20 fits of case 0), against
-42 golden-section ratios, the grid argmin and eta = 0 without the screen.
-_RemlSearch.passes and ratios count every exact pass and ratio after the
-grid screen, the opening pass and eta = 0 included, exact_grid the grid
-ratios and eta = 0 among them, and certified the comparisons the screen
-decided.  Ratios score alike in any pass and every comparison is
-golden section's own, so neither the screen, the prediction nor the pass
-width moves a fitted digit: eta-hat, its _Evaluation and every fitted byte
-are those of a search that scores one point per pass.  Lookahead and the
-opening pass add no failure mode: every point lies inside a candidate's
-grid bracket, whose ends passed
+the walk is exact from the start, and each pass scores the point the next
+step asks for and up to 6 more on the path a parabola predicts: through
+the three lowest values so far, it predicts "left" at a step when its
+vertex lies left of (c + d) / 2.  The first pass scores golden section's
+first pair, the 7 points of the path the parabola through obj~ at k and
+its two grid neighbours predicts, and k itself, 10 ratios, so that every
+later parabola reads k's exact value.  Neither a seed nor a prediction
+decides a comparison: they shape only which points a pass holds.  The walk
+compares as a one-point search would, reads each point scored already,
+keyed by its log ratio, and scores a new path where a step asks for one it
+lacks; a step whose bracket is done asks for the midpoint, which is eta-hat.
+
+Last, at every width, eta = 0 is scored only where obj~(0) - margin(0),
+from the grid screen, does not exceed the walk's final exact objective;
+elsewhere obj(0) exceeds it, and zero cannot win
+(test_eta_zero_is_left_unscored_only_where_it_loses).  A tin fit makes
+about 9 exact passes after its grid screen (9.074 of 57.3 ratios over
+2 000 mc-power fits of case 0); a fit-large fit decides about 17.4 of its
+40 comparisons on the screen and makes about 24.6 exact one-ratio passes
+(fits 1 to 10 of case 0), against 42 golden-section ratios, the grid
+argmin and eta = 0 without the screen.  _RemlSearch.passes and ratios
+count every exact evaluator pass and ratio after the grid screen, the
+candidates and eta = 0 included, and certified the comparisons the screen
+decided.  Ratios score alike in any pass and every comparison is golden
+section's own, so neither the screen, the prediction nor the pass width
+moves a fitted digit: eta-hat, its _Evaluation and every fitted byte are
+those of a search that scores one point per pass, at either width
+(test_every_fit_equals_the_fit_with_the_screen_off).  Lookahead adds no
+failure mode: every point lies inside k's grid bracket, whose ends passed
 the rank check when the grid was kept and clear the noise floor, scored
 exactly or within the screen's bound, and in exact arithmetic
 X' V^{-1} X is positive definite at every ratio while y' P y does not grow
@@ -306,14 +303,13 @@ class _Evaluation(NamedTuple):
 # cells (ratios x runs x columns) of the V^{-1} X work buffer, 512 KB: a whole
 # REML grid on a small design in one pass, one ratio per pass on a large one
 _PASS_CELLS = 2**16
-# points per golden-section pass where that many ratios fit one pass, else one: on the
-# tin model 7 tied with 15 and beat 3 and 31 at 24 runs, and took 0.49 to 0.85 of one
-# point's time per fit from 96 to 768 runs; at 1 968 runs neither 3 nor 7 beat one point
-_LOOKAHEAD_POINTS = 7
-# points per screened path where a pass holds one point, one _Strata.at call each: on
-# fit-large the screened steps took 3.2 ms per fit at 1 point, 2.0 at 2, 1.6 at 3 and 1.2
-# to 1.8 at 4 to 12, least at 7, of which the walk reads 79 %
-_SCREEN_POINTS = 7
+# points per predicted golden-section path: per exact pass where that many ratios fit one
+# pass, else per _Strata.at call of the walk's screen.  On the tin model 7 tied with 15 and
+# beat 3 and 31 at 24 runs, and took 0.49 to 0.85 of one point's time per fit from 96 to
+# 768 runs; at 1 968 runs neither 3 nor 7 beat one point per pass.  On fit-large the
+# screened steps took 3.2 ms per fit at 1 point, 2.0 at 2, 1.6 at 3 and 1.2 to 1.8 at 4 to
+# 12, least at 7, of which the walk reads 79 %
+_PATH_POINTS = 7
 # the ratios every reml_fit scores: the grid, then eta = 0
 _GRID_RATIOS = (*_GRID_ETAS, 0.0)
 _EPS = float(np.finfo(float).eps)
@@ -665,33 +661,34 @@ def _path(node, vertex, budget, tol):
     return nodes
 
 
-def _golden_section(score, lo, hi, tol, budget, seeds, screen=None, known=None):
+def _golden_section(score, lo, hi, tol, budget, seeds, screen=None):
     """Minimize a unimodal function on [lo, hi], hi - lo > tol, by golden section.
 
-    score maps a list of points to their _Evaluations; seeds are one or more
-    known (value, point) pairs, and known, if given, maps points already
-    scored to their _Evaluations.  screen, if given, maps a list of points
-    to their (obj~, margin) pairs, and the walk first takes every step whose
-    |obj~(c) - obj~(d)| exceeds the two margins, up to the first it cannot
-    decide or the step that ends the walk.  It screens c and d, then each
-    point a step asks for that is not screened yet with up to
-    _SCREEN_POINTS - 1 more on the path the parabola through the three
-    lowest screened values predicts.  From there the walk is exact: it
-    first needs c and d, then each step the point it asks for.  A point in
-    known is read from there; else one pass scores it (c and d together)
-    and, after the first pair, up to budget - 1 more on the path a parabola
-    through the three lowest values predicts (see the module docstring).
-    Such a path may carry a point of known again (0.3 per tin fit): that
-    costs less than looking for it.  Returns the final bracket's midpoint,
-    its _Evaluation, the passes and points scored here and the comparisons
-    the screen decided.
+    score maps a list of points to their _Evaluations.  seeds are (value,
+    point) pairs, screened or exact, the first at the grid argmin, at least
+    three where budget > 1; they shape only which points are scored.
+    screen, if given, maps a list of points to their (obj~, margin) pairs,
+    and the walk first takes every step whose |obj~(c) - obj~(d)| exceeds
+    the two margins, up to the first it cannot decide or the step that ends
+    the walk.  It screens c and d, then each point a step asks for that is
+    not screened yet with up to _PATH_POINTS - 1 more on the path the
+    parabola through the three lowest screened values and seeds predicts.
+    From there the walk is exact.  Its first pass scores c and d and, where
+    budget > 1, the budget points of the path the parabola through the three
+    lowest seeds predicts and the first seed's point, so that later
+    parabolas read its exact value; each later pass scores the point the
+    next step asks for and up to budget - 1 more on the path the parabola
+    through the three lowest exact values predicts (see the module
+    docstring).  A point scored already is read, not scored again.  Returns
+    the final bracket's midpoint, its _Evaluation and the comparisons the
+    screen decided.
     """
     a, b = lo, hi
     c, d = _golden_pair(a, b)
     decided = 0
+    guide = sorted(seeds)[:3]  # the three lowest screened or exact values
     if screen:
         marks = {}  # (obj~, margin) per screened point
-        guide = sorted(seeds)[:3]  # the lowest finite screened values, and seeds
 
         def mark(points):
             pairs = screen(points)
@@ -706,42 +703,34 @@ def _golden_section(score, lo, hi, tol, budget, seeds, screen=None, known=None):
                 break  # undecided, or the step that ends the walk, which is exact
             (a, b, c, d, t), decided = node, decided + 1
             if t not in marks:
-                guide = mark([n[4] for n in _path(node, _vertex(guide), _SCREEN_POINTS, tol)])
-    known = known or {}
-    best = sorted([*seeds, *((e.objective, t) for t, e in known.items())])[:3]
-    passes = points = 0
-    if c in known and d in known:
-        fc, fd = known[c].objective, known[d].objective
-    else:
-        fc, fd = (e.objective for e in score([c, d]))
-        best = sorted([*best, (fc, c), (fd, d)])[:3]
-        passes, points = 1, 2
+                guide = mark([n[4] for n in _path(node, _vertex(guide), _PATH_POINTS, tol)])
+    points = [c, d]
+    if budget > 1:  # the path the seeds' parabola predicts, and the grid argmin
+        vertex = _vertex(guide)
+        first = _golden_step(a, b, c, d, vertex < (c + d) / 2.0, tol)
+        points += [node[4] for node in _path(first, vertex, budget, tol)] + [seeds[0][1]]
+    scored = dict(zip(points, score(points)))  # every exact point, by its log ratio
+    best = sorted((e.objective, t) for t, e in scored.items())[:3]
+    fc, fd = scored[c].objective, scored[d].objective
     while True:
-        node = _golden_step(a, b, c, d, fc <= fd, tol)
-        value = known.get(node[4])
-        if value is None:
+        left = fc <= fd
+        node = a, b, c, d, t = _golden_step(a, b, c, d, left, tol)
+        if t not in scored:  # off the predicted path: score the path from here
             vertex = _vertex(best) if budget > 1 else None
-            nodes = _path(node, vertex, budget, tol)
-            values = score([node[4] for node in nodes])
-            passes, points = passes + 1, points + len(nodes)
-            best = sorted(best + [(e.objective, node[4]) for e, node in zip(values, nodes)])[:3]
-        else:
-            nodes, values = [node], [value]
-        for (a, b, c, d, t), value in zip(nodes, values):
-            if b - a <= tol:
-                return t, value, passes, points, decided
-            fc, fd = (value.objective, fc) if fc <= fd else (fd, value.objective)
-            if len(nodes) == 1 or (fc <= fd) != (vertex < (c + d) / 2.0):
-                break  # the path went the other way
+            path = [n[4] for n in _path(node, vertex, budget, tol)]
+            scored.update(zip(path, score(path)))
+            best = sorted(best + [(scored[u].objective, u) for u in path])[:3]
+        if b - a <= tol:
+            return t, scored[t], decided
+        fc, fd = (scored[t].objective, fc) if left else (fd, scored[t].objective)
 
 
 class _RemlSearch(NamedTuple):
     """How reml_fit found its ratio: GlsFit.search.
 
     passes and ratios count every exact evaluator pass and ratio the fit makes
-    after its grid screen: the grid candidates with eta = 0, in the opening
-    pass where 7 ratios fit one pass, golden section's, and, where fewer fit,
-    the candidates and eta = 0 the screen could not decide.
+    after its grid screen: the grid candidates the screen could not decide,
+    golden section's, and eta = 0 where the screen could not rule it out.
     """
 
     grid_argmin: int  # index of the lowest objective on the 49-point grid
@@ -749,8 +738,8 @@ class _RemlSearch(NamedTuple):
     passes: int  # exact evaluator passes after the grid screen
     ratios: int  # ratios those passes scored
     boundary: str | None  # None, "zero" or "cap"
-    # grid ratios and eta = 0 scored exactly, of 50: 0 where a pass holds one point, the
-    # screen leaves one grid candidate and rules out eta = 0
+    # grid candidates and eta = 0 scored exactly, of 50: 0 where the screen leaves one
+    # grid candidate and rules out eta = 0
     exact_grid: int
     certified: int  # golden-section comparisons the screen decided, without an exact pass
 
@@ -915,18 +904,17 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     and compares the interior optimum against eta = 0; ties go to the
     boundary.  The grid is screened with stratum sums in one pass over y,
     against the log dets the design's first fit kept in its memo, and only
-    the ratios that can be its minimum and eta = 0 are scored exactly; the
-    margin that excludes the rest is derived in the module docstring, so
-    the fit is the one a scan that scores all 50 exactly would give.  Where
-    a pass holds fewer than _LOOKAHEAD_POINTS, a lone candidate is taken
-    from the screen without an exact pass, golden section, seeded with the
-    grid minimum, first takes the steps the stratum screen decides, and
-    eta = 0 is scored only where the screen cannot rule it out.  Where
-    _LOOKAHEAD_POINTS fit one pass, it scores up to that many per pass on the
-    path a parabola predicts, and the pass that scores the grid candidates
-    and eta = 0 also scores its first pair and first predicted path, from
-    the screened objective (see the module docstring); the eta it returns is
-    the one a search scoring one point per pass would return.  An optimum at
+    what the screen cannot decide is scored exactly; the margin that
+    excludes the rest is derived in the module docstring, so the fit is the
+    one a scan that scores all 50 exactly would give.  A lone grid
+    candidate is taken from the screen without an exact pass, and several
+    are scored in one pass.  Golden section, seeded with the screened
+    objective at the grid minimum and its two grid neighbours, scores up to
+    _PATH_POINTS per pass on the path a parabola predicts where that many
+    fit one pass, and else first takes the steps the stratum screen
+    decides; eta = 0 is scored only where the screen cannot rule it out
+    (see the module docstring).  The eta it returns is the one a search
+    scoring one point per pass would return.  An optimum at
     the upper cap (the grid minimum is its last point and golden section
     ends within _CAP_TOL of LOG_ETA_HIGH) is flagged as a boundary fit too,
     with the ratio left where golden section put it.  Each evaluation is a
@@ -938,60 +926,38 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     if grid is None:  # the design's first fit: keep the grid once it passes its check
         grid = entry[2] = part.grid()
     evaluate = part.evaluator(y)
-    budget = _LOOKAHEAD_POINTS if part.width >= _LOOKAHEAD_POINTS else 1
+    passes = ratios = 0  # exact passes and ratios after the grid screen
 
-    # the grid ratios that can be the grid minimum or whose y' P y may be at the noise floor
+    def exact(etas):
+        nonlocal passes, ratios
+        passes, ratios = passes - (-len(etas) // part.width), ratios + len(etas)
+        return evaluate(etas)
+
+    # the grid ratios that can be the grid minimum or whose y' P y may be at the noise floor:
+    # a lone candidate is k, y centered by its beta~; several are scored in one pass
     objective, margin, coefs = _screened(part, grid, y)
     upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
     at = np.flatnonzero(lower <= upper.min()).tolist()
-    ts = _GRID_LOG_ETAS
-    brackets = {i: (ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]) for i in at}
-
-    def score(points):
-        return evaluate([math.exp(t) for t in points])
-
-    if budget > 1:
-        # one opening pass scores the candidates, eta = 0 and, in the room left, the screen's
-        # best candidate's golden pair and the path obj~ there and at two grid neighbours
-        # predicts
-        j = int(np.argmin(upper))
-        i = min(max(j - 1, 0), len(ts) - 3)
-        vertex = _vertex([(float(objective[i + h]), ts[i + h]) for h in range(3)])
-        c, d = _golden_pair(*brackets[j])
-        first = _golden_step(*brackets[j], c, d, vertex < (c + d) / 2.0, GOLDEN_TOL)
-        path = (node[4] for node in _path(first, vertex, budget, GOLDEN_TOL))
-        ahead = [c, d, *path][:-(len(at) + 1) % part.width]
-        opening = evaluate([*(_GRID_RATIOS[i] for i in at), 0.0, *map(math.exp, ahead)])
-        zero = opening[len(at)]
-        k, at_k = min(zip(at, opening), key=lambda pair: pair[1].objective)  # the first lowest
-        lo, hi = brackets[k]
-        t_star, star, passes, ratios, decided = _golden_section(
-            score, lo, hi, GOLDEN_TOL, budget, [(at_k.objective, ts[k])], None,
-            dict(zip(ahead, opening[len(at) + 1:])),
-        )
-        passes += -(-len(opening) // part.width)
-        ratios += len(opening)
-        exact_grid = len(at) + 1
+    if len(at) > 1:
+        k, at_k = min(zip(at, exact([_GRID_RATIOS[i] for i in at])),
+                      key=lambda pair: pair[1].objective)  # the first lowest
+        center = at_k.beta
     else:
-        # one point per pass: a lone candidate is k, and y is centered by its beta~; the
-        # screen decides the comparisons it can first, and eta = 0 where it can
-        if len(at) > 1:
-            k, at_k = min(zip(at, evaluate([_GRID_RATIOS[i] for i in at])),
-                          key=lambda pair: pair[1].objective)
-            seed, center, exact_grid = at_k.objective, at_k.beta, len(at)
-        else:
-            (k,), exact_grid = at, 0
-            seed, center = float(objective[k]), coefs[k]
-        lo, hi = brackets[k]
-        t_star, star, passes, ratios, decided = _golden_section(
-            score, lo, hi, GOLDEN_TOL, budget, [(seed, ts[k])],
-            _walk_screen(part, grid, y, center),
-        )
-        passes, ratios = passes - (-exact_grid // part.width), ratios + exact_grid
-        zero = None  # obj(0) >= obj~(0) - margin(0) > obj(eta-hat): zero cannot win
-        if not objective[-1] - margin[-1] > star.objective:
-            (zero,) = evaluate([0.0])
-            passes, ratios, exact_grid = passes + 1, ratios + 1, exact_grid + 1
+        (k,) = at
+        center = coefs[k]
+    exact_grid = ratios  # the candidates scored exactly
+    ts = _GRID_LOG_ETAS
+    lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)]
+    i = min(max(k - 1, 0), len(ts) - 3)  # k and two grid neighbours seed the parabola
+    seeds = [(float(objective[h]), ts[h]) for h in sorted(range(i, i + 3), key=lambda h: h != k)]
+    wide = part.width >= _PATH_POINTS
+    t_star, star, decided = _golden_section(
+        lambda points: exact([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL,
+        _PATH_POINTS if wide else 1, seeds, None if wide else _walk_screen(part, grid, y, center),
+    )
+    # where obj(0) >= obj~(0) - margin(0) > obj(eta-hat), zero cannot win
+    zero = None if objective[-1] - margin[-1] > star.objective else exact([0.0])[0]
+    exact_grid += zero is not None
     if zero is not None and zero.objective <= star.objective:
         eta_hat, at_eta, reason = 0.0, zero, "zero"
     else:

@@ -268,6 +268,28 @@ def test_truth_validation():
         TruthConfig(responses={"y*1": ok})
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("coefficients", {"tension": "abc"}, "coefficient 'tension'"),
+    ("coefficients", {"tension": float("nan")}, "coefficient 'tension'"),
+    ("coefficients", {"tension": True}, "coefficient 'tension'"),
+    ("intercept", float("inf"), "intercept"),
+    ("intercept", "1", "intercept"),
+    ("sigma_gamma", "abc", "sigma_gamma"),
+    ("sigma_epsilon", float("-inf"), "sigma_epsilon"),
+])
+def test_truth_refuses_a_term_that_is_not_a_finite_number(field, value, named):
+    """Every intercept, coefficient and sigma must be a finite real number, not a bool:
+    any other value is refused with a ValidationError naming the term when the truth
+    is made, so simulate never draws from it."""
+    kwargs = dict(intercept=0.0, coefficients={}, sigma_gamma=1.0, sigma_epsilon=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValidationError, match=f"truth {named} must be a finite number"):
+        ResponseTruth(**kwargs)
+    truth = ResponseTruth(intercept=np.float64(2.0), coefficients={"tension": np.int64(3)},
+                          sigma_gamma=0, sigma_epsilon=np.float32(1.0))  # numpy scalars pass
+    assert truth.coefficients == {"tension": 3}
+
+
 def test_truth_copies_its_coefficients():
     coefs = {"tension": 1.0}
     truth = ResponseTruth(

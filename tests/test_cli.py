@@ -730,6 +730,26 @@ def test_negative_seeds_exit_2(model_file, truth_file, tmp_path, capsys):
     assert captured.err.count("error: seed must be a non-negative integer") == 3
 
 
+def test_a_truth_term_that_is_not_finite_exits_2_before_drawing(model_file, tmp_path, capsys,
+                                                                monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("simulate drew from a truth with a non-finite term")
+
+    monkeypatch.setattr(splitplot.cli, "simulate", no_draw)
+    d, _ = small_design()
+    design_path = tmp_path / "design.csv"
+    write_design_csv(design_path, d)
+    bad = tmp_path / "nan_truth.txt"
+    bad.write_text(TRUTH_TEXT.replace("y.coef.a = 3", "y.coef.a = nan"))
+    rc = main(["simulate", str(model_file), str(design_path), "--truth", str(bad)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: response 'y': truth coefficient 'a' must be a finite number, not nan\n"
+    )
+
+
 def test_numerical_failures_exit_3(model_file, tmp_path, capsys):
     rows = ["run_id,whole_plot,a,b,y"]
     a_vals = [-1.0, -1.0, 1.0, 1.0, 0.0, 0.0, 0.5, 0.5]

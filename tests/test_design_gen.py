@@ -93,6 +93,20 @@ def test_design_spec_validation():
         DesignSpec(model=m, n_runs=8, n_whole_plots=4, seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_runs", 8.0), ("n_runs", True), ("n_whole_plots", 4.5), ("n_whole_plots", "4"),
+    ("n_starts", 2.5), ("n_starts", np.float64(2.0)), ("seed", 1.5), ("seed", False),
+])
+def test_design_spec_refuses_integer_fields_that_are_not_integers(field, value):
+    """n_runs, n_whole_plots, n_starts and seed must be ints or numpy integers, not
+    bools: anything else is refused with a ValidationError before generate_design
+    reads it."""
+    kwargs = dict(model=two_factor_model(), n_runs=8, n_whole_plots=4, n_starts=2, seed=0)
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        DesignSpec(**{**kwargs, field: value})
+    DesignSpec(**{**kwargs, field: np.int64(kwargs[field])})  # a numpy integer passes
+
+
 def test_design_rejects_hard_factor_varying_inside_a_plot():
     m = two_factor_model()
     settings = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])

@@ -481,7 +481,7 @@ def test_reml_fit_is_the_same_at_every_lookahead_depth(layout, p, plot_scale, se
     tab = ResponseTable(design=d, responses={"y": y})
     digests = set()
     for points in (1, 3, 7, 15):  # each fits one pass: these layouts have 50 ratios per pass
-        with mock.patch.object(inference, "_LOOKAHEAD_POINTS", points):
+        with mock.patch.object(inference, "_PATH_POINTS", points):
             digests.add(_fit_digest([reml_fit(tab, m, response="y")]))
     assert len(digests) == 1
 
@@ -520,32 +520,29 @@ def _misleading_seeds(lo, width, side):
     st.sampled_from([1.0, 0.05, 20.0]),
     st.integers(1, 40),
     st.one_of(
-        st.lists(st.tuples(st.floats(-1e6, 1e3), st.floats(-2.0, 3.0)), min_size=1, max_size=4),
+        st.lists(st.tuples(st.floats(-1e6, 1e3), st.floats(-2.0, 3.0)), min_size=3, max_size=4),
         st.sampled_from([-1, 1]),
     ),
     st.sampled_from([None, 0.0, 0.01]),
-    st.none() | st.tuples(st.floats(-1.0, 2.0), st.booleans()),
 )
-@example(lo=0.0, width=1.54, where=1.5, skew=1.0, budget=7, seeds=-1, margin=None, opening=None)
-@example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1, margin=None, opening=None)
-# a later predicted path through a point the opening scored
-@example(lo=0.0, width=1e-07, where=0.5625, skew=1.0, budget=4, seeds=[(0.0, 0.5)], margin=None,
-         opening=(0.71875, False))
+@example(lo=0.0, width=1.54, where=1.5, skew=1.0, budget=7, seeds=-1, margin=None)
+@example(lo=0.0, width=1.54, where=-0.5, skew=20.0, budget=7, seeds=1, margin=None)
+# a bracket done a few steps in, with the first seed inside it
+@example(lo=0.0, width=1e-07, where=0.5625, skew=1.0, budget=4,
+         seeds=[(0.0, 0.71875), (1.0, 0.5), (2.0, 0.0)], margin=None)
 def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, skew, budget, seeds,
-                                                            margin, opening):
+                                                            margin):
     """Any point budget, brackets that end a few steps in (a done step ends the
     path), V-shaped and lopsided targets, and seeds that mislead the parabola (an
     int seeds side puts its vertex past that end of the bracket, so every
     prediction is wrong where the target lies past the other end) return the
-    one-point search's midpoint bit for bit, the score of that midpoint, and the
-    passes and points the search really scored.  So does a walk whose first steps
-    a screen with the given margin decides, up to the first comparison it cannot
-    decide (a margin of 0 decides every step but the last); without a screen it
-    decides none.  So does a walk given the points reml_fit's opening pass scores:
-    the path predicted from a vertex anywhere near the bracket, with or without
-    golden section's first pair; it reads them, and no pass asks for that pair or
-    opens with a point already scored."""
-    assume(opening is None or margin is None)  # reml_fit gives opening points to exact walks
+    one-point search's midpoint bit for bit and the score of that midpoint.  So does
+    a walk whose first steps a screen with the given margin decides, up to the first
+    comparison it cannot decide (a margin of 0 decides every step but the last);
+    without a screen it decides none.  The first exact pass scores golden section's
+    pair and, with a budget over one point, the path the seeds' parabola predicts and
+    the first seed's point; the walk reads every point scored already, so no later
+    pass opens with one, and each holds at most the budget."""
     hi = lo + width
     target = lo + where * width
     if isinstance(seeds, int):
@@ -557,28 +554,23 @@ def test_lookahead_golden_section_walks_the_one_point_search(lo, width, where, s
     def fun(t):
         return (t - target) * (skew if t > target else -1.0)
 
-    c, d = inference._golden_pair(lo, hi)
-    known = {}
-    if opening is not None:
-        guess, with_pair = opening
-        vertex = lo + guess * width
-        first = inference._golden_step(lo, hi, c, d, vertex < (c + d) / 2.0, 1e-8)
-        path = [node[4] for node in inference._path(first, vertex, budget, 1e-8)]
-        known = {t: SimpleNamespace(objective=fun(t)) for t in [c, d][:2 * with_pair] + path}
-
     def score(points):
-        assert points[0] not in known and not (c in known and c in points)
-        calls.append(len(points))
+        assert points[0] not in {t for call in calls for t in call}
+        calls.append(points)
         return [SimpleNamespace(objective=fun(t)) for t in points]
 
     screen = None if margin is None else lambda ts: [(fun(t), margin) for t in ts]
-    t_star, at_star, passes, points, decided = inference._golden_section(
-        score, lo, hi, 1e-8, budget, seeds, screen, known
+    t_star, at_star, decided = inference._golden_section(
+        score, lo, hi, 1e-8, budget, seeds, screen
     )
     assert t_star == _one_point_golden_section(fun, lo, hi, 1e-8)
     assert at_star.objective == fun(t_star)
-    assert (passes, points) == (len(calls), sum(calls))
-    assert max(calls, default=0) <= max(budget, 2)
+    first, *later = calls
+    if budget > 1:
+        assert 4 <= len(first) <= budget + 3 and first[-1] == seeds[0][1]
+    else:
+        assert len(first) == 2
+    assert all(len(call) <= budget for call in later)
     if screen is None:
         assert decided == 0
 
@@ -589,12 +581,14 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     A fit's search record counts every exact pass and ratio after its grid screen.
 
     The tin fit scores up to 7 points per pass: the grid with eta = 0 for the memo,
-    then one opening pass of 11 ratios (the grid argmin, eta = 0, golden section's
-    first pair and the 7 points of the path predicted from the screened objective)
-    and 8 passes on the predicted path, the last three cut short where the bracket
-    is done, against 44 when golden section scored one point per pass.  The
-    1 968-run layout, whose passes hold 3 ratios, keeps one point per pass, the
-    one-point search, whose 40 comparisons the screen decides first where it can.
+    then golden section's first pass of 10 ratios (its first pair, the 7 points of
+    the path the screened objective at three grid ratios predicts, and the grid
+    argmin, the screen's lone candidate) and 8 passes on the predicted path, the
+    last three cut short where the bracket is done; the screen rules out eta = 0.
+    That is 9 passes after the grid screen, against 44 when golden section scored
+    one point per pass.  The 1 968-run layout, whose passes hold 3 ratios, keeps one
+    point per pass, the one-point search, whose 40 comparisons the screen decides
+    first where it can.
     There the screen leaves one grid candidate, the grid argmin, and rules out
     eta = 0, so neither is scored exactly: the 50 grid ratios and 24 golden-section
     ratios on the first fit, then 24 and 23 golden-section ratios on the later fits
@@ -606,7 +600,7 @@ def test_lookahead_pass_counts(tin_design, tin_model):
     with mock.patch.object(inference, "_slogdet", wraps=inference._slogdet) as slogdet:
         fit = reml_fit(fresh, tin_model)
     widths = [call.args[0].shape[0] for call in slogdet.call_args_list]
-    assert widths == [50, 11] + [7] * 5 + [6, 4, 2]
+    assert widths == [50, 10] + [7] * 5 + [6, 4, 2]
     assert (fit.search.passes, fit.search.ratios) == (len(widths) - 1, sum(widths) - 50)
     per_fit = []
     with mock.patch.object(inference, "_slogdet", wraps=inference._slogdet) as slogdet:
@@ -643,9 +637,10 @@ def test_reml_fit_records_its_search(tin_design, tin_model, case, boundary):
     else:
         assert fit.ratio == 0.0
     assert 2 <= passes < ratios
-    # the grid's end and eta = 0, with its one neighbour or a ratio or two the margin
-    # keeps in
-    assert 2 <= exact_grid <= 5
+    # at the cap the grid's end with a neighbour or two the margin keeps in, and eta = 0
+    # ruled out (2 measured); at zero the lone grid argmin and eta = 0, which the screen
+    # cannot rule out where it wins (1 measured)
+    assert 1 <= exact_grid <= 4
     assert certified == 0  # a tin fit scores 7 points per pass and walks exactly
     interior = next(_pinned_fits("tin", tin_design, tin_model))
     assert interior.search.boundary is None and not interior.boundary
@@ -1139,7 +1134,7 @@ def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, off
     bracket and boundary (its passes and ratios count the grid ratios it scores
     exactly).  With one ratio per pass golden section walks one point per pass, so
     the screen decides what comparisons it can first; that fit too is the one without
-    the screen, byte for byte."""
+    the screen, byte for byte, and the fit at the default width: one path at both."""
     assume(layout.n_runs > p)
     fields = ("grid_argmin", "bracket", "boundary")
 
@@ -1174,6 +1169,45 @@ def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, off
         assert [getattr(walked.search, f) for f in fields] == [
             getattr(unwalked.search, f) for f in fields
         ]
+        assert _fit_digest([walked]) == _fit_digest([screened])
+        assert [getattr(walked.search, f) for f in fields] == [
+            getattr(screened.search, f) for f in fields
+        ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_screen_inputs)
+@_with_screen_examples
+def test_eta_zero_is_left_unscored_only_where_it_loses(layout, p, plot_scale, offset, noise,
+                                                      skip, seed):
+    """At the default width and at one ratio per pass, a fit that leaves eta = 0 unscored
+    (its stratum screen puts obj~(0) less its margin above the walk's final objective)
+    has an exact objective at eta = 0 above the fit's: the rule never drops a zero that
+    would win, or tie."""
+    assume(layout.n_runs > p)
+    evaluator = inference._DesignPart.evaluator
+    for cells in (inference._PASS_CELLS, layout.n_runs * p):
+        _, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)  # a fresh memo
+        scored = []
+
+        def recording(part, y):  # the fit's evaluator, keeping every ratio it scores
+            evaluate = evaluator(part, y)
+
+            def record(etas):
+                scored.extend(np.asarray(etas, dtype=float).tolist())
+                return evaluate(etas)
+
+            return record
+
+        with mock.patch.object(inference, "_PASS_CELLS", cells), \
+                mock.patch.object(inference._DesignPart, "evaluator", recording):
+            try:
+                fit = reml_fit(tab, m)
+            except NumericalError:
+                return  # as at the other width: test_every_fit_equals_the_fit_with_the_screen_off
+        if 0.0 not in scored:
+            assert reml_objective(0.0, fit.x, fit.y, fit.layout) > fit.objective
+            assert fit.ratio > 0.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -1210,7 +1244,7 @@ def test_the_walk_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
         walk = inference._golden_section(lambda ts: evaluate([math.exp(t) for t in ts]), lo, hi,
                                          inference.GOLDEN_TOL, 1, [(exact[k].objective, ts[k])],
                                          screen)
-        assert walk[4] == 0
+        assert walk[2] == 0
 
 
 def test_the_walk_margin_carries_the_a_entry_term_on_a_large_layout():
@@ -1288,9 +1322,9 @@ def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
     argmin taken from the screen (a lone candidate) is the exact grid argmin, eta = 0 is
     ruled out only where its exact objective exceeds the walk's final one, and every
     comparison the screen certifies goes the way the exact comparison goes: a replay of
-    the walk, with y centered and golden section seeded as reml_fit does, certifies as
-    many.  The search record counts the exact passes and ratios the fit makes after its
-    grid screen."""
+    the walk, with y centered and golden section seeded as reml_fit does (obj~ at the
+    grid argmin and its two grid neighbours), certifies as many.  The search record
+    counts the exact passes and ratios the fit makes after its grid screen."""
     assume(layout.n_runs > p)
     _, m, tab = _screen_case(layout, p, plot_scale, offset, noise, skip, seed)
     y = tab.responses["y"]
@@ -1313,11 +1347,14 @@ def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
     at = np.flatnonzero(lower <= upper.min()).tolist()
     k = exact.index(min(exact[:-1]))  # the first lowest
     assert fit.search.grid_argmin == k
-    if len(at) == 1:  # reml_fit centers y by beta~_k and seeds golden section with obj~
+    if len(at) == 1:  # reml_fit centers y by beta~_k
         assert at == [k]
-        seed, center = float(objective[k]), beta[k]
-    else:  # by the exact coefficients and objective at k
-        seed, center = exact[k], grid_fits[k].beta
+        center = beta[k]
+    else:  # by the exact coefficients at k
+        center = grid_fits[k].beta
+    ts = inference._GRID_LOG_ETAS
+    i = min(max(k - 1, 0), len(ts) - 3)  # and seeds the walk with obj~ at k and its neighbours
+    seeds = [(float(objective[h]), ts[h]) for h in sorted(range(i, i + 3), key=lambda h: h != k)]
 
     marks = {}
     walk = inference._walk_screen(part, grid, y, center)
@@ -1328,9 +1365,9 @@ def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
         return pairs
 
     lo, hi = fit.search.bracket
-    t_star, star, _, _, decided = inference._golden_section(
+    t_star, star, decided = inference._golden_section(
         lambda ts: evaluate([math.exp(t) for t in ts]), lo, hi, inference.GOLDEN_TOL, 1,
-        [(seed, inference._GRID_LOG_ETAS[k])], screen,
+        seeds, screen,
     )
     assert decided == fit.search.certified  # the replay is the fit's own walk
     a, b = lo, hi
@@ -1366,13 +1403,16 @@ def test_the_walk_screen_decides_only_one_point_per_pass_walks(tin_design, tin_m
 
 
 def test_the_screen_leaves_few_grid_ratios_to_the_exact_evaluator(tin_design, tin_model):
-    """Nearly every tin fit scores only its grid argmin and eta = 0 exactly: 2 ratios.
-    Where the objective is nearly flat between the first grid ratios, the margin keeps
-    a few more.  On a layout of one-run plots V = (1 + eta) I and the objective does not
-    depend on eta, so nothing can be excluded and all 50 are scored."""
+    """Nearly every tin fit leaves one grid candidate, the grid argmin, which is not
+    scored exactly, and most also rule out eta = 0 (76 of 100 score no grid ratio
+    exactly, 20 only eta = 0).  Where the objective is nearly flat between the first
+    grid ratios, the margin keeps a few candidates, scored in one pass.  On a layout of
+    one-run plots V = (1 + eta) I and the objective does not depend on eta, so nothing
+    can be excluded and all 50 are scored."""
     searches = [fit.search for fit in _pinned_fits("tin", tin_design, tin_model)]
     assert max(s.exact_grid for s in searches) <= 6
-    assert sum(s.exact_grid == 2 for s in searches) >= 90
+    assert sum(s.exact_grid <= 1 for s in searches) >= 90
+    assert sum(s.exact_grid == 0 for s in searches) >= 60
     m = build_model([define_factor("u", "continuous"), define_factor("v", "continuous")],
                     "mains_only")
     rng = np.random.default_rng(6)
