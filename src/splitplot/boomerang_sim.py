@@ -110,16 +110,6 @@ def default_truth() -> TruthConfig:
     return TruthConfig(responses={"y1": y1, "y2": y2}, seed=0)
 
 
-def _term_column(design: Design, label: str) -> np.ndarray:
-    """The read-only column of a truth term on the design, memoized on the design."""
-    col = design._memo.get(label)
-    if col is None:
-        col = _expand_term(design, label)
-        col.setflags(write=False)
-        design._memo[label] = col
-    return col
-
-
 def _expand_term(design: Design, label: str) -> np.ndarray:
     index = {f.name: i for i, f in enumerate(design.factors)}
     names = [p.strip() for p in label.split("*")]
@@ -144,7 +134,7 @@ def mean_surface(design: Design, truth: ResponseTruth) -> np.ndarray:
     """Noise-free response values for every run of the design."""
     mean = np.full(design.n_runs, float(truth.intercept))
     for label, coef in truth.coefficients.items():
-        mean += float(coef) * _term_column(design, label)
+        mean += float(coef) * _expand_term(design, label)
     return mean
 
 

@@ -32,7 +32,9 @@ the path is omitted or '-'; profile prints its report there first.  A command
 that fails leaves an existing output file as it was.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.  A negative
-seed and a non-finite factor cell (nan, inf) are invalid input.
+seed and a non-finite factor cell (nan, inf) are invalid input.  So, for fit
+and profile, is a design that leaves fewer than 1 error df at either level
+(one-run plots, say): its REML variance split would be picked by rounding.
 """
 
 from __future__ import annotations

@@ -117,16 +117,17 @@ class Design:
     determinant lemma.  It is None otherwise.
 
     _memo holds what fitting and simulating derive from the settings alone,
-    so Monte Carlo replicates on one design derive it once.  A ModelSpec key
-    holds that model's per-design REML terms (inference fills it and says
-    what they are; what fails a check is checked again on the next call).
-    A truth-term label key holds that term's read-only column
-    (boomerang_sim fills it; an invalid label raises on every call).  A
-    tuple key, a truth's intercept and then its (label, coefficient) items
-    in order, holds that truth's read-only mean surface (simulate fills it;
-    a truth whose coefficients change reads under a new key).  The settings
-    are read-only, so no entry goes stale; the memo lives as long as the
-    design and is no part of its equality, hash or repr.
+    so Monte Carlo replicates on one design derive it once.  It holds two
+    kinds of entry.  A ModelSpec key holds that model's inference._DesignPart:
+    the read-only model matrix, its column labels and plot sums, and the REML
+    grid's terms, which the part derives on the first reml_fit and keeps
+    (inference says what they are; what fails a check is kept by neither and
+    checked again on the next call).  A tuple key, a truth's intercept and
+    then its (label, coefficient) items in order, holds that truth's
+    read-only mean surface (simulate fills it; a truth whose coefficients
+    change reads under a new key, and an invalid term label raises on every
+    call).  The settings are read-only, so no entry goes stale; the memo
+    lives as long as the design and is no part of its equality, hash or repr.
     """
 
     factors: tuple[Factor, ...]

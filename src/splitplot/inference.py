@@ -16,19 +16,21 @@ boundary solution.  Then
     sigma2_eps = y' P y / (n - p),   sigma2_gamma = eta * sigma2_eps.
 
 Wald tests use the containment denominator degrees of freedom,
-ModelSpec.error_df; their p-values are tails.f_sf.
+ModelSpec.error_df; their p-values are tails.f_sf.  reml_fit refuses a
+design that leaves fewer than 1 of them at either level: there the fixed
+effects absorb a whole stratum and obj does not depend on eta.
 
 All exact scores of obj come from one kernel, _DesignPart.evaluator, over
 a stack of ratios.  It has a per-design part and a per-response part.  The
-per-design part, _design_part, checks that X has full column rank and sums
+per-design part, a _DesignPart, checks that X has full column rank and sums
 Z'X per plot (r x p); the bins, each run's (ratio, plot) row, are the
 layout's (WholePlotLayout.bins).  reml_fit and gls_fit keep the part, with
-the read-only X and its column labels, in the design's memo under the
-ModelSpec (see Design), so Monte Carlo replicates on one design derive it
-once, while reml_objective builds it afresh for the x it is given.  The
-per-response part holds y and its noise floor and allocates one (k, n, p)
-buffer for V^{-1} X, with k the ratios that fit in _PASS_CELLS = 2^16
-cells (512 KB), at least one and at most the 49-point grid plus eta = 0:
+the read-only X and its column labels, as the design's memo entry under
+the ModelSpec (see Design), so Monte Carlo replicates on one design derive
+it once, while reml_objective builds one without labels for the x it is
+given.  The per-response part holds y and its noise floor and allocates one
+(k, n, p) buffer for V^{-1} X, with k the ratios that fit in _PASS_CELLS =
+2^16 cells (512 KB), at least one and at most the 49-point grid plus eta = 0:
 50 on the 24-run tin design, one at 12 800 runs, where the buffer is the
 size of X.  gls_fit and reml_objective are passes of one ratio.  A pass
 forms V^{-1} X and V^{-1} resid as covariance.solve_v does: w_i times Z'X
@@ -45,13 +47,13 @@ nonsingular input: each solve and inverse takes an X' V^{-1} X that passed
 the rank check, or a Wald test's block of its inverse.
 
 The grid serves only to find its argmin k, golden section's seed.  The
-first reml_fit on a design derives a _Grid from X alone and keeps it,
-read-only, in the memo entry: log det V + log det(X' V^{-1} X) at the 49
-grid ratios and eta = 0, from the passes a grid scan of k ratios would
-make, so they are one_pass's bits, with X' V^{-1} X checked for rank at
-every ratio before anything is kept; and the screen's stratum terms, a
-_Strata (W_xx = X_c' X_c, the H_d of X, X_c and the plot-size classes)
-with its _Coefficients at the 50 ratios.  Every fit then takes one path.
+first reml_fit on a design reads the part's _Strata, which the part derives
+from X alone and keeps, read-only: the screen's stratum terms (W_xx =
+X_c' X_c, the H_d of X, X_c and the plot-size classes), its _Coefficients
+at the 50 ratios, and log det V + log det(X' V^{-1} X) at the 49 grid
+ratios and eta = 0, from the passes a grid scan of k ratios would make, so
+they are one_pass's bits, with X' V^{-1} X checked for rank at every ratio
+before anything is kept.  Every fit then takes one path.
 The screen scores all 50 ratios from stratum sums and keeps as candidates
 only the grid ratios that can be the grid minimum.  A lone candidate is
 the grid argmin k, without an exact pass; several are scored exactly
@@ -122,12 +124,13 @@ a fit that scores all 50.  A ratio whose y' P y may reach the noise
 floor is scored exactly too, so a response is refused for zero residual
 variation on the same inputs as before, and the rank check sees all 50
 ratios before any solve.  Where obj is flat to rounding nothing can be
-excluded: a layout of one-run plots, where V = (1 + eta) I and obj does not
-depend on eta, scores all 50.  Nearly every fit leaves one candidate,
-which it does not score: over 2 000 mc-power fits of case 0 a fit scores
-0.0825 grid ratios and eta = 0 exactly, nearly all of them eta = 0, in
-about 7 % of the fits, and no fit-large fit scores any.  Over random
-layouts |obj - obj~| stays below an eighth of the margin
+excluded: on a layout of one-run plots, where V = (1 + eta) I and obj does
+not depend on eta, a fit would score all 50, but such a design leaves no
+subplot error df, and reml_fit refuses it first.  Nearly every fit leaves
+one candidate, which it does not score: over 2 000 mc-power fits of case 0
+a fit scores 0.0825 grid ratios and eta = 0 exactly, nearly all of them
+eta = 0, in about 7 % of the fits, and no fit-large fit scores any.  Over
+random layouts |obj - obj~| stays below an eighth of the margin
 (test_the_grid_screen_bounds_the_exact_objective).
 
 Golden section walks one loop, _golden_section, of its own steps, in k's
@@ -229,6 +232,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -244,7 +248,7 @@ from .covariance import (
 )
 from .design_gen import Design, column_labels, expand_model_matrix
 from .errors import NumericalError, ValidationError
-from .model_spec import ModelSpec, SUBPLOT, _check_name
+from .model_spec import ModelSpec, SUBPLOT, WHOLE_PLOT, _check_name
 from .tails import f_sf
 
 LOG_ETA_LOW = math.log(1e-8)
@@ -352,7 +356,8 @@ class _Coefficients(NamedTuple):
 
 
 class _Strata(NamedTuple):
-    """The screen's per-design stratum terms (module docstring); its arrays are read-only."""
+    """The screen's per-design stratum terms and the grid's terms at the 50 _GRID_RATIOS
+    (module docstring); its arrays are read-only."""
 
     xc: np.ndarray  # X centered by plot means, n x p
     classes: np.ndarray  # D x r: 1 where plot i has the d-th distinct size
@@ -361,6 +366,8 @@ class _Strata(NamedTuple):
     between: np.ndarray  # D x p x p: H_d
     x_norms: np.ndarray  # p: column norms of X
     lam_x: float  # lowest eigenvalue of X' X at unit diagonal
+    base: np.ndarray  # 50: log det V + log det(X' V^{-1} X) at the grid, as one_pass adds them
+    screen: _Coefficients | None = None  # at the grid
 
     def at(self, ratios) -> _Coefficients:
         """The screen's y-free terms at each of a 1-d array of ratios."""
@@ -411,21 +418,28 @@ class _Strata(NamedTuple):
         return yc @ self.xc, yc @ yc, by_size @ part.plot_x, by_size @ sums
 
 
-class _Grid(NamedTuple):
-    """What reml_fit keeps per design at the 50 _GRID_RATIOS, read-only (module docstring)."""
+@dataclass(frozen=True, eq=False)
+class _DesignPart:
+    """The per-design part of the REML kernel; its arrays are read-only.
 
-    strata: _Strata
-    screen: _Coefficients  # at the 50 ratios
-    base: np.ndarray  # 50: log det V + log det(X' V^{-1} X), as one_pass adds them
+    Raises NumericalError if x lacks full column rank.  x itself is kept, so
+    a caller that shares the part passes a read-only x.
+    """
 
-
-class _DesignPart(NamedTuple):
-    """The per-design part of the REML kernel, from _design_part; its arrays are read-only."""
-
-    x: np.ndarray  # of full column rank
+    x: np.ndarray
     layout: WholePlotLayout
-    plot_x: np.ndarray  # Z'X: per-plot column sums, r x p
-    width: int  # ratios per pass
+    labels: tuple[str, ...] = ()  # X's column labels
+    plot_x: np.ndarray = field(init=False)  # Z'X: per-plot column sums, r x p
+    width: int = field(init=False)  # ratios per pass
+
+    def __post_init__(self):
+        n, p = self.x.shape
+        if np.linalg.matrix_rank(self.x) < p:
+            raise NumericalError("model matrix is rank deficient on this design")
+        plot_x = _plot_sums(self.layout, self.x)
+        plot_x.setflags(write=False)
+        object.__setattr__(self, "plot_x", plot_x)
+        object.__setattr__(self, "width", max(1, min(len(_GRID_RATIOS), _PASS_CELLS // (n * p))))
 
     def _pass(self, eta, buf):
         """V^{-1} X at a column of k ratios, into buf (k x n x p), as covariance.solve_v
@@ -441,12 +455,15 @@ class _DesignPart(NamedTuple):
         m = np.matmul(self.x.T, buf)
         return (w, m, *_slogdet(m), np.log1p(scaled).sum(axis=1))
 
-    def grid(self) -> _Grid:
-        """The per-design terms of every reml_fit's grid, from X alone (see _Grid).
+    @cached_property
+    def strata(self) -> _Strata:
+        """The per-design terms of every reml_fit's grid and screens, from X alone,
+        derived on first read and kept (see _Strata).
 
         log det V + log det(X' V^{-1} X) come from the passes a grid scan of
         width ratios would make, so they are the bits one_pass adds.  Raises
-        NumericalError if X' V^{-1} X fails the rank check at any ratio.
+        NumericalError, and keeps nothing, if X' V^{-1} X fails the rank check
+        at any ratio.
         """
         x, layout, plot_x = self.x, self.layout, self.plot_x
         n, p = x.shape
@@ -467,11 +484,12 @@ class _DesignPart(NamedTuple):
         xtx = x.T @ x
         x_norms = np.sqrt(np.diagonal(xtx))
         lam_x = float(np.linalg.eigvalsh(xtx / np.multiply.outer(x_norms, x_norms))[0])
-        strata = _Strata(xc, classes, distinct.astype(float), xc.T @ xc, between, x_norms, lam_x)
-        grid = _Grid(strata, strata.at(ratios), ldv + ldm)
-        for arr in (*strata[:-1], *grid.screen, grid.base):
+        strata = _Strata(xc, classes, distinct.astype(float), xc.T @ xc, between, x_norms, lam_x,
+                         ldv + ldm)
+        strata = strata._replace(screen=strata.at(ratios))
+        for arr in (*strata[:6], strata.base, *strata.screen):
             arr.setflags(write=False)
-        return grid
+        return strata
 
     def evaluator(self, y):
         """The per-response part: etas -> one _Evaluation per eta, in order.
@@ -520,21 +538,6 @@ class _DesignPart(NamedTuple):
         return evaluate
 
 
-def _design_part(x, layout) -> _DesignPart:
-    """Check that X has full column rank and derive what every response on it shares.
-
-    Raises NumericalError if X lacks full column rank.  x itself is kept, so
-    a caller that shares the part passes a read-only x.
-    """
-    n, p = x.shape
-    if np.linalg.matrix_rank(x) < p:
-        raise NumericalError("model matrix is rank deficient on this design")
-    plot_x = _plot_sums(layout, x)
-    width = max(1, min(len(_GRID_RATIOS), _PASS_CELLS // (n * p)))
-    plot_x.setflags(write=False)
-    return _DesignPart(x, layout, plot_x, width)
-
-
 def _screen(strata, coef, response, yy, base, fixed, center=None):
     """obj~, its margin and beta~ at coef's ratios, from a response's stratum sums.
 
@@ -567,13 +570,7 @@ def _screen(strata, coef, response, yy, base, fixed, center=None):
     return np.where(bounded, objective, 0.0), np.where(bounded, margin, np.inf), beta
 
 
-def _screened(part, grid, y):
-    """obj~, its margin and beta~ at the 50 _GRID_RATIOS; one pass over y."""
-    response = grid.strata.response(part, y)
-    return _screen(grid.strata, grid.screen, response, float(y @ y), grid.base, 0.0)
-
-
-def _walk_screen(part, grid, y, beta):
+def _walk_screen(part, y, beta):
     """ts -> [(obj~, margin) at eta = exp(t) for t in ts], for golden section's screened
     steps.
 
@@ -581,7 +578,7 @@ def _walk_screen(part, grid, y, beta):
     of points then costs one _Strata.at call, p x p work per point, and log
     det V summed over the plot-size classes.
     """
-    strata = grid.strata
+    strata = part.strata
     response = strata.response(part, y - part.x @ beta)
     yy = float(y @ y)
     center = np.abs(beta)
@@ -615,7 +612,7 @@ def reml_objective(eta: float, x: np.ndarray, y: np.ndarray, layout: WholePlotLa
     n, p = x.shape
     if n - p < 1:
         raise ValidationError("no residual degrees of freedom (n <= p)")
-    return _design_part(x, layout).evaluator(y)([eta])[0].objective
+    return _DesignPart(x, layout).evaluator(y)([eta])[0].objective
 
 
 def _vertex(best) -> float:
@@ -839,9 +836,9 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
     if response not in responses.responses:
         raise ValidationError(f"unknown response {response!r} (have {responses.names})")
     design = responses.design
-    # [part, labels, grid] from the design alone, once per design and model
-    entry = design._memo.get(model)
-    if entry is None:
+    # the part, from the design alone, once per design and model
+    part = design._memo.get(model)
+    if part is None:
         layout = design.layout
         if layout.n_plots < model.whole_plot_model_df:
             raise ValidationError(
@@ -853,8 +850,8 @@ def _prepare(responses: ResponseTable, model: ModelSpec, response):
         if n - p < 1:
             raise ValidationError("no residual degrees of freedom (n <= p)")
         x.setflags(write=False)
-        entry = design._memo[model] = [_design_part(x, layout), column_labels(model), None]
-    return response, entry, responses.responses[response]
+        part = design._memo[model] = _DesignPart(x, layout, column_labels(model))
+    return response, part, responses.responses[response]
 
 
 def _wald_f(b, c, df_num) -> float:
@@ -864,9 +861,7 @@ def _wald_f(b, c, df_num) -> float:
     return float(b @ _solve(c, b)) / df_num
 
 
-def _finalize(
-    response, model, part, labels, y, eta, boundary, at_eta, method, search=None
-) -> GlsFit:
+def _finalize(response, model, part, y, eta, boundary, at_eta, method, search=None) -> GlsFit:
     x, layout = part.x, part.layout
     n, p = x.shape
     beta = at_eta.beta.copy()  # a row of its pass's solve: a fit keeps no pass's arrays
@@ -881,7 +876,7 @@ def _finalize(
         response=response,
         model=model,
         layout=layout,
-        labels=labels,
+        labels=part.labels,
         beta=beta,
         cov_beta=cov_beta,
         components=components,
@@ -920,11 +915,21 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     with the ratio left where golden section put it.  Each evaluation is a
     GLS fit, so the one at the chosen ratio is reported as is.  The fit's
     search is a _RemlSearch.
+
+    A design that leaves fewer than 1 containment error df (ModelSpec.error_df)
+    at either level is refused with a ValidationError: there the fixed effects
+    absorb a whole stratum, the restricted likelihood cannot depend on eta
+    (one-run plots, or as many plots as whole-plot model df), and a ratio
+    would be picked by rounding.  gls_fit at an assumed ratio still fits.
     """
-    response, entry, y = _prepare(responses, model, response)
-    part, labels, grid = entry
-    if grid is None:  # the design's first fit: keep the grid once it passes its check
-        grid = entry[2] = part.grid()
+    response, part, y = _prepare(responses, model, response)
+    err = model.error_df(part.layout.n_runs, part.layout.n_plots)
+    if min(err.values()) < 1:
+        raise ValidationError(
+            f"REML needs error df at both levels; this design leaves {err[WHOLE_PLOT]} "
+            f"whole-plot and {err[SUBPLOT]} subplot error df"
+        )
+    strata = part.strata  # the design's first fit derives it
     evaluate = part.evaluator(y)
     passes = ratios = 0  # exact passes and ratios after the grid screen
 
@@ -935,7 +940,8 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
 
     # the grid ratios that can be the grid minimum or whose y' P y may be at the noise floor:
     # a lone candidate is k, y centered by its beta~; several are scored in one pass
-    objective, margin, coefs = _screened(part, grid, y)
+    objective, margin, coefs = _screen(strata, strata.screen, strata.response(part, y),
+                                       float(y @ y), strata.base, 0.0)
     upper, lower = (objective + margin)[:-1], (objective - margin)[:-1]
     at = np.flatnonzero(lower <= upper.min()).tolist()
     if len(at) > 1:
@@ -953,7 +959,7 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
     wide = part.width >= _PATH_POINTS
     t_star, star, decided = _golden_section(
         lambda points: exact([math.exp(t) for t in points]), lo, hi, GOLDEN_TOL,
-        _PATH_POINTS if wide else 1, seeds, None if wide else _walk_screen(part, grid, y, center),
+        _PATH_POINTS if wide else 1, seeds, None if wide else _walk_screen(part, y, center),
     )
     # where obj(0) >= obj~(0) - margin(0) > obj(eta-hat), zero cannot win
     zero = None if objective[-1] - margin[-1] > star.objective else exact([0.0])[0]
@@ -964,9 +970,7 @@ def reml_fit(responses: ResponseTable, model: ModelSpec, response: str | None = 
         at_cap = k == len(ts) - 1 and LOG_ETA_HIGH - t_star <= _CAP_TOL
         eta_hat, at_eta, reason = math.exp(t_star), star, "cap" if at_cap else None
     search = _RemlSearch(k, (lo, hi), passes, ratios, reason, exact_grid, decided)
-    return _finalize(
-        response, model, part, labels, y, eta_hat, reason is not None, at_eta, "reml", search
-    )
+    return _finalize(response, model, part, y, eta_hat, reason is not None, at_eta, "reml", search)
 
 
 def gls_fit(
@@ -978,9 +982,9 @@ def gls_fit(
     coefficient covariance and RMSE stay data driven.
     """
     _check_ratio(ratio)
-    response, (part, labels, _), y = _prepare(responses, model, response)
+    response, part, y = _prepare(responses, model, response)
     (at_ratio,) = part.evaluator(y)([ratio])
-    return _finalize(response, model, part, labels, y, ratio, ratio == 0.0, at_ratio, "gls")
+    return _finalize(response, model, part, y, ratio, ratio == 0.0, at_ratio, "gls")
 
 
 @dataclass(frozen=True)

@@ -79,29 +79,21 @@ def predict(fit: GlsFit, settings) -> tuple[float, float]:
 
 
 def _resolve_bounds(goal: Goal, fit: GlsFit) -> tuple[float, float]:
-    """Explicit bounds, or the observed response range as (worst, best)."""
+    """The explicit bounds, in either order, or the observed response range, as
+    (worst, best) by the goal's direction, or as (low, high) for a target goal."""
     if goal.bounds is not None:
-        lo, hi = float(goal.bounds[0]), float(goal.bounds[1])
+        low, high = sorted(map(float, goal.bounds))
     else:
-        ymin, ymax = float(fit.y.min()), float(fit.y.max())
-        if ymin == ymax:
+        low, high = float(fit.y.min()), float(fit.y.max())
+        if low == high:
             raise ValidationError(
                 f"response {goal.response!r} is constant; pass explicit bounds"
             )
-        if goal.direction == "maximize":
-            lo, hi = ymin, ymax
-        elif goal.direction == "minimize":
-            lo, hi = ymax, ymin
-        else:
-            lo, hi = ymin, ymax
-    if goal.direction == "target":
-        low, high = min(lo, hi), max(lo, hi)
-        if not (low < goal.target < high):
-            raise ValidationError(
-                f"target {goal.target} must sit strictly between the bounds ({low}, {high})"
-            )
-        return low, high
-    return lo, hi
+    if goal.direction == "target" and not (low < goal.target < high):
+        raise ValidationError(
+            f"target {goal.target} must sit strictly between the bounds ({low}, {high})"
+        )
+    return (high, low) if goal.direction == "minimize" else (low, high)
 
 
 def _desirability(values: np.ndarray, goal: Goal, bounds) -> np.ndarray:

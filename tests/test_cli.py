@@ -580,6 +580,24 @@ def test_fit_flags_a_ratio_at_the_upper_cap(tin_design, tmp_path, capsys):
     assert ratio_line.startswith("sigma2_gamma=") and ratio_line.endswith("  (boundary)")
 
 
+def test_fit_and_profile_refuse_a_design_without_error_df_at_both_levels(tin_design, tmp_path,
+                                                                        capsys):
+    """The tin data with every run its own whole plot leaves no subplot error df, so
+    REML cannot estimate the variance split: fit and profile exit 2 and print nothing."""
+    tab = splitplot.simulate(tin_design, splitplot.default_truth(), seed=7)
+    one_run_plots = splitplot.Design(factors=tin_design.factors, whole_plot=tuple(range(1, 25)),
+                                     settings=tin_design.settings)
+    model_path = tmp_path / "tin.txt"
+    data_path = tmp_path / "data.csv"
+    model_path.write_text(TIN_MODEL)
+    write_design_csv(data_path, one_run_plots, tab.responses)
+    for argv in (["fit", "--response", "y1"], ["profile", "--goal", "y1:maximize"]):
+        assert main([argv[0], str(model_path), str(data_path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "22 whole-plot and -9 subplot error df" in captured.err
+
+
 def test_simulate_default_truth_on_the_tin(tmp_path, capsys):
     model_path = tmp_path / "tin.txt"
     design_path = tmp_path / "tin.csv"

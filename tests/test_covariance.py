@@ -18,7 +18,7 @@ from splitplot import (
 )
 from splitplot import inference
 from splitplot.covariance import _inv, _slogdet, _solve, build_v, information
-from splitplot.inference import _design_part
+from splitplot.inference import _DesignPart
 
 
 def random_layout(rng, max_runs=12):
@@ -276,11 +276,11 @@ def test_reml_evaluator_carries_nothing_between_ratios(layout, p, etas, seed):
     rng = np.random.default_rng(seed)
     x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
     y = rng.normal(size=n)
-    evaluate = _design_part(x, layout).evaluator(y)
+    evaluate = _DesignPart(x, layout).evaluator(y)
     dense = {}
     for eta in [0.0, *etas, 1e8, *reversed(etas), 0.0]:
         (got,) = evaluate([eta])
-        fresh = _design_part(x, layout).evaluator(y)
+        fresh = _DesignPart(x, layout).evaluator(y)
         assert _evaluation_bytes(got) == _evaluation_bytes(fresh([eta])[0])
         if eta not in dense:
             dense[eta] = extended_reml_objective(eta, x, y, layout)
@@ -313,7 +313,7 @@ def test_reml_evaluator_rounds_alike_in_any_pass_width(layout, p, etas, chunk, s
     results = []
     for width in (len(etas), 1, min(chunk, len(etas))):
         with mock.patch.object(inference, "_PASS_CELLS", width * n * p):
-            got = _design_part(x, layout).evaluator(y)(etas)
+            got = _DesignPart(x, layout).evaluator(y)(etas)
         assert len(got) == len(etas)
         results.append([_evaluation_bytes(e) for e in got])
     assert results[1] == results[0]
@@ -338,5 +338,5 @@ def test_reml_evaluator_forms_information_with_solve_v_arithmetic(layout, p, see
     ]
     for width in (len(etas), 1):
         with mock.patch.object(inference, "_PASS_CELLS", width * n * p):
-            got = _design_part(x, layout).evaluator(y)(etas)
+            got = _DesignPart(x, layout).evaluator(y)(etas)
         assert [e.information.tobytes() for e in got] == [m.tobytes() for m in want]

@@ -131,6 +131,23 @@ def test_minimize_with_default_bounds_uses_observed_range():
     assert rec.desirability == pytest.approx(1.0, abs=1e-5)
 
 
+def test_explicit_bounds_are_a_range_whose_best_end_the_direction_picks(tin_design, tin_model):
+    """Minimizing y2 within bounds (0, 600), given in either order, recommends what
+    minimizing it within its observed range does, the light nut; maximizing within
+    (600, 0) recommends the heavy nut, as maximizing within (0, 600) does."""
+    fits = {"y2": reml_fit(simulate(tin_design, default_truth(), seed=7), tin_model, "y2")}
+    lowest = optimize(fits, [Goal("y2", "minimize")])
+    assert lowest.setting("nut_weight") == "light"
+    for bounds in ((0.0, 600.0), (600.0, 0.0)):
+        rec = optimize(fits, [Goal("y2", "minimize", bounds=bounds)])
+        assert (rec.settings, rec.predictions) == (lowest.settings, lowest.predictions)
+    highest = [optimize(fits, [Goal("y2", "maximize", bounds=bounds)])
+               for bounds in ((600.0, 0.0), (0.0, 600.0))]
+    assert highest[0] == highest[1]
+    assert highest[0].setting("nut_weight") == "heavy"
+    assert highest[0].predictions[0][1] > lowest.predictions[0][1]
+
+
 def test_target_outside_bounds_rejected():
     fits = line_fits({"y": 1.0})
     with pytest.raises(ValidationError):
