@@ -379,6 +379,11 @@ def cmd_design(args) -> int:
             design = randomize_run_order(design, np.random.default_rng((args.seed, 1)))
         write_design_csv(out, design)
     print(f"log D criterion: {_fmt(design.criterion)}", file=sys.stderr)
+    err = model.error_df(spec.n_runs, spec.n_whole_plots)
+    short = [f"{df} {level.replace('_', '-')}" for level, df in err.items() if df < 1]
+    if short:
+        print(f"warning: this design leaves {' and '.join(short)} error df; eval, fit and "
+              f"profile need at least 1 at each level", file=sys.stderr)
     return 0
 
 

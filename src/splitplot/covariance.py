@@ -87,7 +87,7 @@ class WholePlotLayout:
 
     zero_based (plot index per run, from 0), sizes (runs per plot) and
     n_plots are derived once at construction; the arrays are read-only.
-    _bins keeps the bins index per block count.
+    _bins keeps the bins index per block count, as views of one array.
     """
 
     assignment: tuple[int, ...]
@@ -126,11 +126,17 @@ class WholePlotLayout:
 
     def bins(self, k: int) -> np.ndarray:
         """The read-only (k, n) index of k stacked blocks of runs: plot + c * n_plots in
-        block c, so one bincount sums every block per plot; kept per k."""
+        block c, so one bincount sums every block per plot.  Kept per k as prefixes of
+        one index, which at least doubles when a larger k is asked for."""
         if k not in self._bins:
-            bins = self.zero_based + self.n_plots * np.arange(k)[:, None]
-            bins.setflags(write=False)
-            self._bins[k] = bins
+            full = self._bins[max(self._bins)] if self._bins else None
+            if full is None or len(full) < k:
+                rows = max(k, 2 * len(full)) if full is not None else k
+                full = self.zero_based + self.n_plots * np.arange(rows)[:, None]
+                full.setflags(write=False)
+                self._bins.clear()
+                self._bins[rows] = full
+            self._bins[k] = full[:k]
         return self._bins[k]
 
     def indicator(self) -> np.ndarray:
@@ -196,6 +202,18 @@ def _information_sums(layout: WholePlotLayout, b: np.ndarray, eta: float):
     """(B' V^{-1} B, S = Z'B): information and the plot sums it was formed from."""
     s = _plot_sums(layout, b)
     return b.T @ b - s.T @ (s * _shrink(layout, eta)[:, None]), s
+
+
+def _stacked_information_sums(layout: WholePlotLayout, b: np.ndarray, eta: float):
+    """_information_sums of each (n, k) block of an (S, n, k) stack, in one call.
+
+    The plot sums are one _plot_sums call on the blocks side by side, and matmul
+    makes each slice's BLAS call, so each slice of M and S is the one-block
+    call's bit for bit."""
+    n_blocks, n, k = b.shape
+    s = _plot_sums(layout, b.swapaxes(0, 1).reshape(n, n_blocks * k))
+    s = np.ascontiguousarray(s.reshape(-1, n_blocks, k).swapaxes(0, 1))
+    return b.swapaxes(1, 2) @ b - s.swapaxes(1, 2) @ (s * _shrink(layout, eta)[:, None]), s
 
 
 def information(layout: WholePlotLayout, b: np.ndarray, eta: float) -> np.ndarray:

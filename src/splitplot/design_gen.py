@@ -36,17 +36,34 @@ changes no design, tie or criterion value, only how many candidates are
 scored exactly.  It is off, and every candidate is scored exactly, for
 scans that move a plot of more than one run, while the incumbent's log det
 is at most 0, and while cond_1(M) exceeds 1e8.
+
+From _LOCKSTEP_STARTS = 4 starts up the starts run in lockstep
+(_Exchanger): each start's settings codes, incumbent, held (M, S), lemma
+terms, counts and active flag are rows of stacked arrays, every
+coordinate scan screens all active starts in one call and scores exactly,
+in one stacked call, only the (start, candidate) pairs the screen cannot
+rule out, and a start drops out after the sweep that converges it.  Each
+start keeps its generator (seed, 0, k), its accept, tie and singular-
+restart rules and its convergence test, so its settings and Design.search
+record are those of the one-start-at-a-time search (_OneStart), which
+fewer starts use: there the lockstep's fixed numpy calls per scan cost
+more than the scans of the starts they replace (on the tin model the two
+break even at three starts at 24 runs in 6 plots, and between three and
+four at 128 runs in 32).  Models whose row tables would pass _TABLE_CELLS
+floats run one start at a time too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariance import (
-    WholePlotLayout, _check_ratio, _information_sums, _inv, _slogdet, information,
+    WholePlotLayout, _check_ratio, _information_sums, _inv, _slogdet,
+    _stacked_information_sums, information,
 )
 from .errors import NumericalError, ValidationError
 from .model_spec import Factor, ModelSpec
@@ -56,6 +73,8 @@ _SCREEN_MARGIN = 1e-6  # screened log det + margin <= best so far: skip the exac
 _SCREEN_MAX_COND = 1e8  # above this cond_1(M) the incumbent is scored exactly
 _MAX_SWEEPS = 100
 _EXCHANGE_GRID = 3  # coded values -1, 0, +1 per continuous factor
+_LOCKSTEP_STARTS = 4  # from this many starts up, the starts run in lockstep
+_TABLE_CELLS = 1 << 21  # the lockstep's row tables hold at most this many floats
 
 
 def assign_whole_plot_sizes(n_runs: int, n_whole_plots: int) -> tuple[int, ...]:
@@ -246,8 +265,26 @@ def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
     return _log_det(information(design.layout, expand_model_matrix(design, model), ratio))
 
 
-class _Exchanger:
-    """One coordinate-exchange search over a fixed layout.
+class _Search:
+    """What every exchange derives from its model, layout and ratio: the candidates
+    per factor, the hard and easy factors, each run as a one-run row set, and the
+    per-run weights of the screen."""
+
+    def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
+        self.model = model
+        self.layout = layout
+        self.ratio = ratio
+        self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
+        self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
+        self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
+        self.run_rows = tuple(np.arange(layout.n_runs)[:, None])
+        sizes = layout.sizes[layout.zero_based]  # m_i of each run's plot
+        self.run_plot_keep = 1.0 / (1.0 + sizes * ratio)  # 1 - m_i w_i
+        self.run_keep = (1.0 + (sizes - 1) * ratio) * self.run_plot_keep  # 1 - w_i
+
+
+class _OneStart(_Search):
+    """Coordinate exchange over a fixed layout, one start at a time.
 
     Each run keeps the model matrix X of its current settings and, when a
     coordinate changes, overwrites only the changed rows.  Rows come from
@@ -271,18 +308,9 @@ class _Exchanger:
     """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
-        self.model = model
-        self.layout = layout
-        self.ratio = ratio
-        self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
+        super().__init__(model, layout, ratio)
         self.cand_index = [{c: k for k, c in enumerate(cands.tolist())} for cands in self.cands]
         self.first_bytes = [cands[:1].tobytes() for cands in self.cands]
-        self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
-        self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
-        self.run_rows = tuple(np.arange(layout.n_runs)[:, None])
-        sizes = layout.sizes[layout.zero_based]  # m_i of each run's plot
-        self.run_plot_keep = 1.0 / (1.0 + sizes * ratio)  # 1 - m_i w_i
-        self.run_keep = (1.0 + (sizes - 1) * ratio) * self.run_plot_keep  # 1 - w_i
         self.blocks: dict[tuple[int, bytes], np.ndarray] = {}
         self.scored = self.held = None  # (M, S) of the last exact score and of the incumbent
         self.lemma = None  # (M^-1, {r: (w_r, e_r)}) of the incumbent, False if off, None if stale
@@ -412,33 +440,288 @@ class _Exchanger:
         return settings, (best, sweeps, self.evaluations, self.screened)
 
 
+class _Exchanger(_Search):
+    """Coordinate exchange over a fixed layout, every start of a search in lockstep.
+
+    A settings row is one candidate index per factor, read as a mixed-radix
+    code (_row_tables).  The search tables once, per code, the model-matrix
+    row and, per factor, the codes and row differences of its candidates:
+    model_matrix of every candidate combination, which builds X row by row,
+    so a table row equals a rebuilt one byte for byte.
+
+    Each start is one row of stacked state: its run codes, its incumbent's
+    log det, the held (M, S) of that incumbent's exact score, its lemma
+    terms (M^-1 and whether cond_1(M) lets it screen, formed at the first
+    screen after an accept; w_r and e_r, formed per run on first use) and
+    its counts.  Starts sweep the coordinates in _OneStart's order, and each
+    scan moves every active start at once:
+
+    - a one-run scan screens every start's candidates in one call
+      (_screen), with _OneStart's terms and its rules for when the screen
+      is off;
+    - the (start, candidate) pairs that no screen rules out against the
+      start's incumbent are scored exactly in one _stacked_information_sums
+      and _slogdet, whose slices round as one start's 2-D calls;
+    - each start then takes the outcome _OneStart's scan gives: the first
+      strictly best candidate, or the incumbent.  A start that tried more
+      than one candidate replays them in order, because each accept raises
+      the bar that the next candidate's screen must clear, and counts only
+      the exact scores _OneStart makes; a start with every choice singular
+      draws its restart from its own generator.
+
+    A start leaves the lockstep after the sweep that converges it, so each
+    start's settings and Design.search record are _OneStart's.
+    """
+
+    def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
+        super().__init__(model, layout, ratio)
+        self.table, self.digits, self.others, self.moves, self.deltas = _row_tables(
+            model, self.cands)
+
+    def _criteria(self, codes):
+        """Exact log det (-inf when singular), M and S of each design, one per row of codes."""
+        m, s = _stacked_information_sums(self.layout, self.table[codes], self.ratio)
+        sign, ld = _slogdet(m)
+        return np.where((sign > 0) & np.isfinite(ld), ld, -np.inf), m, s
+
+    def _refresh(self):
+        """M^-1 of the held M of each start whose incumbent changed, once its log D is > 0.
+
+        Afterwards lemma is True exactly for the starts that screen: log D > 0 and
+        cond_1(M) <= _SCREEN_MAX_COND (log D only rises, so a start whose log D
+        is <= 0 has never had a lemma)."""
+        fresh = self.stale & (self.best > 0)
+        if fresh.any():
+            idx = np.flatnonzero(fresh)
+            m = self.m[idx]
+            minv = _inv(m)  # best > 0: the LU of slogdet found no zero pivot in m
+            cond = np.abs(m).sum(axis=1).max(axis=1) * np.abs(minv).sum(axis=1).max(axis=1)
+            ok = cond <= _SCREEN_MAX_COND
+            if not ok.all():
+                minv[~ok] = 0.0  # a start that may not screen computes on zeros, not on noise
+            self.minv[idx], self.lemma[idx] = minv, ok
+            self.stale[idx] = False
+        self.dirty = False
+
+    def _terms(self, r, c):
+        """w_r = u_r' M^-1 and e_r for each start that screens run r and lacks them."""
+        need = self.lemma & self.missing[:, r]
+        if need.any():
+            idx = np.flatnonzero(need)
+            i = self.layout.zero_based[r]
+            # u_r = x_r - w_i s_i, written as (x_r - mean_i) + mean_i / (1 + m_i eta),
+            # which keeps plot-constant columns from cancelling at large eta
+            mean = self.s[idx, i] / self.layout.sizes[i]
+            u = ((self.table[c[idx]] - mean) + mean * self.run_plot_keep[r])[:, None]
+            minv = self.minv[idx]
+            # (1, p) @ (p, p) slices: each rounds as one start's vector-matrix product
+            w = u @ minv
+            # one refinement step: inv alone leaves w a few ulps off the solve, and
+            # about half its entries off the correctly rounded one
+            w += (u - w @ self.m[idx]) @ minv
+            self.w[idx, r] = w[:, 0]
+            self.e[idx, r] = (w @ np.swapaxes(u, -1, -2))[:, 0, 0]
+            self.missing[idx, r] = False
+
+    def _screen(self, r, fi, c):
+        """Screened log det of each start's candidates for run r's factor fi.
+
+        nan where the start's screen is off or a determinant ratio is not
+        positive; neither is ever skipped.
+        """
+        if self.dirty:
+            self._refresh()
+        self._terms(r, c)
+        d = self.deltas[fi][c]
+        a = np.einsum("kij,kij->ki", d @ self.minv, d)
+        b = (d @ self.w[:, r, :, None])[..., 0]
+        b += 1.0
+        b *= b
+        a *= (self.run_keep[r] - self.e[:, r])[:, None]
+        a += b  # the determinant ratio (1 + b)^2 + a (1 - w_i - e_r)
+        on = a > 0
+        on &= self.lemma[:, None]
+        screened = np.log(a, out=np.full_like(a, np.nan), where=on)
+        screened += self.best[:, None]
+        self.screened += self.lemma * (len(self.cands[fi]) - 1)
+        return screened
+
+    def _scan(self, rows, fi):
+        """Try every candidate for one coordinate of every start; ties keep the incumbent."""
+        best = self.best
+        c = self.codes[:, rows[0]]
+        screened = None
+        if len(rows) == 1:
+            screened = self._screen(rows[0], fi, c)
+            tried = self.others[fi][c] > (screened + _SCREEN_MARGIN <= best[:, None])
+        else:
+            tried = self.others[fi][c]
+        ks, js = np.nonzero(tried)
+        if not ks.size:
+            return
+        trial = self.codes[ks]
+        trial[:, rows] = self.moves[fi][trial[:, rows], js[:, None]]
+        vals, m, s = self._criteria(trial)
+        # every tried pair is one exact evaluation; the replay takes back what it skips
+        self.evaluations += np.bincount(ks, minlength=len(best))
+        moved, to, held, gain = [], [], [], []
+        best_l, cur_l = best.tolist(), self.digits[fi][c].tolist()
+        pairs = zip(ks.tolist(), js.tolist(), vals.tolist())
+        for k, group in itertools.groupby(enumerate(pairs), key=lambda pair: pair[1][0]):
+            # start k's tried candidates in order, as _OneStart's scan takes them
+            bv, bk, bp = best_l[k], cur_l[k], -1
+            for pair, (_, j, val) in group:
+                if screened is not None and bv != best_l[k] and screened[k, j] + _SCREEN_MARGIN <= bv:
+                    self.evaluations[k] -= 1  # an accept raised the bar this screen must clear
+                    continue
+                if val > bv:
+                    bv, bk, bp = val, j, pair
+            if bv == float("-inf"):
+                # every choice singular: re-randomize to escape the flat region
+                bk, bp = int(self.rngs[k].choice(len(self.cands[fi]))), -1
+            if not bv >= best_l[k]:  # exchange never walks downhill
+                raise NumericalError(f"exchange criterion must not decrease: {best_l[k]} -> {bv}")
+            if bk != cur_l[k]:
+                moved.append(k), to.append(bk), held.append(bp), gain.append(bv)
+        if moved:
+            moved, to, held = np.array(moved), np.array(to), np.array(held)
+            at = moved[:, None], rows
+            self.codes[at] = self.moves[fi][self.codes[at], to[:, None]]
+            scored = held >= 0  # a restart's candidate may be unscored; its best stays -inf
+            self.m[moved[scored]] = m[held[scored]]
+            self.s[moved[scored]] = s[held[scored]]
+            self.best = best.copy()  # the sweep's start keeps its own
+            self.best[moved] = gain
+            self.stale[moved] = self.missing[moved] = True
+            self.dirty = True
+
+    def _keep(self, keep):
+        """Keep only the starts where keep is True."""
+        for name in ("ids", "codes", "best", "m", "s", "minv", "lemma", "stale", "w", "e",
+                     "missing", "evaluations", "screened"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
+        self.dirty = True
+
+    def run(self, rngs):
+        """Every start to convergence, start k drawing from rngs[k].
+
+        Returns the final settings of every start, stacked, and one
+        Design.search record per start: (criterion, sweeps,
+        exact_evaluations, screened).
+        """
+        layout, n_starts = self.layout, len(rngs)
+        n, counts = layout.n_runs, [len(c) for c in self.cands]
+        levels = np.empty((n_starts, n, len(counts)), dtype=np.intp)
+        for k, rng in enumerate(rngs):  # as _OneStart.random_start draws them
+            for fi in self.hard:
+                levels[k, :, fi] = rng.choice(counts[fi], size=layout.n_plots)[layout.zero_based]
+            for fi in self.easy:
+                levels[k, :, fi] = rng.choice(counts[fi], size=n)
+        self.ids, self.rngs = np.arange(n_starts), list(rngs)
+        self.codes = levels @ _radix(counts)
+        self.best, self.m, self.s = self._criteria(self.codes)
+        p = self.table.shape[1]
+        self.minv = np.zeros((n_starts, p, p))
+        self.lemma = np.zeros(n_starts, dtype=bool)
+        self.stale = np.ones(n_starts, dtype=bool)
+        self.w, self.e = np.zeros((n_starts, n, p)), np.zeros((n_starts, n))
+        self.missing = np.ones((n_starts, n), dtype=bool)  # w_r and e_r not yet formed
+        self.evaluations = np.ones(n_starts, dtype=np.intp)
+        self.screened = np.zeros(n_starts, dtype=np.intp)
+        self.dirty = True
+        final = np.empty((n_starts, n), dtype=np.intp)
+        records = [None] * n_starts
+        for sweeps in range(1, _MAX_SWEEPS + 1):
+            sweep_start = self.best
+            for rows in layout.plot_rows:
+                for fi in self.hard:
+                    self._scan(rows, fi)
+            for rows in self.run_rows:
+                for fi in self.easy:
+                    self._scan(rows, fi)
+            # a start still escaping a singular start (log det -inf) keeps sweeping
+            with np.errstate(invalid="ignore"):  # -inf - -inf
+                done = (self.best > -np.inf) & (self.best - sweep_start <= EXCHANGE_TOL)
+            if sweeps == _MAX_SWEEPS:
+                done[:] = True
+            for k in np.flatnonzero(done).tolist():
+                start = self.ids[k]
+                final[start] = self.codes[k]
+                records[start] = (float(self.best[k]), sweeps, int(self.evaluations[k]),
+                                  int(self.screened[k]))
+            if done.all():
+                break
+            if done.any():
+                self._keep(~done)
+        settings = np.empty((n_starts, n, len(counts)))
+        for j, c in enumerate(self.cands):
+            settings[..., j] = c[self.digits[j][final]]
+        return settings, records
+
+
+def _radix(counts):
+    """Place value of each factor's candidate index in a settings row's code."""
+    return np.array([math.prod(counts[j + 1:]) for j in range(len(counts))])
+
+
+def _table_cells(model: ModelSpec) -> int:
+    """Floats in _row_tables' tables for a model."""
+    counts = [len(f.candidates(_EXCHANGE_GRID)) for f in model.factors]
+    return math.prod(counts) * model.n_parameters * (1 + sum(counts))
+
+
+def _row_tables(model: ModelSpec, cands):
+    """Lookup tables over every settings row, indexed by its code.
+
+    A row's code reads its candidate indices as mixed-radix digits, the last
+    factor fastest.  Returns the model-matrix row of each code, and per
+    factor j: each code's candidate index (digits), which candidates differ
+    from it (others), the code with j at each candidate (moves) and that
+    code's row minus the code's own (deltas).
+    """
+    counts = [len(c) for c in cands]
+    levels = np.indices(counts).reshape(len(counts), -1).T
+    table = model_matrix(model, np.stack([c[levels[:, j]] for j, c in enumerate(cands)], -1))
+    codes, radix = np.arange(len(table)), _radix(counts)
+    digits, others, moves, deltas = [], [], [], []
+    for j, nc in enumerate(counts):
+        digits.append(levels[:, j])
+        others.append(levels[:, j, None] != np.arange(nc))
+        moves.append(codes[:, None] + (np.arange(nc) - levels[:, j, None]) * radix[j])
+        deltas.append(table[moves[-1]] - table[:, None])
+    return table, digits, others, moves, deltas
+
+
 def generate_design(spec: DesignSpec) -> Design:
     """Multi-start coordinate exchange; returns the best design found.
 
     Deterministic for a fixed seed: start k draws from a generator seeded
-    with (seed, 0, k), and ties between starts keep the earliest one.
+    with (seed, 0, k), and ties between starts keep the earliest one.  From
+    _LOCKSTEP_STARTS starts up, and while the model's row tables stay within
+    _TABLE_CELLS floats, the starts run in lockstep (_Exchanger); otherwise
+    one after another (_OneStart).  Both give every start the same settings
+    and Design.search record.
     """
     sizes = assign_whole_plot_sizes(spec.n_runs, spec.n_whole_plots)
     layout = WholePlotLayout(
         tuple(int(i) for i in np.repeat(np.arange(1, spec.n_whole_plots + 1), sizes))
     )
-    worker = _Exchanger(spec.model, layout, spec.ratio)
-    best_settings, best_val = None, float("-inf")
-    search = []
-    for k in range(spec.n_starts):
-        rng = np.random.default_rng((spec.seed, 0, k))
-        settings, record = worker.run(rng)
-        search.append(record)
-        if record[0] > best_val:
-            best_settings, best_val = settings.copy(), record[0]
-    if best_settings is None or best_val == float("-inf"):
+    rngs = [np.random.default_rng((spec.seed, 0, k)) for k in range(spec.n_starts)]
+    if spec.n_starts >= _LOCKSTEP_STARTS and _table_cells(spec.model) <= _TABLE_CELLS:
+        settings, search = _Exchanger(spec.model, layout, spec.ratio).run(rngs)
+    else:
+        worker = _OneStart(spec.model, layout, spec.ratio)
+        settings, search = zip(*(worker.run(rng) for rng in rngs))
+    k = max(range(spec.n_starts), key=lambda k: search[k][0])  # the first of equal bests
+    if search[k][0] == float("-inf"):
         raise NumericalError(
             "no nonsingular design found; check the run budget against the model"
         )
     return Design(
         factors=spec.model.factors,
         whole_plot=layout.assignment,
-        settings=best_settings,
-        criterion=best_val,
+        settings=settings[k],
+        criterion=search[k][0],
         search=tuple(search),
     )

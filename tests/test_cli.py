@@ -456,6 +456,30 @@ def test_design_command_deterministic_bytes(model_file, tmp_path, capsys):
     assert "log D criterion:" in err
 
 
+@pytest.mark.parametrize("runs, plots, short", [
+    ("24", "2", "0 whole-plot"), ("16", "12", "-5 subplot"), ("24", "6", None)])
+def test_design_warns_when_a_level_has_no_error_df_left(tmp_path, capsys, runs, plots, short):
+    """A design that leaves fewer than 1 error df at a level, which eval, fit and profile
+    refuse, gets one warning line after the criterion, naming each short level with its
+    df; the exit code and stdout stay as they are.  The README's 24 x 6 tin design
+    leaves 4 and 9 df and gets none."""
+    model_path = tmp_path / "tin.txt"
+    model_path.write_text(TIN_MODEL)
+    out = tmp_path / "d.csv"
+    args = ["design", str(model_path), "--runs", runs, "--whole-plots", plots,
+            "--starts", "2", "--seed", "0", "--out", str(out)]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and out.read_text().startswith("run_id,whole_plot,")
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("log D criterion: ")
+    if short is None:
+        assert len(lines) == 1 and "warning" not in captured.err
+    else:
+        assert lines[1:] == [f"warning: this design leaves {short} error df; eval, fit and "
+                             f"profile need at least 1 at each level"]
+
+
 def test_design_command_run_order(model_file, tmp_path):
     m = parse_model_text(TWO_FACTOR_MODEL)
     canonical = tmp_path / "canonical.csv"

@@ -17,7 +17,10 @@ from splitplot import (
     solve_v,
 )
 from splitplot import inference
-from splitplot.covariance import _inv, _slogdet, _solve, build_v, information
+from splitplot.covariance import (
+    _information_sums, _inv, _plot_sums, _slogdet, _solve, _stacked_information_sums, build_v,
+    information,
+)
 from splitplot.inference import _DesignPart
 
 
@@ -176,13 +179,56 @@ ETAS = (0.0, 1e-8, 1.0, 1e6)
 
 
 @st.composite
-def layouts(draw):
-    """Up to 7 plots of 1..4 runs, always one single-run plot, runs in shuffled order."""
+def layouts(draw, extra_runs=0):
+    """Up to 7 plots of 1..4 runs, always one single-run plot, runs in shuffled order.
+
+    With extra_runs > 0, plots of 2..4 runs are added until there are at least two
+    plots and extra_runs runs beyond one per plot: then a model of up to extra_runs
+    columns, none but the intercept at the whole-plot level, leaves at least one
+    error df at both levels."""
     sizes = draw(st.lists(st.integers(1, 4), max_size=6)) + [1]
+    while extra_runs and (len(sizes) < 2 or sum(sizes) - len(sizes) < extra_runs):
+        sizes.append(draw(st.integers(2, 4)))
     sizes = draw(st.permutations(sizes))
     plots = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     order = draw(st.permutations(range(len(plots))))
     return WholePlotLayout(tuple(int(plots[i]) for i in order))
+
+
+@st.composite
+def equal_layouts(draw):
+    """1..6 plots of one common size, 1..5 runs, in plot order."""
+    plots, size = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    return WholePlotLayout(tuple(np.repeat(np.arange(1, plots + 1), size).tolist()))
+
+
+def _hex(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(layouts(), equal_layouts()), st.sampled_from([1, 2, 7]), st.integers(1, 12),
+       st.sampled_from([0.0, 1.0, 7.5, 1e8]), st.integers(0, 2**32 - 1))
+def test_stacked_information_rounds_as_one_block_at_a_time(layout, n_starts, k, eta, seed):
+    """The design search scores a stack of (n, k) blocks in one call: each slice of
+    _stacked_information_sums (M and the plot sums S), _slogdet and _inv has the bits,
+    compared by float.hex, of _information_sums, _plot_sums, _slogdet and _inv on that
+    block alone, on equal and unequal plots and one-run plots, with entries of model
+    matrices (+-1, +-0 and products) and general floats."""
+    rng = np.random.default_rng(seed)
+    shape = (n_starts, layout.n_runs, k)
+    b = np.where(rng.random(shape) < 0.5, rng.choice([-1.0, -0.0, 0.0, 1.0, 0.25], size=shape),
+                 rng.normal(size=shape))
+    m, s = _stacked_information_sums(layout, b, eta)
+    sign, log = _slogdet(m)
+    for j, block in enumerate(b):
+        assert _hex(s[j]) == _hex(_plot_sums(layout, block))
+        m_j, s_j = _information_sums(layout, block, eta)
+        assert _hex(m[j]) == _hex(m_j) and _hex(s[j]) == _hex(s_j)
+        assert _hex(_slogdet(m_j)) == _hex((sign[j], log[j]))
+    nonsingular = sign != 0.0  # inv needs a nonsingular matrix
+    for j, inverse in zip(np.flatnonzero(nonsingular), _inv(m[nonsingular])):
+        assert _hex(inverse) == _hex(_inv(m[j]))
 
 
 def unit_v(layout, eta):

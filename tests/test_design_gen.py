@@ -330,11 +330,21 @@ def test_criterion_rejects_bad_ratio():
 
 
 def test_exchange_refuses_a_criterion_that_cannot_be_compared(monkeypatch):
-    """A nan criterion breaks the uphill invariant; it is raised, not asserted."""
-    monkeypatch.setattr(design_gen._Exchanger, "criterion", lambda self, settings: np.nan)
-    spec = DesignSpec(model=two_factor_model(), n_runs=8, n_whole_plots=4, n_starts=1)
-    with pytest.raises(NumericalError, match="exchange criterion must not decrease"):
-        generate_design(spec)
+    """A nan criterion breaks the uphill invariant; it is raised, not asserted, by the
+    per-start search (one start) and by the lockstep (four)."""
+    monkeypatch.setattr(design_gen._OneStart, "criterion", lambda self, settings: np.nan)
+    criteria = design_gen._Exchanger._criteria
+
+    def nan_criteria(self, codes):
+        vals, m, s = criteria(self, codes)
+        return np.full_like(vals, np.nan), m, s
+
+    monkeypatch.setattr(design_gen._Exchanger, "_criteria", nan_criteria)
+    for n_starts in (1, design_gen._LOCKSTEP_STARTS):
+        spec = DesignSpec(model=two_factor_model(), n_runs=8, n_whole_plots=4,
+                          n_starts=n_starts)
+        with pytest.raises(NumericalError, match="exchange criterion must not decrease"):
+            generate_design(spec)
 
 
 def test_criterion_invariant_to_run_permutation_and_plot_relabeling():
@@ -422,7 +432,7 @@ def test_generated_criterion_matches_a_fresh_evaluation():
     assert d_criterion(d, m, ratio=1.0) == pytest.approx(d.criterion, abs=1e-9)
 
 
-# ---------------------------------------------------------------- model-row cache
+# ---------------------------------------------------------------- lockstep exchange
 
 
 @st.composite
@@ -443,33 +453,95 @@ def exchange_cases(draw, max_plots=5):
     return model, WholePlotLayout(tuple(int(plots[i]) for i in order))
 
 
+def start_rngs(seed, n_starts):
+    """The generators generate_design gives its starts."""
+    return [np.random.default_rng((seed, 0, k)) for k in range(n_starts)]
+
+
+def exact_log_d(worker, codes):
+    """log det(X' V^-1 X) of the design a row of lockstep codes names, from scratch."""
+    return design_gen._log_det(information(worker.layout, worker.table[codes], worker.ratio))
+
+
 @settings(max_examples=60, deadline=None)
 @given(exchange_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 7.5]))
 def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
-    """After every scan, the maintained X is exactly model_matrix(settings)."""
+    """After every scan, each start's codes give exactly model_matrix of its settings and
+    its incumbent's log det is that design's exact criterion; every table row is
+    model_matrix of the settings row its code names, and each factor's tables move
+    and difference codes as they say."""
     model, layout = case
     worker = design_gen._Exchanger(model, layout, ratio)
+    counts = [len(c) for c in worker.cands]
     scan = worker._scan
     scans = []
 
-    def checked(settings, x, *rest):
-        best = scan(settings, x, *rest)
-        assert np.array_equal(x, model_matrix(model, settings))
-        assert best == worker.criterion(model_matrix(model, settings))
-        scans.append(best)
-        return best
+    def settings_of(codes):
+        return np.stack([c[worker.digits[j][codes]] for j, c in enumerate(worker.cands)], -1)
+
+    def checked(rows, fi):
+        scan(rows, fi)
+        for k, codes in enumerate(worker.codes):
+            x = model_matrix(model, settings_of(codes))
+            assert np.array_equal(worker.table[codes], x)
+            assert worker.best[k] == design_gen._log_det(information(layout, x, ratio))
+        scans.append(dict(zip(worker.ids.tolist(), worker.best.tolist())))
 
     worker._scan = checked
     with patch.object(design_gen, "_MAX_SWEEPS", 3):  # small models may stay singular
-        settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
-    assert scans and scans[-1] == best
-    assert 1 <= sweeps <= 3 and evaluations >= 1
-    for (fi, key), block in worker.blocks.items():  # each block is its key row at every candidate
+        settings, records = worker.run(start_rngs(seed, 3))
+    assert scans
+    for k, (best, sweeps, evaluations, _) in enumerate(records):
+        assert [s[k] for s in scans if k in s][-1] == best
+        assert best == design_gen._log_det(information(layout, model_matrix(model, settings[k]),
+                                                       ratio))
+        assert 1 <= sweeps <= 3 and evaluations >= 1
+    for code, row in enumerate(worker.table):
+        levels = np.unravel_index(code, counts)
+        assert np.array_equal(row, model_matrix(model, [c[i] for c, i in zip(worker.cands, levels)])[0])
+        for j, nc in enumerate(counts):
+            assert worker.digits[j][code] == levels[j]
+            for cand in range(nc):
+                moved = worker.moves[j][code, cand]
+                assert np.unravel_index(moved, counts) == levels[:j] + (cand,) + levels[j + 1:]
+                assert worker.others[j][code, cand] == (cand != levels[j])
+                assert worker.deltas[j][code, cand].tobytes() == (worker.table[moved] - row).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_cases(max_plots=8), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1.0, 7.5, 1e4]), st.sampled_from([1, 2, 5]))
+def test_the_lockstep_gives_every_start_its_one_start_search(case, seed, ratio, n_starts):
+    """The lockstep and the per-start search leave every start with the same settings
+    bytes and the same Design.search record, exact and screened counts included.  Each
+    of the per-start search's cached blocks is its key row at every candidate."""
+    model, layout = case
+    with patch.object(design_gen, "_MAX_SWEEPS", 4):
+        settings, records = design_gen._Exchanger(model, layout, ratio).run(
+            start_rngs(seed, n_starts))
+        one = design_gen._OneStart(model, layout, ratio)
+        for k, rng in enumerate(start_rngs(seed, n_starts)):
+            ref_settings, ref_record = one.run(rng)
+            assert settings[k].tobytes() == ref_settings.tobytes()
+            assert repr(records[k]) == repr(ref_record)
+    for (fi, key), block in one.blocks.items():
         row = np.frombuffer(key).copy()
-        assert row[fi] == worker.cands[fi][0] and len(block) == len(worker.cands[fi])
-        for cand, block_row in zip(worker.cands[fi], block):
+        assert row[fi] == one.cands[fi][0] and len(block) == len(one.cands[fi])
+        for cand, block_row in zip(one.cands[fi], block):
             row[fi] = cand
             assert np.array_equal(block_row, model_matrix(model, row)[0])
+
+
+def test_a_model_too_large_for_the_row_tables_runs_one_start_at_a_time(tin_model):
+    """Above _TABLE_CELLS the starts run one after another, to the same design and
+    search record."""
+    spec = DesignSpec(model=tin_model, n_runs=24, n_whole_plots=6, seed=3,
+                      n_starts=design_gen._LOCKSTEP_STARTS)
+    d = generate_design(spec)
+    with patch.object(design_gen, "_TABLE_CELLS", design_gen._table_cells(tin_model) - 1), \
+            patch.object(design_gen._Exchanger, "run", side_effect=AssertionError("lockstep")):
+        ref = generate_design(spec)
+    assert d == ref and d.search == ref.search
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,7 +550,7 @@ def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
 def test_criterion_invariant_to_run_permutation_and_plot_relabeling_on_random_designs(
         case, seed, shuffle, ratio):
     model, layout = case
-    worker = design_gen._Exchanger(model, layout, ratio)
+    worker = design_gen._OneStart(model, layout, ratio)
     settings = worker.random_start(np.random.default_rng(seed))
     x = model_matrix(model, settings)
     assume(np.linalg.matrix_rank(x) == x.shape[1])  # a singular criterion has no value to keep
@@ -499,60 +571,70 @@ def test_criterion_invariant_to_run_permutation_and_plot_relabeling_on_random_de
 
 
 def check_every_screen(worker):
-    """Wrap worker._screen so that each call checks its output against exact scores.
+    """Wrap a lockstep worker's _screen so that each call checks its output against
+    exact scores.
 
-    A screened log det within 10 of the incumbent must be its exact criterion to
-    1e-9, and one further down must stay that far down.  A screen that is off at
-    a positive log det must be off by the cond_1 gate.  Returns the list of
-    calls, True for each screen that ran.
+    For every start that screens, a screened log det within 10 of the incumbent
+    must be its exact criterion to 1e-9, and one further down must stay that far
+    down.  A start that does not screen at a positive log det must be held off by
+    the cond_1 gate, and its row is all nan.  Returns the list of calls, True for
+    each call in which some start screened.
     """
-    model, layout, ratio, screen = worker.model, worker.layout, worker.ratio, worker._screen
+    layout, ratio, screen = worker.layout, worker.ratio, worker._screen
     calls = []
 
-    def checked(settings, x, r, fi, best):
-        out = screen(settings, x, r, fi, best)
-        calls.append(out is not None)
-        if out is None:
-            if best > 0:
-                m = information(layout, x, ratio)
-                cond = np.abs(m).sum(axis=0).max() * np.abs(np.linalg.inv(m)).sum(axis=0).max()
-                assert not cond <= design_gen._SCREEN_MAX_COND
-            return out
-        assert best > 0
-        for cand, val in zip(worker.cands[fi], out):
-            trial = settings.copy()
-            trial[r, fi] = cand
-            exact = worker.criterion(model_matrix(model, trial))
-            if cand == settings[r, fi]:
-                assert val == best
-            elif np.isfinite(exact) and exact > best - 10:
-                assert abs(val - exact) <= 1e-9
-            else:  # singular or nearly so: the screen must not rank it near the incumbent
-                assert not val > best - 10 + 1e-9
+    def checked(r, fi, c):
+        out = screen(r, fi, c)
+        calls.append(bool(worker.lemma.any()))
+        for k, best in enumerate(worker.best.tolist()):
+            if not worker.lemma[k]:
+                assert np.isnan(out[k]).all()
+                if best > 0:
+                    m = information(layout, worker.table[worker.codes[k]], ratio)
+                    cond = np.abs(m).sum(axis=0).max() * np.abs(np.linalg.inv(m)).sum(axis=0).max()
+                    assert not cond <= design_gen._SCREEN_MAX_COND
+                continue
+            assert best > 0
+            for j, val in enumerate(out[k].tolist()):
+                trial = worker.codes[k].copy()
+                trial[r] = worker.moves[fi][c[k], j]
+                exact = exact_log_d(worker, trial)
+                if j == worker.digits[fi][c[k]]:
+                    assert val == best
+                elif np.isfinite(exact) and exact > best - 10:
+                    assert abs(val - exact) <= 1e-9
+                else:  # singular or nearly so: the screen must not rank it near the incumbent
+                    assert not val > best - 10 + 1e-9
         return out
 
     worker._screen = checked
     return calls
 
 
+def _unscreened(worker_factory, rngs):
+    """worker_factory().run(rngs) with no incumbent screening: every candidate is exact."""
+    with patch.object(design_gen, "_SCREEN_MAX_COND", -1.0):
+        return worker_factory().run(rngs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(exchange_cases(max_plots=8), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 1.0, 7.5, 1e4, 1e6, 1e8]))
 def test_screened_log_det_matches_the_exact_criterion(case, seed, ratio):
-    """Every screen passes check_every_screen, and the screened search makes the same
-    moves as one that scores every candidate."""
+    """Every screen passes check_every_screen, and every start of the screened
+    lockstep makes the same moves as in one that scores every candidate."""
     model, layout = case
     worker = design_gen._Exchanger(model, layout, ratio)
     check_every_screen(worker)
     with patch.object(design_gen, "_MAX_SWEEPS", 3):
-        settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
-        exact = design_gen._Exchanger(model, layout, ratio)
-        exact._screen = lambda *args: None
-        ref_settings, (ref_best, ref_sweeps, ref_evaluations, ref_screened) = exact.run(
-            np.random.default_rng(seed))
+        settings, records = worker.run(start_rngs(seed, 3))
+        ref_settings, ref_records = _unscreened(
+            lambda: design_gen._Exchanger(model, layout, ratio), start_rngs(seed, 3))
     assert settings.tobytes() == ref_settings.tobytes()
-    assert repr(best) == repr(ref_best) and sweeps == ref_sweeps
-    assert evaluations <= ref_evaluations and ref_screened == 0
+    for (best, sweeps, evaluations, _), (ref_best, ref_sweeps, ref_evaluations, ref_screened) in zip(
+            records, ref_records):
+        assert repr(best) == repr(ref_best) and sweeps == ref_sweeps
+        assert evaluations <= ref_evaluations and ref_screened == 0
 
 
 @pytest.mark.parametrize("ratio", [1e6, 1e8])
@@ -560,122 +642,127 @@ def test_screened_log_det_at_large_ratios(tin_model, ratio):
     """Small random models rarely keep a positive log det at large ratios, so the tin
     model at 48 runs covers them: the screen runs at 1e6, where the held
     M = information(X) has lost digits to cancellation, and the cond_1 gate keeps it
-    off at 1e8.  Both pass check_every_screen and match a search that screens none."""
+    off at 1e8.  Both pass check_every_screen and match a search that screens none,
+    start by start."""
     layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
     worker = design_gen._Exchanger(tin_model, layout, ratio)
     calls = check_every_screen(worker)
-    exact = design_gen._Exchanger(tin_model, layout, ratio)
-    exact._screen = lambda *args: None
-    for seed in range(2):
-        settings, (best, sweeps, evaluations, _) = worker.run(np.random.default_rng(seed))
-        ref_settings, (ref_best, ref_sweeps, ref_evaluations, _) = exact.run(
-            np.random.default_rng(seed))
-        assert settings.tobytes() == ref_settings.tobytes()
+    rngs = lambda: [np.random.default_rng(seed) for seed in range(2)]  # noqa: E731
+    settings, records = worker.run(rngs())
+    ref_settings, ref_records = _unscreened(
+        lambda: design_gen._Exchanger(tin_model, layout, ratio), rngs())
+    assert settings.tobytes() == ref_settings.tobytes()
+    for (best, sweeps, evaluations, _), (ref_best, ref_sweeps, ref_evaluations, _) in zip(
+            records, ref_records):
         assert repr(best) == repr(ref_best) and sweeps == ref_sweeps and best > 0
         assert evaluations <= ref_evaluations
     assert calls and any(calls) == (ratio < 1e8)
 
 
 def test_the_held_state_is_the_incumbents(tin_model):
-    """Every screen reads the incumbent's own M and S, byte for byte, and a (w_r, e_r)
-    that matches a dense from-scratch solve to 1e-12 relative."""
+    """Every screen reads each start's incumbent's own M and S, byte for byte, and a
+    (w_r, e_r) that matches a dense from-scratch solve to 1e-12 relative."""
     ratio = 1.0
     layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
     worker = design_gen._Exchanger(tin_model, layout, ratio)
     z = layout.indicator()
     v_inv = np.linalg.inv(np.eye(layout.n_runs) + ratio * z @ z.T)
     scan, screen = worker._scan, worker._screen
-    accepted, used = [], []
+    accepted = {0: [], 1: []}
+    used = {0: [], 1: []}
 
-    def held_is_current(x):
-        m, s = worker.held
-        assert m.tobytes() == information(layout, x, ratio).tobytes()
-        assert s.tobytes() == _plot_sums(layout, x).tobytes()
+    def held_is_current(k):
+        x = worker.table[worker.codes[k]]
+        assert worker.m[k].tobytes() == information(layout, x, ratio).tobytes()
+        assert worker.s[k].tobytes() == _plot_sums(layout, x).tobytes()
 
-    def checked_scan(settings, x, *rest):
-        before = settings.tobytes()
-        best = scan(settings, x, *rest)
-        if settings.tobytes() != before:
-            held_is_current(x)
-            accepted.append(best)
-        return best
+    def checked_scan(rows, fi):
+        before, ids = worker.codes.copy(), worker.ids.copy()
+        scan(rows, fi)
+        for k in np.flatnonzero((worker.codes != before).any(axis=1)).tolist():
+            held_is_current(k)
+            accepted[ids[k]].append(worker.best[k])
 
-    def checked_screen(settings, x, r, fi, best):
-        out = screen(settings, x, r, fi, best)
-        held_is_current(x)
-        if out is not None:
-            u = v_inv @ x  # row r is u_r
-            want = np.linalg.solve(x.T @ u, u[r])
-            w, e = worker.lemma[1][r]
-            assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
-            assert abs(e - want @ u[r]) <= 1e-12 * abs(want @ u[r])
-            used.append(r)
+    def checked_screen(r, fi, c):
+        out = screen(r, fi, c)
+        for k in range(len(worker.best)):
+            held_is_current(k)
+            if worker.lemma[k]:
+                x = worker.table[worker.codes[k]]
+                u = v_inv @ x  # row r is u_r
+                want = np.linalg.solve(x.T @ u, u[r])
+                w, e = worker.w[k, r], worker.e[k, r]
+                assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
+                assert abs(e - want @ u[r]) <= 1e-12 * abs(want @ u[r])
+                used[worker.ids[k]].append(r)
         return out
 
     worker._scan, worker._screen = checked_scan, checked_screen
-    settings, (best, _, _, screened) = worker.run(np.random.default_rng(1))
-    assert len(accepted) > 20 and accepted[-1] == best
-    assert screened > len(used) > 100 and len(set(used)) == layout.n_runs
+    settings, records = worker.run([np.random.default_rng(1), np.random.default_rng(2)])
+    for start, (best, _, _, screened) in enumerate(records):
+        assert len(accepted[start]) > 20 and accepted[start][-1] == best
+        assert screened > len(used[start]) > 100 and len(set(used[start])) == layout.n_runs
 
 
 @pytest.mark.parametrize("ratio", [1e4, 1e6])
 def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
-    """Each screened (w_r, e_r) against a 40-digit solve of the held M for the
-    screen's own u_r; a dense float reference is too coarse at these ratios.  Both
+    """Each (w_r, e_r) the lockstep forms, against a 40-digit solve of the held M for
+    the screen's own u_r; a dense float reference is too coarse at these ratios.  Both
     are within a few ulps of the solve with or without the refinement step, but the
     step makes more entries of w_r the correctly rounded solve: 64 % and 62 % of
     them at these ratios, against 48 % with inv alone."""
     layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
     worker = design_gen._Exchanger(tin_model, layout, ratio)
-    screen = worker._screen
+    terms = worker._terms
     inverses, rounded = {}, []
 
-    def checked_screen(settings, x, r, fi, best):
-        fresh = not worker.lemma or r not in worker.lemma[1]
-        out = screen(settings, x, r, fi, best)
-        if out is None or not fresh:
-            return out
-        m, s = worker.held
-        if m.tobytes() not in inverses:
-            inverses[m.tobytes()] = mpmath.inverse(mpmath.matrix(m.tolist()))
-        i = layout.zero_based[r]
-        mean = s[i] / layout.sizes[i]
-        u = (x[r] - mean) + mean * worker.run_plot_keep[r]  # as the screen forms it
-        exact = mpmath.matrix([u.tolist()]) * inverses[m.tobytes()]
-        want = np.array([float(v) for v in exact])
-        want_e = float(mpmath.fsum(v * float(uj) for v, uj in zip(exact, u)))
-        w, e = worker.lemma[1][r]
-        assert np.all(np.abs(w - want) <= 1e-14 * np.abs(want))
-        assert abs(e - want_e) <= 4 * np.spacing(want_e)
-        rounded.extend(w == want)
-        return out
+    def checked_terms(r, c):
+        before = worker.missing[:, r].copy()
+        terms(r, c)
+        for k in np.flatnonzero(before & ~worker.missing[:, r]).tolist():
+            m, s = worker.m[k], worker.s[k]
+            if m.tobytes() not in inverses:
+                inverses[m.tobytes()] = mpmath.inverse(mpmath.matrix(m.tolist()))
+            i = layout.zero_based[r]
+            mean = s[i] / layout.sizes[i]
+            u = (worker.table[c[k]] - mean) + mean * worker.run_plot_keep[r]  # as the screen forms it
+            exact = mpmath.matrix([u.tolist()]) * inverses[m.tobytes()]
+            want = np.array([float(v) for v in exact])
+            want_e = float(mpmath.fsum(v * float(uj) for v, uj in zip(exact, u)))
+            w, e = worker.w[k, r], worker.e[k, r]
+            assert np.all(np.abs(w - want) <= 1e-14 * np.abs(want))
+            assert abs(e - want_e) <= 4 * np.spacing(want_e)
+            rounded.extend(w == want)
 
-    worker._screen = checked_screen
+    worker._terms = checked_terms
     with mpmath.workdps(40):
-        worker.run(np.random.default_rng(1))
+        worker.run([np.random.default_rng(1)])
     assert len(rounded) > 1000
     assert np.mean(rounded) >= 0.56
 
 
 def test_the_screen_replaces_most_exact_scores(tin_model):
     """On the tin model at 48 runs the screen scores most candidates and leaves a
-    small share to the exact path, with the design of a search that screens none."""
-    spec = DesignSpec(model=tin_model, n_runs=48, n_whole_plots=12, n_starts=2, seed=1)
-    d = generate_design(spec)
-    with patch.object(design_gen, "_SCREEN_MAX_COND", -1.0):  # every incumbent exact
-        ref = generate_design(spec)
-    assert d.settings.tobytes() == ref.settings.tobytes()
-    assert repr(d.criterion) == repr(ref.criterion)
-    for (val, sweeps, evals, screened), (ref_val, ref_sweeps, ref_evals, none) in zip(
-            d.search, ref.search):
-        assert (val, sweeps, none) == (ref_val, ref_sweeps, 0)
-        assert screened > ref_evals / 2 and evals < ref_evals / 4
+    small share to the exact path, with the design of a search that screens none:
+    one start at a time (2 starts) and in lockstep."""
+    for n_starts in (2, design_gen._LOCKSTEP_STARTS):
+        spec = DesignSpec(model=tin_model, n_runs=48, n_whole_plots=12, n_starts=n_starts,
+                          seed=1)
+        d = generate_design(spec)
+        with patch.object(design_gen, "_SCREEN_MAX_COND", -1.0):  # every incumbent exact
+            ref = generate_design(spec)
+        assert d.settings.tobytes() == ref.settings.tobytes()
+        assert repr(d.criterion) == repr(ref.criterion)
+        for (val, sweeps, evals, screened), (ref_val, ref_sweeps, ref_evals, none) in zip(
+                d.search, ref.search):
+            assert (val, sweeps, none) == (ref_val, ref_sweeps, 0)
+            assert screened > ref_evals / 2 and evals < ref_evals / 4
 
 
 # generate_design digests (sha256 over settings bytes and repr(criterion), seed by
 # seed), recorded with the exchange that rebuilt the full model matrix for every
 # candidate (the ratio-1 shapes) or scored every candidate exactly (ratios 0 and
-# 7.5); the row cache and the screen must reproduce them exactly
+# 7.5); the row cache, the screen and the lockstep must reproduce them exactly
 PINNED_DESIGNS = {
     (24, 6, 20, range(50), 1.0): "66f4223ce239080256312565c461eba6a85cd712c6a92ff671da09987e4c8e9a",
     (25, 6, 20, range(50), 1.0): "3a61ec1bdfcb9ec55f94b31ed726c0e59db5ca243c394d5e554a071d9f7b784a",
@@ -684,6 +771,16 @@ PINNED_DESIGNS = {
     (48, 12, 5, range(8), 7.5): "f6ad2f142c3d88f49ad3576f1273b59a3ff9186871c48c52232f41be9f400c4c",
     # eight one-run plots
     (16, 12, 5, range(8), 7.5): "cd4b5f787299077c8990bdcbc093db863cc86b40023c9a7c3e68ab2aa20745a0",
+}
+# sha256 over repr(Design.search), seed by seed, for the same shapes: every start's
+# criterion, sweeps, exact and screened counts, recorded with the per-start search
+PINNED_SEARCHES = {
+    (24, 6, 20, range(50), 1.0): "a9d47595a4266fdb5a515361c2fc92a6e53b8cdf7a91f39e699b64cd039d4d25",
+    (25, 6, 20, range(50), 1.0): "22e6c3a84c54418d126635a1f8c66e68613b58c3cf37b8758ec8a13a458492cf",
+    (128, 32, 2, range(4), 1.0): "6732f2eb3285147d080b033e96634e0bcde46737ac3ea252fb3fbd2cc8bdfa2e",
+    (48, 12, 5, range(8), 0.0): "3c68e8302377a2b58ce05ff33e374a0346b9f4f407b2f1e4b10227f995c03d0b",
+    (48, 12, 5, range(8), 7.5): "264c78aa2f12f213474b1844b840eed55b0692cf48ba5493c84aa2a5e2093974",
+    (16, 12, 5, range(8), 7.5): "3754fc4002126d2a10fd5f95bd9bdc487bc9147bfaa294536c71296499b69c22",
 }
 
 
@@ -695,22 +792,27 @@ def _shape_id(shape):
 @pytest.mark.parametrize("shape", list(PINNED_DESIGNS), ids=_shape_id)
 def test_seeded_designs_match_their_recorded_digests(tin_model, shape):
     n_runs, n_plots, n_starts, seeds, ratio = shape
-    digest = hashlib.sha256()
+    digest, searches = hashlib.sha256(), hashlib.sha256()
     for seed in seeds:
         d = generate_design(DesignSpec(model=tin_model, n_runs=n_runs, n_whole_plots=n_plots,
                                        ratio=ratio, n_starts=n_starts, seed=seed))
         digest.update(d.settings.tobytes())
         digest.update(repr(d.criterion).encode())
+        searches.update(repr(d.search).encode())
     assert digest.hexdigest() == PINNED_DESIGNS[shape]
+    assert searches.hexdigest() == PINNED_SEARCHES[shape]
 
 
 # ---------------------------------------------------------------- search trace
 
 
 def test_search_trace_reports_every_start(monkeypatch):
-    calls = []
-    per_start = []
-    criterion, run = design_gen._Exchanger.criterion, design_gen._Exchanger.run
+    """Each start's exact count is the number of exact scores the per-start search
+    makes for it, and the lockstep scores every one of them (and at most a few
+    more, which count for no start)."""
+    calls, per_start, lockstep_rows = [], [], []
+    criterion, run = design_gen._OneStart.criterion, design_gen._OneStart.run
+    criteria = design_gen._Exchanger._criteria
 
     def counting_criterion(self, x):
         calls.append(1)
@@ -722,16 +824,24 @@ def test_search_trace_reports_every_start(monkeypatch):
         per_start.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(design_gen._Exchanger, "criterion", counting_criterion)
-    monkeypatch.setattr(design_gen._Exchanger, "run", counting_run)
+    def counting_criteria(self, codes):
+        lockstep_rows.append(len(codes))
+        return criteria(self, codes)
+
+    monkeypatch.setattr(design_gen._OneStart, "criterion", counting_criterion)
+    monkeypatch.setattr(design_gen._OneStart, "run", counting_run)
+    monkeypatch.setattr(design_gen._Exchanger, "_criteria", counting_criteria)
     m = two_factor_model()
     spec = DesignSpec(model=m, n_runs=8, n_whole_plots=4, n_starts=6, seed=3)
-    d = generate_design(spec)
+    d = generate_design(spec)  # in lockstep
+    one = design_gen._OneStart(m, d.layout, spec.ratio)
+    for rng in start_rngs(spec.seed, spec.n_starts):
+        one.run(rng)
 
     assert len(d.search) == spec.n_starts
     assert max(val for val, _, _, _ in d.search) == d.criterion
     assert [evals for _, _, evals, _ in d.search] == per_start
-    assert sum(per_start) == len(calls)
+    assert sum(per_start) == len(calls) <= sum(lockstep_rows)
     assert all(1 <= sweeps <= design_gen._MAX_SWEEPS for _, sweeps, _, _ in d.search)
 
     # the trace is diagnostics: it leaves repr (and equality) alone

@@ -105,6 +105,72 @@ def test_balanced_one_way_recovers_anova_estimators():
     assert fit.method == "reml"
 
 
+@st.composite
+def orthogonal_cases(draw):
+    """An equal-plot design on which GLS is OLS at every ratio, with its mains-only model
+    of continuous factors: whole-plot columns are constant within plots, subplot columns
+    sum to zero within every plot, and both levels keep at least one error df.  The plot
+    count, the plot size and which factors are whole-plot are drawn."""
+    hard = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    n_plots = draw(st.integers(2 + sum(hard), 8))
+    size = draw(st.integers(2, 6))
+    assume(n_plots * (size - 1) > len(hard) - sum(hard))
+    m = build_model([define_factor(f"f{j}", "continuous", hard_to_change=h)
+                     for j, h in enumerate(hard)], "mains_only")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plots = np.repeat(np.arange(n_plots), size)
+    settings = np.empty((n_plots * size, len(hard)))
+    for j, h in enumerate(hard):
+        if h:
+            settings[:, j] = rng.uniform(-1.0, 1.0, n_plots)[plots]
+        else:
+            col = rng.uniform(-0.5, 0.5, (n_plots, size))
+            settings[:, j] = (col - col.mean(axis=1, keepdims=True)).ravel()
+    return Design(factors=m.factors, whole_plot=tuple((plots + 1).tolist()),
+                  settings=settings), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(orthogonal_cases(), st.sampled_from([0.0, 0.3, 1.0, 3.0]), st.integers(0, 2**32 - 1))
+def test_reml_on_an_orthogonal_design_is_the_truncated_stratum_anova(case, sigma_gamma, seed):
+    """Where GLS is OLS at every ratio, REML is the stratum ANOVA truncated at zero:
+    eta = max(0, (MS_wp / MS_sp - 1) / m) for plots of m runs, within 1e-5 relative
+    plus 1e-6 absolute; the zero boundary exactly where MS_wp <= MS_sp; beta the OLS coefficients; and in
+    the interior each whole-plot term's Wald F is MS_term / MS_wp, the term's extra sum
+    of squares in the whole-plot stratum over that stratum's mean square."""
+    d, m = case
+    layout, n = d.layout, d.n_runs
+    size = int(layout.sizes[0])
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n) + sigma_gamma * rng.normal(size=layout.n_plots)[layout.zero_based]
+    fit = reml_fit(ResponseTable(design=d, responses={"y": y}), m, response="y")
+
+    x = expand_model_matrix(d, m)
+    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    e = y - x @ beta
+    plot_mean = np.bincount(layout.zero_based, weights=e) / size
+    df = m.error_df(n, layout.n_plots)
+    ms_wp = size * float(plot_mean @ plot_mean) / df[WHOLE_PLOT]
+    ms_sp = float(np.sum((e - plot_mean[layout.zero_based]) ** 2)) / df[SUBPLOT]
+    assert fit.beta == pytest.approx(beta, rel=1e-9, abs=1e-9 * float(np.abs(y).max()))
+    assert (fit.search.boundary == "zero") == (ms_wp <= ms_sp)
+    if ms_wp <= ms_sp:
+        assert fit.ratio == 0.0
+        return
+    # near zero the objective is flat to rounding across about 1e-7 of eta: over 600 fits
+    # whose closed form lay in [1e-7, 1e-2], the fitted eta was off by at most 1.6e-7
+    assert fit.ratio == pytest.approx((ms_wp / ms_sp - 1.0) / size, rel=1e-5, abs=1e-6)
+    whole = [j for term, cols in zip(m.terms, m.term_columns) if term.level == WHOLE_PLOT
+             for j in range(cols.start, cols.stop)]
+    whole = [0, *whole]  # the intercept is a whole-plot column
+    xw_inv = np.linalg.inv(x[:, whole].T @ x[:, whole])
+    for test in fixed_effect_tests(fit):
+        if test.level == WHOLE_PLOT:
+            col = whole.index(m.term_columns[[t.label for t in m.terms].index(test.label)].start)
+            ms_term = beta[whole[col]] ** 2 / xw_inv[col, col]
+            assert test.f_stat == pytest.approx(ms_term / ms_wp, rel=1e-5)
+
+
 def test_reml_optimum_beats_a_dense_grid():
     d, m = lopsided_design()
     rng = np.random.default_rng(21)
@@ -510,7 +576,7 @@ def _refuses(tab, m, response=None):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    layouts(),
+    layouts(extra_runs=3),
     st.integers(1, 3),
     st.sampled_from([0.0, 0.3, 3.0, 1e5]),
     st.integers(0, 2**32 - 1),
@@ -1018,7 +1084,7 @@ def _grid_screen(part, y):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    layouts(),
+    layouts(extra_runs=3),
     st.integers(1, 3),
     st.sampled_from([0.0, 0.3, 3.0, 1e5]),
     st.sampled_from([0.0, 0.3, 3.0, 1e5]),
@@ -1158,10 +1224,25 @@ _screen_inputs = dict(
     skip=st.just(0),
     seed=st.integers(0, 2**32 - 1),
 )
+# the same on layouts that leave at least one error df at both levels for every p,
+# so that each drawn example fits; the refusal has its own test
+_fitting_inputs = dict(_screen_inputs, layout=layouts(extra_runs=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(), st.integers(1, 3), st.sampled_from([0.0, 0.3, 3.0]), st.integers(0, 2**32 - 1))
+def test_reml_refuses_exactly_the_designs_without_error_df_at_a_level(layout, p, plot_scale,
+                                                                       seed):
+    """On the screen tests' layouts, one-run plots and all, reml_fit refuses each design
+    that leaves fewer than 1 error df at a level and fits every other one."""
+    assume(layout.n_runs > p)
+    _, m, tab = _screen_case(layout, p, plot_scale, 0.0, 1.0, 0, seed)
+    if not _refuses(tab, m):
+        assert reml_fit(tab, m).method == "reml"
 
 
 @settings(max_examples=150, deadline=None)
-@given(**_screen_inputs)
+@given(**_fitting_inputs)
 @_with_screen_examples
 def test_the_grid_screen_bounds_the_exact_objective(layout, p, plot_scale, offset, noise,
                                                     skip, seed):
@@ -1187,7 +1268,7 @@ def test_the_grid_screen_bounds_the_exact_objective(layout, p, plot_scale, offse
 
 
 @settings(max_examples=80, deadline=None)
-@given(**_screen_inputs)
+@given(**_fitting_inputs)
 @_with_screen_examples
 def test_every_fit_equals_the_fit_with_the_screen_off(layout, p, plot_scale, offset, noise,
                                                       skip, seed):
@@ -1248,7 +1329,7 @@ _ZERO_TIE = dict(layout=WholePlotLayout(tuple(np.repeat(np.arange(1, 7), 4).toli
 
 
 @settings(max_examples=80, deadline=None)
-@given(**_screen_inputs)
+@given(**_fitting_inputs)
 @example(**_ZERO_TIE)
 @_with_screen_examples
 def test_eta_zero_is_left_unscored_only_where_it_loses(layout, p, plot_scale, offset, noise,
@@ -1389,7 +1470,7 @@ def test_the_walk_margin_carries_the_a_entry_term_on_a_large_layout():
                  for a in (exact, formed)]
             assert abs(q[1] - q[0]) <= term
 
-@given(**_screen_inputs)
+@given(**_fitting_inputs)
 @_with_screen_examples
 def test_one_point_fits_take_from_the_screen_only_what_exact_scores_decide(
         layout, p, plot_scale, offset, noise, skip, seed):
