@@ -28,8 +28,11 @@ Truth file for simulate, key = value lines:
 Seeds, here and in every --seed flag, are non-negative integers.
 
 CSV outputs (design --out, simulate --out, profile --out) go to stdout when
-the path is omitted or '-'; profile prints its report there first.  A command
-that fails leaves an existing output file as it was.
+the path is '-', and for design and simulate also when it is omitted; profile
+prints its report there first.  Every command opens all of its outputs before
+it computes or prints anything, so an output that cannot be opened fails it
+with nothing printed, and a command that fails leaves every existing output
+file as it was.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure.  A negative
 seed and a non-finite factor cell (nan, inf) are invalid input.  So, for fit
@@ -101,8 +104,8 @@ def _output(target):
     tmp = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         fh = open(tmp, "w" if in_place else "x", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot write output file {target}: {exc}") from None
+    except OSError as exc:  # strerror alone: the message names the target, not tmp
+        raise ValidationError(f"cannot write output file {target}: {exc.strerror}") from None
     try:
         with fh:
             yield fh
@@ -112,6 +115,18 @@ def _output(target):
         if not in_place:
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _outputs(*targets):
+    """_output of every target, all opened before the block runs, as a list."""
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(_output(target)) for target in targets]
+
+
+def _prefixed(prefix, *names):
+    """The --out-prefix targets prefix<name>.csv, none without a prefix."""
+    return [f"{prefix}{name}.csv" for name in names] if prefix else []
 
 
 def _write_table(target, header, rows) -> None:
@@ -329,36 +344,37 @@ def cmd_plan(args) -> int:
     from .model_spec import count_subplot_df, count_whole_plot_df
 
     model = parse_model_file(args.model)
-    wp = count_whole_plot_df(model, args.min_wp_error_df)
-    n_plots = args.whole_plots if args.whole_plots is not None else wp.min_units
-    sp = count_subplot_df(
-        model, n_plots, min_error_df=args.min_sp_error_df,
-        proposed_error_df=args.subplot_error_df, min_wp_error_df=args.min_wp_error_df,
-    )
+    with _outputs(*_prefixed(args.out_prefix, "whole_plot", "subplot")) as outs:
+        wp = count_whole_plot_df(model, args.min_wp_error_df)
+        n_plots = args.whole_plots if args.whole_plots is not None else wp.min_units
+        sp = count_subplot_df(
+            model, n_plots, min_error_df=args.min_sp_error_df,
+            proposed_error_df=args.subplot_error_df, min_wp_error_df=args.min_wp_error_df,
+        )
 
-    print("whole-plot level")
-    print("  intercept                      1")
-    for label, df in wp.per_term_df:
-        print(f"  {label:<30} {df}")
-    print(f"  error (minimum)                {wp.error_df}")
-    print(f"  minimum whole plots            {wp.min_units}")
-    print()
-    print(f"subplot level ({n_plots} whole plots)")
-    print(f"  whole-plot takeover            {sp.takeover_df}")
-    for label, df in sp.per_term_df:
-        print(f"  {label:<30} {df}")
-    print(f"  error                          {sp.error_df}")
-    print(f"  total runs                     {sp.min_units}")
-    if not sp.meets_minimum:
-        print(f"  warning: error df below the minimum of {args.min_sp_error_df}")
+        print("whole-plot level")
+        print("  intercept                      1")
+        for label, df in wp.per_term_df:
+            print(f"  {label:<30} {df}")
+        print(f"  error (minimum)                {wp.error_df}")
+        print(f"  minimum whole plots            {wp.min_units}")
+        print()
+        print(f"subplot level ({n_plots} whole plots)")
+        print(f"  whole-plot takeover            {sp.takeover_df}")
+        for label, df in sp.per_term_df:
+            print(f"  {label:<30} {df}")
+        print(f"  error                          {sp.error_df}")
+        print(f"  total runs                     {sp.min_units}")
+        if not sp.meets_minimum:
+            print(f"  warning: error df below the minimum of {args.min_sp_error_df}")
 
-    if args.out_prefix:
-        rows = [("intercept", 1)] + list(wp.per_term_df)
-        rows += [("error", wp.error_df), ("minimum_whole_plots", wp.min_units)]
-        _write_table(f"{args.out_prefix}whole_plot.csv", ["source", "df"], rows)
-        rows = [("whole_plot_takeover", sp.takeover_df)] + list(sp.per_term_df)
-        rows += [("error", sp.error_df), ("total_runs", sp.min_units)]
-        _write_table(f"{args.out_prefix}subplot.csv", ["source", "df"], rows)
+        if outs:
+            rows = [("intercept", 1)] + list(wp.per_term_df)
+            rows += [("error", wp.error_df), ("minimum_whole_plots", wp.min_units)]
+            _write_table(outs[0], ["source", "df"], rows)
+            rows = [("whole_plot_takeover", sp.takeover_df)] + list(sp.per_term_df)
+            rows += [("error", sp.error_df), ("total_runs", sp.min_units)]
+            _write_table(outs[1], ["source", "df"], rows)
     return 0
 
 
@@ -390,47 +406,44 @@ def cmd_design(args) -> int:
 def cmd_eval(args) -> int:
     model = parse_model_file(args.model)
     design, _ = read_design_csv(args.design, model)
-    report = power_report(design, model, ratio=args.ratio, snr=args.snr, alpha=args.alpha)
-    diag = diagnostics(design, model)
+    with _outputs(*_prefixed(args.out_prefix, "power", "correlation", "vif")) as outs:
+        report = power_report(design, model, ratio=args.ratio, snr=args.snr, alpha=args.alpha)
+        diag = diagnostics(design, model)
 
-    print(f"power at snr={_fmt(args.snr)}, ratio={_fmt(args.ratio)}, alpha={_fmt(args.alpha)}")
-    for row in report.rows:
-        print(
-            f"  {row.label:<28} {row.level:<11} df={row.error_df:<3}"
-            f" power={row.power:.4f}"
-        )
-    off = diag.correlation[~np.eye(len(diag.labels), dtype=bool)]
-    finite = off[np.isfinite(off)]
-    worst = float(np.max(np.abs(finite))) if finite.size else float("nan")
-    print(f"largest |column correlation|: {worst:.4f}")
-    for a, b in diag.alias_warnings:
-        print(f"  warning: {a} aliased with {b}")
-    print("variance inflation")
-    for label, value in zip(diag.labels, diag.vif):
-        print(f"  {label:<28} {value:.4f}")
+        print(f"power at snr={_fmt(args.snr)}, ratio={_fmt(args.ratio)}, alpha={_fmt(args.alpha)}")
+        for row in report.rows:
+            print(
+                f"  {row.label:<28} {row.level:<11} df={row.error_df:<3}"
+                f" power={row.power:.4f}"
+            )
+        off = diag.correlation[~np.eye(len(diag.labels), dtype=bool)]
+        finite = off[np.isfinite(off)]
+        worst = float(np.max(np.abs(finite))) if finite.size else float("nan")
+        print(f"largest |column correlation|: {worst:.4f}")
+        for a, b in diag.alias_warnings:
+            print(f"  warning: {a} aliased with {b}")
+        print("variance inflation")
+        for label, value in zip(diag.labels, diag.vif):
+            print(f"  {label:<28} {value:.4f}")
 
-    if args.out_prefix:
-        _write_table(
-            f"{args.out_prefix}power.csv",
-            ["term", "level", "variance_factor", "noncentrality", "error_df", "power"],
-            [
-                (r.label, r.level, r.variance_factor, r.noncentrality, r.error_df, r.power)
-                for r in report.rows
-            ],
-        )
-        _write_table(
-            f"{args.out_prefix}correlation.csv",
-            ["term", *diag.labels],
-            [
-                (label, *[diag.correlation[i, j] for j in range(len(diag.labels))])
-                for i, label in enumerate(diag.labels)
-            ],
-        )
-        _write_table(
-            f"{args.out_prefix}vif.csv",
-            ["term", "vif"],
-            list(zip(diag.labels, diag.vif)),
-        )
+        if outs:
+            _write_table(
+                outs[0],
+                ["term", "level", "variance_factor", "noncentrality", "error_df", "power"],
+                [
+                    (r.label, r.level, r.variance_factor, r.noncentrality, r.error_df, r.power)
+                    for r in report.rows
+                ],
+            )
+            _write_table(
+                outs[1],
+                ["term", *diag.labels],
+                [
+                    (label, *[diag.correlation[i, j] for j in range(len(diag.labels))])
+                    for i, label in enumerate(diag.labels)
+                ],
+            )
+            _write_table(outs[2], ["term", "vif"], list(zip(diag.labels, diag.vif)))
     return 0
 
 
@@ -441,52 +454,54 @@ def cmd_simulate(args) -> int:
     clash = set(existing) & set(truth.responses)
     if clash:
         raise ValidationError(f"design file already has response columns {sorted(clash)}")
-    table = simulate(design, truth, seed=args.seed)
-    merged = dict(existing)
-    merged.update(table.responses)
-    write_design_csv(args.out, design, merged)
+    with _output(args.out) as out:
+        table = simulate(design, truth, seed=args.seed)
+        merged = dict(existing)
+        merged.update(table.responses)
+        write_design_csv(out, design, merged)
     return 0
 
 
 def cmd_fit(args) -> int:
     model, table = _read_responses(args)
-    fit = reml_fit(table, model, response=args.response)
-    tests = fixed_effect_tests(fit)
+    with _outputs(*_prefixed(args.out_prefix, "coefficients", "tests", "residuals")) as outs:
+        fit = reml_fit(table, model, response=args.response)
+        tests = fixed_effect_tests(fit)
 
-    comps = fit.components
-    print(f"response: {fit.response}   n={fit.n_runs}")
-    print(
-        f"sigma2_gamma={comps.sigma2_gamma:.6g}  sigma2_epsilon={comps.sigma2_epsilon:.6g}"
-        f"  ratio={fit.ratio:.6g}" + ("  (boundary)" if fit.boundary else "")
-    )
-    print(f"R2={fit.r2:.4f}  RMSE={fit.rmse:.4f}")
-    if fit.f_overall is not None:
-        q, den = fit.df_overall
-        print(f"overall F({q},{den})={fit.f_overall:.4f}  p={fit.p_overall:.4g}")
-    print("term tests")
-    for t in tests:
+        comps = fit.components
+        print(f"response: {fit.response}   n={fit.n_runs}")
         print(
-            f"  {t.label:<28} {t.level:<11} F({t.df_num},{t.df_den})={t.f_stat:<10.4f}"
-            f" p={t.p_value:.4g}"
+            f"sigma2_gamma={comps.sigma2_gamma:.6g}  sigma2_epsilon={comps.sigma2_epsilon:.6g}"
+            f"  ratio={fit.ratio:.6g}" + ("  (boundary)" if fit.boundary else "")
         )
+        print(f"R2={fit.r2:.4f}  RMSE={fit.rmse:.4f}")
+        if fit.f_overall is not None:
+            q, den = fit.df_overall
+            print(f"overall F({q},{den})={fit.f_overall:.4f}  p={fit.p_overall:.4g}")
+        print("term tests")
+        for t in tests:
+            print(
+                f"  {t.label:<28} {t.level:<11} F({t.df_num},{t.df_den})={t.f_stat:<10.4f}"
+                f" p={t.p_value:.4g}"
+            )
 
-    if args.out_prefix:
-        se = np.sqrt(np.diag(fit.cov_beta))
-        _write_table(
-            f"{args.out_prefix}coefficients.csv",
-            ["column", "estimate", "se"],
-            [(lab, float(b), float(s)) for lab, b, s in zip(fit.labels, fit.beta, se)],
-        )
-        _write_table(
-            f"{args.out_prefix}tests.csv",
-            ["term", "level", "df_num", "df_den", "f", "p"],
-            [(t.label, t.level, t.df_num, t.df_den, t.f_stat, t.p_value) for t in tests],
-        )
-        _write_table(
-            f"{args.out_prefix}residuals.csv",
-            ["run", "whole_plot", "observed", "fitted", "residual"],
-            residual_report(fit),
-        )
+        if outs:
+            se = np.sqrt(np.diag(fit.cov_beta))
+            _write_table(
+                outs[0],
+                ["column", "estimate", "se"],
+                [(lab, float(b), float(s)) for lab, b, s in zip(fit.labels, fit.beta, se)],
+            )
+            _write_table(
+                outs[1],
+                ["term", "level", "df_num", "df_den", "f", "p"],
+                [(t.label, t.level, t.df_num, t.df_den, t.f_stat, t.p_value) for t in tests],
+            )
+            _write_table(
+                outs[2],
+                ["run", "whole_plot", "observed", "fitted", "residual"],
+                residual_report(fit),
+            )
     return 0
 
 
@@ -525,28 +540,29 @@ def _parse_goal(text: str) -> Goal:
 def cmd_profile(args) -> int:
     model, table = _read_responses(args)
     goals = [_parse_goal(g) for g in args.goal]
-    fits = {}
-    for g in goals:
-        if g.response not in table.responses:
-            raise ValidationError(f"goal references {g.response!r}; file has {table.names}")
-        if g.response not in fits:
-            fits[g.response] = reml_fit(table, model, response=g.response)
-    rec = optimize(fits, goals)
+    with _outputs(*([args.out] if args.out else [])) as outs:
+        fits = {}
+        for g in goals:
+            if g.response not in table.responses:
+                raise ValidationError(f"goal references {g.response!r}; file has {table.names}")
+            if g.response not in fits:
+                fits[g.response] = reml_fit(table, model, response=g.response)
+        rec = optimize(fits, goals)
 
-    print("recommended settings")
-    for name, natural, coded in rec.settings:
-        print(f"  {name:<28} {_fmt(natural):<12} (coded {_fmt(coded)})")
-    print("predicted responses")
-    for name, value, se in rec.predictions:
-        print(f"  {name:<28} {value:.4f} (se {se:.4f})")
-    print(f"desirability: {rec.desirability:.6f}")
+        print("recommended settings")
+        for name, natural, coded in rec.settings:
+            print(f"  {name:<28} {_fmt(natural):<12} (coded {_fmt(coded)})")
+        print("predicted responses")
+        for name, value, se in rec.predictions:
+            print(f"  {name:<28} {value:.4f} (se {se:.4f})")
+        print(f"desirability: {rec.desirability:.6f}")
 
-    if args.out:
-        _write_table(
-            args.out,
-            ["factor", "natural", "coded"],
-            [(name, natural, coded) for name, natural, coded in rec.settings],
-        )
+        if outs:
+            _write_table(
+                outs[0],
+                ["factor", "natural", "coded"],
+                [(name, natural, coded) for name, natural, coded in rec.settings],
+            )
     return 0
 
 

@@ -51,6 +51,13 @@ more than the scans of the starts they replace (on the tin model the two
 break even at three starts at 24 runs in 6 plots, and between three and
 four at 128 runs in 32).  Models whose row tables would pass _TABLE_CELLS
 floats run one start at a time too.
+
+The two exchangers differ only in how a scan runs.  They share one copy
+of each rule a start's record depends on: the start draw and the sweep
+order (_Search), the convergence test (_converged), M^-1 with its cond_1
+rule (_screen_inverse) and the log det of an exact score (_log_det).  The
+last two take one M or a stack of them, and each slice of a stack is the
+one-M call bit for bit.
 """
 
 from __future__ import annotations
@@ -252,11 +259,32 @@ def expand_model_matrix(design: Design, model: ModelSpec) -> np.ndarray:
     return model_matrix(model, design.settings)
 
 
-def _log_det(m: np.ndarray) -> float:
+def _log_det(m: np.ndarray):
+    """log det of one M, as a float, or of each M of an (S, p, p) stack, as an array: -inf
+    unless slogdet's sign is positive and its log finite.  A stack's slices equal one M's
+    calls bit for bit."""
     sign, ld = _slogdet(m)
-    if sign <= 0 or not np.isfinite(ld):
-        return float("-inf")
-    return float(ld)
+    ok = (sign > 0) & (abs(ld) < np.inf)  # abs(nan) < inf is False
+    if m.ndim == 2:  # _OneStart's exact scores: a branch costs a third of np.where here
+        return float(ld) if ok else -math.inf
+    return np.where(ok, ld, -np.inf)
+
+
+def _screen_inverse(m: np.ndarray):
+    """M^-1 of one held M, or of each M of a stack, and whether cond_1(M) <= _SCREEN_MAX_COND
+    lets the screen use it.  Called only at log det > 0: the LU of slogdet found no zero
+    pivot in M.  A stack's slices equal one M's calls bit for bit."""
+    minv = _inv(m)
+    cond = np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(minv).sum(axis=-2).max(axis=-1)
+    return minv, cond <= _SCREEN_MAX_COND
+
+
+def _converged(best, sweep_start):
+    """Whether a sweep from sweep_start to best ends a start's search, for one start or an
+    array of them: a start still escaping a singular start (log det -inf) keeps sweeping,
+    any other stops once a sweep gains at most EXCHANGE_TOL."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        return (best > -np.inf) & (best - sweep_start <= EXCHANGE_TOL)
 
 
 def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
@@ -267,8 +295,12 @@ def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
 
 class _Search:
     """What every exchange derives from its model, layout and ratio: the candidates
-    per factor, the hard and easy factors, each run as a one-run row set, and the
-    per-run weights of the screen."""
+    per factor, the hard and easy factors, one sweep's scans, the per-run weights of
+    the screen and the draw of a random start.
+
+    A sweep scans, in order, each plot's rows for every hard factor, then each run
+    for every easy factor; a scan's rows move together.
+    """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
         self.model = model
@@ -277,10 +309,21 @@ class _Search:
         self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
         self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
         self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
-        self.run_rows = tuple(np.arange(layout.n_runs)[:, None])
+        self.sweep = [(rows, fi) for rows in layout.plot_rows for fi in self.hard]
+        self.sweep += [(rows, fi) for rows in np.arange(layout.n_runs)[:, None] for fi in self.easy]
         sizes = layout.sizes[layout.zero_based]  # m_i of each run's plot
         self.run_plot_keep = 1.0 / (1.0 + sizes * ratio)  # 1 - m_i w_i
         self.run_keep = (1.0 + (sizes - 1) * ratio) * self.run_plot_keep  # 1 - w_i
+
+    def draw(self, rng) -> np.ndarray:
+        """A random start: each run's candidate index per factor, a hard factor's per plot."""
+        layout = self.layout
+        levels = np.empty((layout.n_runs, len(self.cands)), dtype=np.intp)
+        for fi in self.hard:
+            levels[:, fi] = rng.choice(len(self.cands[fi]), size=layout.n_plots)[layout.zero_based]
+        for fi in self.easy:
+            levels[:, fi] = rng.choice(len(self.cands[fi]), size=layout.n_runs)
+        return levels
 
 
 class _OneStart(_Search):
@@ -298,13 +341,14 @@ class _OneStart(_Search):
     A scan of one run first screens its candidates with the determinant
     lemma of the module docstring.  criterion keeps the M and S it scored,
     the incumbent holds those of its own exact score, and an accept costs
-    the screen one inv of the held M; u_r, w_r = u_r' M^{-1} (with one
-    refinement step) and e_r are formed per run on first use and kept until
-    the next accept.  A candidate is skipped only when its screened log det
-    + _SCREEN_MARGIN is at most the scan's best exact value so far; the rest
-    are scored exactly, and only an exact value is ever accepted.  The
-    screen is off while the incumbent's log det is <= 0 or cond_1(M) >
-    _SCREEN_MAX_COND, and for scans that move a plot of more than one run.
+    the screen one _screen_inverse of the held M; u_r, w_r = u_r' M^{-1} (with
+    one refinement step) and e_r are formed per run when that run is first
+    screened and kept until the next accept.  A candidate is skipped only
+    when its screened log det + _SCREEN_MARGIN is at most the scan's best
+    exact value so far; the rest are scored exactly, and only an exact value
+    is ever accepted.  The screen is off while the incumbent's log det is <=
+    0 or cond_1(M) > _SCREEN_MAX_COND, and for scans that move a plot of more
+    than one run.
     """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
@@ -321,14 +365,8 @@ class _OneStart(_Search):
         return _log_det(m)
 
     def random_start(self, rng) -> np.ndarray:
-        n = self.layout.n_runs
-        settings = np.empty((n, len(self.model.factors)))
-        for fi in self.hard:
-            per_plot = rng.choice(self.cands[fi], size=self.layout.n_plots)
-            settings[:, fi] = per_plot[self.layout.zero_based]
-        for fi in self.easy:
-            settings[:, fi] = rng.choice(self.cands[fi], size=n)
-        return settings
+        levels = self.draw(rng)
+        return np.stack([c[levels[:, j]] for j, c in enumerate(self.cands)], -1)
 
     def _block(self, settings_row, fi):
         """model_matrix of settings_row at each candidate of factor fi, cached."""
@@ -359,9 +397,8 @@ class _OneStart(_Search):
             return None
         m, s = self.held
         if self.lemma is None:  # M^-1 of the held M, once per incumbent
-            minv = _inv(m)  # best > 0: the LU of slogdet found no zero pivot in m
-            cond = np.abs(m).sum(axis=0).max() * np.abs(minv).sum(axis=0).max()
-            self.lemma = (minv, {}) if cond <= _SCREEN_MAX_COND else False
+            minv, ok = _screen_inverse(m)
+            self.lemma = (minv, {}) if ok else False
         if self.lemma is False:
             return None
         minv, terms = self.lemma
@@ -427,15 +464,9 @@ class _OneStart(_Search):
         self.evaluations, self.screened, self.held, self.lemma = 1, 0, self.scored, None
         for sweeps in range(1, _MAX_SWEEPS + 1):
             sweep_start = best
-            for rows in self.layout.plot_rows:
-                for fi in self.hard:
-                    best = self._scan(settings, x, rows, fi, best, rng)
-            for rows in self.run_rows:
-                for fi in self.easy:
-                    best = self._scan(settings, x, rows, fi, best, rng)
-            if best == float("-inf"):
-                continue  # still escaping a singular start
-            if best - sweep_start <= EXCHANGE_TOL:
+            for rows, fi in self.sweep:
+                best = self._scan(settings, x, rows, fi, best, rng)
+            if _converged(best, sweep_start):
                 break
         return settings, (best, sweeps, self.evaluations, self.screened)
 
@@ -451,17 +482,17 @@ class _Exchanger(_Search):
 
     Each start is one row of stacked state: its run codes, its incumbent's
     log det, the held (M, S) of that incumbent's exact score, its lemma
-    terms (M^-1 and whether cond_1(M) lets it screen, formed at the first
-    screen after an accept; w_r and e_r, formed per run on first use) and
-    its counts.  Starts sweep the coordinates in _OneStart's order, and each
-    scan moves every active start at once:
+    terms and its counts.  The lemma terms (M^-1, whether cond_1(M) lets it
+    screen, and every run's w_r and e_r) are formed in _refresh, at the
+    first screen after an accept, as one (1, p) slice per run, so each
+    rounds as _OneStart's per-run product.  Starts sweep the coordinates in
+    _OneStart's order, and each scan moves every active start at once:
 
     - a one-run scan screens every start's candidates in one call
-      (_screen), with _OneStart's terms and its rules for when the screen
-      is off;
+      (_screen), with _OneStart's rules for when the screen is off;
     - the (start, candidate) pairs that no screen rules out against the
       start's incumbent are scored exactly in one _stacked_information_sums
-      and _slogdet, whose slices round as one start's 2-D calls;
+      and _log_det, whose slices round as one start's 2-D calls;
     - each start then takes the outcome _OneStart's scan gives: the first
       strictly best candidate, or the incumbent.  A start that tried more
       than one candidate replays them in order, because each accept raises
@@ -481,11 +512,10 @@ class _Exchanger(_Search):
     def _criteria(self, codes):
         """Exact log det (-inf when singular), M and S of each design, one per row of codes."""
         m, s = _stacked_information_sums(self.layout, self.table[codes], self.ratio)
-        sign, ld = _slogdet(m)
-        return np.where((sign > 0) & np.isfinite(ld), ld, -np.inf), m, s
+        return _log_det(m), m, s
 
     def _refresh(self):
-        """M^-1 of the held M of each start whose incumbent changed, once its log D is > 0.
+        """The lemma terms of each start whose incumbent changed, once its log D is > 0.
 
         Afterwards lemma is True exactly for the starts that screen: log D > 0 and
         cond_1(M) <= _SCREEN_MAX_COND (log D only rises, so a start whose log D
@@ -493,35 +523,24 @@ class _Exchanger(_Search):
         fresh = self.stale & (self.best > 0)
         if fresh.any():
             idx = np.flatnonzero(fresh)
-            m = self.m[idx]
-            minv = _inv(m)  # best > 0: the LU of slogdet found no zero pivot in m
-            cond = np.abs(m).sum(axis=1).max(axis=1) * np.abs(minv).sum(axis=1).max(axis=1)
-            ok = cond <= _SCREEN_MAX_COND
+            m, s, layout = self.m[idx], self.s[idx], self.layout
+            minv, ok = _screen_inverse(m)
             if not ok.all():
                 minv[~ok] = 0.0  # a start that may not screen computes on zeros, not on noise
+            # u_r = x_r - w_i s_i, written as (x_r - mean_i) + mean_i / (1 + m_i eta),
+            # which keeps plot-constant columns from cancelling at large eta
+            mean = (s / layout.sizes[:, None])[:, layout.zero_based]
+            u = (self.table[self.codes[idx]] - mean) + mean * self.run_plot_keep[:, None]
+            # (1, p) @ (p, p) slices, one per start and run: each rounds as one run's
+            # vector-matrix product.  One refinement step: inv alone leaves w a few ulps
+            # off the solve, and about half its entries off the correctly rounded one
+            u, minv_r = u[:, :, None], minv[:, None]
+            w = u @ minv_r
+            w += (u - w @ m[:, None]) @ minv_r
+            self.w[idx], self.e[idx] = w[:, :, 0], (w @ np.swapaxes(u, -1, -2))[:, :, 0, 0]
             self.minv[idx], self.lemma[idx] = minv, ok
             self.stale[idx] = False
         self.dirty = False
-
-    def _terms(self, r, c):
-        """w_r = u_r' M^-1 and e_r for each start that screens run r and lacks them."""
-        need = self.lemma & self.missing[:, r]
-        if need.any():
-            idx = np.flatnonzero(need)
-            i = self.layout.zero_based[r]
-            # u_r = x_r - w_i s_i, written as (x_r - mean_i) + mean_i / (1 + m_i eta),
-            # which keeps plot-constant columns from cancelling at large eta
-            mean = self.s[idx, i] / self.layout.sizes[i]
-            u = ((self.table[c[idx]] - mean) + mean * self.run_plot_keep[r])[:, None]
-            minv = self.minv[idx]
-            # (1, p) @ (p, p) slices: each rounds as one start's vector-matrix product
-            w = u @ minv
-            # one refinement step: inv alone leaves w a few ulps off the solve, and
-            # about half its entries off the correctly rounded one
-            w += (u - w @ self.m[idx]) @ minv
-            self.w[idx, r] = w[:, 0]
-            self.e[idx, r] = (w @ np.swapaxes(u, -1, -2))[:, 0, 0]
-            self.missing[idx, r] = False
 
     def _screen(self, r, fi, c):
         """Screened log det of each start's candidates for run r's factor fi.
@@ -531,7 +550,6 @@ class _Exchanger(_Search):
         """
         if self.dirty:
             self._refresh()
-        self._terms(r, c)
         d = self.deltas[fi][c]
         a = np.einsum("kij,kij->ki", d @ self.minv, d)
         b = (d @ self.w[:, r, :, None])[..., 0]
@@ -592,13 +610,13 @@ class _Exchanger(_Search):
             self.s[moved[scored]] = s[held[scored]]
             self.best = best.copy()  # the sweep's start keeps its own
             self.best[moved] = gain
-            self.stale[moved] = self.missing[moved] = True
+            self.stale[moved] = True
             self.dirty = True
 
     def _keep(self, keep):
         """Keep only the starts where keep is True."""
         for name in ("ids", "codes", "best", "m", "s", "minv", "lemma", "stale", "w", "e",
-                     "missing", "evaluations", "screened"):
+                     "evaluations", "screened"):
             setattr(self, name, getattr(self, name)[keep])
         self.rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
         self.dirty = True
@@ -612,21 +630,14 @@ class _Exchanger(_Search):
         """
         layout, n_starts = self.layout, len(rngs)
         n, counts = layout.n_runs, [len(c) for c in self.cands]
-        levels = np.empty((n_starts, n, len(counts)), dtype=np.intp)
-        for k, rng in enumerate(rngs):  # as _OneStart.random_start draws them
-            for fi in self.hard:
-                levels[k, :, fi] = rng.choice(counts[fi], size=layout.n_plots)[layout.zero_based]
-            for fi in self.easy:
-                levels[k, :, fi] = rng.choice(counts[fi], size=n)
         self.ids, self.rngs = np.arange(n_starts), list(rngs)
-        self.codes = levels @ _radix(counts)
+        self.codes = np.stack([self.draw(rng) for rng in rngs]) @ _radix(counts)
         self.best, self.m, self.s = self._criteria(self.codes)
         p = self.table.shape[1]
         self.minv = np.zeros((n_starts, p, p))
         self.lemma = np.zeros(n_starts, dtype=bool)
         self.stale = np.ones(n_starts, dtype=bool)
         self.w, self.e = np.zeros((n_starts, n, p)), np.zeros((n_starts, n))
-        self.missing = np.ones((n_starts, n), dtype=bool)  # w_r and e_r not yet formed
         self.evaluations = np.ones(n_starts, dtype=np.intp)
         self.screened = np.zeros(n_starts, dtype=np.intp)
         self.dirty = True
@@ -634,17 +645,9 @@ class _Exchanger(_Search):
         records = [None] * n_starts
         for sweeps in range(1, _MAX_SWEEPS + 1):
             sweep_start = self.best
-            for rows in layout.plot_rows:
-                for fi in self.hard:
-                    self._scan(rows, fi)
-            for rows in self.run_rows:
-                for fi in self.easy:
-                    self._scan(rows, fi)
-            # a start still escaping a singular start (log det -inf) keeps sweeping
-            with np.errstate(invalid="ignore"):  # -inf - -inf
-                done = (self.best > -np.inf) & (self.best - sweep_start <= EXCHANGE_TOL)
-            if sweeps == _MAX_SWEEPS:
-                done[:] = True
+            for rows, fi in self.sweep:
+                self._scan(rows, fi)
+            done = _converged(self.best, sweep_start) | (sweeps == _MAX_SWEEPS)
             for k in np.flatnonzero(done).tolist():
                 start = self.ids[k]
                 final[start] = self.codes[k]

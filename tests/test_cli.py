@@ -754,6 +754,48 @@ def test_unwritable_design_output_fails_before_the_search(
     assert capsys.readouterr().err.startswith(f"error: cannot write output file {target}: ")
 
 
+@pytest.mark.parametrize("command", ["plan", "eval", "fit", "profile"])
+@pytest.mark.parametrize("failure", ["directory", "missing_dir"])
+def test_an_output_that_cannot_be_opened_fails_before_anything_is_printed(
+    model_file, truth_file, tmp_path, capsys, command, failure
+):
+    """Every output is opened before the command computes or prints: where the last one
+    is a directory or lies in a missing one, the command exits 2 with empty stdout,
+    leaves the earlier outputs' existing files as they were, and names the target,
+    not its temporary file."""
+    design_path, data_path = tmp_path / "design.csv", tmp_path / "data.csv"
+    assert main(["design", str(model_file), "--runs", "12", "--whole-plots", "4",
+                 "--starts", "3", "--seed", "2", "--out", str(design_path)]) == 0
+    assert main(["simulate", str(model_file), str(design_path), "--truth", str(truth_file),
+                 "--out", str(data_path)]) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    prefix = out_dir / "p_" if failure == "directory" else tmp_path / "missing" / "p_"
+    argv, names = {
+        "plan": (["plan", str(model_file)], ["whole_plot", "subplot"]),
+        "eval": (["eval", str(model_file), str(design_path)], ["power", "correlation", "vif"]),
+        "fit": (["fit", str(model_file), str(data_path)], ["coefficients", "tests", "residuals"]),
+        "profile": (["profile", str(model_file), str(data_path), "--goal", "y:maximize",
+                     "--out", f"{prefix}rec.csv"], ["rec"]),
+    }[command]
+    if command != "profile":
+        argv += ["--out-prefix", str(prefix)]
+    targets = [prefix.parent / f"p_{name}.csv" for name in names]
+    if failure == "directory":
+        for target in targets[:-1]:
+            target.write_bytes(b"keep these bytes\n")
+        targets[-1].mkdir()
+    before = sorted((p.name, p.is_dir() or p.read_bytes()) for p in out_dir.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    failed = targets[-1] if failure == "directory" else targets[0]
+    assert captured.err.startswith(f"error: cannot write output file {failed}: ")
+    assert ".tmp" not in captured.err
+    assert sorted((p.name, p.is_dir() or p.read_bytes()) for p in out_dir.iterdir()) == before
+
+
 def test_negative_seeds_exit_2(model_file, truth_file, tmp_path, capsys):
     rc = main(["design", str(model_file), "--runs", "8", "--whole-plots", "4", "--seed", "-1"])
     assert rc == 2

@@ -570,6 +570,47 @@ def test_criterion_invariant_to_run_permutation_and_plot_relabeling_on_random_de
     assert d_criterion(relabeled, model, ratio) == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_the_shared_rules_on_a_stack_equal_one_matrix_at_a_time(p, data):
+    """The log-D and conditioning rules both exchangers read give each slice of a
+    (k, p, p) stack exactly what one 2-D call gives that slice: that is what lets the
+    lockstep reproduce one start's records.  Slices are well conditioned, scaled past
+    the cond_1 limit, exactly singular (a zero row and column) or negated."""
+    kinds = data.draw(st.lists(st.sampled_from(["well", "ill", "singular", "negated"]),
+                               min_size=1, max_size=6))
+    stack = []
+    for kind in kinds:
+        b = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=p * p, max_size=p * p)))
+        m = b.reshape(p, p) @ b.reshape(p, p).T + p * np.eye(p)  # eigenvalues in [p, p + p^2]
+        if kind == "ill":
+            scale = np.ones(p)
+            scale[-1] = 1e-6
+            m = m * scale * scale[:, None]
+        elif kind == "singular":
+            m[-1], m[:, -1] = 0.0, 0.0
+        elif kind == "negated":
+            m = -m
+        stack.append(m)
+    stack = np.stack(stack)
+
+    log_d = design_gen._log_det(stack)
+    assert log_d.tobytes() == np.array([design_gen._log_det(m) for m in stack]).tobytes()
+    for kind, value, m in zip(kinds, log_d.tolist(), stack):
+        if kind == "singular" or (kind == "negated" and p % 2):
+            assert value == -np.inf
+        else:
+            assert value == np.linalg.slogdet(m)[1]
+
+    nonsingular = [k for k, kind in enumerate(kinds) if kind != "singular"]
+    if nonsingular:
+        minv, ok = design_gen._screen_inverse(stack[nonsingular])
+        for k, m_inv, m_ok in zip(nonsingular, minv, ok.tolist()):
+            one_inv, one_ok = design_gen._screen_inverse(stack[k])
+            assert m_inv.tobytes() == one_inv.tobytes() and m_ok is bool(one_ok)
+            assert m_ok == (kinds[k] != "ill" or p == 1)  # a 1 x 1 M has cond_1 = 1
+
+
 def check_every_screen(worker):
     """Wrap a lockstep worker's _screen so that each call checks its output against
     exact scores.
@@ -706,39 +747,58 @@ def test_the_held_state_is_the_incumbents(tin_model):
 
 @pytest.mark.parametrize("ratio", [1e4, 1e6])
 def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
-    """Each (w_r, e_r) the lockstep forms, against a 40-digit solve of the held M for
-    the screen's own u_r; a dense float reference is too coarse at these ratios.  Both
-    are within a few ulps of the solve with or without the refinement step, but the
-    step makes more entries of w_r the correctly rounded solve: 64 % and 62 % of
-    them at these ratios, against 48 % with inv alone."""
+    """Each (w_r, e_r) a screen reads, against a 40-digit solve of the held M for the
+    screen's own u_r; a dense float reference is too coarse at these ratios.  Both
+    exchangers are checked, each run once per incumbent: the lockstep forms every run's
+    terms in _refresh, one start at a time forms a run's terms when that run is first
+    screened.  Both are within a few ulps of the solve with or without the refinement
+    step, but the step makes more entries of w_r the correctly rounded solve: 64 % and
+    62 % of them at these ratios in either exchanger, against 48 % with inv alone."""
     layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
+    run_plot_keep = design_gen._Search(tin_model, layout, ratio).run_plot_keep
+    inverses, rounded = {}, {"lockstep": [], "one start": []}
+    seen = {arm: set() for arm in rounded}
+
+    def check(arm, m, s, x_r, r, w, e):
+        if (m.tobytes(), r) in seen[arm]:
+            return
+        seen[arm].add((m.tobytes(), r))
+        if m.tobytes() not in inverses:
+            inverses[m.tobytes()] = mpmath.inverse(mpmath.matrix(m.tolist()))
+        i = layout.zero_based[r]
+        mean = s[i] / layout.sizes[i]
+        u = (x_r - mean) + mean * run_plot_keep[r]  # as the screen forms it
+        exact = mpmath.matrix([u.tolist()]) * inverses[m.tobytes()]
+        want = np.array([float(v) for v in exact])
+        want_e = float(mpmath.fsum(v * float(uj) for v, uj in zip(exact, u)))
+        assert np.all(np.abs(w - want) <= 1e-14 * np.abs(want))
+        assert abs(e - want_e) <= 4 * np.spacing(want_e)
+        rounded[arm].extend(w == want)
+
     worker = design_gen._Exchanger(tin_model, layout, ratio)
-    terms = worker._terms
-    inverses, rounded = {}, []
+    one = design_gen._OneStart(tin_model, layout, ratio)
+    lockstep_screen, one_screen = worker._screen, one._screen
 
-    def checked_terms(r, c):
-        before = worker.missing[:, r].copy()
-        terms(r, c)
-        for k in np.flatnonzero(before & ~worker.missing[:, r]).tolist():
-            m, s = worker.m[k], worker.s[k]
-            if m.tobytes() not in inverses:
-                inverses[m.tobytes()] = mpmath.inverse(mpmath.matrix(m.tolist()))
-            i = layout.zero_based[r]
-            mean = s[i] / layout.sizes[i]
-            u = (worker.table[c[k]] - mean) + mean * worker.run_plot_keep[r]  # as the screen forms it
-            exact = mpmath.matrix([u.tolist()]) * inverses[m.tobytes()]
-            want = np.array([float(v) for v in exact])
-            want_e = float(mpmath.fsum(v * float(uj) for v, uj in zip(exact, u)))
-            w, e = worker.w[k, r], worker.e[k, r]
-            assert np.all(np.abs(w - want) <= 1e-14 * np.abs(want))
-            assert abs(e - want_e) <= 4 * np.spacing(want_e)
-            rounded.extend(w == want)
+    def checked_lockstep_screen(r, fi, c):
+        out = lockstep_screen(r, fi, c)
+        for k in np.flatnonzero(worker.lemma).tolist():
+            check("lockstep", worker.m[k], worker.s[k], worker.table[c[k]], r, worker.w[k, r],
+                  worker.e[k, r])
+        return out
 
-    worker._terms = checked_terms
+    def checked_one_screen(settings, x, r, fi, best):
+        out = one_screen(settings, x, r, fi, best)
+        if one.lemma:
+            check("one start", *one.held, x[r], r, *one.lemma[1][r])
+        return out
+
+    worker._screen, one._screen = checked_lockstep_screen, checked_one_screen
     with mpmath.workdps(40):
         worker.run([np.random.default_rng(1)])
-    assert len(rounded) > 1000
-    assert np.mean(rounded) >= 0.56
+        one.run(np.random.default_rng(1))
+    for arm in rounded.values():
+        assert len(arm) > 1000
+        assert np.mean(arm) >= 0.56
 
 
 def test_the_screen_replaces_most_exact_scores(tin_model):
