@@ -37,6 +37,16 @@ scored exactly.  It is off, and every candidate is scored exactly, for
 scans that move a plot of more than one run, while the incumbent's log det
 is at most 0, and while cond_1(M) exceeds 1e8.
 
+One start at a time (_OneStart), the one-run scans on one row in a row (a
+run's easy factors, a one-run plot's hard factors) are screened in one call
+per incumbent, on the stack of their candidate rows, and a scan whose
+candidates are all ruled out against the incumbent is counted as screened
+and not entered.  An accept or a restart screens the rest of the group
+again.  Each screened value rounds as the scan's own screen would (BLAS
+may round a row of a product by how many rows share the call, so the
+products with M^-1 and w_r stay one call per scan), so this too changes no
+design and no Design.search record.
+
 From _LOCKSTEP_STARTS = 4 starts up the starts run in lockstep
 (_Exchanger): each start's settings codes, incumbent, held (M, S), lemma
 terms, counts and active flag are rows of stacked arrays, every
@@ -338,24 +348,40 @@ class _OneStart(_Search):
     byte for byte and every criterion value, tie and seeded design is what
     a full rebuild per candidate would give.
 
-    A scan of one run first screens its candidates with the determinant
-    lemma of the module docstring.  criterion keeps the M and S it scored,
-    the incumbent holds those of its own exact score, and an accept costs
-    the screen one _screen_inverse of the held M; u_r, w_r = u_r' M^{-1} (with
-    one refinement step) and e_r are formed per run when that run is first
-    screened and kept until the next accept.  A candidate is skipped only
-    when its screened log det + _SCREEN_MARGIN is at most the scan's best
-    exact value so far; the rest are scored exactly, and only an exact value
-    is ever accepted.  The screen is off while the incumbent's log det is <=
-    0 or cond_1(M) > _SCREEN_MAX_COND, and for scans that move a plot of more
-    than one run.
+    The sweep's scans run in groups (self.groups): consecutive scans of one run,
+    that is a run's easy factors or a one-run plot's hard factors, form a
+    group, and every other scan is a group of its own.  A group of one run
+    is screened with the determinant lemma of the module docstring in one
+    _screen call per incumbent, on the stack of its scans' candidate rows
+    (_stack, cached per settings row like the blocks).  criterion keeps the
+    M and S it scored, the incumbent holds those of its own exact score, and
+    an accept costs the screen one _screen_inverse of the held M; u_r,
+    w_r = u_r' M^{-1} (with one refinement step) and e_r are formed per run
+    when that run is first screened and kept until the next accept.  A scan
+    whose every candidate but the current one is ruled out against the
+    incumbent (screened log det + _SCREEN_MARGIN <= its log det) is counted
+    as screened and not entered; in the others a candidate is skipped only
+    when it is ruled out against the scan's best exact value so far, the rest
+    are scored exactly, and only an exact value is ever accepted.  A scan
+    that changes the incumbent ends the group's screen: the rest of the
+    group is screened again.  The screen is off while the incumbent's log
+    det is <= 0 or cond_1(M) > _SCREEN_MAX_COND, and for scans that move a
+    plot of more than one run.
     """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
         super().__init__(model, layout, ratio)
         self.cand_index = [{c: k for k, c in enumerate(cands.tolist())} for cands in self.cands]
         self.first_bytes = [cands[:1].tobytes() for cands in self.cands]
+        self.groups = []
+        for rows, fi in self.sweep:
+            rows = rows.tolist()  # int indices: a row at a time is faster than fancy indexing
+            if len(rows) == 1 and self.groups and self.groups[-1][0] == rows:
+                self.groups[-1][1].append(fi)
+            else:
+                self.groups.append((rows, [fi]))
         self.blocks: dict[tuple[int, bytes], np.ndarray] = {}
+        self.stacks: dict[tuple[tuple[int, ...], bytes], tuple] = {}
         self.scored = self.held = None  # (M, S) of the last exact score and of the incumbent
         self.lemma = None  # (M^-1, {r: (w_r, e_r)}) of the incumbent, False if off, None if stale
         self.evaluations = self.screened = 0
@@ -381,28 +407,50 @@ class _OneStart(_Search):
             block = self.blocks[key] = model_matrix(self.model, trial)
         return block
 
-    def _set(self, settings, x, rows, fi, k):
-        """Set factor fi of rows to its candidate k and copy their block rows into x."""
-        for r in rows:
-            x[r] = self._block(settings[r], fi)[k]
-        settings[rows, fi] = self.cands[fi][k]
+    def _stack(self, settings_row, fis):
+        """The candidate rows of the scans of factors fis on one settings row, cached.
 
-    def _screen(self, settings, x, r, fi, best):
-        """Screened log det for each candidate of run r's factor fi, or None if off.
-
-        A determinant ratio that is not positive screens as nan, which is
-        never skipped.
+        Returns fis's blocks stacked and, per scan, its factor, its block, its
+        first and end row in the stack and the stack row of its current candidate.
         """
-        if not best > 0:
-            return None
-        m, s = self.held
-        if self.lemma is None:  # M^-1 of the held M, once per incumbent
-            minv, ok = _screen_inverse(m)
+        key = tuple(fis), settings_row.tobytes()
+        entry = self.stacks.get(key)
+        if entry is None:
+            blocks, scans, at = [self._block(settings_row, fi) for fi in fis], [], 0
+            for fi, block in zip(fis, blocks):
+                current = at + self.cand_index[fi][settings_row[fi]]
+                scans.append((fi, block, at, at + len(block), current))
+                at += len(block)
+            entry = self.stacks[key] = np.concatenate(blocks), scans
+        return entry
+
+    def _set(self, settings, x, rows, fi, blocks, k):
+        """Set factor fi of rows to its candidate k and copy row k of each row's block into x."""
+        value = self.cands[fi][k]
+        for r, block in zip(rows, blocks):
+            x[r] = block[k]
+            settings[r, fi] = value
+
+    def _screen(self, settings, x, r, fis, best):
+        """The scans of factors fis on run r, in sweep order, against the incumbent.
+
+        One (fi, block, screened, ruled_out) per scan: fi's block of the run's
+        settings row, the screened log det of each candidate (None while the
+        screen is off) and whether that rules out every candidate but the
+        current one.  A determinant ratio that is not positive screens as nan,
+        which is never ruled out.  Each value equals what the scan screened on
+        its own would give: the elementwise steps and the row sums run on the
+        stack, the products with M^-1 and w_r one scan at a time.
+        """
+        stack, scans = self._stack(settings[r], fis)
+        if best > 0 and self.lemma is None:  # M^-1 of the held M, once per incumbent
+            minv, ok = _screen_inverse(self.held[0])
             self.lemma = (minv, {}) if ok else False
-        if self.lemma is False:
-            return None
+        if not best > 0 or not self.lemma:
+            return [(fi, block, None, False) for fi, block, _, _, _ in scans]
         minv, terms = self.lemma
         if r not in terms:  # w_r = u_r' M^-1 and e_r, once per run and incumbent
+            m, s = self.held
             i = self.layout.zero_based[r]
             # u_r = x_r - w_i s_i, written as (x_r - mean_i) + mean_i / (1 + m_i eta),
             # which keeps plot-constant columns from cancelling at large eta
@@ -414,19 +462,29 @@ class _OneStart(_Search):
             w += (u - w.dot(m)).dot(minv)
             terms[r] = w, float(w.dot(u))
         w_r, e_r = terms[r]
-        d = self._block(settings[r], fi) - x[r]
-        keep = self.run_keep[r]
-        out = []
-        for a, b in zip(np.einsum("ij,ij->i", d.dot(minv), d).tolist(), d.dot(w_r).tolist()):
-            det_ratio = (1.0 + b) ** 2 + a * (keep - e_r)
-            out.append(best + math.log(det_ratio) if det_ratio > 0 else math.nan)
-        return out
+        d = stack - x[r]
+        # one product per scan, as each scan's own screen made them: BLAS may round a
+        # row by how many rows share its call
+        per_scan = [d[lo:hi] for _, _, lo, hi, _ in scans]
+        dm = np.concatenate([d_scan.dot(minv) for d_scan in per_scan])
+        dw = []
+        for d_scan in per_scan:
+            dw += d_scan.dot(w_r).tolist()
+        keep = float(self.run_keep[r]) - e_r  # a float: numpy scalars are slow in the loop
+        screened = []
+        for a, b in zip(np.einsum("ij,ij->i", dm, d).tolist(), dw):
+            det_ratio = (1.0 + b) ** 2 + a * keep
+            screened.append(best + math.log(det_ratio) if det_ratio > 0 else math.nan)
+        out = [v + _SCREEN_MARGIN <= best for v in screened]
+        return [(fi, block, screened[lo:hi], all(out[lo:current]) and all(out[current + 1:hi]))
+                for fi, block, lo, hi, current in scans]
 
-    def _scan(self, settings, x, rows, fi, best, rng):
-        """Try every candidate for one coordinate; ties keep the incumbent."""
+    def _scan(self, settings, x, rows, fi, best, rng, blocks, screened):
+        """Try every candidate for one coordinate; ties keep the incumbent.
+
+        Returns the incumbent's log det and whether the incumbent changed."""
         current = self.cand_index[fi][settings[rows[0], fi]]
         best_k, best_val, best_held = current, best, self.held
-        screened = self._screen(settings, x, rows[0], fi, best) if len(rows) == 1 else None
         moved = False
         for k in range(len(self.cands[fi])):
             if k == current:
@@ -435,7 +493,7 @@ class _OneStart(_Search):
                 self.screened += 1
                 if screened[k] + _SCREEN_MARGIN <= best_val:
                     continue  # its exact value could not beat best_val
-            self._set(settings, x, rows, fi, k)
+            self._set(settings, x, rows, fi, blocks, k)
             moved = True
             val = self.criterion(x)
             self.evaluations += 1
@@ -448,10 +506,10 @@ class _OneStart(_Search):
             self.held, self.lemma = best_held, None
             moved = True
         if moved:
-            self._set(settings, x, rows, fi, best_k)
+            self._set(settings, x, rows, fi, blocks, best_k)
         if not best_val >= best:  # exchange never walks downhill
             raise NumericalError(f"exchange criterion must not decrease: {best} -> {best_val}")
-        return best_val
+        return best_val, best_k != current
 
     def run(self, rng):
         """One start: its final settings and its Design.search record.
@@ -464,8 +522,23 @@ class _OneStart(_Search):
         self.evaluations, self.screened, self.held, self.lemma = 1, 0, self.scored, None
         for sweeps in range(1, _MAX_SWEEPS + 1):
             sweep_start = best
-            for rows, fi in self.sweep:
-                best = self._scan(settings, x, rows, fi, best, rng)
+            for rows, fis in self.groups:
+                if len(rows) > 1:  # a plot of several runs: every candidate scored exactly
+                    blocks = [self._block(settings[r], fis[0]) for r in rows]
+                    best, _ = self._scan(settings, x, rows, fis[0], best, rng, blocks, None)
+                    continue
+                j = 0
+                while j < len(fis):
+                    for fi, block, screened, ruled_out in self._screen(settings, x, rows[0],
+                                                                       fis[j:], best):
+                        j += 1
+                        if ruled_out:  # the scan would score nothing exactly and keep its incumbent
+                            self.screened += len(block) - 1
+                            continue
+                        best, changed = self._scan(settings, x, rows, fi, best, rng, [block],
+                                                   screened)
+                        if changed:
+                            break  # a new incumbent: screen the rest of the group against it
             if _converged(best, sweep_start):
                 break
         return settings, (best, sweeps, self.evaluations, self.screened)

@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import math
 from unittest.mock import patch
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitplot import (
@@ -436,11 +437,12 @@ def test_generated_criterion_matches_a_fresh_evaluation():
 
 
 @st.composite
-def exchange_cases(draw, max_plots=5):
-    """A random model (continuous and 2- or 3-level factors, hard and easy) on a
-    shuffled layout of unequal plots that always includes a one-run plot."""
+def exchange_cases(draw, max_plots=5, all_hard=False):
+    """A random model (continuous and 2- or 3-level factors, hard and easy, or all hard)
+    on a shuffled layout of unequal plots that always includes a one-run plot."""
     kinds = draw(st.lists(st.sampled_from(["continuous", 2, 3]), min_size=1, max_size=4))
-    hard = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    hard = [True] * len(kinds) if all_hard else draw(
+        st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
     factors = [
         define_factor(f"f{i}", "continuous", hard_to_change=h) if k == "continuous"
         else define_factor(f"f{i}", "categorical", levels=("p", "q", "r")[:k], hard_to_change=h)
@@ -750,10 +752,11 @@ def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
     """Each (w_r, e_r) a screen reads, against a 40-digit solve of the held M for the
     screen's own u_r; a dense float reference is too coarse at these ratios.  Both
     exchangers are checked, each run once per incumbent: the lockstep forms every run's
-    terms in _refresh, one start at a time forms a run's terms when that run is first
-    screened.  Both are within a few ulps of the solve with or without the refinement
-    step, but the step makes more entries of w_r the correctly rounded solve: 64 % and
-    62 % of them at these ratios in either exchanger, against 48 % with inv alone."""
+    terms in _refresh, one start at a time forms a run's terms when the first group of
+    scans on that run is screened.  Both are within a few ulps of the solve with or
+    without the refinement step, but the step makes more entries of w_r the correctly
+    rounded solve: 64 % and 62 % of them at these ratios in either exchanger, against
+    48 % with inv alone."""
     layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
     run_plot_keep = design_gen._Search(tin_model, layout, ratio).run_plot_keep
     inverses, rounded = {}, {"lockstep": [], "one start": []}
@@ -786,9 +789,9 @@ def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
                   worker.e[k, r])
         return out
 
-    def checked_one_screen(settings, x, r, fi, best):
-        out = one_screen(settings, x, r, fi, best)
-        if one.lemma:
+    def checked_one_screen(settings, x, r, fis, best):
+        out = one_screen(settings, x, r, fis, best)
+        if one.lemma:  # the group was screened, with its run's terms
             check("one start", *one.held, x[r], r, *one.lemma[1][r])
         return out
 
@@ -799,6 +802,128 @@ def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
     for arm in rounded.values():
         assert len(arm) > 1000
         assert np.mean(arm) >= 0.56
+
+
+def per_scan_screen(worker, settings, x, r, fi, best):
+    """The screened log det of each candidate of run r's factor fi, screened on its own, as
+    the one-start search screened every one-run scan before it screened them a group at a
+    time: the grouped screen's oracle.  None where that screen was off."""
+    if not best > 0:
+        return None
+    m, s = worker.held
+    minv, ok = design_gen._screen_inverse(m)
+    if not ok:
+        return None
+    i = worker.layout.zero_based[r]
+    mean = s[i] / worker.layout.sizes[i]
+    u = (x[r] - mean) + mean * worker.run_plot_keep[r]
+    w_r = u.dot(minv)
+    w_r += (u - w_r.dot(m)).dot(minv)
+    e_r = float(w_r.dot(u))
+    d = worker._block(settings[r], fi) - x[r]
+    keep = worker.run_keep[r]
+    out = []
+    for a, b in zip(np.einsum("ij,ij->i", d.dot(minv), d).tolist(), d.dot(w_r).tolist()):
+        det_ratio = (1.0 + b) ** 2 + a * (keep - e_r)
+        out.append(best + math.log(det_ratio) if det_ratio > 0 else math.nan)
+    return out
+
+
+def check_grouped_screen(model, layout, ratio, rng):
+    """Run one start, checking every grouped screen against per_scan_screen and every scan
+    the loop skips; returns the (run, factor) of each scan skipped.
+
+    Each grouped value must equal the oracle's by float.hex (None where the oracle is
+    off), and a scan is ruled out exactly when the oracle rules out every candidate but
+    the current one against the incumbent.  The loop must then skip exactly the ruled-out
+    scans it reaches: after each screen, its scans are entered in order, ruled-out ones
+    skipped, until a scan changes the incumbent, which drops the rest for a new screen.
+    """
+    one = design_gen._OneStart(model, layout, ratio)
+    screen, scan = one._screen, one._scan
+    events = []
+
+    def checked_screen(settings, x, r, fis, best):
+        out = screen(settings, x, r, fis, best)
+        entries = []
+        for fi, block, vals, ruled_out in out:
+            assert block is one._block(settings[r], fi)
+            want = per_scan_screen(one, settings, x, r, fi, best)
+            if want is None:
+                assert vals is None and not ruled_out
+            else:
+                assert [v.hex() for v in vals] == [v.hex() for v in want]
+                current = one.cand_index[fi][settings[r, fi]]
+                assert ruled_out == all(v + design_gen._SCREEN_MARGIN <= best
+                                        for k, v in enumerate(want) if k != current)
+            entries.append((r, fi, ruled_out))
+        events.append(("screen", entries))
+        return out
+
+    def logged_scan(settings, x, rows, fi, best, rng, blocks, screened):
+        out = scan(settings, x, rows, fi, best, rng, blocks, screened)
+        if len(rows) == 1:
+            events.append(("scan", (rows[0], fi, out[1])))
+        return out
+
+    one._screen, one._scan = checked_screen, logged_scan
+    with patch.object(design_gen, "_MAX_SWEEPS", 4):
+        one.run(rng)
+    skipped, queue = [], []
+    for kind, event in events + [("screen", [])]:
+        if kind == "screen":
+            assert all(ruled_out for _, _, ruled_out in queue)  # reached, so skipped
+            skipped += [entry[:2] for entry in queue]
+            queue = list(event)
+            continue
+        while queue[0][2]:
+            skipped.append(queue.pop(0)[:2])
+        assert queue.pop(0)[:2] == event[:2]
+        if event[2]:  # a new incumbent: the rest of the group is screened again
+            queue = []
+    return skipped
+
+
+def _three_factor_model():
+    """Two easy factors and a hard one, two of them 3-level categoricals: p = 14."""
+    return build_model([
+        define_factor("f0", "categorical", levels=("p", "q", "r")),
+        define_factor("f1", "continuous"),
+        define_factor("f2", "categorical", levels=("p", "q", "r"), hard_to_change=True),
+    ], "mains_and_all_2fi")
+
+
+@settings(max_examples=150, deadline=None)
+# a screen that multiplied a run's stacked rows in one BLAS call (6 rows for its two easy
+# scans) moved a near-singular candidate's value from -44.2 to nan here
+@example(case=(_three_factor_model(), WholePlotLayout((1, 2))), equal=(6, 3), seed=315924203,
+         ratio=0.0)
+@given(st.booleans().flatmap(lambda all_hard: exchange_cases(max_plots=8, all_hard=all_hard)),
+       st.one_of(st.none(), st.tuples(st.integers(2, 10), st.integers(1, 4))),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 7.5, 1e4, 1e8]))
+def test_the_grouped_screen_is_the_per_scan_screen_bit_for_bit(case, equal, seed, ratio):
+    """One start at a time, a run's one-run scans share one screen per incumbent; every
+    value it gives and every scan it skips is the per-scan screen's, on unequal plots with
+    a one-run plot, on equal plots (one run each at times) and on models with no easy
+    factor, where a one-run plot's hard scans are the only ones screened."""
+    model, layout = case
+    if equal is not None:
+        n_plots, size = equal
+        layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, n_plots + 1), size)))
+    check_grouped_screen(model, layout, ratio, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n_runs, n_plots, ratio",
+                         [(16, 12, 7.5), (48, 12, 1.0), (24, 6, 0.0), (96, 24, 1e4)])
+def test_the_grouped_screen_skips_scans_on_the_tin_model(tin_model, n_runs, n_plots, ratio):
+    """On the tin model the grouped screen passes check_grouped_screen and rules out
+    whole scans, the hard scans of one-run plots included at 16 runs in 12 plots."""
+    layout = WholePlotLayout(tuple(int(i) for i in np.repeat(
+        np.arange(1, n_plots + 1), assign_whole_plot_sizes(n_runs, n_plots))))
+    skipped = check_grouped_screen(tin_model, layout, ratio, np.random.default_rng(0))
+    assert skipped
+    hard = {i for i, f in enumerate(tin_model.factors) if f.hard_to_change}
+    assert any(fi in hard for _, fi in skipped) == (n_runs == 16)
 
 
 def test_the_screen_replaces_most_exact_scores(tin_model):
@@ -831,6 +956,10 @@ PINNED_DESIGNS = {
     (48, 12, 5, range(8), 7.5): "f6ad2f142c3d88f49ad3576f1273b59a3ff9186871c48c52232f41be9f400c4c",
     # eight one-run plots
     (16, 12, 5, range(8), 7.5): "cd4b5f787299077c8990bdcbc093db863cc86b40023c9a7c3e68ab2aa20745a0",
+    # one start at a time, recorded with the per-scan screen: eight one-run plots, so
+    # hard factors are screened, and a 24 x 6 search below the lockstep's start count
+    (16, 12, 2, range(8), 7.5): "2f42f727bda411e6ccd583c5a6b6b119a9f3a50e560b0b7af06621a2f401e8fd",
+    (24, 6, 3, range(20), 1.0): "370f31e5ed01a0e13ab882920023e90898b1ca384e4a70dba290428580f70b93",
 }
 # sha256 over repr(Design.search), seed by seed, for the same shapes: every start's
 # criterion, sweeps, exact and screened counts, recorded with the per-start search
@@ -841,15 +970,21 @@ PINNED_SEARCHES = {
     (48, 12, 5, range(8), 0.0): "3c68e8302377a2b58ce05ff33e374a0346b9f4f407b2f1e4b10227f995c03d0b",
     (48, 12, 5, range(8), 7.5): "264c78aa2f12f213474b1844b840eed55b0692cf48ba5493c84aa2a5e2093974",
     (16, 12, 5, range(8), 7.5): "3754fc4002126d2a10fd5f95bd9bdc487bc9147bfaa294536c71296499b69c22",
+    (16, 12, 2, range(8), 7.5): "31717dd222a8cd18109690625cd3ee787b8953195ba930838fe60c599aa71d4b",
+    (24, 6, 3, range(20), 1.0): "5e7969888915e10352e7e81bcdec95a3d9fbe0ae3069bf9f7a212fac0050e80e",
 }
 
 
-def _shape_id(shape):
-    n_runs, n_plots, _, _, ratio = shape
-    return f"{n_runs}x{n_plots}" + ("" if ratio == 1.0 else f"-ratio{ratio:g}")
+def _shape_ids(shapes):
+    """runs x plots and a ratio other than 1; a later shape of the same id adds its starts."""
+    ids = []
+    for n_runs, n_plots, n_starts, _, ratio in shapes:
+        base = f"{n_runs}x{n_plots}" + ("" if ratio == 1.0 else f"-ratio{ratio:g}")
+        ids.append(base if base not in ids else f"{base}-{n_starts}starts")
+    return ids
 
 
-@pytest.mark.parametrize("shape", list(PINNED_DESIGNS), ids=_shape_id)
+@pytest.mark.parametrize("shape", list(PINNED_DESIGNS), ids=_shape_ids(PINNED_DESIGNS))
 def test_seeded_designs_match_their_recorded_digests(tin_model, shape):
     n_runs, n_plots, n_starts, seeds, ratio = shape
     digest, searches = hashlib.sha256(), hashlib.sha256()
