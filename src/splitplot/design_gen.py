@@ -16,6 +16,10 @@ feasible design, sweep every coordinate against its candidate values and
 keep any strict improvement, until a full sweep improves the criterion by
 at most 1e-9.
 
+Both exchangers hold a settings row as one integer code: each factor's
+candidate index is a digit of a mixed-radix number, the last factor
+fastest (_Search.place), and _Search.decode maps codes back to settings.
+
 Candidates that change one run are screened before they are scored.  With
 M = X' V^{-1} X and the plot sums s_i of the incumbent, both kept from the
 exact score that accepted it, run r in plot i, u_r = x_r - w_i s_i (row r
@@ -29,23 +33,32 @@ so by the matrix determinant lemma (Arnouts & Goos 2010, CSDA 54:3381)
                    = (1 + b)^2 + a (1 - w_i - e),
     a = d' M^{-1} d,   b = d' M^{-1} u_r,   e = u_r' M^{-1} u_r.
 
-A candidate whose screened log det plus 1e-6 is at most the scan's best
-value so far cannot be accepted and is skipped; every other candidate is
-scored exactly, and the exact log det decides every accept.  So the screen
-changes no design, tie or criterion value, only how many candidates are
-scored exactly.  It is off, and every candidate is scored exactly, for
-scans that move a plot of more than one run, while the incumbent's log det
-is at most 0, and while cond_1(M) exceeds 1e8.
+Both screens form this ratio with the same operations in the same order
+(b + 1, its square, a (1 - w_i - e), one add), so they give the same bits.
+A candidate is ruled out, and skipped, when
+
+    0 < ratio <= exp(bar - log D - 1e-6),
+
+log D the incumbent's log det and bar the scan's best exact value so far:
+up to rounding, its screened log det log D + log(ratio), plus 1e-6, is at
+most bar.  Against the incumbent (bar = log D) the bound is exp(-1e-6);
+each accept raises it with one exp (_ratio_bound).  A ratio that is not
+positive is never ruled out.  Every other candidate is scored exactly, and
+the exact log det decides every accept.  So the screen changes no design,
+tie or criterion value, only how many candidates are scored exactly.  It
+is off, and every candidate is scored exactly, for scans that move a plot
+of more than one run, while the incumbent's log det is at most 0, and
+while cond_1(M) exceeds 1e8.
 
 One start at a time (_OneStart), the one-run scans on one row in a row (a
 run's easy factors, a one-run plot's hard factors) are screened in one call
 per incumbent, on the stack of their candidate rows, and a scan whose
 candidates are all ruled out against the incumbent is counted as screened
 and not entered.  An accept or a restart screens the rest of the group
-again.  Each screened value rounds as the scan's own screen would (BLAS
-may round a row of a product by how many rows share the call, so the
-products with M^-1 and w_r stay one call per scan), so this too changes no
-design and no Design.search record.
+again.  Each ratio rounds as the scan's own screen would (BLAS may round a
+row of a product by how many rows share the call, so the products with
+M^-1 and w_r stay one call per scan), so this too changes no design and no
+Design.search record.
 
 From _LOCKSTEP_STARTS = 4 starts up the starts run in lockstep
 (_Exchanger): each start's settings codes, incumbent, held (M, S), lemma
@@ -63,17 +76,21 @@ four at 128 runs in 32).  Models whose row tables would pass _TABLE_CELLS
 floats run one start at a time too.
 
 The two exchangers differ only in how a scan runs.  They share one copy
-of each rule a start's record depends on: the start draw and the sweep
-order (_Search), the convergence test (_converged), M^-1 with its cond_1
-rule (_screen_inverse) and the log det of an exact score (_log_det).  The
-last two take one M or a stack of them, and each slice of a stack is the
-one-M call bit for bit.
+of each rule a start's record depends on: the settings code, the start
+draw and the sweep order (_Search), the convergence test (_converged),
+M^-1 with its cond_1 rule (_screen_inverse), the log det of an exact
+score (_log_det) and the rule-out bound (_ratio_bound).  _screen_inverse
+and _log_det take one M or a stack of them, and each slice of a stack is
+the one-M call bit for bit.  The products with M^-1 and w_r and the
+ratio's last steps are written in each exchanger, in operations that round
+alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +103,7 @@ from .errors import NumericalError, ValidationError
 from .model_spec import Factor, ModelSpec
 
 EXCHANGE_TOL = 1e-9
-_SCREEN_MARGIN = 1e-6  # screened log det + margin <= best so far: skip the exact score
+_SCREEN_MARGIN = 1e-6  # 0 < ratio <= exp(best so far - log D - margin): skip the exact score
 _SCREEN_MAX_COND = 1e8  # above this cond_1(M) the incumbent is scored exactly
 _MAX_SWEEPS = 100
 _EXCHANGE_GRID = 3  # coded values -1, 0, +1 per continuous factor
@@ -297,6 +314,14 @@ def _converged(best, sweep_start):
         return (best > -np.inf) & (best - sweep_start <= EXCHANGE_TOL)
 
 
+def _ratio_bound(gain):
+    """The largest determinant ratio ruled out against a bar gain = bar - log D above the
+    incumbent's log det: a candidate is ruled out when 0 < ratio <= the bound.  Called only
+    where the screen is on (log D > 0, cond_1(M) <= _SCREEN_MAX_COND), where one exchange
+    gains far less than the 709 at which exp overflows."""
+    return math.exp(gain - _SCREEN_MARGIN)
+
+
 def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
     """log det(X' V^{-1} X) at unit error variance; -inf when singular."""
     _check_ratio(ratio)
@@ -305,9 +330,11 @@ def d_criterion(design: Design, model: ModelSpec, ratio: float = 1.0) -> float:
 
 class _Search:
     """What every exchange derives from its model, layout and ratio: the candidates
-    per factor, the hard and easy factors, one sweep's scans, the per-run weights of
-    the screen and the draw of a random start.
+    per factor, the settings code, the hard and easy factors, one sweep's scans, the
+    per-run weights of the screen and the draw of a random start.
 
+    A settings row's code reads its candidate indices as mixed-radix digits, the
+    last factor fastest: factor fi's digit is code // place[fi] % counts[fi].
     A sweep scans, in order, each plot's rows for every hard factor, then each run
     for every easy factor; a scan's rows move together.
     """
@@ -317,6 +344,10 @@ class _Search:
         self.layout = layout
         self.ratio = ratio
         self.cands = [f.candidates(_EXCHANGE_GRID) for f in model.factors]
+        self.counts = [len(c) for c in self.cands]
+        self.place = [math.prod(self.counts[j + 1:]) for j in range(len(self.counts))]
+        # candidate k of factor j at [j, k], padded to the longest list
+        self.values = np.array([np.pad(c, (0, max(self.counts) - len(c))) for c in self.cands])
         self.hard = [i for i, f in enumerate(model.factors) if f.hard_to_change]
         self.easy = [i for i, f in enumerate(model.factors) if not f.hard_to_change]
         self.sweep = [(rows, fi) for rows in layout.plot_rows for fi in self.hard]
@@ -325,54 +356,62 @@ class _Search:
         self.run_plot_keep = 1.0 / (1.0 + sizes * ratio)  # 1 - m_i w_i
         self.run_keep = (1.0 + (sizes - 1) * ratio) * self.run_plot_keep  # 1 - w_i
 
-    def draw(self, rng) -> np.ndarray:
-        """A random start: each run's candidate index per factor, a hard factor's per plot."""
+    def draw(self, rng) -> list[int]:
+        """A random start: each run's code, from a candidate index per factor, a hard
+        factor's per plot.  Python ints: with about 40 factors a code passes 2**63."""
         layout = self.layout
         levels = np.empty((layout.n_runs, len(self.cands)), dtype=np.intp)
         for fi in self.hard:
-            levels[:, fi] = rng.choice(len(self.cands[fi]), size=layout.n_plots)[layout.zero_based]
+            levels[:, fi] = rng.choice(self.counts[fi], size=layout.n_plots)[layout.zero_based]
         for fi in self.easy:
-            levels[:, fi] = rng.choice(len(self.cands[fi]), size=layout.n_runs)
-        return levels
+            levels[:, fi] = rng.choice(self.counts[fi], size=layout.n_runs)
+        return [sum(map(operator.mul, row, self.place)) for row in levels.tolist()]
+
+    def decode(self, codes) -> np.ndarray:
+        """The settings row of each code in an array (or list) of them, as a new last axis."""
+        # Python ints throughout: numpy reads ints on both sides of 2**63 as floats
+        codes = np.asarray(codes, dtype=object)[..., None]
+        digits = codes // np.array(self.place, dtype=object) % self.counts
+        return self.values[np.arange(len(self.cands)), digits.astype(np.intp)]
 
 
 class _OneStart(_Search):
     """Coordinate exchange over a fixed layout, one start at a time.
 
-    Each run keeps the model matrix X of its current settings and, when a
-    coordinate changes, overwrites only the changed rows.  Rows come from
-    cached blocks, shared by every start of the search: the block of a
-    settings row and factor fi is model_matrix of that row at each of fi's
-    candidates, and a scan tries candidates by their index into it.
-    model_matrix builds X row by row, so a block row equals a rebuilt one
-    byte for byte and every criterion value, tie and seeded design is what
-    a full rebuild per candidate would give.
+    Each run keeps its code and the model matrix X of its current settings
+    and, when a coordinate changes, overwrites only the changed rows.  Rows
+    come from cached blocks, shared by every start of the search: the block
+    of factor fi and a code, keyed by fi and the code with fi's digit 0, is
+    model_matrix of that settings row at each of fi's candidates, and a scan
+    tries candidates by their index into it.  model_matrix builds X row by
+    row, so a block row equals a rebuilt one byte for byte and every
+    criterion value, tie and seeded design is what a full rebuild per
+    candidate would give.
 
     The sweep's scans run in groups (self.groups): consecutive scans of one run,
     that is a run's easy factors or a one-run plot's hard factors, form a
     group, and every other scan is a group of its own.  A group of one run
     is screened with the determinant lemma of the module docstring in one
     _screen call per incumbent, on the stack of its scans' candidate rows
-    (_stack, cached per settings row like the blocks).  criterion keeps the
-    M and S it scored, the incumbent holds those of its own exact score, and
-    an accept costs the screen one _screen_inverse of the held M; u_r,
+    (_stack, cached per code like the blocks).  criterion keeps the M and S
+    it scored, the incumbent holds those of its own exact score, and an
+    accept costs the screen one _screen_inverse of the held M; u_r,
     w_r = u_r' M^{-1} (with one refinement step) and e_r are formed per run
-    when that run is first screened and kept until the next accept.  A scan
-    whose every candidate but the current one is ruled out against the
-    incumbent (screened log det + _SCREEN_MARGIN <= its log det) is counted
-    as screened and not entered; in the others a candidate is skipped only
-    when it is ruled out against the scan's best exact value so far, the rest
-    are scored exactly, and only an exact value is ever accepted.  A scan
-    that changes the incumbent ends the group's screen: the rest of the
-    group is screened again.  The screen is off while the incumbent's log
-    det is <= 0 or cond_1(M) > _SCREEN_MAX_COND, and for scans that move a
-    plot of more than one run.
+    when that run is first screened and kept until the next accept.  Each
+    candidate's ratio is a Python float, formed as the lockstep forms its
+    arrays.  A scan whose every candidate but the current one is ruled out
+    against the incumbent (0 < ratio <= _ratio_bound(0.0)) is counted as
+    screened and not entered; in the others a candidate is skipped only
+    when it is ruled out against the scan's best exact value so far, the
+    rest are scored exactly, and only an exact value is ever accepted.  A
+    scan that changes the incumbent ends the group's screen: the rest of
+    the group is screened again.  The screen is off while the incumbent's
+    log det is <= 0 or cond_1(M) > _SCREEN_MAX_COND, and for scans that
+    move a plot of more than one run.
     """
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
         super().__init__(model, layout, ratio)
-        self.cand_index = [{c: k for k, c in enumerate(cands.tolist())} for cands in self.cands]
-        self.first_bytes = [cands[:1].tobytes() for cands in self.cands]
         self.groups = []
         for rows, fi in self.sweep:
             rows = rows.tolist()  # int indices: a row at a time is faster than fancy indexing
@@ -380,8 +419,8 @@ class _OneStart(_Search):
                 self.groups[-1][1].append(fi)
             else:
                 self.groups.append((rows, [fi]))
-        self.blocks: dict[tuple[int, bytes], np.ndarray] = {}
-        self.stacks: dict[tuple[tuple[int, ...], bytes], tuple] = {}
+        self.blocks: dict[tuple[int, int], np.ndarray] = {}
+        self.stacks: dict[tuple[tuple[int, ...], int], tuple] = {}
         self.scored = self.held = None  # (M, S) of the last exact score and of the incumbent
         self.lemma = None  # (M^-1, {r: (w_r, e_r)}) of the incumbent, False if off, None if stale
         self.evaluations = self.screened = 0
@@ -390,59 +429,54 @@ class _OneStart(_Search):
         m, _ = self.scored = _information_sums(self.layout, x, self.ratio)
         return _log_det(m)
 
-    def random_start(self, rng) -> np.ndarray:
-        levels = self.draw(rng)
-        return np.stack([c[levels[:, j]] for j, c in enumerate(self.cands)], -1)
-
-    def _block(self, settings_row, fi):
-        """model_matrix of settings_row at each candidate of factor fi, cached."""
-        # keyed by fi and the row's bytes with fi's first candidate spliced in; bytes,
-        # not values, key the cache: 0.0 and -0.0 never share a block
-        raw, at = settings_row.tobytes(), fi * settings_row.itemsize
-        key = (fi, raw[:at] + self.first_bytes[fi] + raw[at + settings_row.itemsize:])
+    def _block(self, code, fi):
+        """model_matrix of code's settings row at each candidate of factor fi, cached."""
+        place = self.place[fi]
+        key = fi, code - code // place % self.counts[fi] * place  # fi's digit 0
         block = self.blocks.get(key)
         if block is None:
-            trial = np.tile(np.frombuffer(key[1]), (len(self.cands[fi]), 1))
+            trial = np.repeat(self.decode([key[1]]), self.counts[fi], axis=0)
             trial[:, fi] = self.cands[fi]
             block = self.blocks[key] = model_matrix(self.model, trial)
         return block
 
-    def _stack(self, settings_row, fis):
-        """The candidate rows of the scans of factors fis on one settings row, cached.
+    def _stack(self, code, fis):
+        """The candidate rows of the scans of factors fis on one code, cached.
 
         Returns fis's blocks stacked and, per scan, its factor, its block, its
         first and end row in the stack and the stack row of its current candidate.
         """
-        key = tuple(fis), settings_row.tobytes()
+        key = tuple(fis), code
         entry = self.stacks.get(key)
         if entry is None:
-            blocks, scans, at = [self._block(settings_row, fi) for fi in fis], [], 0
+            blocks, scans, at = [self._block(code, fi) for fi in fis], [], 0
             for fi, block in zip(fis, blocks):
-                current = at + self.cand_index[fi][settings_row[fi]]
+                current = at + code // self.place[fi] % self.counts[fi]
                 scans.append((fi, block, at, at + len(block), current))
                 at += len(block)
             entry = self.stacks[key] = np.concatenate(blocks), scans
         return entry
 
-    def _set(self, settings, x, rows, fi, blocks, k):
-        """Set factor fi of rows to its candidate k and copy row k of each row's block into x."""
-        value = self.cands[fi][k]
+    def _set(self, codes, x, rows, fi, blocks, k):
+        """Move factor fi of rows to its candidate k and copy row k of each row's block into x."""
+        place = self.place[fi]
+        step = (k - codes[rows[0]] // place % self.counts[fi]) * place
         for r, block in zip(rows, blocks):
             x[r] = block[k]
-            settings[r, fi] = value
+            codes[r] += step
 
-    def _screen(self, settings, x, r, fis, best):
+    def _screen(self, codes, x, r, fis, best):
         """The scans of factors fis on run r, in sweep order, against the incumbent.
 
-        One (fi, block, screened, ruled_out) per scan: fi's block of the run's
-        settings row, the screened log det of each candidate (None while the
-        screen is off) and whether that rules out every candidate but the
-        current one.  A determinant ratio that is not positive screens as nan,
-        which is never ruled out.  Each value equals what the scan screened on
-        its own would give: the elementwise steps and the row sums run on the
-        stack, the products with M^-1 and w_r one scan at a time.
+        One (fi, block, ratios, ruled_out) per scan: fi's block of the run's
+        code, the determinant ratio of each candidate (None while the screen
+        is off) and whether the incumbent's bound rules out every candidate
+        but the current one.  Each ratio equals what the scan screened on
+        its own would give, and what the lockstep's screen gives: the
+        elementwise steps and the row sums run on the stack, the products
+        with M^-1 and w_r one scan at a time.
         """
-        stack, scans = self._stack(settings[r], fis)
+        stack, scans = self._stack(codes[r], fis)
         if best > 0 and self.lemma is None:  # M^-1 of the held M, once per incumbent
             minv, ok = _screen_inverse(self.held[0])
             self.lemma = (minv, {}) if ok else False
@@ -471,42 +505,45 @@ class _OneStart(_Search):
         for d_scan in per_scan:
             dw += d_scan.dot(w_r).tolist()
         keep = float(self.run_keep[r]) - e_r  # a float: numpy scalars are slow in the loop
-        screened = []
-        for a, b in zip(np.einsum("ij,ij->i", dm, d).tolist(), dw):
-            det_ratio = (1.0 + b) ** 2 + a * keep
-            screened.append(best + math.log(det_ratio) if det_ratio > 0 else math.nan)
-        out = [v + _SCREEN_MARGIN <= best for v in screened]
-        return [(fi, block, screened[lo:hi], all(out[lo:current]) and all(out[current + 1:hi]))
+        # (b + 1)^2 + a keep as the lockstep's screen forms it: b += 1, b * b, a * keep, add
+        ratios = [(b1 := b + 1.0) * b1 + a * keep
+                  for a, b in zip(np.einsum("ij,ij->i", dm, d).tolist(), dw)]
+        bound = _ratio_bound(0.0)
+        out = [0 < ratio <= bound for ratio in ratios]
+        return [(fi, block, ratios[lo:hi], all(out[lo:current]) and all(out[current + 1:hi]))
                 for fi, block, lo, hi, current in scans]
 
-    def _scan(self, settings, x, rows, fi, best, rng, blocks, screened):
+    def _scan(self, codes, x, rows, fi, best, rng, blocks, ratios):
         """Try every candidate for one coordinate; ties keep the incumbent.
 
         Returns the incumbent's log det and whether the incumbent changed."""
-        current = self.cand_index[fi][settings[rows[0], fi]]
+        current = codes[rows[0]] // self.place[fi] % self.counts[fi]
         best_k, best_val, best_held = current, best, self.held
+        bound = _ratio_bound(0.0)
         moved = False
-        for k in range(len(self.cands[fi])):
+        for k in range(self.counts[fi]):
             if k == current:
                 continue
-            if screened is not None:
+            if ratios is not None:
                 self.screened += 1
-                if screened[k] + _SCREEN_MARGIN <= best_val:
+                if 0 < ratios[k] <= bound:
                     continue  # its exact value could not beat best_val
-            self._set(settings, x, rows, fi, blocks, k)
+            self._set(codes, x, rows, fi, blocks, k)
             moved = True
             val = self.criterion(x)
             self.evaluations += 1
             if val > best_val:
                 best_k, best_val, best_held = k, val, self.scored
+                if ratios is not None:
+                    bound = _ratio_bound(best_val - best)
         if best_val == float("-inf"):
             # every choice singular: re-randomize to escape the flat region
-            best_k, best_held = int(rng.choice(len(self.cands[fi]))), None
+            best_k, best_held = int(rng.choice(self.counts[fi])), None
         if best_k != current:
             self.held, self.lemma = best_held, None
             moved = True
         if moved:
-            self._set(settings, x, rows, fi, blocks, best_k)
+            self._set(codes, x, rows, fi, blocks, best_k)
         if not best_val >= best:  # exchange never walks downhill
             raise NumericalError(f"exchange criterion must not decrease: {best} -> {best_val}")
         return best_val, best_k != current
@@ -516,40 +553,40 @@ class _OneStart(_Search):
 
         The record is (criterion, sweeps, exact_evaluations, screened).
         """
-        settings = self.random_start(rng)
-        x = model_matrix(self.model, settings)
+        codes = self.draw(rng)
+        x = model_matrix(self.model, self.decode(codes))
         best = self.criterion(x)
         self.evaluations, self.screened, self.held, self.lemma = 1, 0, self.scored, None
         for sweeps in range(1, _MAX_SWEEPS + 1):
             sweep_start = best
             for rows, fis in self.groups:
                 if len(rows) > 1:  # a plot of several runs: every candidate scored exactly
-                    blocks = [self._block(settings[r], fis[0]) for r in rows]
-                    best, _ = self._scan(settings, x, rows, fis[0], best, rng, blocks, None)
+                    blocks = [self._block(codes[r], fis[0]) for r in rows]
+                    best, _ = self._scan(codes, x, rows, fis[0], best, rng, blocks, None)
                     continue
                 j = 0
                 while j < len(fis):
-                    for fi, block, screened, ruled_out in self._screen(settings, x, rows[0],
-                                                                       fis[j:], best):
+                    for fi, block, ratios, ruled_out in self._screen(codes, x, rows[0], fis[j:],
+                                                                     best):
                         j += 1
                         if ruled_out:  # the scan would score nothing exactly and keep its incumbent
                             self.screened += len(block) - 1
                             continue
-                        best, changed = self._scan(settings, x, rows, fi, best, rng, [block],
-                                                   screened)
+                        best, changed = self._scan(codes, x, rows, fi, best, rng, [block],
+                                                   ratios)
                         if changed:
                             break  # a new incumbent: screen the rest of the group against it
             if _converged(best, sweep_start):
                 break
-        return settings, (best, sweeps, self.evaluations, self.screened)
+        return self.decode(codes), (best, sweeps, self.evaluations, self.screened)
 
 
 class _Exchanger(_Search):
     """Coordinate exchange over a fixed layout, every start of a search in lockstep.
 
-    A settings row is one candidate index per factor, read as a mixed-radix
-    code (_row_tables).  The search tables once, per code, the model-matrix
-    row and, per factor, the codes and row differences of its candidates:
+    The search tables once, per code, the model-matrix row and, per factor,
+    which candidates differ from the code's own (others), the code at each
+    candidate (moves) and that code's row minus the code's own (deltas):
     model_matrix of every candidate combination, which builds X row by row,
     so a table row equals a rebuilt one byte for byte.
 
@@ -562,14 +599,15 @@ class _Exchanger(_Search):
     _OneStart's order, and each scan moves every active start at once:
 
     - a one-run scan screens every start's candidates in one call
-      (_screen), with _OneStart's rules for when the screen is off;
+      (_screen), with _OneStart's rules for when the screen is off, and its
+      ratios are _OneStart's bit for bit;
     - the (start, candidate) pairs that no screen rules out against the
       start's incumbent are scored exactly in one _stacked_information_sums
       and _log_det, whose slices round as one start's 2-D calls;
     - each start then takes the outcome _OneStart's scan gives: the first
       strictly best candidate, or the incumbent.  A start that tried more
       than one candidate replays them in order, because each accept raises
-      the bar that the next candidate's screen must clear, and counts only
+      the bound that the next candidate's ratio is held to, and counts only
       the exact scores _OneStart makes; a start with every choice singular
       draws its restart from its own generator.
 
@@ -579,8 +617,14 @@ class _Exchanger(_Search):
 
     def __init__(self, model: ModelSpec, layout: WholePlotLayout, ratio: float):
         super().__init__(model, layout, ratio)
-        self.table, self.digits, self.others, self.moves, self.deltas = _row_tables(
-            model, self.cands)
+        codes = np.arange(math.prod(self.counts))
+        self.table = model_matrix(model, self.decode(codes))
+        self.others, self.moves, self.deltas = [], [], []
+        for count, place in zip(self.counts, self.place):
+            digit = codes // place % count
+            self.others.append(digit[:, None] != np.arange(count))
+            self.moves.append(codes[:, None] + (np.arange(count) - digit[:, None]) * place)
+            self.deltas.append(self.table[self.moves[-1]] - self.table[:, None])
 
     def _criteria(self, codes):
         """Exact log det (-inf when singular), M and S of each design, one per row of codes."""
@@ -616,11 +660,9 @@ class _Exchanger(_Search):
         self.dirty = False
 
     def _screen(self, r, fi, c):
-        """Screened log det of each start's candidates for run r's factor fi.
-
-        nan where the start's screen is off or a determinant ratio is not
-        positive; neither is ever skipped.
-        """
+        """The determinant ratio of each start's candidates for run r's factor fi, and
+        whether the incumbent's bound rules each out; a start whose screen is off rules
+        out none."""
         if self.dirty:
             self._refresh()
         d = self.deltas[fi][c]
@@ -630,21 +672,19 @@ class _Exchanger(_Search):
         b *= b
         a *= (self.run_keep[r] - self.e[:, r])[:, None]
         a += b  # the determinant ratio (1 + b)^2 + a (1 - w_i - e_r)
-        on = a > 0
-        on &= self.lemma[:, None]
-        screened = np.log(a, out=np.full_like(a, np.nan), where=on)
-        screened += self.best[:, None]
-        self.screened += self.lemma * (len(self.cands[fi]) - 1)
-        return screened
+        ruled_out = (a > 0) & (a <= _ratio_bound(0.0))
+        ruled_out &= self.lemma[:, None]
+        self.screened += self.lemma * (self.counts[fi] - 1)
+        return a, ruled_out
 
     def _scan(self, rows, fi):
         """Try every candidate for one coordinate of every start; ties keep the incumbent."""
         best = self.best
         c = self.codes[:, rows[0]]
-        screened = None
+        ratios = None
         if len(rows) == 1:
-            screened = self._screen(rows[0], fi, c)
-            tried = self.others[fi][c] > (screened + _SCREEN_MARGIN <= best[:, None])
+            ratios, ruled_out = self._screen(rows[0], fi, c)
+            tried = self.others[fi][c] > ruled_out
         else:
             tried = self.others[fi][c]
         ks, js = np.nonzero(tried)
@@ -656,20 +696,23 @@ class _Exchanger(_Search):
         # every tried pair is one exact evaluation; the replay takes back what it skips
         self.evaluations += np.bincount(ks, minlength=len(best))
         moved, to, held, gain = [], [], [], []
-        best_l, cur_l = best.tolist(), self.digits[fi][c].tolist()
+        best_l, cur_l = best.tolist(), (c // self.place[fi] % self.counts[fi]).tolist()
         pairs = zip(ks.tolist(), js.tolist(), vals.tolist())
         for k, group in itertools.groupby(enumerate(pairs), key=lambda pair: pair[1][0]):
-            # start k's tried candidates in order, as _OneStart's scan takes them
-            bv, bk, bp = best_l[k], cur_l[k], -1
+            # start k's tried candidates in order, as _OneStart's scan takes them: each
+            # passed the incumbent's bound, and an accept sets a higher one
+            bv, bk, bp, bound = best_l[k], cur_l[k], -1, None
             for pair, (_, j, val) in group:
-                if screened is not None and bv != best_l[k] and screened[k, j] + _SCREEN_MARGIN <= bv:
-                    self.evaluations[k] -= 1  # an accept raised the bar this screen must clear
+                if bound is not None and 0 < ratios[k, j] <= bound:
+                    self.evaluations[k] -= 1  # an accept raised the bar this ratio must clear
                     continue
                 if val > bv:
                     bv, bk, bp = val, j, pair
+                    if ratios is not None and self.lemma[k]:
+                        bound = _ratio_bound(bv - best_l[k])
             if bv == float("-inf"):
                 # every choice singular: re-randomize to escape the flat region
-                bk, bp = int(self.rngs[k].choice(len(self.cands[fi]))), -1
+                bk, bp = int(self.rngs[k].choice(self.counts[fi])), -1
             if not bv >= best_l[k]:  # exchange never walks downhill
                 raise NumericalError(f"exchange criterion must not decrease: {best_l[k]} -> {bv}")
             if bk != cur_l[k]:
@@ -694,19 +737,12 @@ class _Exchanger(_Search):
         self.rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
         self.dirty = True
 
-    def run(self, rngs):
-        """Every start to convergence, start k drawing from rngs[k].
-
-        Returns the final settings of every start, stacked, and one
-        Design.search record per start: (criterion, sweeps,
-        exact_evaluations, screened).
-        """
-        layout, n_starts = self.layout, len(rngs)
-        n, counts = layout.n_runs, [len(c) for c in self.cands]
-        self.ids, self.rngs = np.arange(n_starts), list(rngs)
-        self.codes = np.stack([self.draw(rng) for rng in rngs]) @ _radix(counts)
-        self.best, self.m, self.s = self._criteria(self.codes)
-        p = self.table.shape[1]
+    def _start(self, codes):
+        """Stacked state for one start per row of codes (S, n), each scored exactly and
+        with no lemma terms yet."""
+        (n_starts, n), p = codes.shape, self.table.shape[1]
+        self.ids, self.codes = np.arange(n_starts), codes
+        self.best, self.m, self.s = self._criteria(codes)
         self.minv = np.zeros((n_starts, p, p))
         self.lemma = np.zeros(n_starts, dtype=bool)
         self.stale = np.ones(n_starts, dtype=bool)
@@ -714,6 +750,17 @@ class _Exchanger(_Search):
         self.evaluations = np.ones(n_starts, dtype=np.intp)
         self.screened = np.zeros(n_starts, dtype=np.intp)
         self.dirty = True
+
+    def run(self, rngs):
+        """Every start to convergence, start k drawing from rngs[k].
+
+        Returns the final settings of every start, stacked, and one
+        Design.search record per start: (criterion, sweeps,
+        exact_evaluations, screened).
+        """
+        self.rngs = list(rngs)
+        self._start(np.array([self.draw(rng) for rng in rngs]))
+        n_starts, n = self.codes.shape
         final = np.empty((n_starts, n), dtype=np.intp)
         records = [None] * n_starts
         for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -730,43 +777,13 @@ class _Exchanger(_Search):
                 break
             if done.any():
                 self._keep(~done)
-        settings = np.empty((n_starts, n, len(counts)))
-        for j, c in enumerate(self.cands):
-            settings[..., j] = c[self.digits[j][final]]
-        return settings, records
-
-
-def _radix(counts):
-    """Place value of each factor's candidate index in a settings row's code."""
-    return np.array([math.prod(counts[j + 1:]) for j in range(len(counts))])
+        return self.decode(final), records
 
 
 def _table_cells(model: ModelSpec) -> int:
-    """Floats in _row_tables' tables for a model."""
+    """Floats in _Exchanger's row tables for a model."""
     counts = [len(f.candidates(_EXCHANGE_GRID)) for f in model.factors]
     return math.prod(counts) * model.n_parameters * (1 + sum(counts))
-
-
-def _row_tables(model: ModelSpec, cands):
-    """Lookup tables over every settings row, indexed by its code.
-
-    A row's code reads its candidate indices as mixed-radix digits, the last
-    factor fastest.  Returns the model-matrix row of each code, and per
-    factor j: each code's candidate index (digits), which candidates differ
-    from it (others), the code with j at each candidate (moves) and that
-    code's row minus the code's own (deltas).
-    """
-    counts = [len(c) for c in cands]
-    levels = np.indices(counts).reshape(len(counts), -1).T
-    table = model_matrix(model, np.stack([c[levels[:, j]] for j, c in enumerate(cands)], -1))
-    codes, radix = np.arange(len(table)), _radix(counts)
-    digits, others, moves, deltas = [], [], [], []
-    for j, nc in enumerate(counts):
-        digits.append(levels[:, j])
-        others.append(levels[:, j, None] != np.arange(nc))
-        moves.append(codes[:, None] + (np.arange(nc) - levels[:, j, None]) * radix[j])
-        deltas.append(table[moves[-1]] - table[:, None])
-    return table, digits, others, moves, deltas
 
 
 def generate_design(spec: DesignSpec) -> Design:

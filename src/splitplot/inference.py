@@ -1023,11 +1023,9 @@ def fixed_effect_tests(fit: GlsFit) -> tuple[TermTest, ...]:
 
 def residual_report(fit: GlsFit) -> tuple[tuple[int, int, float, float, float], ...]:
     """Per-run rows: (run, whole_plot, observed, fitted, residual)."""
-    fitted = fit.fitted
-    residuals = fit.y - fitted
     return tuple(
         (i + 1, int(plot), float(observed), float(f), float(resid))
         for i, (plot, observed, f, resid) in enumerate(
-            zip(fit.layout.assignment, fit.y, fitted, residuals)
+            zip(fit.layout.assignment, fit.y, fit.fitted, fit.residuals)
         )
     )

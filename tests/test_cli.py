@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splitplot
-from splitplot import Design, NumericalError, ValidationError, build_model, define_factor
+from splitplot import (Design, Goal, NumericalError, ValidationError, build_model,
+                       define_factor)
 from splitplot.cli import (
     _fmt,
+    _parse_goal,
     main,
     parse_model_text,
     parse_truth_text,
@@ -149,6 +151,11 @@ def test_model_grammar():
 def test_model_grammar_rejects(text):
     with pytest.raises(ValidationError):
         parse_model_text(text)
+
+
+def test_model_grammar_rejects_an_empty_terms_line():
+    with pytest.raises(ValidationError, match="model file line 2: empty terms line"):
+        parse_model_text("factor a continuous -1 1\nterms  # to be decided\n")
 
 
 def test_truth_grammar():
@@ -590,6 +597,67 @@ def test_simulate_fit_profile_pipeline(model_file, truth_file, tmp_path, capsys)
     rec = rec_path.read_text().splitlines()
     assert rec[0] == "factor,natural,coded"
     assert len(rec) == 3
+
+
+def test_goal_options_and_their_refusals():
+    """A goal's target=, bounds=lo,hi and weight= options reach its Goal; a bounds value
+    of other than two parts, an unknown option and a value that is not a number are
+    refused."""
+    assert _parse_goal("y:target=12:bounds=16,8:weight=2.5") == Goal(
+        response="y", direction="target", target=12.0, bounds=(16.0, 8.0), weight=2.5)
+    assert _parse_goal(" y : minimize ") == Goal(response="y", direction="minimize")
+    for text, message in [
+        ("y:maximize:bounds=1,2,3", "bounds need two values"),
+        ("y:maximize:bounds=4", "bounds need two values"),
+        ("y:maximize:colour=red", "unknown option 'colour=red'"),
+        ("y:maximize:weight", "unknown option 'weight'"),
+        ("y:maximize:weight=heavy", "'heavy' is not a number"),
+        ("y:maximize:bounds=1,high", "'high' is not a number"),
+        ("y:target=middle", "'middle' is not a number"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            _parse_goal(text)
+
+
+def test_profile_takes_a_target_goal_with_bounds_and_weight(model_file, truth_file, tmp_path,
+                                                           capsys):
+    """profile runs a target goal with explicit bounds and a weight, next to a second goal,
+    and exits 2, printing nothing, for each refused goal option."""
+    design_path, data_path = tmp_path / "design.csv", tmp_path / "data.csv"
+    main(["design", str(model_file), "--runs", "12", "--whole-plots", "4", "--starts", "3",
+          "--seed", "2", "--out", str(design_path)])
+    main(["simulate", str(model_file), str(design_path), "--truth", str(truth_file),
+          "--seed", "7", "--out", str(data_path)])
+    capsys.readouterr()
+    rc = main(["profile", str(model_file), str(data_path),
+               "--goal", "y:target=12:bounds=8,16:weight=2", "--goal", "y:maximize"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "recommended settings" in out and "desirability:" in out
+    for goal in ("y:maximize:bounds=1,2,3", "y:maximize:colour=red", "y:target=middle"):
+        rc = main(["profile", str(model_file), str(data_path), "--goal", goal])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "", goal
+        assert "goal" in captured.err
+
+
+def test_eval_warns_about_aliased_columns(tmp_path, capsys):
+    """Columns whose correlation is within ALIAS_TOL of 1 are named in a warning line.
+    Here b equals a but in one run, by 1e-6, so the correlation is 1 - 5e-14 and the
+    design still fits the model."""
+    model_path, design_path = tmp_path / "model.txt", tmp_path / "design.csv"
+    model_path.write_text("factor a continuous -1 1 hard\nfactor b continuous -1 1\n"
+                          "factor c continuous -1 1\nterms mains_only\n")
+    a = [-1, -1, 1, 1, 0.5, 0.5, -0.5, -0.5, 1, 1]
+    b = ["-0.999999"] + a[1:]
+    c = [1, -1, 1, -1, 1, -1, 1, -1, 0, 0]
+    design_path.write_text("run_id,whole_plot,a,b,c\n" + "".join(
+        f"{i + 1},{i // 2 + 1},{a[i]},{b[i]},{c[i]}\n" for i in range(10)))
+    rc = main(["eval", str(model_path), str(design_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "  warning: a aliased with b\n" in out
+    assert out.count("aliased") == 1
 
 
 def test_fit_flags_a_ratio_at_the_upper_cap(tin_design, tmp_path, capsys):

@@ -280,6 +280,11 @@ def test_model_matrix_accepts_single_row():
     assert row[0].tolist() == [1.0, 0.5, -0.5, -0.25]
 
 
+def test_model_matrix_refuses_the_wrong_column_count():
+    with pytest.raises(ValidationError, match="settings have 3 columns, model has 2 factors"):
+        model_matrix(two_factor_model(), np.zeros((4, 3)))
+
+
 def test_expand_model_matrix_checks_factor_agreement():
     m = two_factor_model()
     other = build_model(
@@ -345,6 +350,17 @@ def test_exchange_refuses_a_criterion_that_cannot_be_compared(monkeypatch):
         spec = DesignSpec(model=two_factor_model(), n_runs=8, n_whole_plots=4,
                           n_starts=n_starts)
         with pytest.raises(NumericalError, match="exchange criterion must not decrease"):
+            generate_design(spec)
+
+
+def test_a_ratio_that_rounds_away_the_whole_plot_information_finds_no_design():
+    """At eta = 1e20, eta / (1 + m eta) rounds to 1 / m, so X' V^-1 X loses the intercept's
+    and the hard factor's information exactly and every design scores -inf: one start at a
+    time and in lockstep, the search refuses to return a design."""
+    for n_starts in (1, design_gen._LOCKSTEP_STARTS):
+        spec = DesignSpec(model=two_factor_model(), n_runs=8, n_whole_plots=4, ratio=1e20,
+                          n_starts=n_starts)
+        with pytest.raises(NumericalError, match="no nonsingular design found"):
             generate_design(spec)
 
 
@@ -469,22 +485,20 @@ def exact_log_d(worker, codes):
 @given(exchange_cases(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 7.5]))
 def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
     """After every scan, each start's codes give exactly model_matrix of its settings and
-    its incumbent's log det is that design's exact criterion; every table row is
-    model_matrix of the settings row its code names, and each factor's tables move
-    and difference codes as they say."""
+    its incumbent's log det is that design's exact criterion; every code decodes to the
+    settings row its mixed-radix digits name (the last factor fastest), its table row is
+    model_matrix of that row, and each factor's tables move and difference codes as they
+    say."""
     model, layout = case
     worker = design_gen._Exchanger(model, layout, ratio)
     counts = [len(c) for c in worker.cands]
     scan = worker._scan
     scans = []
 
-    def settings_of(codes):
-        return np.stack([c[worker.digits[j][codes]] for j, c in enumerate(worker.cands)], -1)
-
     def checked(rows, fi):
         scan(rows, fi)
         for k, codes in enumerate(worker.codes):
-            x = model_matrix(model, settings_of(codes))
+            x = model_matrix(model, worker.decode(codes))
             assert np.array_equal(worker.table[codes], x)
             assert worker.best[k] == design_gen._log_det(information(layout, x, ratio))
         scans.append(dict(zip(worker.ids.tolist(), worker.best.tolist())))
@@ -500,9 +514,11 @@ def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
         assert 1 <= sweeps <= 3 and evaluations >= 1
     for code, row in enumerate(worker.table):
         levels = np.unravel_index(code, counts)
-        assert np.array_equal(row, model_matrix(model, [c[i] for c, i in zip(worker.cands, levels)])[0])
+        settings_row = [c[i] for c, i in zip(worker.cands, levels)]
+        assert worker.decode([code])[0].tolist() == settings_row
+        assert np.array_equal(row, model_matrix(model, settings_row)[0])
         for j, nc in enumerate(counts):
-            assert worker.digits[j][code] == levels[j]
+            assert code // worker.place[j] % nc == levels[j]
             for cand in range(nc):
                 moved = worker.moves[j][code, cand]
                 assert np.unravel_index(moved, counts) == levels[:j] + (cand,) + levels[j + 1:]
@@ -516,7 +532,8 @@ def test_exchange_keeps_the_model_matrix_of_its_settings(case, seed, ratio):
 def test_the_lockstep_gives_every_start_its_one_start_search(case, seed, ratio, n_starts):
     """The lockstep and the per-start search leave every start with the same settings
     bytes and the same Design.search record, exact and screened counts included.  Each
-    of the per-start search's cached blocks is its key row at every candidate."""
+    of the per-start search's cached blocks, keyed by a factor and a code at that factor's
+    first candidate, is the code's settings row at every candidate."""
     model, layout = case
     with patch.object(design_gen, "_MAX_SWEEPS", 4):
         settings, records = design_gen._Exchanger(model, layout, ratio).run(
@@ -526,12 +543,40 @@ def test_the_lockstep_gives_every_start_its_one_start_search(case, seed, ratio, 
             ref_settings, ref_record = one.run(rng)
             assert settings[k].tobytes() == ref_settings.tobytes()
             assert repr(records[k]) == repr(ref_record)
+    counts = [len(c) for c in one.cands]
     for (fi, key), block in one.blocks.items():
-        row = np.frombuffer(key).copy()
+        row = [c[i] for c, i in zip(one.cands, np.unravel_index(key, counts))]
         assert row[fi] == one.cands[fi][0] and len(block) == len(one.cands[fi])
         for cand, block_row in zip(one.cands[fi], block):
             row[fi] = cand
             assert np.array_equal(block_row, model_matrix(model, row)[0])
+
+
+def test_codes_past_2_63_decode_exactly():
+    """With 41 three-candidate factors a settings code passes 2**64 (3**41 > 2**64), so
+    codes stay Python ints: a list of them on both sides of 2**63, which numpy would read
+    as floats, decodes digit by digit, a drawn start decodes to a design that keeps each
+    plot's hard setting, and a block built from such a code is model_matrix of its row at
+    each candidate."""
+    model = build_model([define_factor(f"f{i}", "continuous", hard_to_change=i == 0)
+                         for i in range(41)], "mains_only")
+    layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 7), 8)))
+    one = design_gen._OneStart(model, layout, 1.0)
+    levels = np.random.default_rng(0).integers(0, 3, size=(6, 41))
+    levels[0, :2], levels[1, :2], levels[2, 0] = (0, 0), (1, 0), 2
+    codes = [sum(int(k) * place for k, place in zip(row, one.place)) for row in levels]
+    assert codes[0] < 2**63 <= codes[1] < 2**64 < codes[2]
+    settings = one.decode(codes)
+    assert settings.tolist() == [[one.cands[j][k] for j, k in enumerate(row)] for row in levels]
+    assert one.decode(codes[:2]).tolist() == settings[:2].tolist()  # no code past 2**64
+    start = one.draw(np.random.default_rng(1))
+    assert all(type(code) is int for code in start) and max(start) > 2**63
+    Design(factors=model.factors, whole_plot=layout.assignment, settings=one.decode(start))
+    for code, row in zip(codes, settings):
+        for fi in (0, 1, 40):
+            trial = np.repeat(row[None], 3, axis=0)
+            trial[:, fi] = one.cands[fi]
+            assert np.array_equal(one._block(code, fi), model_matrix(model, trial))
 
 
 def test_a_model_too_large_for_the_row_tables_runs_one_start_at_a_time(tin_model):
@@ -552,8 +597,8 @@ def test_a_model_too_large_for_the_row_tables_runs_one_start_at_a_time(tin_model
 def test_criterion_invariant_to_run_permutation_and_plot_relabeling_on_random_designs(
         case, seed, shuffle, ratio):
     model, layout = case
-    worker = design_gen._OneStart(model, layout, ratio)
-    settings = worker.random_start(np.random.default_rng(seed))
+    search = design_gen._Search(model, layout, ratio)
+    settings = search.decode(search.draw(np.random.default_rng(seed)))
     x = model_matrix(model, settings)
     assume(np.linalg.matrix_rank(x) == x.shape[1])  # a singular criterion has no value to keep
     d = Design(factors=model.factors, whole_plot=layout.assignment, settings=settings)
@@ -617,38 +662,43 @@ def check_every_screen(worker):
     """Wrap a lockstep worker's _screen so that each call checks its output against
     exact scores.
 
-    For every start that screens, a screened log det within 10 of the incumbent
-    must be its exact criterion to 1e-9, and one further down must stay that far
-    down.  A start that does not screen at a positive log det must be held off by
-    the cond_1 gate, and its row is all nan.  Returns the list of calls, True for
-    each call in which some start screened.
+    For every start that screens, the screened log det log D + log(ratio) of a
+    candidate within 10 of the incumbent must be its exact criterion to 1e-9, and
+    one further down must stay that far down (a ratio that is not positive counts as
+    far down); the current candidate's ratio is 1, and a candidate is ruled out
+    exactly when 0 < ratio <= exp(-_SCREEN_MARGIN).  A start that does not screen at
+    a positive log det must be held off by the cond_1 gate, and rules out nothing.
+    Returns the list of calls, True for each call in which some start screened.
     """
     layout, ratio, screen = worker.layout, worker.ratio, worker._screen
+    bound = math.exp(-design_gen._SCREEN_MARGIN)
     calls = []
 
     def checked(r, fi, c):
-        out = screen(r, fi, c)
+        ratios, ruled_out = screen(r, fi, c)
         calls.append(bool(worker.lemma.any()))
         for k, best in enumerate(worker.best.tolist()):
             if not worker.lemma[k]:
-                assert np.isnan(out[k]).all()
+                assert not ruled_out[k].any()
                 if best > 0:
                     m = information(layout, worker.table[worker.codes[k]], ratio)
                     cond = np.abs(m).sum(axis=0).max() * np.abs(np.linalg.inv(m)).sum(axis=0).max()
                     assert not cond <= design_gen._SCREEN_MAX_COND
                 continue
             assert best > 0
-            for j, val in enumerate(out[k].tolist()):
+            for j, (det_ratio, out) in enumerate(zip(ratios[k].tolist(), ruled_out[k].tolist())):
+                assert out == (0 < det_ratio <= bound)
+                val = best + math.log(det_ratio) if det_ratio > 0 else math.nan
                 trial = worker.codes[k].copy()
                 trial[r] = worker.moves[fi][c[k], j]
                 exact = exact_log_d(worker, trial)
-                if j == worker.digits[fi][c[k]]:
-                    assert val == best
+                if j == c[k] // worker.place[fi] % worker.counts[fi]:
+                    assert det_ratio == 1.0
                 elif np.isfinite(exact) and exact > best - 10:
                     assert abs(val - exact) <= 1e-9
                 else:  # singular or nearly so: the screen must not rank it near the incumbent
                     assert not val > best - 10 + 1e-9
-        return out
+        return ratios, ruled_out
 
     worker._screen = checked
     return calls
@@ -789,8 +839,8 @@ def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
                   worker.e[k, r])
         return out
 
-    def checked_one_screen(settings, x, r, fis, best):
-        out = one_screen(settings, x, r, fis, best)
+    def checked_one_screen(codes, x, r, fis, best):
+        out = one_screen(codes, x, r, fis, best)
         if one.lemma:  # the group was screened, with its run's terms
             check("one start", *one.held, x[r], r, *one.lemma[1][r])
         return out
@@ -804,10 +854,10 @@ def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
         assert np.mean(arm) >= 0.56
 
 
-def per_scan_screen(worker, settings, x, r, fi, best):
-    """The screened log det of each candidate of run r's factor fi, screened on its own, as
-    the one-start search screened every one-run scan before it screened them a group at a
-    time: the grouped screen's oracle.  None where that screen was off."""
+def per_scan_screen(worker, codes, x, r, fi, best):
+    """The determinant ratio of each candidate of run r's factor fi, screened on its own,
+    as the one-start search screened every one-run scan before it screened them a group at
+    a time: the grouped screen's oracle.  None where that screen was off."""
     if not best > 0:
         return None
     m, s = worker.held
@@ -820,12 +870,12 @@ def per_scan_screen(worker, settings, x, r, fi, best):
     w_r = u.dot(minv)
     w_r += (u - w_r.dot(m)).dot(minv)
     e_r = float(w_r.dot(u))
-    d = worker._block(settings[r], fi) - x[r]
+    d = worker._block(codes[r], fi) - x[r]
     keep = worker.run_keep[r]
     out = []
     for a, b in zip(np.einsum("ij,ij->i", d.dot(minv), d).tolist(), d.dot(w_r).tolist()):
-        det_ratio = (1.0 + b) ** 2 + a * (keep - e_r)
-        out.append(best + math.log(det_ratio) if det_ratio > 0 else math.nan)
+        b += 1.0
+        out.append(b * b + a * (keep - e_r))
     return out
 
 
@@ -833,35 +883,36 @@ def check_grouped_screen(model, layout, ratio, rng):
     """Run one start, checking every grouped screen against per_scan_screen and every scan
     the loop skips; returns the (run, factor) of each scan skipped.
 
-    Each grouped value must equal the oracle's by float.hex (None where the oracle is
-    off), and a scan is ruled out exactly when the oracle rules out every candidate but
-    the current one against the incumbent.  The loop must then skip exactly the ruled-out
-    scans it reaches: after each screen, its scans are entered in order, ruled-out ones
-    skipped, until a scan changes the incumbent, which drops the rest for a new screen.
+    Each grouped ratio must equal the oracle's by float.hex (None where the oracle is
+    off), and a scan is ruled out exactly when every candidate but the current one has
+    an oracle ratio in (0, exp(-_SCREEN_MARGIN)].  The loop must then skip exactly the
+    ruled-out scans it reaches: after each screen, its scans are entered in order,
+    ruled-out ones skipped, until a scan changes the incumbent, which drops the rest for
+    a new screen.
     """
     one = design_gen._OneStart(model, layout, ratio)
     screen, scan = one._screen, one._scan
+    bound = math.exp(-design_gen._SCREEN_MARGIN)
     events = []
 
-    def checked_screen(settings, x, r, fis, best):
-        out = screen(settings, x, r, fis, best)
+    def checked_screen(codes, x, r, fis, best):
+        out = screen(codes, x, r, fis, best)
         entries = []
-        for fi, block, vals, ruled_out in out:
-            assert block is one._block(settings[r], fi)
-            want = per_scan_screen(one, settings, x, r, fi, best)
+        for fi, block, ratios, ruled_out in out:
+            assert block is one._block(codes[r], fi)
+            want = per_scan_screen(one, codes, x, r, fi, best)
             if want is None:
-                assert vals is None and not ruled_out
+                assert ratios is None and not ruled_out
             else:
-                assert [v.hex() for v in vals] == [v.hex() for v in want]
-                current = one.cand_index[fi][settings[r, fi]]
-                assert ruled_out == all(v + design_gen._SCREEN_MARGIN <= best
-                                        for k, v in enumerate(want) if k != current)
+                assert [v.hex() for v in ratios] == [v.hex() for v in want]
+                current = codes[r] // one.place[fi] % one.counts[fi]
+                assert ruled_out == all(0 < v <= bound for k, v in enumerate(want) if k != current)
             entries.append((r, fi, ruled_out))
         events.append(("screen", entries))
         return out
 
-    def logged_scan(settings, x, rows, fi, best, rng, blocks, screened):
-        out = scan(settings, x, rows, fi, best, rng, blocks, screened)
+    def logged_scan(codes, x, rows, fi, best, rng, blocks, ratios):
+        out = scan(codes, x, rows, fi, best, rng, blocks, ratios)
         if len(rows) == 1:
             events.append(("scan", (rows[0], fi, out[1])))
         return out
@@ -924,6 +975,64 @@ def test_the_grouped_screen_skips_scans_on_the_tin_model(tin_model, n_runs, n_pl
     assert skipped
     hard = {i for i, f in enumerate(tin_model.factors) if f.hard_to_change}
     assert any(fi in hard for _, fi in skipped) == (n_runs == 16)
+
+
+def compare_screens(model, layout, ratio, rng):
+    """Run one start of the one-start search and, at every state it screens (its codes,
+    held M and S, run and factors), set a lockstep of one start to that state and screen
+    the same scans there.  Both must give every candidate's determinant ratio by
+    float.hex, and the same ruled-out flags: the lockstep's per candidate, the one-start
+    search's for each scan (every candidate but the current one ruled out).  Returns how
+    many scans both screened."""
+    one = design_gen._OneStart(model, layout, ratio)
+    worker = design_gen._Exchanger(model, layout, ratio)
+    screen, bound, compared = one._screen, math.exp(-design_gen._SCREEN_MARGIN), []
+
+    def compared_screen(codes, x, r, fis, best):
+        out = screen(codes, x, r, fis, best)
+        worker._start(np.array([codes]))
+        assert worker.best[0] == best
+        if one.held is not None:  # None only after a restart, at log det -inf
+            assert worker.m[0].tobytes() == one.held[0].tobytes()
+            assert worker.s[0].tobytes() == one.held[1].tobytes()
+        for fi, _, ratios, ruled_out in out:
+            lockstep_ratios, lockstep_out = worker._screen(r, fi, worker.codes[:, r])
+            flags = lockstep_out[0].tolist()
+            if ratios is None:
+                assert not worker.lemma[0] and not any(flags)
+                continue
+            assert worker.lemma[0]
+            assert [v.hex() for v in lockstep_ratios[0].tolist()] == [v.hex() for v in ratios]
+            assert flags == [0 < v <= bound for v in ratios]
+            current = codes[r] // one.place[fi] % one.counts[fi]
+            assert ruled_out == all(flags[:current] + flags[current + 1:])
+            compared.append(fi)
+        return out
+
+    one._screen = compared_screen
+    with patch.object(design_gen, "_MAX_SWEEPS", 3):
+        one.run(rng)
+    return len(compared)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda all_hard: exchange_cases(max_plots=8, all_hard=all_hard)),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 7.5, 1e4, 1e8]))
+def test_both_screens_give_the_same_ratios_and_rule_outs(case, seed, ratio):
+    """The lockstep's screen and the one-start search's give the same determinant ratios
+    and ruled-out flags, bit for bit, at every state the one-start search screens: on
+    models with and without easy factors, on unequal plots with a one-run plot."""
+    model, layout = case
+    compare_screens(model, layout, ratio, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n_runs, n_plots, ratio", [(16, 12, 7.5), (24, 6, 1e4)])
+def test_both_screens_agree_on_the_tin_model(tin_model, n_runs, n_plots, ratio):
+    """compare_screens on the tin model, where most scans are screened: hard scans of
+    one-run plots at 16 runs in 12 plots, easy scans at both shapes."""
+    layout = WholePlotLayout(tuple(int(i) for i in np.repeat(
+        np.arange(1, n_plots + 1), assign_whole_plot_sizes(n_runs, n_plots))))
+    assert compare_screens(tin_model, layout, ratio, np.random.default_rng(0)) > 100
 
 
 def test_the_screen_replaces_most_exact_scores(tin_model):

@@ -792,6 +792,22 @@ def test_one_df_wald_f_rounds_like_the_solve(b, c, negative):
     assert _wald_f(b, c, 1).hex() == float(b @ np.linalg.solve(c, b)).hex()
 
 
+def test_fits_refuse_too_few_plots_and_no_residual_df(tin_model):
+    """One 16-run plot cannot carry the tin model's two whole-plot model df (intercept and
+    nut_weight): gls_fit refuses it before fitting.  reml_objective refuses an x with as
+    many columns as runs."""
+    rng = np.random.default_rng(0)
+    settings = np.column_stack([np.zeros(16), rng.choice([-1.0, 0.0, 1.0], 16),
+                                rng.choice([0.0, 1.0], 16), rng.choice([-1.0, 0.0, 1.0], 16)])
+    d = Design(factors=tin_model.factors, whole_plot=(1,) * 16, settings=settings)
+    tab = ResponseTable(design=d, responses={"y": rng.normal(size=16)})
+    with pytest.raises(ValidationError, match="1 whole plots cannot support 2 whole-plot model df"):
+        gls_fit(tab, tin_model, ratio=1.0)
+    layout = WholePlotLayout((1, 1, 2, 2))
+    with pytest.raises(ValidationError, match=r"no residual degrees of freedom \(n <= p\)"):
+        reml_objective(1.0, np.eye(4), np.arange(4.0), layout)
+
+
 def test_gls_fit_validates_ratio():
     d, m = orthogonal_design()
     tab = ResponseTable(design=d, responses={"y": np.arange(8.0)})
@@ -932,6 +948,12 @@ def test_residual_report_rows():
     assert [r[1] for r in rows] == [1, 1, 1, 2, 2, 2, 3, 3]
     for _, _, observed, fitted, resid in rows:
         assert resid == pytest.approx(observed - fitted, abs=1e-12)
+    # the report's columns are the fit's own arrays, element by element
+    assert [r[2] for r in rows] == fit.y.tolist()
+    assert [r[3] for r in rows] == fit.fitted.tolist()
+    assert [r[4] for r in rows] == fit.residuals.tolist()
+    assert fit.residuals.tobytes() == (fit.y - fit.x @ fit.beta).tobytes()
+    assert not fit.residuals.flags.writeable
 
 
 # ---------------------------------------------------------------- inputs

@@ -8,6 +8,7 @@ import pytest
 from splitplot import (
     SUBPLOT,
     WHOLE_PLOT,
+    ModelSpec,
     ValidationError,
     build_model,
     classify_term,
@@ -199,6 +200,16 @@ def test_build_model_rejects_duplicate_factors():
         build_model([])
 
 
+def test_model_spec_refuses_duplicate_factor_names_and_unknown_factors():
+    """build_model refuses duplicate names first, so only a ModelSpec built directly reaches
+    its own check; factor() refuses a name the spec does not hold."""
+    m = build_model([two_level("a"), two_level("b")])
+    with pytest.raises(ValidationError, match="duplicate factor names"):
+        ModelSpec(factors=(m.factors[0], m.factors[0]), terms=m.terms[:1])
+    with pytest.raises(ValidationError, match="unknown factor 'c'"):
+        m.factor("c")
+
+
 # ---------------------------------------------------------------- df budgets
 
 
@@ -239,6 +250,13 @@ def test_subplot_budget_flags_skimpy_error_proposal(tin_model):
 def test_subplot_budget_rejects_too_few_whole_plots(tin_model):
     with pytest.raises(ValidationError):
         count_subplot_df(tin_model, n_whole_plots=5)
+
+
+def test_df_budgets_refuse_a_negative_error_target(tin_model):
+    with pytest.raises(ValidationError, match="min_error_df must be >= 0"):
+        count_whole_plot_df(tin_model, min_error_df=-1)
+    with pytest.raises(ValidationError, match="min_error_df must be >= 0"):
+        count_subplot_df(tin_model, n_whole_plots=6, min_error_df=-1)
 
 
 def test_df_budgets_add_up_on_random_models():

@@ -1,5 +1,7 @@
 """Desirability goals, prediction at natural settings and the grid search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,19 @@ def test_optimize_input_errors():
     other = line_fits({"y": 1.0}, low=0.0, high=5.0)
     with pytest.raises(ValidationError):
         optimize({"y": fits["y"], "z": other["y"]}, [goal])
+
+
+def test_optimize_refuses_a_constant_response_without_bounds():
+    """A response with one observed value gives no default range to scale desirability
+    over: without explicit bounds optimize refuses it, with them it runs.  No fit of a
+    constant response exists (the fit refuses zero residual variation), so the fit's y is
+    replaced."""
+    fit = line_fits({"y": 1.0})["y"]
+    flat = {"y": dataclasses.replace(fit, y=np.full_like(fit.y, 3.0))}
+    with pytest.raises(ValidationError, match="response 'y' is constant; pass explicit bounds"):
+        optimize(flat, [Goal("y", "maximize")])
+    rec = optimize(flat, [Goal("y", "maximize", bounds=(-1.0, 1.0))])
+    assert rec.setting("x") == 1.0  # the fitted line, not y, is what it maximizes
 
 
 def test_recommendation_lookup_errors():
