@@ -16,6 +16,9 @@ the critical value and the noncentral t tails come from
 tails.two_sided_power.
 
 Error degrees of freedom follow the containment rule, ModelSpec.error_df.
+A design whose model matrix lacks full column rank is refused with
+NumericalError, by the rank rule REML fitting applies too; so is one whose
+X' V^{-1} X has no positive determinant.
 Correlations, aliases and variance inflation factors of the model columns
 come from one entry point, diagnostics.
 """
@@ -28,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _check_ratio, _inv, _slogdet, information
-from .design_gen import Design, column_labels, expand_model_matrix, model_matrix
+from .design_gen import (
+    Design, _check_full_rank, column_labels, expand_model_matrix, model_matrix,
+)
 from .errors import NumericalError, ValidationError
 from .model_spec import ModelSpec
 from .tails import two_sided_power
@@ -38,7 +43,9 @@ ALIAS_TOL = 1e-12
 
 def _information_inverse(design: Design, model: ModelSpec, ratio: float) -> np.ndarray:
     _check_ratio(ratio)
-    m = information(design.layout, expand_model_matrix(design, model), ratio)
+    x = expand_model_matrix(design, model)
+    _check_full_rank(x)
+    m = information(design.layout, x, ratio)
     sign, _ = _slogdet(m)
     if sign <= 0:
         raise NumericalError("singular information matrix; the design cannot fit this model")

@@ -61,9 +61,10 @@ M^-1 and w_r stay one call per scan), so this too changes no design and no
 Design.search record.
 
 From _LOCKSTEP_STARTS = 4 starts up the starts run in lockstep
-(_Exchanger): each start's settings codes, incumbent, held (M, S), lemma
-terms, counts and active flag are rows of stacked arrays, every
-coordinate scan screens all active starts in one call and scores exactly,
+(_Exchanger): each start's settings codes, incumbent, held (M, S), M^-1
+(formed at the accept), counts and active flag are rows of stacked arrays,
+every coordinate scan screens all active starts in one call, forming the
+u_r, w_r and e_r of its one run there, and scores exactly,
 in one stacked call, only the (start, candidate) pairs the screen cannot
 rule out, and a start drops out after the sweep that converges it.  Each
 start keeps its generator (seed, 0, k), its accept, tie and singular-
@@ -284,6 +285,13 @@ def expand_model_matrix(design: Design, model: ModelSpec) -> np.ndarray:
     if tuple(f.name for f in design.factors) != model.factor_names:
         raise ValidationError("design and model disagree on factors")
     return model_matrix(model, design.settings)
+
+
+def _check_full_rank(x: np.ndarray) -> None:
+    """Raise NumericalError unless the model matrix x has full column rank: the rule that
+    evaluation and REML fitting both apply before they invert X' V^{-1} X."""
+    if np.linalg.matrix_rank(x) < x.shape[1]:
+        raise NumericalError("model matrix is rank deficient on this design")
 
 
 def _log_det(m: np.ndarray):
@@ -591,12 +599,14 @@ class _Exchanger(_Search):
     so a table row equals a rebuilt one byte for byte.
 
     Each start is one row of stacked state: its run codes, its incumbent's
-    log det, the held (M, S) of that incumbent's exact score, its lemma
-    terms and its counts.  The lemma terms (M^-1, whether cond_1(M) lets it
-    screen, and every run's w_r and e_r) are formed in _refresh, at the
-    first screen after an accept, as one (1, p) slice per run, so each
-    rounds as _OneStart's per-run product.  Starts sweep the coordinates in
-    _OneStart's order, and each scan moves every active start at once:
+    log det, the held (M, S) of that incumbent's exact score, M^-1 with
+    whether cond_1(M) lets it screen, and its counts; only the codes have a
+    run axis.  M^-1 is formed at each accept (_hold), in one stacked
+    _screen_inverse over the starts that moved to a log det > 0.  A screen
+    of run r forms that run's u_r, w_r and e_r only (_terms), as one (1, p)
+    slice per start, so each rounds as _OneStart's per-run product.  Starts
+    sweep the coordinates in _OneStart's order, and each scan moves every
+    active start at once:
 
     - a one-run scan screens every start's candidates in one call
       (_screen), with _OneStart's rules for when the screen is off, and its
@@ -631,46 +641,40 @@ class _Exchanger(_Search):
         m, s = _stacked_information_sums(self.layout, self.table[codes], self.ratio)
         return _log_det(m), m, s
 
-    def _refresh(self):
-        """The lemma terms of each start whose incumbent changed, once its log D is > 0.
+    def _hold(self, idx):
+        """M^-1 and the lemma flag of the starts idx, from the M each now holds.  The flag is
+        True exactly for the starts that screen, log D > 0 and cond_1(M) <= _SCREEN_MAX_COND
+        (log D only rises, so a start at log D <= 0 has never had an M^-1)."""
+        idx = idx[self.best[idx] > 0]
+        minv, ok = _screen_inverse(self.m[idx])
+        minv[~ok] = 0.0  # a start that may not screen computes on zeros, not on noise
+        self.minv[idx], self.lemma[idx] = minv, ok
 
-        Afterwards lemma is True exactly for the starts that screen: log D > 0 and
-        cond_1(M) <= _SCREEN_MAX_COND (log D only rises, so a start whose log D
-        is <= 0 has never had a lemma)."""
-        fresh = self.stale & (self.best > 0)
-        if fresh.any():
-            idx = np.flatnonzero(fresh)
-            m, s, layout = self.m[idx], self.s[idx], self.layout
-            minv, ok = _screen_inverse(m)
-            if not ok.all():
-                minv[~ok] = 0.0  # a start that may not screen computes on zeros, not on noise
-            # u_r = x_r - w_i s_i, written as (x_r - mean_i) + mean_i / (1 + m_i eta),
-            # which keeps plot-constant columns from cancelling at large eta
-            mean = (s / layout.sizes[:, None])[:, layout.zero_based]
-            u = (self.table[self.codes[idx]] - mean) + mean * self.run_plot_keep[:, None]
-            # (1, p) @ (p, p) slices, one per start and run: each rounds as one run's
-            # vector-matrix product.  One refinement step: inv alone leaves w a few ulps
-            # off the solve, and about half its entries off the correctly rounded one
-            u, minv_r = u[:, :, None], minv[:, None]
-            w = u @ minv_r
-            w += (u - w @ m[:, None]) @ minv_r
-            self.w[idx], self.e[idx] = w[:, :, 0], (w @ np.swapaxes(u, -1, -2))[:, :, 0, 0]
-            self.minv[idx], self.lemma[idx] = minv, ok
-            self.stale[idx] = False
-        self.dirty = False
+    def _terms(self, r):
+        """w_r = u_r' M^-1 and e_r = w_r' u_r of run r for every start, as (S, 1, p) @
+        (S, p, p) slices of the held M, S and M^-1: each rounds as _OneStart's product."""
+        i = self.layout.zero_based[r]
+        # u_r = x_r - w_i s_i, written as (x_r - mean_i) + mean_i / (1 + m_i eta),
+        # which keeps plot-constant columns from cancelling at large eta
+        mean = self.s[:, i] / self.layout.sizes[i]
+        u = ((self.table[self.codes[:, r]] - mean) + mean * self.run_plot_keep[r])[:, None]
+        # one refinement step: inv alone leaves w a few ulps off the solve, and about half
+        # its entries off the correctly rounded one
+        w = u @ self.minv
+        w += (u - w @ self.m) @ self.minv
+        return w[:, 0], (w @ np.swapaxes(u, -1, -2))[:, 0, 0]
 
     def _screen(self, r, fi, c):
         """The determinant ratio of each start's candidates for run r's factor fi, and
         whether the incumbent's bound rules each out; a start whose screen is off rules
         out none."""
-        if self.dirty:
-            self._refresh()
+        w, e = self._terms(r)
         d = self.deltas[fi][c]
         a = np.einsum("kij,kij->ki", d @ self.minv, d)
-        b = (d @ self.w[:, r, :, None])[..., 0]
+        b = (d @ w[:, :, None])[..., 0]
         b += 1.0
         b *= b
-        a *= (self.run_keep[r] - self.e[:, r])[:, None]
+        a *= (self.run_keep[r] - e)[:, None]
         a += b  # the determinant ratio (1 + b)^2 + a (1 - w_i - e_r)
         ruled_out = (a > 0) & (a <= _ratio_bound(0.0))
         ruled_out &= self.lemma[:, None]
@@ -726,30 +730,25 @@ class _Exchanger(_Search):
             self.s[moved[scored]] = s[held[scored]]
             self.best = best.copy()  # the sweep's start keeps its own
             self.best[moved] = gain
-            self.stale[moved] = True
-            self.dirty = True
+            self._hold(moved)
 
     def _keep(self, keep):
         """Keep only the starts where keep is True."""
-        for name in ("ids", "codes", "best", "m", "s", "minv", "lemma", "stale", "w", "e",
-                     "evaluations", "screened"):
+        for name in ("ids", "codes", "best", "m", "s", "minv", "lemma", "evaluations",
+                     "screened"):
             setattr(self, name, getattr(self, name)[keep])
         self.rngs = [rng for rng, k in zip(self.rngs, keep.tolist()) if k]
-        self.dirty = True
 
     def _start(self, codes):
-        """Stacked state for one start per row of codes (S, n), each scored exactly and
-        with no lemma terms yet."""
-        (n_starts, n), p = codes.shape, self.table.shape[1]
+        """Stacked state for one start per row of codes (S, n), each scored exactly."""
+        n_starts, p = len(codes), self.table.shape[1]
         self.ids, self.codes = np.arange(n_starts), codes
         self.best, self.m, self.s = self._criteria(codes)
         self.minv = np.zeros((n_starts, p, p))
         self.lemma = np.zeros(n_starts, dtype=bool)
-        self.stale = np.ones(n_starts, dtype=bool)
-        self.w, self.e = np.zeros((n_starts, n, p)), np.zeros((n_starts, n))
+        self._hold(self.ids)
         self.evaluations = np.ones(n_starts, dtype=np.intp)
         self.screened = np.zeros(n_starts, dtype=np.intp)
-        self.dirty = True
 
     def run(self, rngs):
         """Every start to convergence, start k drawing from rngs[k].

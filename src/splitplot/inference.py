@@ -246,7 +246,7 @@ from .covariance import (
     _slogdet,
     _solve,
 )
-from .design_gen import Design, column_labels, expand_model_matrix
+from .design_gen import Design, _check_full_rank, column_labels, expand_model_matrix
 from .errors import NumericalError, ValidationError
 from .model_spec import ModelSpec, SUBPLOT, WHOLE_PLOT, _check_name
 from .tails import f_sf
@@ -434,8 +434,7 @@ class _DesignPart:
 
     def __post_init__(self):
         n, p = self.x.shape
-        if np.linalg.matrix_rank(self.x) < p:
-            raise NumericalError("model matrix is rank deficient on this design")
+        _check_full_rank(self.x)
         plot_x = _plot_sums(self.layout, self.x)
         plot_x.setflags(write=False)
         object.__setattr__(self, "plot_x", plot_x)

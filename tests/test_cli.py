@@ -660,6 +660,22 @@ def test_eval_warns_about_aliased_columns(tmp_path, capsys):
     assert out.count("aliased") == 1
 
 
+def test_eval_refuses_a_rank_deficient_design(tmp_path, capsys):
+    """b is 0.3 times a in every run, so the model matrix lacks full column rank:
+    eval exits 3 and prints nothing to stdout."""
+    model_path, design_path = tmp_path / "model.txt", tmp_path / "design.csv"
+    model_path.write_text("factor a continuous -1 1 hard\nfactor b continuous -1 1\n"
+                          "factor c continuous -1 1\nterms mains_only\n")
+    a = [0.5, 0.5, -0.5, -0.5, -1, -1, -1, -1, 0.5, 0.5]
+    c = [-1, 0, 1, 1, -1, -1, 0, 1, 0, -1]
+    design_path.write_text("run_id,whole_plot,a,b,c\n" + "".join(
+        f"{i + 1},{i // 2 + 1},{a[i]},{0.3 * a[i]!r},{c[i]}\n" for i in range(10)))
+    rc = main(["eval", str(model_path), str(design_path)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert "numerical error: model matrix is rank deficient" in captured.err
+
+
 def test_fit_flags_a_ratio_at_the_upper_cap(tin_design, tmp_path, capsys):
     y1 = dataclasses.replace(splitplot.default_truth().responses["y1"], sigma_epsilon=1e-5)
     tab = splitplot.simulate(tin_design, splitplot.TruthConfig(responses={"y1": y1}, seed=0))

@@ -377,6 +377,36 @@ def test_power_report_raises_on_singular_information():
         power_report(d, m)
 
 
+# a 10-run, 5-plot design of a (hard), b and c whose b column is a multiple of a: its
+# X' V^{-1} X keeps a positive slogdet from rounding, with variance factors of 2e15 to
+# 7e16 and powers of alpha, unless the rank rule refuses it
+_A_PLOTS = [0.5, -0.5, -1.0, -1.0, 0.5]
+_C_RUNS = [-1.0, 0.0, 1.0, 1.0, -1.0, -1.0, 0.0, 1.0, 0.0, -1.0]
+COLLINEAR_MULTIPLES = (0.1, 0.2, 0.3, 0.6, 0.7, 0.9)
+
+
+def collinear_design(multiple):
+    m = build_model([define_factor("a", "continuous", hard_to_change=True),
+                     define_factor("b", "continuous"), define_factor("c", "continuous")],
+                    "mains_only")
+    a = np.repeat(_A_PLOTS, 2)
+    d = Design(factors=m.factors, whole_plot=tuple(i // 2 + 1 for i in range(10)),
+               settings=np.column_stack([a, multiple * a, _C_RUNS]))
+    return d, m
+
+
+@pytest.mark.parametrize("multiple", COLLINEAR_MULTIPLES)
+def test_a_rank_deficient_design_is_refused(multiple):
+    """b = multiple * a: power_report and prediction_variance refuse the design by the
+    rank rule REML fitting applies, not by the slogdet sign, which rounding leaves
+    positive here."""
+    d, m = collinear_design(multiple)
+    with pytest.raises(NumericalError, match="rank deficient"):
+        power_report(d, m)
+    with pytest.raises(NumericalError, match="rank deficient"):
+        prediction_variance(d, m, [0.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------- collinearity
 
 

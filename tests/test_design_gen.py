@@ -753,14 +753,14 @@ def test_screened_log_det_at_large_ratios(tin_model, ratio):
 
 
 def test_the_held_state_is_the_incumbents(tin_model):
-    """Every screen reads each start's incumbent's own M and S, byte for byte, and a
-    (w_r, e_r) that matches a dense from-scratch solve to 1e-12 relative."""
+    """Every screen reads each start's incumbent's own M and S, byte for byte, and forms
+    from them a (w_r, e_r) that matches a dense from-scratch solve to 1e-12 relative."""
     ratio = 1.0
     layout = WholePlotLayout(tuple(int(i) for i in np.repeat(np.arange(1, 13), 4)))
     worker = design_gen._Exchanger(tin_model, layout, ratio)
     z = layout.indicator()
     v_inv = np.linalg.inv(np.eye(layout.n_runs) + ratio * z @ z.T)
-    scan, screen = worker._scan, worker._screen
+    scan, terms = worker._scan, worker._terms
     accepted = {0: [], 1: []}
     used = {0: [], 1: []}
 
@@ -776,21 +776,20 @@ def test_the_held_state_is_the_incumbents(tin_model):
             held_is_current(k)
             accepted[ids[k]].append(worker.best[k])
 
-    def checked_screen(r, fi, c):
-        out = screen(r, fi, c)
+    def checked_terms(r):  # each screen forms its run's terms once
+        w, e = terms(r)
         for k in range(len(worker.best)):
             held_is_current(k)
             if worker.lemma[k]:
                 x = worker.table[worker.codes[k]]
                 u = v_inv @ x  # row r is u_r
                 want = np.linalg.solve(x.T @ u, u[r])
-                w, e = worker.w[k, r], worker.e[k, r]
-                assert np.abs(w - want).max() <= 1e-12 * np.abs(want).max()
-                assert abs(e - want @ u[r]) <= 1e-12 * abs(want @ u[r])
+                assert np.abs(w[k] - want).max() <= 1e-12 * np.abs(want).max()
+                assert abs(e[k] - want @ u[r]) <= 1e-12 * abs(want @ u[r])
                 used[worker.ids[k]].append(r)
-        return out
+        return w, e
 
-    worker._scan, worker._screen = checked_scan, checked_screen
+    worker._scan, worker._terms = checked_scan, checked_terms
     settings, records = worker.run([np.random.default_rng(1), np.random.default_rng(2)])
     for start, (best, _, _, screened) in enumerate(records):
         assert len(accepted[start]) > 20 and accepted[start][-1] == best
@@ -801,9 +800,9 @@ def test_the_held_state_is_the_incumbents(tin_model):
 def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
     """Each (w_r, e_r) a screen reads, against a 40-digit solve of the held M for the
     screen's own u_r; a dense float reference is too coarse at these ratios.  Both
-    exchangers are checked, each run once per incumbent: the lockstep forms every run's
-    terms in _refresh, one start at a time forms a run's terms when the first group of
-    scans on that run is screened.  Both are within a few ulps of the solve with or
+    exchangers are checked, each run once per incumbent: the lockstep forms a run's terms
+    in every screen of that run (_terms), one start at a time forms them when the first
+    group of scans on that run is screened.  Both are within a few ulps of the solve with or
     without the refinement step, but the step makes more entries of w_r the correctly
     rounded solve: 64 % and 62 % of them at these ratios in either exchanger, against
     48 % with inv alone."""
@@ -830,14 +829,14 @@ def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
 
     worker = design_gen._Exchanger(tin_model, layout, ratio)
     one = design_gen._OneStart(tin_model, layout, ratio)
-    lockstep_screen, one_screen = worker._screen, one._screen
+    lockstep_terms, one_screen = worker._terms, one._screen
 
-    def checked_lockstep_screen(r, fi, c):
-        out = lockstep_screen(r, fi, c)
+    def checked_lockstep_terms(r):
+        w, e = lockstep_terms(r)
         for k in np.flatnonzero(worker.lemma).tolist():
-            check("lockstep", worker.m[k], worker.s[k], worker.table[c[k]], r, worker.w[k, r],
-                  worker.e[k, r])
-        return out
+            check("lockstep", worker.m[k], worker.s[k], worker.table[worker.codes[k, r]], r,
+                  w[k], e[k])
+        return w, e
 
     def checked_one_screen(codes, x, r, fis, best):
         out = one_screen(codes, x, r, fis, best)
@@ -845,7 +844,7 @@ def test_the_refined_w_r_is_the_rounded_solve_more_often(tin_model, ratio):
             check("one start", *one.held, x[r], r, *one.lemma[1][r])
         return out
 
-    worker._screen, one._screen = checked_lockstep_screen, checked_one_screen
+    worker._terms, one._screen = checked_lockstep_terms, checked_one_screen
     with mpmath.workdps(40):
         worker.run([np.random.default_rng(1)])
         one.run(np.random.default_rng(1))
@@ -1069,6 +1068,8 @@ PINNED_DESIGNS = {
     # hard factors are screened, and a 24 x 6 search below the lockstep's start count
     (16, 12, 2, range(8), 7.5): "2f42f727bda411e6ccd583c5a6b6b119a9f3a50e560b0b7af06621a2f401e8fd",
     (24, 6, 3, range(20), 1.0): "370f31e5ed01a0e13ab882920023e90898b1ca384e4a70dba290428580f70b93",
+    # the lockstep at 128 runs, where a screen reads 1 of 128 runs' terms
+    (128, 32, 20, range(2), 1.0): "50979c6f09b219a68919f7efb213a67bdb3ea0533061c7fc762d49415778ae24",
 }
 # sha256 over repr(Design.search), seed by seed, for the same shapes: every start's
 # criterion, sweeps, exact and screened counts, recorded with the per-start search
@@ -1081,6 +1082,7 @@ PINNED_SEARCHES = {
     (16, 12, 5, range(8), 7.5): "3754fc4002126d2a10fd5f95bd9bdc487bc9147bfaa294536c71296499b69c22",
     (16, 12, 2, range(8), 7.5): "31717dd222a8cd18109690625cd3ee787b8953195ba930838fe60c599aa71d4b",
     (24, 6, 3, range(20), 1.0): "5e7969888915e10352e7e81bcdec95a3d9fbe0ae3069bf9f7a212fac0050e80e",
+    (128, 32, 20, range(2), 1.0): "a7f41f6973745b599768816a6a15e4f74d7cd3c98df887b4089c4a052c7866d5",
 }
 
 
